@@ -48,6 +48,7 @@
 #include "mem/simd.hh"
 #include "obs/json_writer.hh"
 #include "proto/hlrc/diff.hh"
+#include "sim/env.hh"
 #include "sim/event_queue.hh"
 
 namespace
@@ -314,16 +315,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
-        } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-            reps = std::atoi(argv[i] + 7);
-        } else {
-            std::fprintf(stderr, "usage: %s [--quick] [--reps=N]\n",
+        } else if (std::strncmp(argv[i], "--reps=", 7) != 0 ||
+                   !parseBoundedInt(argv[i] + 7, 1, 1000, reps)) {
+            std::fprintf(stderr,
+                         "usage: %s [--quick] [--reps=N]  (N an integer "
+                         "in [1, 1000])\n",
                          argv[0]);
             return 2;
         }
     }
-    if (reps < 1)
-        reps = 1;
     const std::uint64_t access_iters = quick ? 200'000 : 2'000'000;
     const std::uint64_t diff_reps = quick ? 20'000 : 200'000;
     const std::uint64_t apply_reps = quick ? 50'000 : 500'000;

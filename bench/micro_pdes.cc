@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel event-kernel benchmark (host wall-clock, not simulated
- * cycles). Three sections:
+ * cycles). Report-only on speed; two sections:
  *
  * Apps: runs 16-node Figure 3 configurations (HLRC, comm set A,
  * protocol cost set O) serially and with --sim-threads={2,4}, each
@@ -9,55 +9,34 @@
  * count plus the speedup of the best threaded rep over the best
  * serial rep.
  *
- * Islands: the per-destination lookahead A/B. A 16-node low-latency
- * (comm set X) cluster arranged as two islands of eight with a large
- * inter-island hop cost, run serially, with the legacy global-minimum
- * windows (4 threads) and with the per-destination lookahead matrix
- * (4 threads). The global minimum collapses to the tiny intra-island
- * hop, so the legacy policy barriers once per handful of events; the
- * matrix keeps the wide inter-island edges per destination pair. The
- * windows/widened counters per cell are deterministic (simulation
- * state only), so the section *always* asserts the mechanism — the
- * per-destination cell must run strictly fewer, wider windows than
- * the global-minimum cell — on any host, including single-core CI.
- *
- * Optimism: the machine-level speculation A/B on the same islands
- * geometry. Conservative per-destination windows (optimism 0) vs
- * bounded-optimism speculation (optimism 8) backed by the
- * MachineStateSaver (machine/pdes_saver.hh): the tiny intra-island
- * hop bounds same-island partitions to narrow windows, which
- * speculation runs past. The section always asserts the mechanism
- * (the speculative cell speculates and resolves, the conservative
- * one does not) and emits pdesSpeculated/pdesRollbacks/pdesCommits
- * per cell; with --check-speedup the speculative cell is gated at
- * max(X, 2.0) vs serial, core-count-gated like the other sections.
+ * Islands: a 16-node low-latency (comm set X) cluster arranged as two
+ * islands of eight with a large inter-island hop cost, run serially
+ * and with the per-destination lookahead matrix at 4 threads. The
+ * global-minimum bound would collapse to the tiny intra-island hop;
+ * the matrix keeps the wide inter-island edges per destination pair.
+ * The windows/widened counters are deterministic (simulation state
+ * only), so the section *always* asserts the mechanism — the
+ * partitioned cell must widen windows past the global-minimum bound —
+ * on any host, including single-core CI.
  *
  * The benchmark *asserts* what the equivalence suite tests: every rep
  * of every cell must produce bit-identical simulated results (total
  * cycles, per-node finish times, every counter outside the
  * host-dependent sim.pdes_* / machine.fastpath_* bookkeeping). A
- * mismatch exits non-zero regardless of flags.
- *
- * Speedup is only *enforced* with --check-speedup[=X] (default 1.5;
- * the islands per-destination cell checks against max(X, 2.0)) and
- * only when the host has at least as many cores as sim threads — on
- * an oversubscribed host the workers time-slice one core and the
- * windowed barriers can only cost, never pay. The ctest smoke run is
- * report-only on speedup, like micro_hotpath_smoke.
+ * mismatch, or a window-shape gate failure, exits non-zero; host
+ * speed never does.
  *
  * Writes BENCH_pdes.json (SWSM_BENCH_DIR honored); hostSeconds fields
  * are {"min", "median"} objects, which tools/bench_diff.py
  * understands. Each run entry carries the deterministic window-shape
  * counters (pdesWindows, pdesWindowWidened — compared by
- * bench_diff.py) and the speculation telemetry (pdesSpeculated,
- * pdesRollbacks — ignored, like the sim.pdes_* metrics).
+ * bench_diff.py).
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -65,7 +44,9 @@
 
 #include "apps/app_registry.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "obs/json_writer.hh"
+#include "sim/env.hh"
 
 namespace
 {
@@ -88,7 +69,6 @@ hostDependent(const std::string &name)
 {
     return name.rfind("sim.pdes_", 0) == 0 ||
            name.rfind("machine.fastpath_", 0) == 0 ||
-           name.rfind("machine.saver_", 0) == 0 ||
            name == "sim.max_pending_events";
 }
 
@@ -115,14 +95,11 @@ counterOf(const ExperimentResult &r, const std::string &name)
     return 0;
 }
 
-/** The deterministic and speculative parallel-kernel shape counters. */
+/** The deterministic parallel-kernel shape counters. */
 struct WindowStats
 {
     std::uint64_t windows = 0;
     std::uint64_t widened = 0;
-    std::uint64_t speculated = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t commits = 0;
 };
 
 WindowStats
@@ -131,9 +108,6 @@ windowStatsOf(const ExperimentResult &r)
     WindowStats w;
     w.windows = counterOf(r, "sim.pdes_windows");
     w.widened = counterOf(r, "sim.pdes_window_widened");
-    w.speculated = counterOf(r, "sim.pdes_speculated");
-    w.rollbacks = counterOf(r, "sim.pdes_rollbacks");
-    w.commits = counterOf(r, "sim.pdes_commits");
     return w;
 }
 
@@ -155,8 +129,6 @@ medianOf(std::vector<double> v)
 struct Cell
 {
     int threads = 1;
-    std::string policy = "perdest";
-    int optimism = 0;
     std::vector<double> seconds;
     Signature sig;
     WindowStats windows;
@@ -167,7 +139,6 @@ struct Options
     bool quick = false;
     int reps = 3;
     int procs = 16;
-    double checkSpeedup = 0.0; ///< 0 = report-only
     std::vector<std::string> apps;
 };
 
@@ -179,13 +150,21 @@ parseArgs(int argc, char **argv, Options &o)
         if (arg == "--quick") {
             o.quick = true;
         } else if (arg.rfind("--reps=", 0) == 0) {
-            o.reps = std::atoi(arg.c_str() + 7);
+            if (!parseBoundedInt(arg.substr(7), 1, 1000, o.reps)) {
+                std::fprintf(stderr,
+                             "--reps needs an integer in [1, 1000], got "
+                             "\"%s\"\n",
+                             arg.c_str() + 7);
+                return false;
+            }
         } else if (arg.rfind("--procs=", 0) == 0) {
-            o.procs = std::atoi(arg.c_str() + 8);
-        } else if (arg == "--check-speedup") {
-            o.checkSpeedup = 1.5;
-        } else if (arg.rfind("--check-speedup=", 0) == 0) {
-            o.checkSpeedup = std::atof(arg.c_str() + 16);
+            if (!parseBoundedInt(arg.substr(8), 1, maxProcs, o.procs)) {
+                std::fprintf(stderr,
+                             "--procs needs an integer in [1, %d], got "
+                             "\"%s\"\n",
+                             maxProcs, arg.c_str() + 8);
+                return false;
+            }
         } else if (arg.rfind("--apps=", 0) == 0) {
             std::string list = arg.substr(7);
             for (std::size_t pos = 0; pos < list.size();) {
@@ -199,13 +178,11 @@ parseArgs(int argc, char **argv, Options &o)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--reps=N] [--procs=N] "
-                         "[--apps=a,b] [--check-speedup[=X]]\n",
+                         "[--apps=a,b]\n",
                          argv[0]);
             return false;
         }
     }
-    if (o.reps < 1)
-        o.reps = 1;
     if (o.apps.empty())
         o.apps = {"fft", "lu"};
     return true;
@@ -219,8 +196,6 @@ runCell(const WorkloadFactory &factory, SizeClass size,
 {
     Cell cell;
     cell.threads = mp.simThreads;
-    cell.policy = mp.pdesPerDest ? "perdest" : "globalmin";
-    cell.optimism = mp.pdesOptimism;
     for (int rep = 0; rep < reps; ++rep) {
         const ExperimentResult r =
             runExperiment(factory, size, mp, config_name, 0);
@@ -250,19 +225,13 @@ writeCellJson(JsonWriter &w, const std::string &section,
     w.member("config", config);
     w.member("protocol", "HLRC");
     w.member("simThreads", cell.threads);
-    w.member("windowPolicy", cell.policy);
-    w.member("optimism", cell.optimism);
     w.member("simulatedCycles",
              static_cast<std::uint64_t>(cell.sig.total));
     w.member("equivalent", cell.sig == serial.sig);
     // Deterministic window shape (simulation state only): compared by
-    // tools/bench_diff.py. Speculation telemetry is policy bookkeeping
-    // and ignored there, like the sim.pdes_* metrics.
+    // tools/bench_diff.py.
     w.member("pdesWindows", cell.windows.windows);
     w.member("pdesWindowWidened", cell.windows.widened);
-    w.member("pdesSpeculated", cell.windows.speculated);
-    w.member("pdesRollbacks", cell.windows.rollbacks);
-    w.member("pdesCommits", cell.windows.commits);
     w.key("hostSeconds");
     w.beginObject();
     w.member("min", minOf(cell.seconds));
@@ -296,8 +265,8 @@ main(int argc, char **argv)
     w.key("runs");
     w.beginArray();
 
-    std::printf("%-14s %-10s %8s %10s %10s %9s\n", "app", "policy",
-                "threads", "min(s)", "median(s)", "speedup");
+    std::printf("%-14s %8s %10s %10s %9s\n", "app", "threads", "min(s)",
+                "median(s)", "speedup");
     for (const std::string &name : o.apps) {
         const AppInfo &app = findApp(name);
         std::vector<Cell> cells;
@@ -308,10 +277,8 @@ main(int argc, char **argv)
             config.protoSet = 'O';
             config.numProcs = o.procs;
             config.simThreads = threads;
-            MachineParams mp = config.machineParams();
-            mp.pdesOptimism = 0; // pinned; the optimism section A/Bs it
             cells.push_back(runCell(
-                app.factory, size, mp, config.name(),
+                app.factory, size, config.machineParams(), config.name(),
                 name + " with " + std::to_string(threads) +
                     " sim threads",
                 o.reps, ok));
@@ -334,41 +301,23 @@ main(int argc, char **argv)
             }
             const double best = minOf(cell.seconds);
             const double speedup = best > 0 ? serial_min / best : 0.0;
-            std::printf("%-14s %-10s %8d %10.3f %10.3f %8.2fx\n",
-                        name.c_str(), cell.policy.c_str(), cell.threads,
-                        best, medianOf(cell.seconds), speedup);
-            if (o.checkSpeedup > 0 && cell.threads > 1 &&
-                hw >= static_cast<unsigned>(cell.threads) &&
-                speedup < o.checkSpeedup) {
-                std::fprintf(stderr,
-                             "FAIL: %s with %d sim threads: %.2fx < "
-                             "required %.2fx\n",
-                             name.c_str(), cell.threads, speedup,
-                             o.checkSpeedup);
-                ok = false;
-            }
-            if (o.checkSpeedup > 0 && cell.threads > 1 &&
-                hw < static_cast<unsigned>(cell.threads)) {
-                std::printf("  (speedup check skipped: host has %u "
-                            "cores for %d workers)\n",
-                            hw, cell.threads);
-            }
+            std::printf("%-14s %8d %10.3f %10.3f %8.2fx\n", name.c_str(),
+                        cell.threads, best, medianOf(cell.seconds),
+                        speedup);
             writeCellJson(w, "apps", name, "AO", cell, serial, speedup);
         }
     }
 
     // ------------------------------------------------------------------
-    // Islands A/B: per-destination lookahead vs the legacy global
-    // minimum on an asymmetric low-latency geometry. Comm set X has a
-    // ~1-cycle flat hop; two islands of eight put the tiny hop inside
-    // each island and a wide one between them. With four partitions
-    // (contiguous blocks of four nodes) the global minimum over the
-    // partition matrix is the tiny intra-island edge, while the
-    // per-destination fixpoint keeps the wide inter-island edges —
-    // same simulation, very different barrier counts.
+    // Islands: per-destination lookahead on an asymmetric low-latency
+    // geometry. Comm set X has a ~1-cycle flat hop; two islands of
+    // eight put the tiny hop inside each island and a wide one between
+    // them. With four partitions (contiguous blocks of four nodes) the
+    // global minimum over the partition matrix is the tiny intra-island
+    // edge, while the per-destination fixpoint keeps the wide
+    // inter-island edges.
     {
         const std::string island_app = "radix";
-        const int island_threads = 4;
         const AppInfo &app = findApp(island_app);
         ExperimentConfig base;
         base.protocol = ProtocolKind::Hlrc;
@@ -377,229 +326,53 @@ main(int argc, char **argv)
         base.numProcs = 16;
         MachineParams mp = base.machineParams();
         mp.comm = mp.comm.withIslands(8, 20000, 1.0);
-        mp.pdesOptimism = 0; // pinned; the optimism section A/Bs it
         const std::string config_name = "XO+isl8";
 
-        struct Spec
-        {
-            int threads;
-            bool perDest;
-        };
-        const Spec specs[] = {
-            {1, true}, {island_threads, false}, {island_threads, true}};
         std::vector<Cell> cells;
-        for (const Spec &spec : specs) {
-            mp.simThreads = spec.threads;
-            mp.pdesPerDest = spec.perDest;
+        for (const int threads : {1, 4}) {
+            mp.simThreads = threads;
             cells.push_back(runCell(
                 app.factory, size, mp, config_name,
                 island_app + " (" + config_name + ") with " +
-                    std::to_string(spec.threads) + " sim threads, " +
-                    (spec.perDest ? "perdest" : "globalmin") +
-                    " windows",
+                    std::to_string(threads) + " sim threads",
                 o.reps, ok));
         }
 
         const Cell &serial = cells[0];
-        const Cell &globalmin = cells[1];
-        const Cell &perdest = cells[2];
+        const Cell &parallel = cells[1];
         const double serial_min = minOf(serial.seconds);
         for (const Cell &cell : cells) {
             if (cell.sig != serial.sig) {
                 std::fprintf(stderr,
-                             "FAIL: %s (%s) with %d sim threads and %s "
-                             "windows diverges from the serial kernel\n",
+                             "FAIL: %s (%s) with %d sim threads diverges "
+                             "from the serial kernel\n",
                              island_app.c_str(), config_name.c_str(),
-                             cell.threads, cell.policy.c_str());
+                             cell.threads);
                 ok = false;
             }
             const double best = minOf(cell.seconds);
             const double speedup = best > 0 ? serial_min / best : 0.0;
-            std::printf("%-14s %-10s %8d %10.3f %10.3f %8.2fx\n",
+            std::printf("%-14s %8d %10.3f %10.3f %8.2fx\n",
                         (island_app + "/" + config_name).c_str(),
-                        cell.policy.c_str(), cell.threads, best,
-                        medianOf(cell.seconds), speedup);
+                        cell.threads, best, medianOf(cell.seconds),
+                        speedup);
             writeCellJson(w, "islands", island_app, config_name, cell,
                           serial, speedup);
         }
-        std::printf("  windows: globalmin %llu (widened %llu), "
-                    "perdest %llu (widened %llu)\n",
+        std::printf("  windows: %llu (widened %llu)\n",
                     static_cast<unsigned long long>(
-                        globalmin.windows.windows),
+                        parallel.windows.windows),
                     static_cast<unsigned long long>(
-                        globalmin.windows.widened),
-                    static_cast<unsigned long long>(
-                        perdest.windows.windows),
-                    static_cast<unsigned long long>(
-                        perdest.windows.widened));
+                        parallel.windows.widened));
 
         // The mechanism gate is deterministic (window counts depend
         // only on simulation state), so it runs on every host: the
-        // matrix must widen windows, i.e. reach the same final time in
-        // strictly fewer rounds than the legacy global minimum.
-        if (perdest.windows.windows >= globalmin.windows.windows) {
-            std::fprintf(stderr,
-                         "FAIL: per-destination windows (%llu) not "
-                         "fewer than global-minimum windows (%llu) on "
-                         "the islands geometry\n",
-                         static_cast<unsigned long long>(
-                             perdest.windows.windows),
-                         static_cast<unsigned long long>(
-                             globalmin.windows.windows));
-            ok = false;
-        }
-        if (perdest.windows.widened == 0) {
+        // matrix must widen windows past the global-minimum bound.
+        if (parallel.windows.widened == 0) {
             std::fprintf(stderr,
                          "FAIL: per-destination cell never widened a "
-                         "window past the legacy bound\n");
+                         "window past the global-minimum bound\n");
             ok = false;
-        }
-
-        const double island_target = std::max(o.checkSpeedup, 2.0);
-        const double best = minOf(perdest.seconds);
-        const double speedup = best > 0 ? serial_min / best : 0.0;
-        if (o.checkSpeedup > 0 &&
-            hw >= static_cast<unsigned>(island_threads) &&
-            speedup < island_target) {
-            std::fprintf(stderr,
-                         "FAIL: per-destination islands cell: %.2fx < "
-                         "required %.2fx\n",
-                         speedup, island_target);
-            ok = false;
-        }
-        if (o.checkSpeedup > 0 &&
-            hw < static_cast<unsigned>(island_threads)) {
-            std::printf("  (islands speedup check skipped: host has %u "
-                        "cores for %d workers)\n",
-                        hw, island_threads);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Optimism A/B: conservative windows vs bounded-optimism
-    // speculation backed by the machine-level state saver
-    // (machine/pdes_saver.hh), on the same islanded X-corner geometry.
-    // The ~1-cycle intra-island hop keeps the two partitions inside
-    // each island bounding each other to tiny windows even under the
-    // per-destination matrix; optimism lets a partition checkpoint and
-    // run past that bound, committing when no straggler materializes.
-    {
-        const std::string app_name = "radix";
-        const int spec_threads = 4;
-        const int optimism = 8;
-        const AppInfo &app = findApp(app_name);
-        ExperimentConfig base;
-        base.protocol = ProtocolKind::Hlrc;
-        base.commSet = 'X';
-        base.protoSet = 'O';
-        base.numProcs = 16;
-        MachineParams mp = base.machineParams();
-        mp.comm = mp.comm.withIslands(8, 20000, 1.0);
-        mp.pdesPerDest = true;
-        const std::string config_name = "XO+isl8";
-
-        struct Spec
-        {
-            int threads;
-            int optimism;
-        };
-        const Spec specs[] = {
-            {1, 0}, {spec_threads, 0}, {spec_threads, optimism}};
-        std::vector<Cell> cells;
-        for (const Spec &spec : specs) {
-            mp.simThreads = spec.threads;
-            mp.pdesOptimism = spec.optimism;
-            cells.push_back(runCell(
-                app.factory, size, mp, config_name,
-                app_name + " (" + config_name + ") with " +
-                    std::to_string(spec.threads) +
-                    " sim threads, optimism " +
-                    std::to_string(spec.optimism),
-                o.reps, ok));
-        }
-
-        const Cell &serial = cells[0];
-        const Cell &conservative = cells[1];
-        const Cell &speculative = cells[2];
-        const double serial_min = minOf(serial.seconds);
-        for (const Cell &cell : cells) {
-            if (cell.sig != serial.sig) {
-                std::fprintf(stderr,
-                             "FAIL: %s (%s) with %d sim threads and "
-                             "optimism %d diverges from the serial "
-                             "kernel\n",
-                             app_name.c_str(), config_name.c_str(),
-                             cell.threads, cell.optimism);
-                ok = false;
-            }
-            const double best = minOf(cell.seconds);
-            const double speedup = best > 0 ? serial_min / best : 0.0;
-            std::printf("%-14s opt=%-6d %8d %10.3f %10.3f %8.2fx\n",
-                        (app_name + "/" + config_name).c_str(),
-                        cell.optimism, cell.threads, best,
-                        medianOf(cell.seconds), speedup);
-            writeCellJson(w, "optimism", app_name, config_name, cell,
-                          serial, speedup);
-        }
-        std::printf("  speculation: %llu episodes, %llu commits, %llu "
-                    "rollbacks (conservative windows %llu, "
-                    "speculative windows %llu)\n",
-                    static_cast<unsigned long long>(
-                        speculative.windows.speculated),
-                    static_cast<unsigned long long>(
-                        speculative.windows.commits),
-                    static_cast<unsigned long long>(
-                        speculative.windows.rollbacks),
-                    static_cast<unsigned long long>(
-                        conservative.windows.windows),
-                    static_cast<unsigned long long>(
-                        speculative.windows.windows));
-
-        // Mechanism gates, deterministic on any host: the speculative
-        // cell must actually speculate and resolve every episode, and
-        // the conservative cell must not.
-        if (conservative.windows.speculated != 0) {
-            std::fprintf(stderr,
-                         "FAIL: conservative optimism cell speculated "
-                         "%llu times\n",
-                         static_cast<unsigned long long>(
-                             conservative.windows.speculated));
-            ok = false;
-        }
-        if (speculative.windows.speculated == 0) {
-            std::fprintf(stderr,
-                         "FAIL: optimism=%d cell never speculated; the "
-                         "machine saver is not engaging\n",
-                         optimism);
-            ok = false;
-        }
-        if (speculative.windows.commits +
-                speculative.windows.rollbacks ==
-            0) {
-            std::fprintf(stderr,
-                         "FAIL: optimism=%d cell speculated but never "
-                         "resolved a speculation\n",
-                         optimism);
-            ok = false;
-        }
-
-        const double spec_target = std::max(o.checkSpeedup, 2.0);
-        const double best = minOf(speculative.seconds);
-        const double speedup = best > 0 ? serial_min / best : 0.0;
-        if (o.checkSpeedup > 0 &&
-            hw >= static_cast<unsigned>(spec_threads) &&
-            speedup < spec_target) {
-            std::fprintf(stderr,
-                         "FAIL: speculative optimism cell: %.2fx < "
-                         "required %.2fx\n",
-                         speedup, spec_target);
-            ok = false;
-        }
-        if (o.checkSpeedup > 0 &&
-            hw < static_cast<unsigned>(spec_threads)) {
-            std::printf("  (optimism speedup check skipped: host has "
-                        "%u cores for %d workers)\n",
-                        hw, spec_threads);
         }
     }
 

@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
+#include "sim/env.hh"
 #include "sim/rng.hh"
 
 namespace
@@ -116,10 +116,11 @@ main(int argc, char **argv)
 
     int jobs = defaultJobs();
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            jobs = std::atoi(argv[i] + 7);
-        else {
-            std::fprintf(stderr, "usage: %s [--jobs=N]\n", argv[0]);
+        if (std::strncmp(argv[i], "--jobs=", 7) != 0 ||
+            !parseBoundedInt(argv[i] + 7, 1, maxJobs, jobs)) {
+            std::fprintf(stderr,
+                         "usage: %s [--jobs=N]  (N an integer in [1, %d])\n",
+                         argv[0], maxJobs);
             return 1;
         }
     }
@@ -130,7 +131,7 @@ main(int argc, char **argv)
 
     // Both simulations are independent (one Cluster each, confined to
     // its worker thread), so they can run concurrently.
-    TaskPool pool(jobs < 1 ? 1 : jobs);
+    TaskPool pool(jobs);
     for (int i = 0; i < 2; ++i)
         pool.submit([i, &protocols, &results] {
             results[i] = runHistogram(protocols[i]);

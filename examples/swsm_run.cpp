@@ -5,8 +5,11 @@
  * (speedup, per-processor breakdowns, protocol and network counters).
  *
  *   ./build/examples/swsm_run --app=radix --proto=hlrc --config=AO \
- *       [--procs=16] [--size=tiny|small|medium] [--block=64] [--jobs=N] \
- *       [--trace=FILE]
+ *       [--procs=16] [--size=tiny|small|medium|paper] [--block=64] \
+ *       [--jobs=N] [--trace=FILE]
+ *
+ * Unknown applications, protocols, configurations and sizes print the
+ * usage text and exit 1.
  *
  * Runs through the parallel sweep engine (a single experiment, so
  * --jobs only matters when this grows into a grid).
@@ -15,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "apps/app_registry.hh"
 #include "harness/parallel_sweep.hh"
@@ -28,13 +32,51 @@ usage(const char *prog)
     std::fprintf(stderr,
                  "usage: %s --app=NAME [--proto=hlrc|sc|ideal] "
                  "[--config=XY] [--procs=N]\n"
-                 "          [--size=tiny|small|medium] [--block=BYTES] "
-                 "[--jobs=N] [--trace=FILE]\n"
+                 "          [--size=tiny|small|medium|paper] "
+                 "[--block=BYTES] [--jobs=N] [--trace=FILE]\n"
+                 "  --config=XY  communication set X (A H B W X) and "
+                 "protocol cost set Y (O H B)\n"
                  "applications:\n",
                  prog);
     for (const swsm::AppInfo &app : swsm::appRegistry())
         std::fprintf(stderr, "  %-16s (%s)\n", app.name.c_str(),
                      app.paperSize.c_str());
+}
+
+/** Parse a protocol name; false (out untouched) on unknown names. */
+bool
+parseProtocol(std::string_view name, swsm::ProtocolKind &out)
+{
+    if (name == "hlrc")
+        out = swsm::ProtocolKind::Hlrc;
+    else if (name == "sc")
+        out = swsm::ProtocolKind::Sc;
+    else if (name == "ideal")
+        out = swsm::ProtocolKind::Ideal;
+    else
+        return false;
+    return true;
+}
+
+/** True for a communication set letter followed by a cost set letter. */
+bool
+validConfig(std::string_view config)
+{
+    return config.size() == 2 &&
+           std::string_view("AHBWX").find(config[0]) !=
+               std::string_view::npos &&
+           std::string_view("OHB").find(config[1]) != std::string_view::npos;
+}
+
+/** The registered application named @p name, or null. */
+const swsm::AppInfo *
+lookupApp(const std::string &name)
+{
+    for (const swsm::AppInfo &app : swsm::appRegistry()) {
+        if (app.name == name)
+            return &app;
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -45,9 +87,9 @@ main(int argc, char **argv)
     using namespace swsm;
 
     std::string app_name;
-    std::string proto = "hlrc";
+    ProtocolKind kind = ProtocolKind::Hlrc;
     std::string config = "AO";
-    std::string size_name = "small";
+    SizeClass size = SizeClass::Small;
     std::string trace_path;
     int procs = 16;
     int block = 0;
@@ -63,11 +105,11 @@ main(int argc, char **argv)
         if (const char *v = value("--app="))
             app_name = v;
         else if (const char *v = value("--proto="))
-            proto = v;
+            ok = parseProtocol(v, kind);
         else if (const char *v = value("--config="))
-            config = v;
+            ok = validConfig(config.assign(v));
         else if (const char *v = value("--size="))
-            size_name = v;
+            ok = parseSizeClass(v, size);
         else if (const char *v = value("--procs="))
             ok = parseBoundedInt(v, 1, maxProcs, procs);
         else if (const char *v = value("--block="))
@@ -84,20 +126,18 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (app_name.empty() || config.size() != 2) {
+    const AppInfo *found = lookupApp(app_name);
+    if (!found) {
+        if (!app_name.empty())
+            std::fprintf(stderr, "unknown application: %s\n",
+                         app_name.c_str());
         usage(argv[0]);
         return 1;
     }
-
-    const AppInfo &app = findApp(app_name);
-    const SizeClass size = size_name == "tiny" ? SizeClass::Tiny
-        : size_name == "medium"                ? SizeClass::Medium
-                                               : SizeClass::Small;
+    const AppInfo &app = *found;
 
     ExperimentConfig cfg;
-    cfg.protocol = proto == "sc" ? ProtocolKind::Sc
-        : proto == "ideal"       ? ProtocolKind::Ideal
-                                 : ProtocolKind::Hlrc;
+    cfg.protocol = kind;
     cfg.commSet = config[0];
     cfg.protoSet = config[1];
     cfg.numProcs = procs;
@@ -107,13 +147,13 @@ main(int argc, char **argv)
 
     std::printf("%s on %d-proc %s cluster, config %s, size %s\n",
                 app.name.c_str(), procs, protocolKindName(cfg.protocol),
-                cfg.name().c_str(), size_name.c_str());
+                cfg.name().c_str(), sizeClassName(size));
 
     SweepOptions opts;
     opts.size = size;
     opts.numProcs = procs;
     opts.apps = {app.name};
-    opts.jobs = jobs < 1 ? 1 : jobs;
+    opts.jobs = jobs;
     ParallelSweepRunner runner(opts);
     runner.planCustom(app, app.name + "/run", [&app, size, cfg](Cycles s) {
         return runExperiment(app.factory, size, cfg, s);

@@ -118,9 +118,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Resolve jobs / workers / per-simulation threads through the
-    // measured core budget (explicit flags stay authoritative;
-    // SWSM_BUDGET=static restores the legacy oversubscription rule).
+    // Resolve jobs / workers through the measured core budget (explicit
+    // flags stay authoritative). Per-simulation threads stay as
+    // ServerOptions read them: SWSM_SIM_THREADS, else 1.
     {
         BudgetRequest breq;
         breq.jobs = opts.jobs;
@@ -132,7 +132,6 @@ main(int argc, char **argv)
             opts.workers = budget.workers;
         if (!jobsExplicit)
             opts.jobs = budget.jobs;
-        opts.simThreads = budget.simThreads;
     }
 
     try {

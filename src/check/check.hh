@@ -74,18 +74,11 @@ struct FaultPlan
     bool dropDiffApply = false;
     /** SC: ack invalidations without actually invalidating the copy. */
     bool skipScInvalidate = false;
-    /**
-     * PDES: treat each partition's first speculation resolution as a
-     * straggler, forcing the rollback path (sim/pdes.cc). Unlike the
-     * protocol faults above this is not a misbehavior — rollback must
-     * restore bit-identical state, which is exactly what tests assert.
-     */
-    bool pdesForceStraggler = false;
 
     bool
     any() const
     {
-        return dropDiffApply || skipScInvalidate || pdesForceStraggler;
+        return dropDiffApply || skipScInvalidate;
     }
 };
 

@@ -56,9 +56,8 @@ LitmusConfig configForSeed(ProtocolKind protocol, std::uint64_t seed);
  * (cluster size, nodes per island, inter-island latency/bandwidth) —
  * the asymmetric geometries the per-destination lookahead matrix
  * (sim/pdes.hh) exploits. Deterministic per (protocol, seed); the
- * caller sweeps simThreads / pdesPerDest / pdesOptimism over the
- * returned params and asserts bit-equivalence against a serial run
- * (tests/test_pdes_fuzz.cc).
+ * caller sweeps simThreads over the returned params and asserts
+ * bit-equivalence against a serial run (tests/test_pdes_fuzz.cc).
  */
 MachineParams pdesMachineForSeed(ProtocolKind protocol,
                                  std::uint64_t seed);

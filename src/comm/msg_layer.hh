@@ -62,25 +62,6 @@ class MsgLayer
     /** Register message-class counters under "comm.*". */
     void registerMetrics(MetricsRegistry &registry) const;
 
-    /**
-     * Machine-level speculation checkpoint: the layer's only mutable
-     * state is its counters, so save/restore snapshot one partition's
-     * shard of each (machine/pdes_saver.hh).
-     */
-    void
-    saveSpecState(int partition)
-    {
-        specSnap_[partition][0] = requests.shardValue(partition);
-        specSnap_[partition][1] = data.shardValue(partition);
-    }
-
-    void
-    restoreSpecState(int partition)
-    {
-        requests.setShardValue(partition, specSnap_[partition][0]);
-        data.setShardValue(partition, specSnap_[partition][1]);
-    }
-
   private:
     Network &net;
     std::vector<HandlerSink *> sinks;
@@ -89,8 +70,6 @@ class MsgLayer
     // is partitioned (sim/pdes.hh).
     ShardedCounter requests;
     ShardedCounter data;
-
-    std::uint64_t specSnap_[ShardedCounter::maxStatShards][2] = {};
 };
 
 } // namespace swsm

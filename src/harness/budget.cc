@@ -1,37 +1,12 @@
 #include "budget.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "harness/sweep.hh"
-#include "sim/env.hh"
-#include "sim/log.hh"
-#include "sim/pdes.hh"
 
 namespace swsm
 {
-
-bool
-budgetIsStatic()
-{
-    const char *raw = std::getenv("SWSM_BUDGET");
-    if (!raw || !*raw)
-        return false;
-    if (std::strcmp(raw, "static") == 0)
-        return true;
-    if (std::strcmp(raw, "measured") == 0)
-        return false;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        SWSM_WARN("SWSM_BUDGET=\"%s\" is not \"measured\" or "
-                  "\"static\"; using measured",
-                  raw);
-    }
-    return false;
-}
 
 int
 measuredHardwareThreads()
@@ -39,38 +14,6 @@ measuredHardwareThreads()
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? static_cast<int>(hw) : 1;
 }
-
-namespace
-{
-
-/**
- * The per-simulation thread count once the runner count is known.
- * SWSM_PDES=0 forces serial; an explicit request is clamped only to
- * the engine limit; otherwise the leftover-core share applies, capped
- * by SWSM_SIM_THREADS when set (static mode: no share, the legacy
- * min(SWSM_SIM_THREADS, hardware / runners) with a serial default).
- */
-int
-allocateSimThreads(const BudgetRequest &req, int hw, int runners)
-{
-    if (req.simThreadsExplicit)
-        return std::clamp(req.simThreads, 1, PdesEngine::maxPartitions);
-    if (!envFlag("SWSM_PDES", true))
-        return 1;
-    const int share = std::max(1, hw / std::max(1, runners));
-    // 0 doubles as the "unset" sentinel (below the minimum of 1).
-    const int env = envBoundedInt("SWSM_SIM_THREADS", 1,
-                                  PdesEngine::maxPartitions, 0);
-    if (budgetIsStatic()) {
-        // Legacy rule: serial unless the environment asks, then budget
-        // the ask against the sweep-level runners.
-        return env <= 1 ? 1 : std::max(1, std::min(env, share));
-    }
-    const int picked = env > 0 ? std::min(env, share) : share;
-    return std::clamp(picked, 1, PdesEngine::maxPartitions);
-}
-
-} // namespace
 
 Budget
 computeBudget(const BudgetRequest &req)
@@ -87,7 +30,7 @@ computeBudget(const BudgetRequest &req)
         out.workers = std::max(0, std::min(req.workers, maxWorkerProcs));
 
     const int askedJobs = std::min(req.jobs > 0 ? req.jobs : hw, maxJobs);
-    if (req.jobsExplicit || budgetIsStatic()) {
+    if (req.jobsExplicit) {
         out.jobs = std::max(1, askedJobs);
     } else {
         out.jobs = std::max(1, std::min(askedJobs, demand));
@@ -95,9 +38,6 @@ computeBudget(const BudgetRequest &req)
         if (out.workers > 0)
             out.jobs = std::max(out.jobs, std::min(out.workers, maxJobs));
     }
-
-    const int runners = out.workers > 0 ? out.workers : out.jobs;
-    out.simThreads = allocateSimThreads(req, hw, runners);
     return out;
 }
 

@@ -1,33 +1,25 @@
 /**
  * @file
- * Measured parallelism budget: how many worker processes, sweep jobs
- * and per-simulation event-kernel threads one machine should run.
+ * Measured parallelism budget: how many worker processes and sweep jobs
+ * one machine should run.
  *
- * The sweep stack has three multiplicative parallelism knobs —
- * worker *processes* (the sweep server's --workers fan-out), sweep
- * *jobs* (TaskPool threads running whole experiments) and
- * *sim-threads* (partitions inside one simulation, sim/pdes.hh). The
- * legacy rule composed only the last two, statically:
- * min(SWSM_SIM_THREADS, hardware threads / jobs). This module replaces
- * it with one allocator that sees all three knobs plus the grid size,
- * so a two-item grid on a 16-core host runs 2 jobs x 8 sim-threads
- * instead of 16 idle jobs x 1, and worker processes are fed enough
- * queueing jobs to stay busy.
+ * The sweep stack has two multiplicative parallelism knobs — worker
+ * *processes* (the sweep server's --workers fan-out) and sweep *jobs*
+ * (TaskPool threads running whole experiments). This module sizes both
+ * from the host's core count and the grid size, so a two-item grid on
+ * a 16-core host runs 2 jobs instead of 16 idle ones, and worker
+ * processes are fed enough queueing jobs to stay busy.
  *
  * Rules (computeBudget):
  *  - Explicit flags are always authoritative (never overridden).
- *  - The active runner count is workers when worker processes are in
- *    play, else jobs; auto jobs are clamped to the grid size (no point
- *    spawning more runners than experiments) and raised to at least
- *    the worker count (each queued job needs a submitting slot).
- *  - Auto sim-threads get the leftover cores: hardware / runners,
- *    capped by SWSM_SIM_THREADS when that is set, by the engine's
- *    partition limit always, and forced to 1 by SWSM_PDES=0.
+ *  - Auto workers match the core count, clamped to the grid size.
+ *  - Auto jobs are clamped to the grid size (no point spawning more
+ *    runners than experiments) and raised to at least the worker count
+ *    (each queued job needs a submitting slot).
  *
- * SWSM_BUDGET=static restores the legacy composition (auto
- * sim-threads stay 1 unless SWSM_SIM_THREADS is set, jobs are not
- * grid-clamped); SWSM_BUDGET=measured (or unset) selects the
- * allocator. Anything else warns and uses the default.
+ * Threads *inside* one simulation (sim/pdes.hh) are not budgeted: the
+ * serial event kernel is the default, and a run is partitioned only
+ * when --sim-threads or SWSM_SIM_THREADS asks for it.
  */
 
 #ifndef SWSM_HARNESS_BUDGET_HH
@@ -50,34 +42,23 @@ struct BudgetRequest
     int jobs = 0;
     /** True when --jobs was given explicitly (never overridden). */
     bool jobsExplicit = false;
-    /**
-     * Requested per-simulation threads; 0 = auto (SWSM_SIM_THREADS if
-     * set, else the leftover-core share).
-     */
-    int simThreads = 0;
-    /** True when --sim-threads was given explicitly. */
-    bool simThreadsExplicit = false;
     /** Requested worker processes (server fan-out); 0 = none. */
     int workers = 0;
     /** True to pick the worker count from the measurement instead. */
     bool workersAuto = false;
 };
 
-/** The allocation: workers x jobs x simThreads. */
+/** The allocation: workers x jobs. */
 struct Budget
 {
     int workers = 0;
     int jobs = 1;
-    int simThreads = 1;
 };
-
-/** True when SWSM_BUDGET selects the legacy static rule. */
-bool budgetIsStatic();
 
 /** hardware_concurrency with a floor of 1 (it may report 0). */
 int measuredHardwareThreads();
 
-/** Allocate workers/jobs/simThreads for @p req (see file comment). */
+/** Allocate workers/jobs for @p req (see file comment). */
 Budget computeBudget(const BudgetRequest &req);
 
 } // namespace swsm

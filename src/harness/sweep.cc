@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "harness/budget.hh"
 #include "sim/env.hh"
 #include "sim/log.hh"
 #include "sim/pdes.hh"
@@ -102,7 +101,6 @@ SweepOptions::parse(int argc, char **argv)
                              arg.c_str() + 14);
                 return false;
             }
-            simThreadsExplicit = true;
         } else if (arg.rfind("--trace=", 0) == 0) {
             tracePath = arg.substr(8);
             if (tracePath.empty()) {
@@ -131,10 +129,8 @@ SweepOptions::parse(int argc, char **argv)
                          "(default: SWSM_JOBS or hardware concurrency)\n"
                          "  --sim-threads=N  worker threads inside each "
                          "simulation (parallel event kernel; results "
-                         "are bit-identical to serial; default: the "
-                         "measured per-job core share, capped by "
-                         "SWSM_SIM_THREADS; SWSM_BUDGET=static keeps "
-                         "the legacy rule)\n"
+                         "are bit-identical to serial; default: "
+                         "SWSM_SIM_THREADS or 1)\n"
                          "  --trace=FILE  write a Chrome trace_event "
                          "JSON of every experiment (chrome://tracing)\n",
                          argv[0]);
@@ -142,19 +138,6 @@ SweepOptions::parse(int argc, char **argv)
         }
     }
     return true;
-}
-
-int
-SweepOptions::effectiveSimThreads() const
-{
-    // The jobs knob is already resolved (flag, SWSM_JOBS or hardware),
-    // so only the sim-thread share is left to allocate.
-    BudgetRequest req;
-    req.jobs = jobs;
-    req.jobsExplicit = true;
-    req.simThreads = simThreads;
-    req.simThreadsExplicit = simThreadsExplicit;
-    return computeBudget(req).simThreads;
 }
 
 std::vector<AppInfo>

@@ -60,13 +60,11 @@ struct SweepOptions
     int jobs = defaultJobs();
     /**
      * Worker threads *inside* each simulation (the parallel event
-     * kernel, sim/pdes.hh). Orthogonal to jobs, which runs whole
-     * experiments concurrently; see effectiveSimThreads() for how the
-     * two knobs share the machine.
+     * kernel, sim/pdes.hh): --sim-threads=N, else SWSM_SIM_THREADS,
+     * else 1. Orthogonal to jobs, which runs whole experiments
+     * concurrently.
      */
     int simThreads = defaultSimThreads();
-    /** True when --sim-threads was given (wins over the budget rule). */
-    bool simThreadsExplicit = false;
     /** Chrome trace_event output path (empty = tracing off). */
     std::string tracePath;
 
@@ -82,14 +80,11 @@ struct SweepOptions
     std::vector<AppInfo> selectedApps() const;
 
     /**
-     * The per-simulation thread count experiments actually use. An
-     * explicit --sim-threads=N is authoritative. Otherwise the measured
-     * budget allocator (harness/budget.hh) hands each job its
-     * leftover-core share, capped by SWSM_SIM_THREADS when that is set;
-     * SWSM_BUDGET=static restores the legacy
-     * min(SWSM_SIM_THREADS, hardware threads / jobs) rule.
+     * The per-simulation thread count experiments actually use: the
+     * requested simThreads as given. No core count or job count
+     * changes it, so runs stay serial unless someone asks.
      */
-    int effectiveSimThreads() const;
+    int effectiveSimThreads() const { return simThreads; }
 };
 
 /**

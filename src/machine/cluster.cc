@@ -1,7 +1,6 @@
 #include "cluster.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -45,26 +44,10 @@ defaultFastPath()
 int
 defaultSimThreads()
 {
-    // SWSM_PDES=0 is the kill switch that forces the serial kernel
-    // regardless of SWSM_SIM_THREADS.
-    if (!envFlag("SWSM_PDES", true))
-        return 1;
     // Malformed values used to strtol() to 0 and silently fall back to
     // serial; now they warn. The engine's partition limit clamps above.
     return envBoundedInt("SWSM_SIM_THREADS", 1, PdesEngine::maxPartitions,
                          1);
-}
-
-bool
-defaultPdesPerDest()
-{
-    return envFlag("SWSM_PDES_PER_DEST", true);
-}
-
-int
-defaultPdesOptimism()
-{
-    return envBoundedInt("SWSM_PDES_OPTIMISM", 0, 4096, 0);
 }
 
 Cluster::Cluster(const MachineParams &params) : params_(params)
@@ -184,27 +167,6 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
                          [this] { return pdesStats_.maxPartitionEvents; });
     registry_.addCounter("sim.pdes_window_widened",
                          [this] { return pdesStats_.widenedWindows; });
-    registry_.addCounter("sim.pdes_speculated",
-                         [this] { return pdesStats_.speculated; });
-    registry_.addCounter("sim.pdes_rollbacks",
-                         [this] { return pdesStats_.rollbacks; });
-    registry_.addCounter("sim.pdes_commits",
-                         [this] { return pdesStats_.commits; });
-    // Machine-level checkpoint traffic (machine/pdes_saver.hh). Zeros
-    // unless the run speculated; like sim.pdes_*, equivalence
-    // comparisons ignore machine.saver_*.
-    registry_.addCounter("machine.saver_saves",
-                         [this] { return saverStats_.saves; });
-    registry_.addCounter("machine.saver_restores",
-                         [this] { return saverStats_.restores; });
-    registry_.addCounter("machine.saver_discards",
-                         [this] { return saverStats_.discards; });
-    registry_.addCounter("machine.saver_snapshot_bytes",
-                         [this] { return saverStats_.snapshotBytes; });
-    registry_.addCounter("machine.saver_pages_copied",
-                         [this] { return saverStats_.pagesCopied; });
-    registry_.addCounter("machine.saver_undo_entries",
-                         [this] { return saverStats_.undoEntries; });
 }
 
 Cluster::~Cluster() = default;
@@ -246,14 +208,12 @@ Cluster::run(std::function<void(Thread &)> body)
 
     // Decide the engine. Tracing interleaves a global buffer, Ideal
     // reaches across nodes directly, and a one-node cluster has nothing
-    // to partition — all fall back to the serial kernel. SWSM_PDES=0 is
-    // the kill switch, honored here too so callers that set simThreads
-    // programmatically (not via SWSM_SIM_THREADS) are also covered.
+    // to partition — all fall back to the serial kernel.
     int partitions = std::clamp(params_.simThreads, 1,
                                 std::min(params_.numProcs,
                                          PdesEngine::maxPartitions));
     if (params_.trace || !protocol_->partitionSafe() ||
-        params_.numProcs < 2 || !envFlag("SWSM_PDES", true)) {
+        params_.numProcs < 2) {
         partitions = 1;
     }
     protocol_->prepareRun(partitions, nextLock, nextBarrier);
@@ -283,23 +243,12 @@ Cluster::run(std::function<void(Thread &)> body)
                 static_cast<std::int64_t>(n) * partitions /
                 params_.numProcs);
         }
-        if (envFlag("SWSM_PDES_UNSOUND_WIDEN", false)) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                SWSM_WARN(
-                    "SWSM_PDES_UNSOUND_WIDEN is retired and ignored: "
-                    "the per-destination lookahead windows "
-                    "(SWSM_PDES_PER_DEST, on by default) are a sound "
-                    "superset of the old min-over-others widening");
-            }
-        }
-        PdesConfig config;
         // Partition-to-partition minimum hop cost: the least lookahead
         // over the node pairs that cross the partition boundary. The
         // contiguous-block partition map keeps island geometries
         // aligned with partitions, which is what makes the
         // per-destination windows wide for asymmetric topologies.
-        config.lookahead.assign(
+        std::vector<Cycles> lookahead(
             static_cast<std::size_t>(partitions) * partitions,
             PdesEngine::noEvent);
         for (NodeId a = 0; a < params_.numProcs; ++a) {
@@ -307,42 +256,16 @@ Cluster::run(std::function<void(Thread &)> body)
                 if (a == b || partition_of[a] == partition_of[b])
                     continue;
                 auto &entry =
-                    config.lookahead[static_cast<std::size_t>(
-                                         partition_of[a]) *
-                                         partitions +
-                                     partition_of[b]];
+                    lookahead[static_cast<std::size_t>(partition_of[a]) *
+                                  partitions +
+                              partition_of[b]];
                 entry = std::min(entry, network_->crossLookahead(a, b));
             }
         }
-        config.policy = params_.pdesPerDest ? PdesWindowPolicy::PerDest
-                                            : PdesWindowPolicy::GlobalMin;
-        config.optimism = params_.pdesOptimism;
-        std::unique_ptr<MachineStateSaver> saver;
-        if (config.optimism > 0) {
-            // Machine-level checkpointing: the saver snapshots each
-            // partition's nodes, channels, counter shards and protocol
-            // scalars, and collects copy-on-write undo entries from
-            // the layers' mutation sites (machine/pdes_saver.hh).
-            // Fiber switches stay speculation barriers, so fiber
-            // stacks never need saving.
-            std::vector<Node *> node_ptrs;
-            node_ptrs.reserve(nodes.size());
-            for (auto &node : nodes)
-                node_ptrs.push_back(node.get());
-            saver = std::make_unique<MachineStateSaver>(
-                std::move(node_ptrs), *network_, *msg, *protocol_,
-                partition_of, partitions);
-            saver->attach();
-            config.saver = saver.get();
-        }
         PdesEngine engine(eq, std::move(partition_of), partitions,
-                          std::move(config));
+                          std::move(lookahead));
         engine.run();
         pdesStats_ = engine.stats();
-        if (saver) {
-            saverStats_ = saver->stats();
-            saver->detach();
-        }
         if (check::enabled())
             engine.checkDrained();
         // Restore the serial view for post-run verification (e.g. SC's

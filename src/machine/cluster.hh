@@ -29,7 +29,6 @@
 #include "comm/msg_layer.hh"
 #include "machine/machine_params.hh"
 #include "machine/node.hh"
-#include "machine/pdes_saver.hh"
 #include "machine/run_stats.hh"
 #include "net/network.hh"
 #include "obs/metrics.hh"
@@ -128,8 +127,6 @@ class Cluster
     RunStats stats_;
     /** Parallel-engine stats of the last run (zeros for serial runs). */
     PdesRunStats pdesStats_;
-    /** Checkpoint traffic of the last run (zeros unless it speculated). */
-    MachineSaverStats saverStats_;
     bool ran = false;
 };
 

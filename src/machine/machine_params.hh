@@ -35,25 +35,11 @@ const char *protocolKindName(ProtocolKind kind);
 bool defaultFastPath();
 
 /**
- * Default for MachineParams::simThreads: SWSM_SIM_THREADS if set (and
- * SWSM_PDES is not 0 — the escape hatch that forces the serial event
- * kernel), else 1. Values are clamped to the parallel engine's
- * partition limit (sim/pdes.hh).
+ * Default for MachineParams::simThreads: SWSM_SIM_THREADS if set, else
+ * 1. Values are clamped to the parallel engine's partition limit
+ * (sim/pdes.hh).
  */
 int defaultSimThreads();
-
-/**
- * Default for MachineParams::pdesPerDest: true unless the environment
- * sets SWSM_PDES_PER_DEST=0 (the A/B escape hatch selecting the legacy
- * global-minimum parallel windows).
- */
-bool defaultPdesPerDest();
-
-/**
- * Default for MachineParams::pdesOptimism: SWSM_PDES_OPTIMISM if set
- * (max events a partition speculates past its sound window), else 0.
- */
-int defaultPdesOptimism();
 
 /** Full configuration of one simulated cluster. */
 struct MachineParams
@@ -105,28 +91,9 @@ struct MachineParams
      * a serial run. Clamped to numProcs; runs that cannot be
      * partitioned (tracing on, protocol not partition-safe, fewer than
      * two nodes) fall back to the serial kernel. Defaults from
-     * SWSM_SIM_THREADS / SWSM_PDES.
+     * SWSM_SIM_THREADS.
      */
     int simThreads = defaultSimThreads();
-    /**
-     * Window policy of the parallel kernel: per-destination lookahead
-     * (the sound fixpoint bound, default) vs the legacy global-minimum
-     * window (SWSM_PDES_PER_DEST=0, kept for A/B measurement). Results
-     * are bit-identical either way; only host time and the sim.pdes_*
-     * shape counters differ.
-     */
-    bool pdesPerDest = defaultPdesPerDest();
-    /**
-     * Bounded-optimism budget: max events a partition may execute past
-     * its sound window per speculation, rolled back on a straggler
-     * (sim/pdes.hh). Partitioned cluster runs check speculation state
-     * with the machine-level MachineStateSaver (machine/pdes_saver.hh);
-     * rollbacks restore byte-identical state, so results stay
-     * bit-identical to a serial run — only host time and the
-     * sim.pdes_* / machine.saver_* shape counters change. Defaults
-     * from SWSM_PDES_OPTIMISM.
-     */
-    int pdesOptimism = defaultPdesOptimism();
     /** Seed for all randomized decisions (bit-reproducible runs). */
     std::uint64_t seed = 12345;
     /** Application fiber stack size. */

@@ -47,14 +47,12 @@ class HandlerEnv : public NodeEnv
     chargeCacheRange(GlobalAddr addr, std::uint64_t bytes, bool write,
                      TimeBucket bucket) override
     {
-        n.specTouchCache();
         charge(n.cacheModel.accessRange(addr, bytes, write), bucket);
     }
 
     void
     invalidateCacheRange(GlobalAddr addr, std::uint64_t bytes) override
     {
-        n.specTouchCache();
         n.cacheModel.invalidateRange(addr, bytes);
     }
 
@@ -83,10 +81,9 @@ Node::start(std::function<void()> body)
     state = State::Ready;
     // Route the first resume to this node's execution slot so the
     // parallel engine can place it on the right partition; every later
-    // event the node schedules inherits the slot. specBarrier: fiber
-    // stacks are not checkpointable, so no resume may run speculatively.
+    // event the node schedules inherits the slot.
     eq.scheduleTo(static_cast<std::uint32_t>(id), 0,
-                  specBarrier([this] { resumeFiber(0); }));
+                  [this] { resumeFiber(0); });
 }
 
 void
@@ -126,9 +123,6 @@ Node::chargeCacheRange(GlobalAddr addr, std::uint64_t bytes, bool write,
 void
 Node::invalidateCacheRange(GlobalAddr addr, std::uint64_t bytes)
 {
-    // Also reachable from data-delivery closures, which can run inside
-    // a speculation window.
-    specTouchCache();
     cacheModel.invalidateRange(addr, bytes);
 }
 
@@ -171,9 +165,7 @@ Node::unblock(Cycles t)
                          TraceArg{"stolen", stolen});
     clock = resume_at;
     state = State::Ready;
-    // specBarrier keeps the resume out of speculation windows (fiber
-    // stacks cannot roll back).
-    auto resume = specBarrier([this, resume_at] { resumeFiber(resume_at); });
+    auto resume = [this, resume_at] { resumeFiber(resume_at); };
     // Every block/unblock cycle schedules one of these; if it outgrows
     // the inline store, every synchronization op heap-allocates.
     static_assert(sizeof(resume) <= EventFn::inlineBytes,
@@ -265,7 +257,7 @@ Node::quantumYield()
     drainHandlers();
     lastYield = clock;
     state = State::Ready;
-    auto resume = specBarrier([this, t = clock] { resumeFiber(t); });
+    auto resume = [this, t = clock] { resumeFiber(t); };
     static_assert(sizeof(resume) <= EventFn::inlineBytes,
                   "quantum-yield closure no longer fits EventFn's "
                   "inline storage");
@@ -290,55 +282,6 @@ Node::resumeFiber(Cycles t)
         finishTime_ = clock;
         busyUntil = clock;
     }
-}
-
-void
-Node::specTouchCache()
-{
-    // The cache model's tag arrays are big enough that copying them at
-    // every checkpoint would dominate save cost; most speculations
-    // never touch the cache (pure network/bookkeeping events), so the
-    // copy is taken lazily on the first speculative access instead.
-    if (specLog_ && specLog_->active() && specLog_->needsUndo(&cacheModel)) {
-        specLog_->pushUndo([this, copy = cacheModel]() mutable {
-            cacheModel = std::move(copy);
-        });
-    }
-}
-
-void
-Node::saveSpecState()
-{
-    specSnap_.state = state;
-    specSnap_.clock = clock;
-    specSnap_.lastYield = lastYield;
-    specSnap_.blockBucket = blockBucket;
-    specSnap_.blockStart = blockStart;
-    specSnap_.busyUntil = busyUntil;
-    specSnap_.stolen = stolen;
-    specSnap_.finishTime = finishTime_;
-    specSnap_.handlers = handlers;
-    specSnap_.buckets = buckets;
-}
-
-void
-Node::restoreSpecState()
-{
-    state = specSnap_.state;
-    clock = specSnap_.clock;
-    lastYield = specSnap_.lastYield;
-    blockBucket = specSnap_.blockBucket;
-    blockStart = specSnap_.blockStart;
-    busyUntil = specSnap_.busyUntil;
-    stolen = specSnap_.stolen;
-    finishTime_ = specSnap_.finishTime;
-    handlers = specSnap_.handlers;
-    buckets = specSnap_.buckets;
-    // The fast path may hold entries installed by speculated protocol
-    // actions that the rollback just undid. Dropping the whole table is
-    // always safe: a missing entry only costs host-side lookup speed,
-    // and simulated behaviour is fast-path-invariant (PR 4 contract).
-    fastPath_.invalidateAll();
 }
 
 const char *

@@ -117,19 +117,6 @@ class Node : public ProcEnv, public HandlerSink
     /** Debug: printable state name (deadlock reports). */
     const char *stateName() const;
 
-    /**
-     * Machine-level speculation support. The fiber itself never runs
-     * inside a speculation window (every resume event is a specBarrier,
-     * so the kernel stops speculating at it); what speculated events
-     * can touch is the handler/delivery side of the node — the pending
-     * handler queue, the block/steal bookkeeping, the time buckets and
-     * the cache model. save/restore checkpoint exactly that slice.
-     * Called only from the node's owning partition's worker thread.
-     */
-    void setSpecLog(SpecWriteLog *log) { specLog_ = log; }
-    void saveSpecState();
-    void restoreSpecState();
-
   private:
     enum class State
     {
@@ -159,8 +146,6 @@ class Node : public ProcEnv, public HandlerSink
     void handlerTick();
     /** Execute one handler starting at @p start; returns its end time. */
     Cycles runHandler(HandlerFn &fn, Cycles start);
-    /** Lazily snapshot the cache model on first speculative touch. */
-    void specTouchCache();
 
     NodeId id;
     EventQueue &eq;
@@ -189,25 +174,6 @@ class Node : public ProcEnv, public HandlerSink
     std::array<Cycles, numTimeBuckets> buckets{};
     Cycles finishTime_ = 0;
     std::size_t fiberStackBytes = 1024 * 1024;
-
-    /** Speculation undo log (null outside optimistic parallel runs). */
-    SpecWriteLog *specLog_ = nullptr;
-
-    /** Checkpoint taken by saveSpecState. */
-    struct SpecSnapshot
-    {
-        State state;
-        Cycles clock;
-        Cycles lastYield;
-        TimeBucket blockBucket;
-        Cycles blockStart;
-        Cycles busyUntil;
-        Cycles stolen;
-        Cycles finishTime;
-        std::deque<PendingHandler> handlers;
-        std::array<Cycles, numTimeBuckets> buckets;
-    };
-    SpecSnapshot specSnap_;
 };
 
 } // namespace swsm

@@ -78,53 +78,6 @@ Network::checkDrained() const
     }
 }
 
-void
-Network::saveSpecState(int partition, const std::vector<NodeId> &owned)
-{
-    SpecState &s = spec_[partition];
-    s.nics.clear();
-    s.recv.clear();
-    s.send.clear();
-    const std::size_t n_nodes = static_cast<std::size_t>(numNodes());
-    for (NodeId n : owned) {
-        s.nics.push_back(*nics[n]);
-        for (std::size_t m = 0; m < n_nodes; ++m) {
-            // Sender half of n -> m: written only by send() in n's
-            // context.
-            const std::size_t out = n * n_nodes + m;
-            s.send.emplace_back(out, channels[out].nextAssign);
-            // Receiver half of m -> n: written only by complete() in
-            // n's context.
-            const std::size_t in = m * n_nodes + n;
-            const Channel &ch = channels[in];
-            s.recv.push_back(SpecState::RecvHalf{in, ch.nextDeliver,
-                                                 ch.lastTime, ch.done});
-        }
-    }
-    s.messagesShard = messages.shardValue(partition);
-    s.bytesShard = bytes_.shardValue(partition);
-    s.deliveredShard = delivered_.shardValue(partition);
-}
-
-void
-Network::restoreSpecState(int partition, const std::vector<NodeId> &owned)
-{
-    SpecState &s = spec_[partition];
-    for (std::size_t i = 0; i < owned.size(); ++i)
-        *nics[owned[i]] = s.nics[i];
-    for (const auto &[idx, next_assign] : s.send)
-        channels[idx].nextAssign = next_assign;
-    for (const SpecState::RecvHalf &half : s.recv) {
-        Channel &ch = channels[half.idx];
-        ch.nextDeliver = half.nextDeliver;
-        ch.lastTime = half.lastTime;
-        ch.done = half.done;
-    }
-    messages.setShardValue(partition, s.messagesShard);
-    bytes_.setShardValue(partition, s.bytesShard);
-    delivered_.setShardValue(partition, s.deliveredShard);
-}
-
 Cycles
 Network::transferCycles(std::uint32_t bytes, double bytes_per_cycle)
 {
@@ -142,21 +95,6 @@ Network::crossLookahead(NodeId from, NodeId to) const
     // for every CommParams set and is computed once per run.
     return params_.niOccupancyPerPacket + linkLatency(from, to) +
            transferCycles(1, linkBandwidth(from, to));
-}
-
-Cycles
-Network::crossLookahead() const
-{
-    if (numNodes() < 2)
-        return crossLookahead(0, 0);
-    Cycles min_l = ~static_cast<Cycles>(0);
-    for (NodeId a = 0; a < numNodes(); ++a) {
-        for (NodeId b = 0; b < numNodes(); ++b) {
-            if (a != b)
-                min_l = std::min(min_l, crossLookahead(a, b));
-        }
-    }
-    return min_l;
 }
 
 void
@@ -313,22 +251,6 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                                            params_.ioBusBytesPerCycle));
 
                         auto stage5 = [this, &channel, seq, tracker] {
-                            // Stage 5 is the only tracker mutator and
-                            // runs in the receiver's context, so it may
-                            // execute inside a speculation window; log
-                            // a one-shot pre-image for rollback.
-                            if (specLog_ && specLog_->active() &&
-                                specLog_->needsUndo(tracker.get())) {
-                                specLog_->pushUndo(
-                                    [t = tracker,
-                                     remaining = tracker->remaining,
-                                     latest = tracker->latest,
-                                     cb = tracker->cb]() mutable {
-                                        t->remaining = remaining;
-                                        t->latest = latest;
-                                        t->cb = std::move(cb);
-                                    });
-                            }
                             tracker->latest =
                                 std::max(tracker->latest, eq.now());
                             if (--tracker->remaining == 0) {
@@ -351,8 +273,9 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                               "packet stage closure outgrew EventFn's "
                               "inline storage");
                 // The wire hop: this is the only cross-node schedule in
-                // the simulator, and crossLookahead() lower-bounds
-                // (arrive - now) for the parallel engine's windows.
+                // the simulator, and crossLookahead(src, dst)
+                // lower-bounds (arrive - now) for the parallel engine's
+                // windows.
                 eq.scheduleTo(static_cast<std::uint32_t>(dst), arrive,
                               std::move(stage3));
             };

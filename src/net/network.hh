@@ -27,14 +27,11 @@
 #include <utility>
 #include <vector>
 
-#include <array>
-
 #include "net/comm_params.hh"
 #include "net/fcfs_resource.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
-#include "sim/spec_log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -138,13 +135,6 @@ class Network
     Cycles crossLookahead(NodeId from, NodeId to) const;
 
     /**
-     * Global minimum of crossLookahead(from, to) over distinct node
-     * pairs — the scalar lookahead that bounded the legacy global-min
-     * windows. For flat networks every pair is equal.
-     */
-    Cycles crossLookahead() const;
-
-    /**
      * Verify end-of-run conservation: every injected message was
      * delivered and every FIFO channel drained in order. Called by the
      * machine layer after the event queue drains when invariant
@@ -167,20 +157,6 @@ class Network
      * histograms.
      */
     void registerMetrics(MetricsRegistry &registry) const;
-
-    /**
-     * Machine-level speculation support. The undo log covers the
-     * per-message completion trackers (mutated by pipeline stage 5
-     * inside speculation windows); save/restore checkpoint everything
-     * else a partition's events can touch: the owned nodes' NICs, the
-     * partition's shard of the message counters, and — following the
-     * Channel ownership split — the sender halves of the owned nodes'
-     * outgoing channels plus the receiver halves of their incoming
-     * ones. Called only from the partition's worker thread.
-     */
-    void setSpecLog(SpecWriteLog *log) { specLog_ = log; }
-    void saveSpecState(int partition, const std::vector<NodeId> &owned);
-    void restoreSpecState(int partition, const std::vector<NodeId> &owned);
 
   private:
     /** Cycles to move @p bytes over a bandwidth in bytes/cycle. */
@@ -224,31 +200,6 @@ class Network
     ShardedCounter bytes_;
     ShardedCounter delivered_;
     Tracer *trace_ = nullptr;
-
-    /** Speculation undo log (null outside optimistic parallel runs). */
-    SpecWriteLog *specLog_ = nullptr;
-
-    /** One partition's saveSpecState checkpoint. */
-    struct SpecState
-    {
-        /** NIC copies, parallel to the owned-node list. */
-        std::vector<Nic> nics;
-        /** Receiver half of an incoming channel (complete()'s fields). */
-        struct RecvHalf
-        {
-            std::size_t idx;
-            std::uint64_t nextDeliver;
-            Cycles lastTime;
-            std::map<std::uint64_t, std::pair<Cycles, DeliverFn>> done;
-        };
-        std::vector<RecvHalf> recv;
-        /** (channel index, nextAssign) sender halves. */
-        std::vector<std::pair<std::size_t, std::uint64_t>> send;
-        std::uint64_t messagesShard = 0;
-        std::uint64_t bytesShard = 0;
-        std::uint64_t deliveredShard = 0;
-    };
-    std::array<SpecState, ShardedCounter::maxStatShards> spec_;
 };
 
 } // namespace swsm

@@ -237,10 +237,6 @@ HlrcProtocol::fetchPage(ProcEnv &env, PageId p)
                         [this, p, n, base,
                          snap = std::move(snap)](Cycles t) mutable {
                             PageCopy &pc = pageCopy(n, p);
-                            // Deposit runs in the requester's context
-                            // and may execute speculatively; log the
-                            // page copy's pre-image once.
-                            specSnapshot(specLog_, pc);
                             pc.data.resize(pageBytes);
                             simd::copyBytes(pc.data.data(), snap.data(),
                                             pageBytes);
@@ -563,7 +559,6 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
                         "interval order (seq %u after %u)",
                         static_cast<unsigned long long>(p), n, diff_seq,
                         last);
-                    specSnapshot(specLog_, last);
                     last = diff_seq;
                 }
                 applyDiff(henv, p, words);
@@ -607,11 +602,6 @@ HlrcProtocol::applyDiff(
                 true, TimeBucket::ProtoDiff);
         }
     }
-    // COW pre-image of the home frame: the diff handler runs in the
-    // home's context and may execute speculatively; a rollback copies
-    // the page back. Deduplicated per page per speculation.
-    if (specLog_ && specLog_->active())
-        specLog_->willWriteBytes(space.homeBytes(base), pageBytes);
     simd::applyWords(space.homeBytes(base), words.data(), words.size());
     simdStats_.applyCalls.inc();
     simdStats_.applyWords.inc(words.size());
@@ -758,10 +748,6 @@ HlrcProtocol::tryGrant(NodeEnv &env, LockId lock)
     auto &lns = ls.node.at(env.node());
     if (!lns.holdsToken || lns.inCs || lns.pending.empty())
         return;
-
-    // Reachable from the chase handler inside a speculation window
-    // (no-op when called from the fiber-side release path).
-    specSnapshot(specLog_, lns);
     Handoff h = std::move(lns.pending.front());
     lns.pending.pop_front();
     lns.holdsToken = false;
@@ -807,7 +793,6 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
                 henv.charge(params.handlerBase, TimeBucket::ProtoHandler);
                 auto &ls = lockState(lock);
                 const NodeId target = ls.lastRequester;
-                specSnapshot(specLog_, ls.lastRequester);
                 ls.lastRequester = n;
                 // Chase the token: forward the handoff to the queue
                 // tail; it grants after its own acquire+release.
@@ -818,10 +803,6 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
                                          TimeBucket::ProtoHandler);
                             auto &ls2 = lockState(lock);
                             auto &tail = ls2.node.at(henv2.node());
-                            // Pre-image before the push so a rollback
-                            // drops the queued handoff too (tryGrant's
-                            // own snapshot dedups against this one).
-                            specSnapshot(specLog_, tail);
                             tail.pending.push_back(Handoff{n, my_vc});
                             tryGrant(henv2, lock);
                         },
@@ -888,9 +869,6 @@ HlrcProtocol::barrier(ProcEnv &env, BarrierId barrier)
                 henv.charge(params.handlerBase +
                                 fresh * params.listPerElem,
                             TimeBucket::ProtoHandler);
-                // Arrive handlers run at the manager and may execute
-                // speculatively; snapshot the whole episode record.
-                specSnapshot(specLog_, bs);
                 bs.arrivedVc.at(n) = my_vc;
                 if (++bs.arrived < numNodes)
                     return;
@@ -984,46 +962,6 @@ HlrcProtocol::registerMetrics(MetricsRegistry &registry) const
     kernel("apply_words", simdStats_.applyWords);
     kernel("page_copy_calls", simdStats_.pageCopyCalls);
     kernel("page_copy_bytes", simdStats_.pageCopyBytes);
-}
-
-// ---------------------------------------------------------------------
-// Machine-level speculation checkpoints
-// ---------------------------------------------------------------------
-
-void
-HlrcProtocol::saveSpecState(int partition, const std::vector<NodeId> &owned)
-{
-    Protocol::saveSpecState(partition, owned);
-    auto &snap = specNodeSnap_[partition];
-    snap.clear();
-    for (NodeId n : owned) {
-        NodeState &ns = nodeState(n);
-        snap.push_back(SpecNodeSnap{ns.pendingAcks, ns.waitingAcks,
-                                    ns.stashedVc, ns.pool.mark()});
-    }
-    std::size_t i = 0;
-    forEachSimdCounter([&](ShardedCounter &c) {
-        specSimdSnap_[partition][i++] = c.shardValue(partition);
-    });
-}
-
-void
-HlrcProtocol::restoreSpecState(int partition,
-                               const std::vector<NodeId> &owned)
-{
-    Protocol::restoreSpecState(partition, owned);
-    const auto &snap = specNodeSnap_[partition];
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-        NodeState &ns = nodeState(owned[k]);
-        ns.pendingAcks = snap[k].pendingAcks;
-        ns.waitingAcks = snap[k].waitingAcks;
-        ns.stashedVc = snap[k].stashedVc;
-        ns.pool.restoreToMark(snap[k].pool);
-    }
-    std::size_t i = 0;
-    forEachSimdCounter([&](ShardedCounter &c) {
-        c.setShardValue(partition, specSimdSnap_[partition][i++]);
-    });
 }
 
 // ---------------------------------------------------------------------

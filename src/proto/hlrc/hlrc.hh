@@ -24,7 +24,6 @@
 #ifndef SWSM_PROTO_HLRC_HLRC_HH
 #define SWSM_PROTO_HLRC_HLRC_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -91,23 +90,6 @@ class HlrcProtocol : public Protocol
      * modes, so tools/bench_diff.py ignores the prefix).
      */
     void registerMetrics(MetricsRegistry &registry) const override;
-
-    /**
-     * Machine-level speculation checkpoint. Bulky state (home page
-     * frames under a diff apply, page copies under a deposit, lock and
-     * barrier manager records) is captured lazily through the
-     * SpecWriteLog at the handler/delivery mutation sites; the eager
-     * snapshot covers only what every speculation window plausibly
-     * touches — the base ProtoStats shard, the SIMD telemetry shard
-     * and, per owned node, the diff-ack words, the stashed sync VC and
-     * a buffer-pool mark. Fiber-only state (twins, dirty sets,
-     * intervals, the notice arena) needs nothing: fibers never run
-     * inside a speculation window (machine/node.cc specBarrier).
-     */
-    void saveSpecState(int partition,
-                       const std::vector<NodeId> &owned) override;
-    void restoreSpecState(int partition,
-                          const std::vector<NodeId> &owned) override;
 
   private:
     /** Vector timestamp: per node, the number of its intervals seen. */
@@ -329,35 +311,6 @@ class HlrcProtocol : public Protocol
         ShardedCounter pageCopyBytes;
     };
     SimdStats simdStats_;
-
-    /** One node's slice of the eager speculation checkpoint. */
-    struct SpecNodeSnap
-    {
-        int pendingAcks;
-        bool waitingAcks;
-        Vc stashedVc;
-        PageBufferPool::Mark pool;
-    };
-    /** Per-partition checkpoints (parallel to the owned-node list). */
-    std::array<std::vector<SpecNodeSnap>, ShardedCounter::maxStatShards>
-        specNodeSnap_;
-    std::array<std::array<std::uint64_t, 8>, ShardedCounter::maxStatShards>
-        specSimdSnap_{};
-
-    /** Apply @p fn to every SimdStats counter, in declaration order. */
-    template <typename Fn>
-    void
-    forEachSimdCounter(Fn &&fn)
-    {
-        fn(simdStats_.diffScanCalls);
-        fn(simdStats_.diffScanBytes);
-        fn(simdStats_.twinCopyCalls);
-        fn(simdStats_.twinCopyBytes);
-        fn(simdStats_.applyCalls);
-        fn(simdStats_.applyWords);
-        fn(simdStats_.pageCopyCalls);
-        fn(simdStats_.pageCopyBytes);
-    }
 
     /** log2 of the dirty-chunk size (64 chunks per page, min 8 B). */
     std::uint32_t diffChunkShift_ = 0;

@@ -104,44 +104,6 @@ class PageBufferPool
     std::size_t freePages() const { return pages_.size(); }
     std::size_t freeWordVectors() const { return words_.size(); }
 
-    /**
-     * Checkpoint of the pool's observable state, for machine-level
-     * speculation rollback. Buffer *contents* never matter (callers
-     * always resize and overwrite an acquired buffer), so the mark only
-     * records the counters and free-list depths; restoreToMark trims
-     * free lists grown past the mark and pads lists that shrank with
-     * fresh empty buffers. Capacity differences are invisible to the
-     * simulation, but the alloc/reuse counters — which feed the
-     * equivalence-checked proto.pool_* metrics — are restored exactly.
-     */
-    struct Mark
-    {
-        std::uint64_t pageAllocs;
-        std::uint64_t pageReuses;
-        std::uint64_t wordAllocs;
-        std::uint64_t wordReuses;
-        std::size_t freePages;
-        std::size_t freeWordVectors;
-    };
-
-    Mark
-    mark() const
-    {
-        return Mark{pageAllocs_, pageReuses_, wordAllocs_, wordReuses_,
-                    pages_.size(), words_.size()};
-    }
-
-    void
-    restoreToMark(const Mark &m)
-    {
-        pageAllocs_ = m.pageAllocs;
-        pageReuses_ = m.pageReuses;
-        wordAllocs_ = m.wordAllocs;
-        wordReuses_ = m.wordReuses;
-        pages_.resize(m.freePages);
-        words_.resize(m.freeWordVectors);
-    }
-
   private:
     std::vector<Bytes> pages_;
     std::vector<DiffWords> words_;

@@ -47,34 +47,6 @@ struct ProtoStats
     {
         *this = ProtoStats{};
     }
-
-    /**
-     * Apply @p fn to every counter, in declaration order. The
-     * machine-level speculation saver uses this to checkpoint and
-     * restore one partition's shard of every counter without naming
-     * them all again (the list must stay in sync with the members).
-     */
-    template <typename Fn>
-    void
-    forEachCounter(Fn &&fn)
-    {
-        fn(readFaults);
-        fn(writeFaults);
-        fn(pageFetches);
-        fn(diffsCreated);
-        fn(diffWordsCompared);
-        fn(diffWordsWritten);
-        fn(diffsApplied);
-        fn(twinsCreated);
-        fn(invalidations);
-        fn(writeNotices);
-        fn(lockRequests);
-        fn(lockHandoffs);
-        fn(barrierEpisodes);
-        fn(handlersRun);
-        fn(protoMsgs);
-        fn(protoBytes);
-    }
 };
 
 } // namespace swsm

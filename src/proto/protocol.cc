@@ -68,24 +68,4 @@ Protocol::registerMetrics(MetricsRegistry &registry) const
     add("bytes", stats_.protoBytes);
 }
 
-void
-Protocol::saveSpecState(int partition, const std::vector<NodeId> &owned)
-{
-    (void)owned;
-    auto &snap = specStatSnap_[partition];
-    snap.clear();
-    stats_.forEachCounter(
-        [&](ShardedCounter &c) { snap.push_back(c.shardValue(partition)); });
-}
-
-void
-Protocol::restoreSpecState(int partition, const std::vector<NodeId> &owned)
-{
-    (void)owned;
-    const auto &snap = specStatSnap_[partition];
-    std::size_t i = 0;
-    stats_.forEachCounter(
-        [&](ShardedCounter &c) { c.setShardValue(partition, snap[i++]); });
-}
-
 } // namespace swsm

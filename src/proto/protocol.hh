@@ -13,15 +13,12 @@
 #ifndef SWSM_PROTO_PROTOCOL_HH
 #define SWSM_PROTO_PROTOCOL_HH
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "comm/handler.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "proto/proto_stats.hh"
-#include "sim/spec_log.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -174,39 +171,9 @@ class Protocol
      */
     virtual void registerMetrics(MetricsRegistry &registry) const;
 
-    /**
-     * Machine-level speculation support (sim/spec_log.hh). The saver
-     * installs the log for the duration of a partitioned run; handler
-     * and delivery paths that mutate protocol state consult it so a
-     * rollback can undo them. Null outside speculative runs.
-     */
-    void setSpecLog(SpecWriteLog *log) { specLog_ = log; }
-
-    /**
-     * Checkpoint partition @p partition's slice of protocol state —
-     * the base implementation snapshots its shard of every ProtoStats
-     * counter; protocols with per-node state cheap enough to copy
-     * eagerly (HLRC's pending-ack words, pool marks) override and call
-     * the base. Rare or bulky state is captured lazily through the
-     * SpecWriteLog at the mutation sites instead. Called only from the
-     * partition's worker thread, for the nodes in @p owned.
-     */
-    virtual void saveSpecState(int partition,
-                               const std::vector<NodeId> &owned);
-
-    /** Roll partition @p partition back to its last saveSpecState. */
-    virtual void restoreSpecState(int partition,
-                                  const std::vector<NodeId> &owned);
-
   protected:
     ProtoStats stats_;
     Tracer *trace_ = nullptr;
-    SpecWriteLog *specLog_ = nullptr;
-
-  private:
-    /** Per-partition ProtoStats shard checkpoints (declaration order). */
-    std::array<std::vector<std::uint64_t>, ShardedCounter::maxStatShards>
-        specStatSnap_;
 };
 
 } // namespace swsm

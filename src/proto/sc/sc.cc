@@ -186,7 +186,6 @@ void
 ScProtocol::runPendingApply(NodeId n)
 {
     if (pendingApply[n]) {
-        specSnapshot(specLog_, pendingApply[n]);
         pendingApply[n]();
         pendingApply[n] = nullptr;
     }
@@ -208,7 +207,6 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
                 [this, n, b, base, write,
                  snap = std::move(snap)](Cycles t) {
                     BlockCopy &bc = blockCopy(n, b);
-                    specSnapshot(specLog_, bc);
                     bc.data.assign(snap.begin(), snap.end());
                     bc.state = write ? BState::Excl : BState::Shared;
                     procs[n]->invalidateCacheRange(base, blockBytes);
@@ -219,16 +217,10 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
     } else {
         // Permission-only grant (upgrade, or the requester is the home).
         sendDat(henv, n, smallPayload,
-                [this, n, b, base, write, home](Cycles t) {
+                [this, n, b, write, home](Cycles t) {
                     if (n != home) {
                         BlockCopy &bc = blockCopy(n, b);
-                        specSnapshot(specLog_, bc);
                         bc.state = write ? BState::Excl : BState::Shared;
-                    } else if (specLog_ && specLog_->active()) {
-                        // The home's pending apply writes straight into
-                        // the backing store.
-                        specLog_->willWriteBytes(space.homeBytes(base),
-                                                 blockBytes);
                     }
                     runPendingApply(n);
                     procs[n]->unblock(t);
@@ -312,7 +304,6 @@ ScProtocol::finish(NodeEnv &henv, BlockId b)
 {
     checkDirInvariant(b);
     DirEntry &d = dirEntry(b);
-    specSnapshot(specLog_, d);
     d.busy = false;
     d.requester = invalidNode;
     if (!d.waiters.empty()) {
@@ -327,7 +318,6 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                           bool write)
 {
     DirEntry &d = dirEntry(b);
-    specSnapshot(specLog_, d);
     if (d.busy) {
         d.waiters.emplace_back(requester, write);
         return;
@@ -362,7 +352,6 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                                           TimeBucket::ProtoHandler);
                     if (o2 != home) {
                         BlockCopy &obc = blockCopy(o2, b);
-                        specSnapshot(specLog_, obc);
                         obc.state = write ? BState::Invalid
                                           : BState::Shared;
                         // Recalls downgrade the owner; a writable
@@ -380,17 +369,12 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                                 stats_.handlersRun.inc();
                                 henv2.charge(params.scHandlerBase,
                                              TimeBucket::ProtoHandler);
-                                if (specLog_ && specLog_->active()) {
-                                    specLog_->willWriteBytes(
-                                        space.homeBytes(base), blockBytes);
-                                }
                                 std::memcpy(space.homeBytes(base),
                                             snap.data(), snap.size());
                                 henv2.chargeCacheRange(
                                     base, blockBytes, true,
                                     TimeBucket::ProtoHandler);
                                 DirEntry &d2 = dirEntry(b);
-                                specSnapshot(specLog_, d2);
                                 const NodeId r = d2.requester;
                                 const NodeId h2 = space.blockHome(b);
                                 if (write) {
@@ -457,7 +441,6 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                     if (!check::faultPlan().skipScInvalidate) {
                         if (s2 != home) {
                             BlockCopy &bc = blockCopy(s2, b);
-                            specSnapshot(specLog_, bc);
                             bc.state = BState::Invalid;
                             invalidateFast(s2, b);
                         }
@@ -470,7 +453,6 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                                 henv2.charge(params.scHandlerBase,
                                              TimeBucket::ProtoHandler);
                                 DirEntry &d2 = dirEntry(b);
-                                specSnapshot(specLog_, d2);
                                 SWSM_INVARIANT(
                                     d2.pendingAcks > 0,
                                     "unexpected invalidation ack for "
@@ -643,7 +625,6 @@ ScProtocol::acquire(ProcEnv &env, LockId lock)
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
                 LockState &ls = lockState(lock);
-                specSnapshot(specLog_, ls);
                 if (!ls.held) {
                     ls.held = true;
                     ls.holder = n;
@@ -676,7 +657,6 @@ ScProtocol::release(ProcEnv &env, LockId lock)
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
                 LockState &ls = lockState(lock);
-                specSnapshot(specLog_, ls);
                 if (!ls.held || ls.holder != n) {
                     SWSM_PANIC("lock %d released by non-holder %d", lock,
                                n);
@@ -710,7 +690,6 @@ ScProtocol::barrier(ProcEnv &env, BarrierId barrier)
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
                 BarrierState &bs = barrierState(barrier);
-                specSnapshot(specLog_, bs);
                 if (++bs.arrived < numNodes)
                     return;
                 stats_.barrierEpisodes.inc();

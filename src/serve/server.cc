@@ -93,8 +93,7 @@ writeSnapshot(JsonWriter &w, const MetricsSnapshot &m)
 /**
  * Build the request's sweep options from its parameters. The server's
  * jobs/simThreads settings ride along so every request renders the
- * same report header; simThreadsExplicit pins the per-simulation
- * thread count (results are bit-identical across it anyway).
+ * same report header (results are bit-identical across both anyway).
  */
 bool
 buildSweep(const wire::Request &req, const ServerOptions &server,
@@ -129,7 +128,6 @@ buildSweep(const wire::Request &req, const ServerOptions &server,
     }
     sweep.jobs = server.jobs;
     sweep.simThreads = server.simThreads;
-    sweep.simThreadsExplicit = true;
     out = std::move(sweep);
     return true;
 }
@@ -968,7 +966,6 @@ Server::handleShard(int fd, const wire::Request &req)
     SweepOptions headerSweep = sweep;
     headerSweep.jobs = 1;
     headerSweep.simThreads = 1;
-    headerSweep.simThreadsExplicit = true;
     BenchReport report(benchName, &headerSweep);
 
     std::set<std::string> apps;

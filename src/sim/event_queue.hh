@@ -117,32 +117,6 @@ class EventFn
         ops->invoke(store);
     }
 
-    /**
-     * Return a copy of this callback, or an empty EventFn when the
-     * underlying callable is not copy-constructible. The parallel
-     * kernel clones events *before* executing them speculatively so a
-     * rollback can re-insert a pristine copy (an executed closure may
-     * have moved out of its captures); a non-clonable event therefore
-     * acts as a speculation barrier (see sim/pdes.cc).
-     */
-    EventFn
-    clone() const
-    {
-        EventFn copy;
-        if (ops != nullptr && ops->clone != nullptr) {
-            ops->clone(store, copy.store);
-            copy.ops = ops;
-        }
-        return copy;
-    }
-
-    /** True when clone() returns a usable copy. */
-    bool
-    canClone() const noexcept
-    {
-        return ops != nullptr && ops->clone != nullptr;
-    }
-
   private:
     struct Ops
     {
@@ -150,8 +124,6 @@ class EventFn
         /** Move-construct dst from src and destroy src. */
         void (*relocate)(void *src, void *dst);
         void (*destroy)(void *);
-        /** Copy-construct dst from src; null when Fn is move-only. */
-        void (*clone)(const void *src, void *dst);
     };
 
     template <typename Fn>
@@ -163,25 +135,6 @@ class EventFn
                std::is_nothrow_move_constructible_v<Fn>;
     }
 
-    template <typename Fn, bool Inline>
-    static constexpr auto
-    cloneOp()
-    {
-        using CloneFn = void (*)(const void *, void *);
-        if constexpr (!std::is_copy_constructible_v<Fn>) {
-            return static_cast<CloneFn>(nullptr);
-        } else if constexpr (Inline) {
-            return static_cast<CloneFn>([](const void *src, void *dst) {
-                ::new (dst) Fn(*static_cast<const Fn *>(src));
-            });
-        } else {
-            return static_cast<CloneFn>([](const void *src, void *dst) {
-                *static_cast<Fn **>(dst) =
-                    new Fn(**static_cast<Fn *const *>(src));
-            });
-        }
-    }
-
     template <typename Fn>
     static constexpr Ops inlineOps = {
         [](void *p) { (*static_cast<Fn *>(p))(); },
@@ -191,7 +144,6 @@ class EventFn
             f->~Fn();
         },
         [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-        cloneOp<Fn, true>(),
     };
 
     template <typename Fn>
@@ -201,7 +153,6 @@ class EventFn
             *static_cast<Fn **>(dst) = *static_cast<Fn **>(src);
         },
         [](void *p) { delete *static_cast<Fn **>(p); },
-        cloneOp<Fn, false>(),
     };
 
     void
@@ -216,48 +167,6 @@ class EventFn
     const Ops *ops;
     alignas(std::max_align_t) unsigned char store[inlineBytes];
 };
-
-/**
- * Deliberately non-clonable callable wrapper: a speculation barrier.
- *
- * The parallel kernel refuses to speculate past any event whose
- * EventFn cannot be cloned (see EventFn::clone). Wrapping a copyable
- * lambda in specBarrier() deletes its copy constructor without
- * changing size or behaviour, turning the event into a hard barrier.
- * The machine layer wraps every fiber-resume event this way: fiber
- * stacks cannot be checkpointed, so no fiber may run inside a
- * speculation window — the spans *between* context switches (handler
- * ticks, message deliveries, network pipeline stages) speculate, and
- * the fibers themselves never need rollback.
- */
-template <typename Fn>
-class SpecBarrierFn
-{
-  public:
-    explicit SpecBarrierFn(Fn fn) noexcept(
-        std::is_nothrow_move_constructible_v<Fn>)
-        : fn_(std::move(fn))
-    {
-    }
-
-    SpecBarrierFn(SpecBarrierFn &&) noexcept = default;
-    SpecBarrierFn(const SpecBarrierFn &) = delete;
-    SpecBarrierFn &operator=(SpecBarrierFn &&) = delete;
-    SpecBarrierFn &operator=(const SpecBarrierFn &) = delete;
-
-    void operator()() { fn_(); }
-
-  private:
-    Fn fn_;
-};
-
-/** Wrap @p fn so the resulting event acts as a speculation barrier. */
-template <typename Fn>
-SpecBarrierFn<std::decay_t<Fn>>
-specBarrier(Fn &&fn)
-{
-    return SpecBarrierFn<std::decay_t<Fn>>(std::forward<Fn>(fn));
-}
 
 /**
  * Priority queue of timed callbacks with deterministic tie-breaking.

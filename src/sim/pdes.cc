@@ -13,14 +13,8 @@ namespace swsm
 namespace
 {
 
-/** Calling thread's engine + partition while inside workerLoop. */
-struct TlsWorker
-{
-    PdesEngine *engine = nullptr;
-    int p = -1;
-};
-
-thread_local TlsWorker tlsWorker;
+/** Calling thread's partition while inside workerLoop (-1 outside). */
+thread_local int tlsPartition = -1;
 
 inline void
 cpuRelax()
@@ -63,23 +57,10 @@ PdesEngine::Barrier::wait()
     }
 }
 
-PdesConfig
-PdesConfig::uniform(int num_partitions, Cycles lookahead)
-{
-    PdesConfig config;
-    config.lookahead.assign(
-        static_cast<std::size_t>(num_partitions) * num_partitions,
-        lookahead);
-    return config;
-}
-
 PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
-                       int num_partitions, PdesConfig config)
+                       int num_partitions, std::vector<Cycles> lookahead)
     : eq_(eq), partitionOf_(std::move(partition_of)),
-      numPartitions_(num_partitions),
-      lookahead_(std::move(config.lookahead)), policy_(config.policy),
-      optimism_(config.saver != nullptr ? config.optimism : 0),
-      saver_(config.saver),
+      numPartitions_(num_partitions), lookahead_(std::move(lookahead)),
       parts_(static_cast<std::size_t>(num_partitions)),
       boxes_(static_cast<std::size_t>(num_partitions) * num_partitions),
       barrier_(num_partitions)
@@ -92,9 +73,6 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
         SWSM_PANIC("lookahead matrix has %zu entries, need %d x %d",
                    lookahead_.size(), numPartitions_, numPartitions_);
     }
-    if (optimism_ < 0)
-        SWSM_PANIC("PdesEngine optimism must be >= 0, got %d", optimism_);
-    minRoundTrip_.assign(static_cast<std::size_t>(numPartitions_), noEvent);
     for (int from = 0; from < numPartitions_; ++from) {
         for (int to = 0; to < numPartitions_; ++to) {
             if (from == to)
@@ -106,8 +84,6 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
                            from, to);
             }
             minLookahead_ = std::min(minLookahead_, l);
-            minRoundTrip_[from] = std::min(
-                minRoundTrip_[from], satAdd(l, edge(to, from)));
         }
     }
     if (minLookahead_ == noEvent)
@@ -125,7 +101,10 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
 PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
                        int num_partitions, Cycles lookahead)
     : PdesEngine(eq, std::move(partition_of), num_partitions,
-                 PdesConfig::uniform(num_partitions, lookahead))
+                 std::vector<Cycles>(
+                     static_cast<std::size_t>(num_partitions) *
+                         num_partitions,
+                     lookahead))
 {
 }
 
@@ -142,8 +121,21 @@ PdesEngine::pushLocal(Partition &part, Entry entry)
 }
 
 void
-PdesEngine::mergeEntries(Partition &part, std::vector<Entry> &entries)
+PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
 {
+    for (const Entry &e : box) {
+        // Always-on causality check (not just SWSM_CHECK): with the
+        // sound window bound this is dead code by construction, and
+        // it is the check that catches any unsound widening executing
+        // a window past an undelivered message.
+        if (e.when < part.now) {
+            check::violation(
+                "pdes window advanced past an undelivered "
+                "cross-partition message (when=%llu now=%llu)",
+                static_cast<unsigned long long>(e.when),
+                static_cast<unsigned long long>(part.now));
+        }
+    }
     // Append the batch, then repair the heap in one pass: for small
     // batches an incremental push_heap preserves the O(k log n) bound;
     // once the batch is a sizable fraction of the heap a single
@@ -152,9 +144,9 @@ PdesEngine::mergeEntries(Partition &part, std::vector<Entry> &entries)
     // total order.
     auto &heap = part.heap;
     const std::size_t start = heap.size();
-    for (Entry &e : entries)
+    for (Entry &e : box)
         heap.push_back(std::move(e));
-    entries.clear();
+    box.clear();
     const std::size_t added = heap.size() - start;
     if (added == 0)
         return;
@@ -170,49 +162,16 @@ PdesEngine::mergeEntries(Partition &part, std::vector<Entry> &entries)
 }
 
 void
-PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
-{
-    // While a speculation is pending, incoming mail is held aside
-    // instead of merged: the heap is speculative, and held mail is
-    // what the resolution step scans for stragglers. The causality
-    // floor is then the *checkpoint* clock — mail below the
-    // speculative clock is a straggler (handled by rollback), not a
-    // protocol violation.
-    Speculation &spec = part.spec;
-    const Cycles floor = spec.pending ? spec.baseNow : part.now;
-    for (Entry &e : box) {
-        // Always-on causality check (not just SWSM_CHECK): with the
-        // sound window bound this is dead code by construction, and
-        // it is the check that catches any unsound widening executing
-        // a window past an undelivered message.
-        if (e.when < floor) {
-            check::violation(
-                "pdes window advanced past an undelivered "
-                "cross-partition message (when=%llu now=%llu)",
-                static_cast<unsigned long long>(e.when),
-                static_cast<unsigned long long>(floor));
-        }
-    }
-    if (spec.pending) {
-        for (Entry &e : box)
-            spec.heldIn.push_back(std::move(e));
-        box.clear();
-        return;
-    }
-    mergeEntries(part, box);
-}
-
-void
 PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
                              EventFn fn)
 {
-    Partition &part = parts_[tlsWorker.p];
+    Partition &part = parts_[tlsPartition];
     if (exec_slot == sameSlot)
         exec_slot = part.slot;
     const std::uint64_t stamp = eq_.makeStamp(part.slot);
     ++part.scheduled;
     const int dst = partitionOf_[exec_slot];
-    if (dst == tlsWorker.p) {
+    if (dst == tlsPartition) {
         if (when < part.now)
             eq_.pastPanic(when, part.now);
         pushLocal(part, Entry{when, stamp, exec_slot, std::move(fn)});
@@ -221,26 +180,17 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     // The conservative contract: anything crossing partitions must land
     // at least one full lookahead ahead of the sender's clock, or a
     // window that already executed could have depended on it.
-    if (when < satAdd(part.now, edge(tlsWorker.p, dst))) {
+    if (when < satAdd(part.now, edge(tlsPartition, dst))) {
         SWSM_PANIC("cross-partition event violates lookahead: when=%llu "
                    "now=%llu lookahead=%llu",
                    static_cast<unsigned long long>(when),
                    static_cast<unsigned long long>(part.now),
                    static_cast<unsigned long long>(
-                       edge(tlsWorker.p, dst)));
+                       edge(tlsPartition, dst)));
     }
     ++part.mailed;
-    Entry entry{when, stamp, exec_slot, std::move(fn)};
-    if (part.spec.executing) {
-        // Speculative mail is held back until the speculation commits:
-        // peers' window bounds are derived from this partition's
-        // frozen pre-speculation head, so nothing downstream may
-        // observe speculative sends that a rollback would retract.
-        part.spec.heldOut[dst].push_back(std::move(entry));
-        return;
-    }
-    boxes_[static_cast<std::size_t>(tlsWorker.p) * numPartitions_ + dst]
-        .push_back(std::move(entry));
+    boxes_[static_cast<std::size_t>(tlsPartition) * numPartitions_ + dst]
+        .push_back(Entry{when, stamp, exec_slot, std::move(fn)});
 }
 
 void
@@ -307,222 +257,9 @@ PdesEngine::executeWindow(Partition &part, Cycles window_end)
 }
 
 void
-PdesEngine::maybeSpeculate(int p, Cycles bound)
-{
-    Partition &part = parts_[p];
-    Speculation &spec = part.spec;
-    if (optimism_ <= 0 || saver_ == nullptr || spec.blocked ||
-        part.heap.empty()) {
-        return;
-    }
-    // Commit horizon: while this partition's published head is frozen
-    // at base_publish, every peer's earliest-possible-event is capped
-    // by base_publish + L(p->q), so our own bound can never exceed
-    // base_publish + min round trip. Events beyond the cap could never
-    // commit — don't waste the checkpoint on them.
-    const Cycles base_publish = part.heap.front().when;
-    const Cycles cap = satAdd(base_publish, minRoundTrip_[p]);
-    if (part.heap.front().when >= cap ||
-        !part.heap.front().fn.canClone()) {
-        return;
-    }
-
-    saver_->save(p);
-    spec.pending = true;
-    spec.baseNow = part.now;
-    spec.baseSlot = part.slot;
-    spec.baseExecuted = part.executed;
-    spec.baseScheduled = part.scheduled;
-    spec.baseMailed = part.mailed;
-    spec.baseMaxPending = part.maxPending;
-    spec.basePublish = base_publish;
-    spec.prevBound = bound;
-    for (const std::uint32_t slot : slotsOf_[p])
-        spec.baseSeq[slot] = eq_.slotSeq_[slot].next;
-
-    spec.executing = true;
-    int n = 0;
-    auto &heap = part.heap;
-    while (n < optimism_ && !heap.empty() && heap.front().when < cap) {
-        // Clone *before* executing: the original closure may move out
-        // of its captures when invoked, so only a pre-execution copy
-        // can be re-inserted on rollback. A non-clonable event is a
-        // speculation barrier.
-        EventFn clone = heap.front().fn.clone();
-        if (!clone)
-            break;
-        std::pop_heap(heap.begin(), heap.end(), EventQueue::Later{});
-        Entry entry = std::move(heap.back());
-        heap.pop_back();
-        spec.log.push_back(SpecEvent{entry.when, entry.stamp,
-                                     entry.execSlot, std::move(clone)});
-        part.now = entry.when;
-        part.slot = entry.execSlot;
-        ++part.executed;
-        ++part.speculated;
-        // Track the *maximum* (when, stamp) key of the episode, not the
-        // key of the last event executed: a speculated event may
-        // schedule a child at the same cycle whose stamp (its own
-        // slot's sequence) is smaller than the parent's, and that child
-        // pops next. A late arrival must be compared against the
-        // largest speculated key, or it can slip between a small-stamp
-        // child and its large-stamp parent and the wrong interleaving
-        // commits. `when` is non-decreasing across pops, so only equal
-        // cycles need the stamp max.
-        if (n == 0 || entry.when > spec.lastWhen) {
-            spec.lastWhen = entry.when;
-            spec.lastStamp = entry.stamp;
-        } else if (entry.stamp > spec.lastStamp) {
-            spec.lastStamp = entry.stamp;
-        }
-        ++n;
-        entry.fn();
-    }
-    spec.executing = false;
-    if (n == 0) {
-        // The head refused to clone after all — unwind the checkpoint.
-        saver_->discard(p);
-        spec.pending = false;
-    }
-}
-
-void
-PdesEngine::resolveSpeculation(int p, Cycles bound)
-{
-    Partition &part = parts_[p];
-    Speculation &spec = part.spec;
-    bool straggler = false;
-    if (part.forceStraggler) {
-        // check::FaultPlan injection: treat the first resolution as a
-        // straggler to exercise the rollback path deterministically.
-        part.forceStraggler = false;
-        straggler = true;
-    }
-    for (const Entry &e : spec.heldIn) {
-        // A held message ordered (when, stamp)-before the largest
-        // speculated key would have interleaved below the speculative
-        // horizon in the serial order.
-        if (e.when < spec.lastWhen ||
-            (e.when == spec.lastWhen && e.stamp < spec.lastStamp)) {
-            straggler = true;
-            break;
-        }
-    }
-    if (straggler) {
-        rollbackSpeculation(p);
-        return;
-    }
-    if (spec.lastWhen < bound) {
-        // Every speculated event now sits below the sound bound: no
-        // message can ever arrive below it, so the speculation was
-        // right.
-        commitSpeculation(p);
-        return;
-    }
-    if (bound <= spec.prevBound) {
-        // Liveness: the bound stopped advancing (peers are themselves
-        // waiting on our frozen head). Waiting longer cannot commit —
-        // roll back and make progress conservatively.
-        rollbackSpeculation(p);
-        return;
-    }
-    spec.prevBound = bound;
-}
-
-void
-PdesEngine::commitSpeculation(int p)
-{
-    Partition &part = parts_[p];
-    Speculation &spec = part.spec;
-    saver_->discard(p);
-    // Release the held mail. Receivers drain boxes only at the next
-    // round boundary, and their current bounds were computed from our
-    // frozen pre-speculation head, so every held arrival is at or
-    // beyond every peer's bound: delivery stays conservative.
-    for (int dst = 0; dst < numPartitions_; ++dst) {
-        auto &held = spec.heldOut[dst];
-        if (held.empty())
-            continue;
-        auto &box =
-            boxes_[static_cast<std::size_t>(p) * numPartitions_ + dst];
-        for (Entry &e : held)
-            box.push_back(std::move(e));
-        held.clear();
-    }
-    mergeEntries(part, spec.heldIn);
-    spec.log.clear();
-    spec.pending = false;
-    ++part.commits;
-}
-
-void
-PdesEngine::rollbackSpeculation(int p)
-{
-    Partition &part = parts_[p];
-    Speculation &spec = part.spec;
-    spec.executing = false;
-    saver_->restore(p);
-    part.now = spec.baseNow;
-    part.slot = spec.baseSlot;
-    part.executed = spec.baseExecuted;
-    part.scheduled = spec.baseScheduled;
-    part.mailed = spec.baseMailed;
-    part.maxPending = spec.baseMaxPending;
-    // Restore the per-slot stamp counters so re-execution assigns the
-    // exact stamps the serial order would, keeping determinism.
-    for (const std::uint32_t slot : slotsOf_[p])
-        eq_.slotSeq_[slot].next = spec.baseSeq[slot];
-    // Purge everything the speculation scheduled locally: entries
-    // stamped by an owned slot at or past the checkpoint watermark.
-    constexpr std::uint64_t seq_mask =
-        (std::uint64_t{1} << EventQueue::stampSlotShift) - 1;
-    auto &heap = part.heap;
-    heap.erase(
-        std::remove_if(
-            heap.begin(), heap.end(),
-            [&](const Entry &e) {
-                const auto slot = static_cast<std::uint32_t>(
-                    e.stamp >> EventQueue::stampSlotShift);
-                return partitionOf_[slot] == p &&
-                       (e.stamp & seq_mask) >= spec.baseSeq[slot];
-            }),
-        heap.end());
-    // Re-insert the pristine clones and the held mail; the straggler
-    // (if any) now interleaves where the serial order puts it, and the
-    // whole stretch re-executes through normal windows. Clones at or
-    // past the watermark are skipped: those events were *scheduled by
-    // the speculation itself* (children of earlier speculated events),
-    // so re-executing their parents recreates them — with the restored
-    // stamp counters, under the exact same stamps.
-    for (SpecEvent &ev : spec.log) {
-        const auto slot = static_cast<std::uint32_t>(
-            ev.stamp >> EventQueue::stampSlotShift);
-        if (partitionOf_[slot] == p &&
-            (ev.stamp & seq_mask) >= spec.baseSeq[slot]) {
-            continue;
-        }
-        heap.push_back(
-            Entry{ev.when, ev.stamp, ev.execSlot, std::move(ev.fn)});
-    }
-    spec.log.clear();
-    for (Entry &e : spec.heldIn)
-        heap.push_back(std::move(e));
-    spec.heldIn.clear();
-    for (auto &held : spec.heldOut)
-        held.clear();
-    std::make_heap(heap.begin(), heap.end(), EventQueue::Later{});
-    spec.pending = false;
-    // Don't immediately re-speculate into the same stall: wait until
-    // this partition makes conservative progress again.
-    spec.blocked = true;
-    ++part.rollbacks;
-}
-
-void
 PdesEngine::workerLoop(int p)
 {
-    tlsWorker.engine = this;
-    tlsWorker.p = p;
+    tlsPartition = p;
     const int prev_shard = statShard();
     setStatShard(p);
     Partition &part = parts_[p];
@@ -551,21 +288,8 @@ PdesEngine::workerLoop(int p)
             drain_error = true;
         }
 
-        // While a speculation is pending the partition publishes the
-        // minimum of its pre-speculation head and any held incoming
-        // mail: a rollback re-executes from exactly that state — held
-        // mail included — so peers must not trust anything later. (The
-        // frozen head alone is unsound: a straggler sitting in heldIn
-        // is below it, and the events it spawns after the rollback may
-        // land below bounds peers derived from the frozen head.)
-        Cycles pub;
-        if (part.spec.pending) {
-            pub = part.spec.basePublish;
-            for (const Entry &e : part.spec.heldIn)
-                pub = std::min(pub, e.when);
-        } else {
-            pub = part.heap.empty() ? noEvent : part.heap.front().when;
-        }
+        const Cycles pub =
+            part.heap.empty() ? noEvent : part.heap.front().when;
         part.published.store(pub, std::memory_order_relaxed);
         barrier_.wait();
 
@@ -580,15 +304,11 @@ PdesEngine::workerLoop(int p)
         if (t_all == noEvent)
             break;
 
-        const Cycles legacy_bound = satAdd(t_all, minLookahead_);
-        Cycles bound = legacy_bound;
-        if (policy_ == PdesWindowPolicy::PerDest) {
-            Cycles earliest[maxPartitions];
-            computeEarliest(earliest);
-            bound = windowBound(p, earliest);
-            if (bound > legacy_bound)
-                ++part.widened;
-        }
+        Cycles earliest[maxPartitions];
+        computeEarliest(earliest);
+        const Cycles bound = windowBound(p, earliest);
+        if (bound > satAdd(t_all, minLookahead_))
+            ++part.widened;
 
         ++part.windows;
         if (drain_error) {
@@ -598,26 +318,10 @@ PdesEngine::workerLoop(int p)
             abort_.store(true, std::memory_order_relaxed);
         } else if (!abort_.load(std::memory_order_relaxed)) {
             try {
-                if (part.spec.pending)
-                    resolveSpeculation(p, bound);
-                if (!part.spec.pending) {
-                    const std::uint64_t before = part.executed;
-                    executeWindow(part, bound);
-                    if (part.executed != before)
-                        part.spec.blocked = false;
-                    maybeSpeculate(p, bound);
-                }
+                executeWindow(part, bound);
             } catch (...) {
                 if (!part.error)
                     part.error = std::current_exception();
-                if (part.spec.pending) {
-                    try {
-                        rollbackSpeculation(p);
-                    } catch (...) {
-                        // Keep the original error; the merge below
-                        // reports sound-but-stale state.
-                    }
-                }
                 abort_.store(true, std::memory_order_relaxed);
             }
         }
@@ -626,19 +330,8 @@ PdesEngine::workerLoop(int p)
             break;
     }
 
-    // An abort can strand a pending speculation; leave sound state
-    // behind for the merge.
-    if (part.spec.pending) {
-        try {
-            rollbackSpeculation(p);
-        } catch (...) {
-            if (!part.error)
-                part.error = std::current_exception();
-        }
-    }
-
     setStatShard(prev_shard);
-    tlsWorker = TlsWorker{};
+    tlsPartition = -1;
 }
 
 std::uint64_t
@@ -649,19 +342,11 @@ PdesEngine::run()
     for (Entry &e : eq_.heap)
         parts_[partitionOf_[e.execSlot]].heap.push_back(std::move(e));
     eq_.heap.clear();
-    slotsOf_.assign(static_cast<std::size_t>(numPartitions_), {});
-    for (std::uint32_t slot = 0; slot < eq_.numSlots(); ++slot)
-        slotsOf_[partitionOf_[slot]].push_back(slot);
-    const bool force_straggler = check::faultPlan().pdesForceStraggler;
     for (Partition &part : parts_) {
         std::make_heap(part.heap.begin(), part.heap.end(),
                        EventQueue::Later{});
         part.now = eq_.now_;
         part.maxPending = part.heap.size();
-        part.spec.heldOut.clear();
-        part.spec.heldOut.resize(static_cast<std::size_t>(numPartitions_));
-        part.spec.baseSeq.assign(eq_.numSlots(), 0);
-        part.forceStraggler = force_straggler;
     }
 
     eq_.pdes_ = this;
@@ -689,9 +374,6 @@ PdesEngine::run()
         eq_.now_ = std::max(eq_.now_, part.now);
         stats_.widenedWindows += part.widened;
         stats_.mailboxEvents += part.mailed;
-        stats_.speculated += part.speculated;
-        stats_.rollbacks += part.rollbacks;
-        stats_.commits += part.commits;
         stats_.maxPartitionEvents =
             std::max(stats_.maxPartitionEvents, part.executed);
         stats_.partitionEvents.push_back(part.executed);
@@ -723,45 +405,22 @@ PdesEngine::checkDrained() const
             "pdes mailbox %zu->%zu ended with %zu undelivered events",
             i / numPartitions_, i % numPartitions_, boxes_[i].size());
     }
-    for (std::size_t p = 0; p < parts_.size(); ++p) {
-        const Speculation &spec = parts_[p].spec;
-        SWSM_INVARIANT(!spec.pending,
-                       "pdes partition %zu ended with a pending "
-                       "speculation",
-                       p);
-        SWSM_INVARIANT(spec.heldIn.empty() && spec.log.empty(),
-                       "pdes partition %zu ended with %zu held and %zu "
-                       "logged speculative events",
-                       p, spec.heldIn.size(), spec.log.size());
-        for (const auto &held : spec.heldOut) {
-            SWSM_INVARIANT(held.empty(),
-                           "pdes partition %zu ended with %zu held "
-                           "outgoing events",
-                           p, held.size());
-        }
-    }
-}
-
-int
-PdesEngine::currentPartition()
-{
-    return tlsWorker.p;
 }
 
 Cycles
 EventQueue::parallelNow() const
 {
-    if (tlsWorker.p < 0)
+    if (tlsPartition < 0)
         return now_;
-    return pdes_->parts_[tlsWorker.p].now;
+    return pdes_->parts_[tlsPartition].now;
 }
 
 std::uint32_t
 EventQueue::parallelSlot() const
 {
-    if (tlsWorker.p < 0)
+    if (tlsPartition < 0)
         return curSlot_;
-    return pdes_->parts_[tlsWorker.p].slot;
+    return pdes_->parts_[tlsPartition].slot;
 }
 
 } // namespace swsm

@@ -1,7 +1,7 @@
 /**
  * @file
- * Time-windowed parallel discrete-event engine with per-destination
- * lookahead and optional bounded-optimism speculation.
+ * Time-windowed conservative parallel discrete-event engine with
+ * per-destination lookahead.
  *
  * A PdesEngine partitions an EventQueue's execution slots (cluster
  * nodes) across worker threads and advances all partitions in bounded
@@ -24,8 +24,8 @@
  *      appended to single-producer mailbox vectors,
  *   4. all workers wait at a second barrier and loop.
  *
- * Window bound (per-destination mode). From the published heads the
- * workers compute the least fixpoint of
+ * Window bound. From the published heads the workers compute the
+ * least fixpoint of
  *
  *     E[q] = min(published[q], min over r != q of E[r] + L[r][q])
  *
@@ -40,56 +40,19 @@
  * >= published[q], or descends from mail from some r, at
  * >= E[r] + L[r][q]); therefore every message that can still reach p
  * arrives at >= bound[p], and executing p's events strictly below
- * bound[p] can never run past an undelivered message. This strictly
- * subsumes the old global-minimum bound min(published) + min(L): a
+ * bound[p] can never run past an undelivered message. The bound is
+ * never below the plain global minimum min(published) + min(L): a
  * partition's *own* published head never bounds it (only round trips
  * through peers do), and asymmetric topologies widen the bound
- * further. It also retires the unsound "min over others" widening that
- * used to hide behind SWSM_PDES_UNSOUND_WIDEN — the fixpoint is the
- * sound version of that widening. The legacy global-minimum bound is
- * kept as WindowPolicy::GlobalMin for A/B measurement.
- *
- * Bounded optimism (optional, off by default). With optimism = K > 0
- * and a PdesStateSaver, a partition that has exhausted its sound
- * window may execute up to K more events speculatively:
- *
- *   - the saver checkpoints the partition's simulation state, and the
- *     engine checkpoints its own (clock, slot, counters, and the
- *     per-slot stamp counters, so re-execution reproduces identical
- *     stamps);
- *   - each event is cloned *before* it runs (EventFn::clone) so a
- *     rollback can re-insert a pristine copy — an executed closure may
- *     have moved out of its captures. A non-clonable event stops
- *     speculation;
- *   - outgoing cross-partition mail is held back, and the partition
- *     publishes the minimum of its pre-speculation head and any held
- *     incoming mail, so peers' bounds never depend on speculative
- *     state — nor overlook an in-flight straggler a rollback would
- *     re-execute;
- *   - on a later round the speculation resolves: a *straggler* (held
- *     incoming mail ordered (when, stamp)-before the largest key among
- *     the speculated events — a same-cycle child of a speculated event
- *     carries a smaller stamp than its parent, so the largest key is
- *     tracked as a running maximum, not the last pop) forces a rollback — saver restore, engine state restore,
- *     speculative heap entries purged, clones re-inserted — and the
- *     events re-execute through normal windows; if instead the sound
- *     bound passes the speculated horizon, the speculation *commits*
- *     and the held mail is released (every peer's bound is below any
- *     held arrival, so delivery is still conservative);
- *   - liveness: the committable horizon is capped by the minimum
- *     round trip through a peer (with the partition's head frozen,
- *     its bound can never exceed head + min round trip), so
- *     speculation never starts beyond the cap, and a speculation
- *     whose bound stops advancing is force-rolled-back rather than
- *     waited on forever.
+ * further. PdesRunStats::widenedWindows counts the rounds where it is
+ * strictly wider.
  *
  * Determinism: events carry (when, stamp) with stamp =
  * (scheduling slot << 48 | per-slot seq) assigned by the EventQueue.
  * Per-slot event sequences are identical to the serial kernel's by
  * induction, so each partition executes the serial order restricted to
- * its slots — speculation included, because rollback restores the
- * stamp counters — and every simulated time, counter and emitted byte
- * is bit-identical to a serial run. The mailboxes need no locks: each
+ * its slots, and every simulated time, counter and emitted byte is
+ * bit-identical to a serial run. The mailboxes need no locks: each
  * (src, dst) vector has exactly one producer per window and is
  * consumed only after the barrier, whose acquire/release ordering
  * publishes the entries.
@@ -101,7 +64,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -118,82 +80,27 @@ struct PdesRunStats
     std::uint64_t windows = 0;
     /**
      * Partition-rounds whose per-destination bound strictly exceeded
-     * the legacy global-minimum bound (deterministic for a given
-     * partition count and window policy).
+     * the global-minimum bound (deterministic for a given partition
+     * count).
      */
     std::uint64_t widenedWindows = 0;
     /** Cross-partition events routed through mailboxes. */
     std::uint64_t mailboxEvents = 0;
     /** Events executed by the busiest partition. */
     std::uint64_t maxPartitionEvents = 0;
-    /** Events executed speculatively past the sound window bound. */
-    std::uint64_t speculated = 0;
-    /** Speculations rolled back (straggler or stalled commit bound). */
-    std::uint64_t rollbacks = 0;
-    /** Speculations committed. */
-    std::uint64_t commits = 0;
     /** Events executed per partition (index = partition). */
     std::vector<std::uint64_t> partitionEvents;
-};
-
-/**
- * Checkpoint interface for bounded-optimism speculation.
- *
- * The engine owns *its* speculative state (partition clock, stamp
- * counters, pending-event heaps); everything the *events* mutate is
- * the embedder's to save. save(p) overwrites partition p's checkpoint
- * with the current state of everything events executing in p can
- * touch, restore(p) rolls that state back, discard(p) drops the
- * checkpoint on commit. Calls for partition p are made only from p's
- * worker thread. Embedders whose event state cannot be checkpointed
- * (e.g. the full machine layer, with fiber stacks and pooled protocol
- * buffers) simply run without a saver, which disables speculation.
- */
-class PdesStateSaver
-{
-  public:
-    virtual ~PdesStateSaver() = default;
-    virtual void save(int partition) = 0;
-    virtual void restore(int partition) = 0;
-    virtual void discard(int partition) = 0;
-};
-
-/** How the per-round window bound is computed. */
-enum class PdesWindowPolicy
-{
-    /** Legacy: global minimum published head + global minimum L. */
-    GlobalMin,
-    /** Per-destination fixpoint bound (sound, wider; the default). */
-    PerDest,
-};
-
-/** Construction-time configuration of a PdesEngine. */
-struct PdesConfig
-{
-    /**
-     * Partition-to-partition minimum scheduling latency, row-major
-     * [from * P + to]. Off-diagonal entries must be positive
-     * (PdesEngine::noEvent means "no edge"); the diagonal is ignored.
-     */
-    std::vector<Cycles> lookahead;
-    PdesWindowPolicy policy = PdesWindowPolicy::PerDest;
-    /** Max events to execute past the sound bound (0 = conservative). */
-    int optimism = 0;
-    /** Checkpointing hooks; speculation is disabled when null. */
-    PdesStateSaver *saver = nullptr;
-
-    /** Uniform matrix helper for scalar-lookahead embedders. */
-    static PdesConfig uniform(int num_partitions, Cycles lookahead);
 };
 
 /**
  * Runs one EventQueue to completion on several worker threads.
  *
  * The engine is built per run: construct with a slot-to-partition map
- * and a PdesConfig, call run(), read stats(). While run() is live the
- * queue routes schedule()/now() to the engine; afterwards the queue is
- * back in serial mode with its counters merged (events scheduled/run
- * sum over partitions; max pending is the max over partitions).
+ * and a lookahead matrix, call run(), read stats(). While run() is
+ * live the queue routes schedule()/now() to the engine; afterwards the
+ * queue is back in serial mode with its counters merged (events
+ * scheduled/run sum over partitions; max pending is the max over
+ * partitions).
  */
 class PdesEngine
 {
@@ -212,12 +119,15 @@ class PdesEngine
      * @param partition_of slot -> partition, one entry per queue slot;
      *        values in [0, num_partitions)
      * @param num_partitions worker count, in [2, maxPartitions]
-     * @param config lookahead matrix, window policy and speculation
+     * @param lookahead partition-to-partition minimum scheduling
+     *        latency, row-major [from * num_partitions + to].
+     *        Off-diagonal entries must be positive (noEvent means "no
+     *        edge"); the diagonal is ignored.
      */
     PdesEngine(EventQueue &eq, std::vector<int> partition_of,
-               int num_partitions, PdesConfig config);
+               int num_partitions, std::vector<Cycles> lookahead);
 
-    /** Convenience: uniform scalar lookahead, defaults otherwise. */
+    /** Convenience: the same lookahead on every edge. */
     PdesEngine(EventQueue &eq, std::vector<int> partition_of,
                int num_partitions, Cycles lookahead);
 
@@ -237,15 +147,11 @@ class PdesEngine
     const PdesRunStats &stats() const { return stats_; }
 
     /**
-     * Verify every mailbox and speculation buffer was drained
-     * (SWSM_CHECK). A clean run always drains them — an entry left
-     * behind means a window advanced past an undelivered message,
-     * which breaks the conservative contract.
+     * Verify every mailbox was drained (SWSM_CHECK). A clean run always
+     * drains them — an entry left behind means a window advanced past
+     * an undelivered message, which breaks the conservative contract.
      */
     void checkDrained() const;
-
-    /** Partition index of the calling worker thread (-1 off-engine). */
-    static int currentPartition();
 
   private:
     friend class EventQueue;
@@ -265,52 +171,6 @@ class PdesEngine
         std::atomic<int> sense_{0};
     };
 
-    /** Pristine pre-execution copy of a speculated event. */
-    struct SpecEvent
-    {
-        Cycles when;
-        std::uint64_t stamp;
-        std::uint32_t execSlot;
-        EventFn fn;
-    };
-
-    /** Live speculation of one partition (engine-side checkpoint). */
-    struct Speculation
-    {
-        bool pending = false;
-        /** Set while speculated events are executing (mail routing). */
-        bool executing = false;
-        /** Blocks re-speculation until conservative progress is made. */
-        bool blocked = false;
-        /** Engine checkpoint taken at speculation start. */
-        Cycles baseNow = 0;
-        std::uint32_t baseSlot = 0;
-        std::uint64_t baseExecuted = 0;
-        std::uint64_t baseScheduled = 0;
-        std::uint64_t baseMailed = 0;
-        std::size_t baseMaxPending = 0;
-        /** Head frozen into published while the speculation lives. */
-        Cycles basePublish = 0;
-        /**
-         * Maximum (when, stamp) key over the episode's speculated
-         * events. Not simply the last one executed: a same-cycle child
-         * carries its own slot's (smaller) stamp, so the maximum can
-         * belong to an earlier pop.
-         */
-        Cycles lastWhen = 0;
-        std::uint64_t lastStamp = 0;
-        /** Bound seen last round; a non-advancing bound forces rollback. */
-        Cycles prevBound = 0;
-        /** Pre-execution clones in execution order. */
-        std::vector<SpecEvent> log;
-        /** Held-back outgoing mail, one vector per destination. */
-        std::vector<std::vector<Entry>> heldOut;
-        /** Mail drained while the speculation was pending. */
-        std::vector<Entry> heldIn;
-        /** Stamp-counter watermarks, indexed by slot (owned slots). */
-        std::vector<std::uint64_t> baseSeq;
-    };
-
     struct alignas(64) Partition
     {
         std::vector<Entry> heap;
@@ -321,14 +181,8 @@ class PdesEngine
         std::uint64_t mailed = 0;
         std::uint64_t windows = 0;
         std::uint64_t widened = 0;
-        std::uint64_t speculated = 0;
-        std::uint64_t rollbacks = 0;
-        std::uint64_t commits = 0;
         std::size_t maxPending = 0;
         std::exception_ptr error;
-        Speculation spec;
-        /** Forced-straggler injection armed (check::FaultPlan). */
-        bool forceStraggler = false;
         /** Earliest pending event time, published at the barrier. */
         std::atomic<Cycles> published{0};
     };
@@ -362,29 +216,13 @@ class PdesEngine
     void pushLocal(Partition &part, Entry entry);
     /** Move a whole mailbox into the heap with one batched repair. */
     void drainBox(Partition &part, std::vector<Entry> &box);
-    /** Append entries to the heap and repair it in one pass. */
-    void mergeEntries(Partition &part, std::vector<Entry> &entries);
-
-    /** Begin speculating past the sound bound (optimism mode). */
-    void maybeSpeculate(int p, Cycles bound);
-    /** Resolve a pending speculation against this round's bound. */
-    void resolveSpeculation(int p, Cycles bound);
-    void commitSpeculation(int p);
-    void rollbackSpeculation(int p);
 
     EventQueue &eq_;
     const std::vector<int> partitionOf_;
     const int numPartitions_;
     const std::vector<Cycles> lookahead_;
-    const PdesWindowPolicy policy_;
-    const int optimism_;
-    PdesStateSaver *const saver_;
-    /** Minimum off-diagonal lookahead (legacy global bound). */
+    /** Minimum off-diagonal lookahead (the global-minimum bound). */
     Cycles minLookahead_ = noEvent;
-    /** Per-partition min round trip through a peer (commit horizon). */
-    std::vector<Cycles> minRoundTrip_;
-    /** Slots owned by each partition (built in run()). */
-    std::vector<std::vector<std::uint32_t>> slotsOf_;
     std::vector<Partition> parts_;
     /** Mailboxes, indexed [src * P + dst]; single producer per window. */
     std::vector<std::vector<Entry>> boxes_;

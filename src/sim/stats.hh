@@ -76,15 +76,6 @@ class ShardedCounter
         return sum;
     }
 
-    /**
-     * One shard's raw value. Only the shard's owning worker (or a
-     * quiescent run) may read or write it; the machine-level
-     * speculation saver uses the pair to checkpoint and roll back the
-     * speculating partition's shard without touching its peers'.
-     */
-    std::uint64_t shardValue(int shard) const { return shards_[shard].v; }
-    void setShardValue(int shard, std::uint64_t v) { shards_[shard].v = v; }
-
   private:
     struct alignas(64) Shard
     {

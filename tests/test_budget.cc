@@ -1,14 +1,14 @@
 /**
  * @file
  * Unit tests for the measured parallelism budget (harness/budget.hh):
- * explicit flags stay authoritative, auto jobs clamp to the grid, auto
- * sim-threads get the leftover-core share, and SWSM_BUDGET=static
- * restores the legacy SWSM_SIM_THREADS x jobs composition.
+ * explicit flags stay authoritative and auto jobs clamp to the grid.
+ * Threads inside one simulation are not budgeted: SweepOptions takes
+ * --sim-threads, else SWSM_SIM_THREADS, else 1, whatever the core and
+ * job counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -16,25 +16,20 @@
 
 #include "harness/budget.hh"
 #include "harness/sweep.hh"
-#include "sim/pdes.hh"
 
 namespace swsm
 {
 namespace
 {
 
-/** Pins the env knobs the allocator reads; restores them on scope exit. */
+/** Pins the env knobs the options read; restores them on scope exit. */
 class BudgetEnv
 {
   public:
     BudgetEnv()
     {
-        save("SWSM_BUDGET");
         save("SWSM_SIM_THREADS");
-        save("SWSM_PDES");
-        ::unsetenv("SWSM_BUDGET");
         ::unsetenv("SWSM_SIM_THREADS");
-        ::unsetenv("SWSM_PDES");
     }
 
     ~BudgetEnv()
@@ -74,58 +69,49 @@ request(int hw, int grid)
     return req;
 }
 
-TEST(BudgetTest, AutoSimThreadsTakeLeftoverCores)
+/** Parse @p args (after a program name) into fresh SweepOptions. */
+SweepOptions
+parsed(std::vector<std::string> args)
 {
-    BudgetEnv env;
-    BudgetRequest req = request(16, 2);
-    req.jobs = 2;
-    req.jobsExplicit = true;
-    const Budget b = computeBudget(req);
-    EXPECT_EQ(b.jobs, 2);
-    EXPECT_EQ(b.simThreads, 8); // 16 cores / 2 jobs
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    SweepOptions opts;
+    EXPECT_TRUE(opts.parse(static_cast<int>(argv.size()), argv.data()));
+    return opts;
 }
 
-TEST(BudgetTest, SimThreadShareIsCappedByEnvAndEngine)
+TEST(BudgetTest, SimThreadsRunOnlyWhenAsked)
 {
     BudgetEnv env;
-    env.set("SWSM_SIM_THREADS", "3");
-    BudgetRequest req = request(16, 2);
-    req.jobs = 2;
-    req.jobsExplicit = true;
-    EXPECT_EQ(computeBudget(req).simThreads, 3);
+    // Nothing asked: serial, however many cores a single job leaves.
+    SweepOptions opts;
+    opts.jobs = 1;
+    EXPECT_EQ(opts.effectiveSimThreads(), 1);
 
+    // SWSM_SIM_THREADS is taken as given, even with many jobs.
+    env.set("SWSM_SIM_THREADS", "3");
+    SweepOptions from_env;
+    from_env.jobs = 64;
+    EXPECT_EQ(from_env.effectiveSimThreads(), 3);
     ::unsetenv("SWSM_SIM_THREADS");
-    req = request(256, 1);
-    req.jobs = 1;
-    req.jobsExplicit = true;
-    EXPECT_EQ(computeBudget(req).simThreads, PdesEngine::maxPartitions);
+
+    // So is an explicit flag.
+    EXPECT_EQ(parsed({"--jobs=1", "--sim-threads=5"}).effectiveSimThreads(),
+              5);
 }
 
 TEST(BudgetTest, ExplicitSimThreadsWin)
 {
     BudgetEnv env;
     env.set("SWSM_SIM_THREADS", "2");
-    BudgetRequest req = request(4, 8);
-    req.jobs = 4;
-    req.jobsExplicit = true;
-    req.simThreads = 6;
-    req.simThreadsExplicit = true;
-    EXPECT_EQ(computeBudget(req).simThreads, 6);
-}
-
-TEST(BudgetTest, PdesKillSwitchForcesSerial)
-{
-    BudgetEnv env;
-    env.set("SWSM_PDES", "0");
-    BudgetRequest req = request(16, 1);
-    req.jobs = 1;
-    req.jobsExplicit = true;
-    EXPECT_EQ(computeBudget(req).simThreads, 1);
+    EXPECT_EQ(parsed({"--jobs=4", "--sim-threads=6"}).effectiveSimThreads(),
+              6);
 }
 
 TEST(BudgetTest, AutoJobsClampToGridAndFeedWorkers)
 {
-    BudgetEnv env;
     // Two-item grid on a 16-way host: no point in 16 runner slots.
     EXPECT_EQ(computeBudget(request(16, 2)).jobs, 2);
     // Worker processes need at least one submitting job slot each.
@@ -134,13 +120,10 @@ TEST(BudgetTest, AutoJobsClampToGridAndFeedWorkers)
     const Budget b = computeBudget(req);
     EXPECT_EQ(b.workers, 4);
     EXPECT_GE(b.jobs, 4);
-    // With workers active they are the runner population.
-    EXPECT_EQ(b.simThreads, 4); // 16 cores / 4 workers
 }
 
 TEST(BudgetTest, WorkersAutoMatchesCoresAndGrid)
 {
-    BudgetEnv env;
     BudgetRequest req = request(8, 3);
     req.workersAuto = true;
     EXPECT_EQ(computeBudget(req).workers, 3);
@@ -151,62 +134,10 @@ TEST(BudgetTest, WorkersAutoMatchesCoresAndGrid)
 
 TEST(BudgetTest, ExplicitJobsAreNeverGridClamped)
 {
-    BudgetEnv env;
     BudgetRequest req = request(16, 2);
     req.jobs = 12;
     req.jobsExplicit = true;
     EXPECT_EQ(computeBudget(req).jobs, 12);
-}
-
-TEST(BudgetTest, StaticModeKeepsLegacyRule)
-{
-    BudgetEnv env;
-    env.set("SWSM_BUDGET", "static");
-    EXPECT_TRUE(budgetIsStatic());
-
-    // Legacy default: serial sim unless SWSM_SIM_THREADS asks.
-    BudgetRequest req = request(16, 2);
-    req.jobs = 2;
-    req.jobsExplicit = true;
-    EXPECT_EQ(computeBudget(req).simThreads, 1);
-
-    env.set("SWSM_SIM_THREADS", "8");
-    EXPECT_EQ(computeBudget(req).simThreads, 8);
-
-    // Legacy oversubscription guard: min(env, hw / jobs).
-    req.jobs = 8;
-    EXPECT_EQ(computeBudget(req).simThreads, 2);
-
-    // And jobs are not grid-clamped in static mode.
-    BudgetRequest autoJobs = request(16, 2);
-    EXPECT_EQ(computeBudget(autoJobs).jobs, 16);
-}
-
-TEST(BudgetTest, UnknownModeFallsBackToMeasured)
-{
-    BudgetEnv env;
-    env.set("SWSM_BUDGET", "bogus");
-    EXPECT_FALSE(budgetIsStatic());
-}
-
-TEST(BudgetTest, SweepOptionsRouteThroughBudget)
-{
-    BudgetEnv env;
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.simThreads = 1;
-    opts.simThreadsExplicit = false;
-    // With one job the whole machine is this run's share (clamped to
-    // the engine limit); the exact value depends on the host.
-    const int eff = opts.effectiveSimThreads();
-    EXPECT_GE(eff, 1);
-    EXPECT_LE(eff, PdesEngine::maxPartitions);
-    EXPECT_EQ(eff, std::min(measuredHardwareThreads(),
-                            PdesEngine::maxPartitions));
-
-    opts.simThreads = 5;
-    opts.simThreadsExplicit = true;
-    EXPECT_EQ(opts.effectiveSimThreads(), 5);
 }
 
 TEST(BudgetTest, MeasuredHardwareThreadsHasFloorOfOne)

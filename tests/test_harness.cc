@@ -144,6 +144,14 @@ struct MonotonicityCase
     ProtocolKind kind;
 };
 
+// Without this gtest lists the param as its raw bytes, which hold the
+// address of the app name and so differ from one run to the next.
+void
+PrintTo(const MonotonicityCase &c, std::ostream *os)
+{
+    *os << c.app << "/" << protocolKindName(c.kind);
+}
+
 /**
  * Property: for a fixed deterministic application, layer costs order
  * execution time — worse communication is never faster than the base,

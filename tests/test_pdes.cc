@@ -10,9 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -20,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/check.hh"
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
@@ -60,15 +57,10 @@ runMachine(const MachineParams &mp, const Kernel &kernel)
     r.total = c.stats().totalCycles;
     r.finish = c.stats().finishTimes;
     for (const auto &[name, value] : c.stats().metrics.counters) {
-        // Host-side bookkeeping is kept out of the equivalence
-        // comparison (mirroring bench_diff.py): the engine's own
-        // counters, the checkpoint saver's traffic, the fast-path
-        // telemetry (a rollback invalidates fast-path entries, so
-        // re-execution re-installs), and the pending-event high-water
-        // mark all legitimately move when a run speculates.
-        if (name.rfind("sim.pdes_", 0) == 0 ||
-            name.rfind("machine.saver_", 0) == 0 ||
-            name.rfind("machine.fastpath_", 0) == 0) {
+        // The engine's own bookkeeping and the pending-event high-water
+        // mark are kept out of the equivalence comparison (mirroring
+        // bench_diff.py): per-partition heaps see fewer events at once.
+        if (name.rfind("sim.pdes_", 0) == 0) {
             r.pdes.emplace(name, value);
             continue;
         }
@@ -318,10 +310,10 @@ TEST(PdesUnsoundWiden, SoundDefaultMatchesSerial)
 
 TEST(PdesUnsoundWiden, PerDestBoundStaysSoundOnTheOldCounterexample)
 {
-    // The fixpoint bound subsumes what SWSM_PDES_UNSOUND_WIDEN tried
-    // to buy, but soundly: the reply chain through the idle partition
-    // is respected (no causality violation, same event count), while
-    // at least one window is still wider than the legacy global
+    // The fixpoint bound subsumes what the retired min-over-others
+    // widening tried to buy, but soundly: the reply chain through the
+    // idle partition is respected (no causality violation, same event
+    // count), while at least one window is still wider than the global
     // minimum (partition 0's own head never bounds it).
     std::uint64_t serial_events = 0;
     {
@@ -332,24 +324,9 @@ TEST(PdesUnsoundWiden, PerDestBoundStaysSoundOnTheOldCounterexample)
 
     EventQueue eq;
     seedWideningScenario(eq);
-    PdesConfig config = PdesConfig::uniform(2, 10);
-    PdesEngine engine(eq, {0, 1}, 2, std::move(config));
+    PdesEngine engine(eq, {0, 1}, 2, /*lookahead=*/10);
     EXPECT_EQ(engine.run(), serial_events);
     EXPECT_GT(engine.stats().widenedWindows, 0u);
-}
-
-TEST(PdesUnsoundWiden, RetiredEnvKnobWarnsAndIsIgnored)
-{
-    // SWSM_PDES_UNSOUND_WIDEN is retired: setting it must not change
-    // behavior in any way (the cluster warns once and ignores it), so
-    // a partitioned run under the knob stays bit-identical to serial.
-    const RunResult serial =
-        runKernel(ProtocolKind::Hlrc, 1, 4, lockCounterKernel());
-    ::setenv("SWSM_PDES_UNSOUND_WIDEN", "1", 1);
-    const RunResult par =
-        runKernel(ProtocolKind::Hlrc, 2, 4, lockCounterKernel());
-    ::unsetenv("SWSM_PDES_UNSOUND_WIDEN");
-    expectSameResult(serial, par, "under retired widening knob");
 }
 
 // ---------------------------------------------------------------------
@@ -386,9 +363,9 @@ struct SlotCells
  * slot1 -> slot0 costs 1000. Slot 0 is busy early (events up to 900),
  * slot 1 is quiet until 500 and replies at +1000. The per-destination
  * fixpoint provably widens partition 0's first window to
- * E[1] + L[1][0] = min(500, 0 + 10) + 1000 = 1010, while the legacy
- * global-minimum bound is min(0, 500) + min(10, 1000) = 10 — so the
- * whole busy stretch executes in one round instead of ~100.
+ * E[1] + L[1][0] = min(500, 0 + 10) + 1000 = 1010, while the global
+ * minimum bound is min(0, 500) + min(10, 1000) = 10 — so the whole
+ * busy stretch executes in one round instead of ~100.
  */
 void
 seedAsymmetricScenario(EventQueue &eq, SlotCells &state)
@@ -406,13 +383,11 @@ seedAsymmetricScenario(EventQueue &eq, SlotCells &state)
     });
 }
 
-PdesConfig
-asymmetricConfig(PdesWindowPolicy policy)
+/** Slot-to-slot costs of seedAsymmetricScenario (one slot each). */
+std::vector<Cycles>
+asymmetricLookahead()
 {
-    PdesConfig config;
-    config.lookahead = {0, 10, 1000, 0}; // diagonal is ignored
-    config.policy = policy;
-    return config;
+    return {0, 10, 1000, 0}; // diagonal is ignored
 }
 
 TEST(PdesPerDest, AsymmetricMatrixWidensWindowsAndMatchesSerial)
@@ -429,39 +404,15 @@ TEST(PdesPerDest, AsymmetricMatrixWidensWindowsAndMatchesSerial)
     SlotCells state(2);
     EventQueue eq;
     seedAsymmetricScenario(eq, state);
-    PdesEngine engine(eq, {0, 1}, 2,
-                      asymmetricConfig(PdesWindowPolicy::PerDest));
+    PdesEngine engine(eq, {0, 1}, 2, asymmetricLookahead());
     EXPECT_EQ(engine.run(), serial_events);
     EXPECT_TRUE(state == serial_state);
-    // The busy partition's window provably exceeds the legacy bound.
+    // The busy partition's window provably exceeds the global-minimum
+    // bound.
     EXPECT_GT(engine.stats().widenedWindows, 0u);
     // The asymmetric matrix pays off in round count: the whole run
     // completes in a handful of windows, not one per 10-cycle step.
     EXPECT_LT(engine.stats().windows, 10u);
-}
-
-TEST(PdesPerDest, GlobalMinPolicyMatchesSerialButNeverWidens)
-{
-    SlotCells serial_state(2);
-    std::uint64_t serial_events = 0;
-    {
-        EventQueue eq;
-        seedAsymmetricScenario(eq, serial_state);
-        serial_events = eq.run();
-    }
-
-    SlotCells state(2);
-    EventQueue eq;
-    seedAsymmetricScenario(eq, state);
-    PdesEngine engine(eq, {0, 1}, 2,
-                      asymmetricConfig(PdesWindowPolicy::GlobalMin));
-    EXPECT_EQ(engine.run(), serial_events);
-    EXPECT_TRUE(state == serial_state);
-    EXPECT_EQ(engine.stats().widenedWindows, 0u);
-    // The legacy bound crawls head-to-head through slot 0's event
-    // train; the per-destination bound clears it in one round (the
-    // sibling test asserts < 10 rounds there).
-    EXPECT_GT(engine.stats().windows, 10u);
 }
 
 // ---------------------------------------------------------------------
@@ -488,23 +439,6 @@ TEST(PdesIslands, IslandTopologyIsBitIdenticalAndWidensWindows)
     EXPECT_GT(par.pdes.at("sim.pdes_window_widened"), 0u);
 }
 
-TEST(PdesIslands, GlobalMinPolicyIsBitIdenticalAndNeverWidens)
-{
-    MachineParams mp;
-    mp.numProcs = 8;
-    mp.protocol = ProtocolKind::Hlrc;
-    mp.comm = CommParams::achievable().withIslands(4, 5000, 0.5);
-    mp.pdesPerDest = false;
-
-    mp.simThreads = 1;
-    const RunResult serial = runMachine(mp, skewedComputeKernel());
-    mp.simThreads = 4;
-    const RunResult par = runMachine(mp, skewedComputeKernel());
-    expectSameResult(serial, par, "island topology, legacy windows");
-    ASSERT_TRUE(par.pdes.count("sim.pdes_window_widened"));
-    EXPECT_EQ(par.pdes.at("sim.pdes_window_widened"), 0u);
-}
-
 TEST(PdesIslands, ScProtocolOnIslandsStaysBitIdentical)
 {
     MachineParams mp;
@@ -517,336 +451,6 @@ TEST(PdesIslands, ScProtocolOnIslandsStaysBitIdentical)
     mp.simThreads = 4;
     const RunResult par = runMachine(mp, falseSharingKernel());
     expectSameResult(serial, par, "SC island topology");
-}
-
-// ---------------------------------------------------------------------
-// Bounded-optimism speculation (kernel level, with a real state saver).
-// ---------------------------------------------------------------------
-
-/** Checkpoints the slots each partition owns — the kernel-test
- *  embedder's PdesStateSaver. Only the calling partition's slots are
- *  copied, so concurrent saves never touch shared cells. */
-class CellSaver : public PdesStateSaver
-{
-  public:
-    CellSaver(SlotCells &state, std::vector<int> partition_of)
-        : state_(state), partitionOf_(std::move(partition_of)),
-          saved_(partitionOf_.size() + 1)
-    {}
-
-    void
-    save(int partition) override
-    {
-        auto &snap = saved_[partition];
-        snap.clear();
-        for (std::uint32_t s = 0; s < partitionOf_.size(); ++s) {
-            if (partitionOf_[s] == partition) {
-                snap.push_back(Snap{s, state_.cells[s],
-                                    state_.order[s].size()});
-            }
-        }
-        saves_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void
-    restore(int partition) override
-    {
-        for (const Snap &sn : saved_[partition]) {
-            state_.cells[sn.slot] = sn.cell;
-            state_.order[sn.slot].resize(sn.orderLen);
-        }
-        restores_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void
-    discard(int partition) override
-    {
-        saved_[partition].clear();
-        discards_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    int saves() const { return saves_.load(); }
-    int restores() const { return restores_.load(); }
-    int discards() const { return discards_.load(); }
-
-  private:
-    struct Snap
-    {
-        std::uint32_t slot;
-        std::uint64_t cell;
-        std::size_t orderLen;
-    };
-
-    SlotCells &state_;
-    std::vector<int> partitionOf_;
-    std::vector<std::vector<Snap>> saved_;
-    std::atomic<int> saves_{0};
-    std::atomic<int> restores_{0};
-    std::atomic<int> discards_{0};
-};
-
-/**
- * Speculation workload, 2 partitions, uniform lookahead 100: slot 0
- * runs a dense 10-cycle event train (t = 0..590); slot 1 either sits
- * idle until t=10000 (the commit case: no message can ever straggle)
- * or fires at t=50 and mails slot 0 an event landing at t=150, right
- * in the middle of what partition 0 speculates (the rollback case).
- */
-void
-seedSpecScenario(EventQueue &eq, SlotCells &state, bool straggler)
-{
-    eq.setNumSlots(2);
-    for (Cycles t = 0; t < 600; t += 10)
-        eq.scheduleTo(0, t, [&state, t] { state.touch(0, t); });
-    if (straggler) {
-        eq.scheduleTo(1, 50, [&eq, &state] {
-            state.touch(1, 50);
-            eq.scheduleTo(0, 150, [&state] { state.touch(0, 150); });
-        });
-    } else {
-        eq.scheduleTo(1, 10000,
-                      [&state] { state.touch(1, 10000); });
-    }
-}
-
-struct SpecRun
-{
-    std::uint64_t executed = 0;
-    SlotCells state{2};
-    PdesRunStats stats;
-    int saves = 0;
-    int restores = 0;
-    int discards = 0;
-};
-
-SpecRun
-runSpecScenario(bool straggler, int optimism)
-{
-    SpecRun run;
-    EventQueue eq;
-    seedSpecScenario(eq, run.state, straggler);
-    CellSaver saver(run.state, {0, 1});
-    PdesConfig config = PdesConfig::uniform(2, 100);
-    config.optimism = optimism;
-    config.saver = &saver;
-    PdesEngine engine(eq, {0, 1}, 2, std::move(config));
-    run.executed = engine.run();
-    engine.checkDrained();
-    run.stats = engine.stats();
-    run.saves = saver.saves();
-    run.restores = saver.restores();
-    run.discards = saver.discards();
-    return run;
-}
-
-SpecRun
-serialSpecScenario(bool straggler)
-{
-    SpecRun run;
-    EventQueue eq;
-    seedSpecScenario(eq, run.state, straggler);
-    run.executed = eq.run();
-    return run;
-}
-
-TEST(PdesOptimism, SpeculationCommitsWhenNoStragglerExists)
-{
-    const SpecRun serial = serialSpecScenario(/*straggler=*/false);
-    const SpecRun par = runSpecScenario(/*straggler=*/false,
-                                        /*optimism=*/8);
-    EXPECT_EQ(par.executed, serial.executed);
-    EXPECT_TRUE(par.state == serial.state);
-    EXPECT_GT(par.stats.speculated, 0u);
-    EXPECT_GT(par.stats.commits, 0u);
-    EXPECT_EQ(par.stats.rollbacks, 0u);
-    // Every checkpoint is eventually resolved: committed speculations
-    // discard it, rolled-back ones restore it.
-    EXPECT_EQ(par.saves, par.discards + par.restores);
-}
-
-TEST(PdesOptimism, NaturalStragglerRollsBackToIdenticalState)
-{
-    const SpecRun serial = serialSpecScenario(/*straggler=*/true);
-    const SpecRun par = runSpecScenario(/*straggler=*/true,
-                                        /*optimism=*/8);
-    // The t=150 arrival straggles below the speculated horizon; the
-    // rollback must restore byte-identical state and the re-execution
-    // must interleave it exactly where the serial order puts it.
-    EXPECT_EQ(par.executed, serial.executed);
-    EXPECT_TRUE(par.state == serial.state);
-    EXPECT_GT(par.stats.speculated, 0u);
-    EXPECT_GE(par.stats.rollbacks, 1u);
-    EXPECT_GT(par.restores, 0);
-    EXPECT_EQ(par.saves, par.discards + par.restores);
-}
-
-TEST(PdesOptimism, ForcedStragglerInjectionExercisesRollback)
-{
-    // check::FaultPlan injection: the commit scenario has no real
-    // straggler, but the plan forces each partition's first resolution
-    // down the rollback path — state must still end bit-identical.
-    const SpecRun serial = serialSpecScenario(/*straggler=*/false);
-    check::FaultPlan plan;
-    plan.pdesForceStraggler = true;
-    check::ScopedFaultPlan scope(plan);
-    const SpecRun par = runSpecScenario(/*straggler=*/false,
-                                        /*optimism=*/8);
-    EXPECT_EQ(par.executed, serial.executed);
-    EXPECT_TRUE(par.state == serial.state);
-    EXPECT_GE(par.stats.rollbacks, 1u);
-    EXPECT_GT(par.restores, 0);
-    EXPECT_EQ(par.saves, par.discards + par.restores);
-}
-
-/**
- * Regression: a same-cycle child of a speculated event is stamped by
- * its own slot's sequence, which can be *smaller* than the parent's
- * stamp — so the largest speculated (when, stamp) key is not the key
- * of the last event executed. A straggler whose stamp falls between
- * the child's and the parent's serially pops *before* the parent;
- * comparing it only against the last pop lets it slip past the
- * straggler check and commits the wrong same-cycle interleaving
- * (caught in the wild as a water-nsq schedule divergence).
- *
- * Geometry: slot 0 -> partition 0, slots {1, 2} -> partition 1,
- * uniform lookahead 100. Slot 2 (stamps 2 << 48 | seq) mails slot 0 an
- * event at t=250 whose body schedules a same-cycle local child
- * (stamped by slot 0, tiny). Slot 1 (stamps 1 << 48 | seq, between the
- * two) mails slot 0 another t=250 event, sent one round later so it
- * arrives while partition 0 is speculating the first one plus its
- * child. Serially the slot-1 event pops first.
- */
-TEST(PdesOptimism, SameCycleStragglerBelowSpeculatedParentRollsBack)
-{
-    auto seed = [](EventQueue &eq, SlotCells &state) {
-        eq.setNumSlots(3);
-        eq.scheduleTo(0, 0, [&state] { state.touch(0, 0); });
-        eq.scheduleTo(2, 0, [&eq, &state] {
-            state.touch(2, 0);
-            eq.scheduleTo(0, 250, [&eq, &state] {
-                state.touch(0, 1000); // parent, slot-2 stamp
-                eq.schedule(250,
-                            [&state] { state.touch(0, 1001); }); // child
-            });
-        });
-        eq.scheduleTo(1, 150, [&eq, &state] {
-            state.touch(1, 150);
-            // The straggler: same cycle as the parent, smaller stamp.
-            eq.scheduleTo(0, 250, [&state] { state.touch(0, 2000); });
-        });
-    };
-
-    SlotCells serial_state(3);
-    std::uint64_t serial_events = 0;
-    {
-        EventQueue eq;
-        seed(eq, serial_state);
-        serial_events = eq.run();
-    }
-
-    SlotCells par_state(3);
-    CellSaver saver(par_state, {0, 1, 1});
-    EventQueue eq;
-    seed(eq, par_state);
-    PdesConfig config = PdesConfig::uniform(2, 100);
-    config.optimism = 8;
-    config.saver = &saver;
-    PdesEngine engine(eq, {0, 1, 1}, 2, std::move(config));
-    const std::uint64_t par_events = engine.run();
-    engine.checkDrained();
-
-    EXPECT_EQ(par_events, serial_events);
-    EXPECT_TRUE(par_state == serial_state);
-    // The scenario must actually speculate the parent + child and see
-    // the slot-1 arrival as a straggler — if these stop holding, the
-    // window geometry drifted and the test no longer covers the case.
-    EXPECT_GE(engine.stats().speculated, 2u);
-    EXPECT_GE(engine.stats().rollbacks, 1u);
-}
-
-TEST(PdesOptimism, OptimismOffNeverSpeculates)
-{
-    const SpecRun serial = serialSpecScenario(/*straggler=*/false);
-    check::FaultPlan plan;
-    plan.pdesForceStraggler = true; // armed but unreachable
-    check::ScopedFaultPlan scope(plan);
-    const SpecRun par = runSpecScenario(/*straggler=*/false,
-                                        /*optimism=*/0);
-    EXPECT_EQ(par.executed, serial.executed);
-    EXPECT_TRUE(par.state == serial.state);
-    EXPECT_EQ(par.stats.speculated, 0u);
-    EXPECT_EQ(par.stats.rollbacks, 0u);
-    EXPECT_EQ(par.stats.commits, 0u);
-    EXPECT_EQ(par.saves, 0);
-}
-
-/** Host-side telemetry segregated by runMachine (zero if absent). */
-std::uint64_t
-counterValue(const RunResult &r, const std::string &name)
-{
-    const auto it = r.pdes.find(name);
-    return it == r.pdes.end() ? 0 : it->second;
-}
-
-TEST(PdesOptimism, ClusterWithSaverSpeculatesBitIdentically)
-{
-    // The machine-level state saver (machine/pdes_saver.hh) makes
-    // cluster runs with optimism actually speculate: the engine must
-    // report speculation and the simulated results must stay
-    // bit-identical to serial.
-    const RunResult serial =
-        runKernel(ProtocolKind::Hlrc, 1, 4, lockCounterKernel());
-    MachineParams mp;
-    mp.numProcs = 4;
-    mp.protocol = ProtocolKind::Hlrc;
-    mp.simThreads = 2;
-    mp.pdesOptimism = 8;
-    const RunResult par = runMachine(mp, lockCounterKernel());
-    expectSameResult(serial, par, "cluster optimism with machine saver");
-    ASSERT_TRUE(par.pdes.count("sim.pdes_speculated"));
-    EXPECT_GT(par.pdes.at("sim.pdes_speculated"), 0u);
-    EXPECT_GT(par.pdes.at("sim.pdes_commits") +
-                  par.pdes.at("sim.pdes_rollbacks"),
-              0u);
-    // Every checkpoint resolves: committed speculations discard it,
-    // rolled-back ones restore it.
-    EXPECT_GT(counterValue(par, "machine.saver_saves"), 0u);
-    EXPECT_EQ(counterValue(par, "machine.saver_saves"),
-              counterValue(par, "machine.saver_discards") +
-                  counterValue(par, "machine.saver_restores"));
-}
-
-TEST(PdesOptimism, ClusterForcedStragglerRollsBackBitIdentically)
-{
-    // check::FaultPlan injection at the cluster level: force each
-    // partition's first speculation resolution down the rollback path.
-    // The saver's restore must reproduce byte-identical machine state
-    // (counters, finish times, simulated cycles) after re-execution.
-    for (const ProtocolKind kind :
-         {ProtocolKind::Hlrc, ProtocolKind::Sc}) {
-        const RunResult serial =
-            runKernel(kind, 1, 4, lockCounterKernel());
-        check::FaultPlan plan;
-        plan.pdesForceStraggler = true;
-        check::ScopedFaultPlan scope(plan);
-        MachineParams mp;
-        mp.numProcs = 4;
-        mp.protocol = kind;
-        mp.simThreads = 2;
-        mp.pdesOptimism = 8;
-        const RunResult par = runMachine(mp, lockCounterKernel());
-        expectSameResult(serial, par,
-                         std::string("forced straggler rollback ") +
-                             protocolKindName(kind));
-        EXPECT_GE(par.pdes.at("sim.pdes_rollbacks"), 1u)
-            << protocolKindName(kind);
-        EXPECT_GE(counterValue(par, "machine.saver_restores"), 1u)
-            << protocolKindName(kind);
-        EXPECT_EQ(counterValue(par, "machine.saver_saves"),
-                  counterValue(par, "machine.saver_discards") +
-                      counterValue(par, "machine.saver_restores"))
-            << protocolKindName(kind);
-    }
 }
 
 } // namespace

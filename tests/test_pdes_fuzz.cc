@@ -3,26 +3,19 @@
  * Parallel-schedule fuzz tier (ctest label: fuzz-pdes).
  *
  * Two seeded sweeps, both asserting the parallel event kernel's core
- * contract — bit-equivalence with the serial kernel — across the new
- * axes of this engine: per-destination lookahead matrices, asymmetric
- * (island) topologies, and bounded-optimism speculation.
+ * contract — bit-equivalence with the serial kernel — across the axes
+ * the windows depend on: per-destination lookahead matrices and
+ * asymmetric (island) topologies.
  *
  *  - Kernel tier: random event graphs over random asymmetric
- *    slot-to-slot lookahead matrices, run serially and under
- *    {2, 4} partitions x optimism {0, 8} with a real state saver, so
- *    speculation commits *and* rollbacks are exercised on arbitrary
- *    schedules. Per-slot mutation order and hash chains must match the
+ *    slot-to-slot lookahead matrices, run serially and under {2, 4}
+ *    partitions. Per-slot mutation order and hash chains must match the
  *    serial run exactly.
  *  - Cluster tier: full machine runs (real protocol, network, fibers)
  *    whose shape comes from check::pdesMachineForSeed — randomized
- *    timing plus island geometry — swept over sim-thread counts, the
- *    legacy global-minimum window policy, and optimism {0, 4, 8}
- *    backed by the machine-level state saver (machine/pdes_saver.hh),
- *    so full-machine speculation commits and rollbacks are fuzzed.
- *    Every counter except the engine's and the saver's own bookkeeping
- *    (and, under speculation, the host-side fast-path telemetry that
- *    rollback invalidations legitimately shift) must be identical to
- *    serial.
+ *    timing plus island geometry — swept over sim-thread counts {2, 4}.
+ *    Every counter except the engine's own bookkeeping must be
+ *    identical to serial.
  *
  * Every failure message carries the seed and axis values, so a red run
  * is replayable with
@@ -35,7 +28,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -43,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/check.hh"
 #include "check/fuzz.hh"
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
@@ -198,59 +189,9 @@ seedGraph(GraphRun &run, std::uint64_t seed)
     }
 }
 
-/** Checkpoints the slots each partition owns (real saver, so the
- *  parallel runs genuinely speculate and roll back). */
-class GraphSaver : public PdesStateSaver
-{
-  public:
-    GraphSaver(GraphState &state, std::vector<int> partition_of,
-               int partitions)
-        : state_(state), partitionOf_(std::move(partition_of)),
-          saved_(partitions)
-    {}
-
-    void
-    save(int partition) override
-    {
-        auto &snap = saved_[partition];
-        snap.clear();
-        for (std::uint32_t s = 0; s < partitionOf_.size(); ++s) {
-            if (partitionOf_[s] == partition) {
-                snap.push_back(Snap{s, state_.cells[s],
-                                    state_.order[s].size()});
-            }
-        }
-    }
-
-    void
-    restore(int partition) override
-    {
-        for (const Snap &sn : saved_[partition]) {
-            state_.cells[sn.slot] = sn.cell;
-            state_.order[sn.slot].resize(sn.orderLen);
-        }
-    }
-
-    void discard(int partition) override { saved_[partition].clear(); }
-
-  private:
-    struct Snap
-    {
-        std::uint32_t slot;
-        std::uint64_t cell;
-        std::size_t orderLen;
-    };
-
-    GraphState &state_;
-    std::vector<int> partitionOf_;
-    std::vector<std::vector<Snap>> saved_;
-};
-
-TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitionsAndOptimism)
+TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitions)
 {
     const std::uint64_t seeds = envCount("SWSM_PDES_FUZZ_SEEDS", 20);
-    std::uint64_t total_speculated = 0;
-    std::uint64_t total_rollbacks = 0;
     for (std::uint64_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = baseSeed() + i;
         const Graph graph = graphForSeed(seed);
@@ -266,8 +207,7 @@ TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitionsAndOptimism)
                     static_cast<std::uint64_t>(s) * partitions /
                     graph.numSlots);
             }
-            PdesConfig base;
-            base.lookahead.assign(
+            std::vector<Cycles> lookahead(
                 static_cast<std::size_t>(partitions) * partitions,
                 PdesEngine::noEvent);
             for (std::uint32_t a = 0; a < graph.numSlots; ++a) {
@@ -275,48 +215,28 @@ TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitionsAndOptimism)
                     if (a == b || partition_of[a] == partition_of[b])
                         continue;
                     auto &entry =
-                        base.lookahead[static_cast<std::size_t>(
-                                           partition_of[a]) *
-                                           partitions +
-                                       partition_of[b]];
+                        lookahead[static_cast<std::size_t>(
+                                      partition_of[a]) *
+                                      partitions +
+                                  partition_of[b]];
                     entry = std::min(entry, graph.edge(a, b));
                 }
             }
-            for (const int optimism : {0, 8}) {
-                GraphRun par(graph);
-                seedGraph(par, seed);
-                GraphSaver saver(par.state, partition_of, partitions);
-                PdesConfig config = base;
-                config.optimism = optimism;
-                config.saver = &saver;
-                PdesEngine engine(par.eq, partition_of, partitions,
-                                  std::move(config));
-                const std::uint64_t events = engine.run();
-                engine.checkDrained();
-                total_speculated += engine.stats().speculated;
-                total_rollbacks += engine.stats().rollbacks;
-                const std::string label =
-                    "seed=" + std::to_string(seed) +
-                    " partitions=" + std::to_string(partitions) +
-                    " optimism=" + std::to_string(optimism) +
-                    " (replay: SWSM_PDES_FUZZ_SEEDS=1 "
-                    "SWSM_PDES_FUZZ_BASE=" +
-                    std::to_string(seed) + " test_pdes_fuzz)";
-                EXPECT_EQ(events, serial_events) << label;
-                EXPECT_TRUE(par.state == serial.state) << label;
-                if (optimism == 0) {
-                    EXPECT_EQ(engine.stats().speculated, 0u) << label;
-                }
-            }
+            GraphRun par(graph);
+            seedGraph(par, seed);
+            PdesEngine engine(par.eq, partition_of, partitions,
+                              std::move(lookahead));
+            const std::uint64_t events = engine.run();
+            engine.checkDrained();
+            const std::string label =
+                "seed=" + std::to_string(seed) +
+                " partitions=" + std::to_string(partitions) +
+                " (replay: SWSM_PDES_FUZZ_SEEDS=1 "
+                "SWSM_PDES_FUZZ_BASE=" +
+                std::to_string(seed) + " test_pdes_fuzz)";
+            EXPECT_EQ(events, serial_events) << label;
+            EXPECT_TRUE(par.state == serial.state) << label;
         }
-    }
-    // The sweep must actually exercise speculation, or the optimism
-    // axis is vacuous. (Rollbacks depend on the seeds; with the
-    // default 20 both paths fire.)
-    EXPECT_GT(total_speculated, 0u);
-    if (seeds >= 20) {
-        EXPECT_GT(total_rollbacks, 0u)
-            << "no seed produced a straggler or stalled commit";
     }
 }
 
@@ -359,20 +279,7 @@ struct ClusterResult
     Cycles total = 0;
     std::vector<Cycles> finish;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::uint64_t speculated = 0;
-    std::uint64_t rollbacks = 0;
 };
-
-/** Host-side telemetry that legitimately differs once a run
- *  speculates: the saver's own traffic, and the fast-path counters
- *  (a rollback invalidates the partition's fast-path entries, so
- *  re-execution re-installs and re-misses). */
-bool
-hostSideCounter(const std::string &name)
-{
-    return name.rfind("machine.saver_", 0) == 0 ||
-           name.rfind("machine.fastpath_", 0) == 0;
-}
 
 ClusterResult
 runCluster(MachineParams mp)
@@ -384,10 +291,6 @@ runCluster(MachineParams mp)
     r.total = c.stats().totalCycles;
     r.finish = c.stats().finishTimes;
     for (const auto &[name, value] : c.stats().metrics.counters) {
-        if (name == "sim.pdes_speculated")
-            r.speculated = value;
-        if (name == "sim.pdes_rollbacks")
-            r.rollbacks = value;
         if (name.rfind("sim.pdes_", 0) == 0 ||
             name == "sim.max_pending_events")
             continue;
@@ -400,7 +303,6 @@ void
 fuzzCluster(ProtocolKind protocol)
 {
     const std::uint64_t seeds = envCount("SWSM_PDES_FUZZ_SEEDS", 6);
-    std::uint64_t total_speculated = 0;
     for (std::uint64_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = baseSeed() + i;
         MachineParams mp = check::pdesMachineForSeed(protocol, seed);
@@ -408,46 +310,21 @@ fuzzCluster(ProtocolKind protocol)
         mp.simThreads = 1;
         const ClusterResult serial = runCluster(mp);
 
-        struct Axis
-        {
-            int threads;
-            bool perDest;
-            int optimism;
-        };
-        static constexpr Axis axes[] = {
-            {2, true, 0},
-            {4, true, 0},
-            {4, false, 0}, // legacy global-minimum windows
-            {2, true, 8},  // machine-level speculation (pdes_saver.hh)
-            {4, true, 4},
-            {4, true, 8},
-        };
-        for (const Axis &axis : axes) {
-            mp.simThreads = axis.threads;
-            mp.pdesPerDest = axis.perDest;
-            mp.pdesOptimism = axis.optimism;
+        for (const int threads : {2, 4}) {
+            mp.simThreads = threads;
             const ClusterResult par = runCluster(mp);
-            total_speculated += par.speculated;
             const std::string label =
                 std::string(protocolKindName(protocol)) +
                 " seed=" + std::to_string(seed) +
-                " threads=" + std::to_string(axis.threads) +
-                " perDest=" + std::to_string(axis.perDest) +
-                " optimism=" + std::to_string(axis.optimism) +
+                " threads=" + std::to_string(threads) +
                 " (replay: SWSM_PDES_FUZZ_SEEDS=1 "
                 "SWSM_PDES_FUZZ_BASE=" +
                 std::to_string(seed) + " test_pdes_fuzz)";
-            if (axis.optimism == 0) {
-                EXPECT_EQ(par.speculated, 0u) << label;
-            }
             EXPECT_EQ(par.total, serial.total) << label;
             EXPECT_EQ(par.finish, serial.finish) << label;
             ASSERT_EQ(par.counters.size(), serial.counters.size())
                 << label;
             for (std::size_t k = 0; k < par.counters.size(); ++k) {
-                if (axis.optimism > 0 &&
-                    hostSideCounter(serial.counters[k].first))
-                    continue;
                 EXPECT_EQ(par.counters[k], serial.counters[k])
                     << "counter " << serial.counters[k].first << " "
                     << label;
@@ -456,9 +333,6 @@ fuzzCluster(ProtocolKind protocol)
         if (::testing::Test::HasFailure())
             break; // one seed's axes are enough to diagnose
     }
-    // The optimism axes must actually speculate somewhere in the
-    // sweep, or the machine-saver coverage is vacuous.
-    EXPECT_GT(total_speculated, 0u);
 }
 
 TEST(PdesFuzz, ClusterTopologiesScBitEquivalent)

@@ -3,16 +3,13 @@
 
 Everything must match except host-timing fields (hostSeconds), the
 worker counts (jobs, simThreads), the machine.fastpath_* effectiveness
-counters, the machine.saver_* speculation-checkpoint telemetry
-(snapshot bytes, pages copied, restore counts), the mem.simd_* kernel
-telemetry, the parallel event kernel's sim.pdes_* bookkeeping (plus
-the pending-event high-water mark) and BENCH_pdes.json's speculation
-telemetry (pdesSpeculated, pdesRollbacks, pdesCommits) and host
-speedup ratio (speedupVsSerial, derived from hostSeconds), which
-legitimately differ between runs of the same sweep (the fast path,
-the SIMD dispatch level and the parallel kernel change how the
-simulation executes on the host, never what anything costs in the
-simulation). BENCH_pdes.json's deterministic window-shape fields
+counters, the mem.simd_* kernel telemetry, the parallel event kernel's
+sim.pdes_* bookkeeping (plus the pending-event high-water mark) and
+BENCH_pdes.json's host speedup ratio (speedupVsSerial, derived from
+hostSeconds), which legitimately differ between runs of the same sweep
+(the fast path, the SIMD dispatch level and the parallel kernel change
+how the simulation executes on the host, never what anything costs in
+the simulation). BENCH_pdes.json's deterministic window-shape fields
 (pdesWindows, pdesWindowWidened) stay compared: per cell they depend
 only on simulation state, so two runs of the same sweep must
 reproduce them exactly. Used by CI to check that a parallel sweep (--jobs=N), a
@@ -68,25 +65,12 @@ IGNORED_KEYS = {
     "machine.fastpath_installs",
     "machine.fastpath_invalidations",
     "sim.max_pending_events",
-    # BENCH_pdes.json speculation telemetry: how much the bounded-
-    # optimism kernel guessed and re-executed, never what anything
-    # cost. The deterministic window-shape fields next to them
-    # (pdesWindows, pdesWindowWidened) ARE compared: for a fixed
-    # cell (config x threads x window policy) they depend only on
-    # simulation state.
-    "pdesSpeculated",
-    "pdesRollbacks",
-    "pdesCommits",
     # Derived from hostSeconds (wall-clock ratio vs the serial cell),
     # so just as host-dependent as hostSeconds itself.
     "speedupVsSerial",
 }
 
-# machine.saver_* is the machine-level checkpoint traffic behind the
-# speculation (machine/pdes_saver.hh): saves, restores, snapshot bytes,
-# pages copied. Like sim.pdes_*, it describes how the host executed
-# the run, never what anything cost in the simulation.
-IGNORED_PREFIXES = ("sim.pdes_", "mem.simd_", "machine.saver_")
+IGNORED_PREFIXES = ("sim.pdes_", "mem.simd_")
 
 
 def ignored(key):
@@ -521,10 +505,6 @@ def _selftest_ignored():
     """strip() must drop exactly the host-execution telemetry and keep
     the deterministic fields it sits next to."""
     entry = {"pdesWindows": 10, "pdesWindowWidened": 2,
-             "pdesSpeculated": 7, "pdesRollbacks": 1, "pdesCommits": 6,
-             "machine.saver_saves": 5, "machine.saver_restores": 1,
-             "machine.saver_snapshot_bytes": 4096,
-             "machine.saver_pages_copied": 3,
              "machine.fastpath_hits": 9, "sim.pdes_windows": 10,
              "net.bytes": 77, "hostSeconds": 1.5,
              "speedupVsSerial": 0.83}

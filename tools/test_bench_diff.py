@@ -202,34 +202,6 @@ class MainTest(unittest.TestCase):
             },
         )
 
-    def test_strip_drops_speculation_keeps_window_shape(self):
-        value = {
-            "pdesWindows": 9283,
-            "pdesWindowWidened": 27720,
-            "pdesSpeculated": 55,
-            "pdesRollbacks": 3,
-        }
-        self.assertEqual(
-            bench_diff.strip(value),
-            {"pdesWindows": 9283, "pdesWindowWidened": 27720},
-        )
-
-    def test_speculation_telemetry_divergence_is_equivalent(self):
-        base = {
-            "bench": "pdes",
-            "runs": [{"simulatedCycles": 777, "pdesWindows": 100,
-                      "pdesSpeculated": 0, "pdesRollbacks": 0}],
-        }
-        changed = json.loads(json.dumps(base))
-        changed["runs"][0]["pdesSpeculated"] = 64
-        changed["runs"][0]["pdesRollbacks"] = 2
-        with tempfile.TemporaryDirectory() as d:
-            a = write_json(d, "a.json", base)
-            b = write_json(d, "b.json", changed)
-            status, out, _ = self.run_main(a, b)
-        self.assertEqual(status, 0)
-        self.assertIn("equivalent", out)
-
     def test_window_shape_divergence_is_a_difference(self):
         base = {
             "bench": "pdes",
