@@ -16,7 +16,9 @@
  *    SIMD run bursts vs the scalar word loop;
  *  - twin_create words/sec: page copy into a twin buffer, SIMD vs
  *    scalar;
- *  - events/sec: raw event-kernel schedule+dispatch throughput.
+ *  - events/sec: raw event-kernel schedule+dispatch throughput;
+ *  - fiber ns/switch: resume+yield round trips into one fiber, the
+ *    switch every simulated processor makes at each quantum and block.
  *
  * The "SIMD" arm of each A/B uses the ambient dispatch level, so a run
  * under SWSM_SIMD=0 reports scalar-vs-scalar (ratio ~1) and the two CI
@@ -24,7 +26,8 @@
  * times (default 3); throughputs come from the fastest rep and the
  * JSON carries per-section host seconds as {"min", "median"} objects
  * under "hostSeconds" (schema 3), so one descheduled rep cannot skew a
- * comparison between two reports.
+ * comparison between two reports. The fiber section also reports its
+ * per-switch cost as {"min", "median"} ns.
  *
  * Writes BENCH_hotpath.json (SWSM_BENCH_DIR honored). The ratios are
  * host-dependent, so the ctest smoke run is report-only: it exercises
@@ -40,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "fiber/fiber.hh"
 #include "machine/cluster.hh"
 #include "machine/fast_path.hh"
 #include "machine/shared_array.hh"
@@ -256,6 +260,25 @@ eventSeconds(std::uint64_t total)
     return secondsSince(start);
 }
 
+/**
+ * Host seconds for @p round_trips resume+yield round trips into one
+ * fiber, two switches each.
+ */
+double
+fiberSeconds(std::uint64_t round_trips)
+{
+    Fiber f([round_trips] {
+        for (std::uint64_t i = 0; i < round_trips; ++i)
+            Fiber::yield();
+    });
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < round_trips; ++i)
+        f.resume();
+    const double elapsed = secondsSince(start);
+    f.resume(); // let the body return
+    return elapsed;
+}
+
 /** Min/median over a measurement's reps. */
 struct Reps
 {
@@ -329,6 +352,7 @@ main(int argc, char **argv)
     const std::uint64_t apply_reps = quick ? 50'000 : 500'000;
     const std::uint64_t copy_reps = quick ? 50'000 : 500'000;
     const std::uint64_t event_total = quick ? 500'000 : 5'000'000;
+    const std::uint64_t fiber_trips = quick ? 500'000 : 5'000'000;
 
     // "SIMD" arm = the ambient dispatch level (honors SWSM_SIMD), so
     // the scalar-forced run's artifact documents the scalar host mode.
@@ -360,6 +384,8 @@ main(int argc, char **argv)
         measure(reps, [&] { return twinCreateSeconds(sca, copy_reps); });
     const Reps events =
         measure(reps, [&] { return eventSeconds(event_total); });
+    const Reps fiber =
+        measure(reps, [&] { return fiberSeconds(fiber_trips); });
 
     // Throughputs from the fastest rep of each measurement.
     const double work = static_cast<double>(2 * access_iters);
@@ -380,6 +406,9 @@ main(int argc, char **argv)
     const double tv = copy_work / twin_simd.min();
     const double ts = copy_work / twin_scalar.min();
     const double ev = static_cast<double>(event_total) / events.min();
+    const double switches = 2.0 * static_cast<double>(fiber_trips);
+    const double fiber_min_ns = fiber.min() * 1e9 / switches;
+    const double fiber_median_ns = fiber.median() * 1e9 / switches;
 
     std::printf("simd level %s (scalar A/B in-process)\n",
                 simd::levelName(vec));
@@ -394,6 +423,8 @@ main(int argc, char **argv)
     std::printf("twin create w/sec simd     %.3e  scalar   %.3e  (%.2fx)\n",
                 tv, ts, tv / ts);
     std::printf("events/sec        %.3e   (best of %d reps)\n", ev, reps);
+    std::printf("fiber ns/switch   min %.1f  median %.1f\n", fiber_min_ns,
+                fiber_median_ns);
 
     JsonWriter w(2);
     w.beginObject();
@@ -433,6 +464,11 @@ main(int argc, char **argv)
     w.member("speedup", tv / ts);
     w.endObject();
     w.member("events_per_sec", ev);
+    w.key("fiber_ns_per_switch");
+    w.beginObject();
+    w.member("min", fiber_min_ns);
+    w.member("median", fiber_median_ns);
+    w.endObject();
     w.key("hostSeconds");
     w.beginObject();
     writeSection(w, "access", {&acc_fast, &acc_slow});
@@ -442,6 +478,7 @@ main(int argc, char **argv)
     writeSection(w, "diff_apply", {&apply_simd, &apply_scalar});
     writeSection(w, "twin_create", {&twin_simd, &twin_scalar});
     writeSection(w, "events", {&events});
+    writeSection(w, "fiber", {&fiber});
     w.endObject();
     w.endObject();
 

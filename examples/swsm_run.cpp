@@ -68,17 +68,6 @@ validConfig(std::string_view config)
            std::string_view("OHB").find(config[1]) != std::string_view::npos;
 }
 
-/** The registered application named @p name, or null. */
-const swsm::AppInfo *
-lookupApp(const std::string &name)
-{
-    for (const swsm::AppInfo &app : swsm::appRegistry()) {
-        if (app.name == name)
-            return &app;
-    }
-    return nullptr;
-}
-
 } // namespace
 
 int

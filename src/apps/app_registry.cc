@@ -85,11 +85,19 @@ appRegistry()
 const AppInfo &
 findApp(const std::string &name)
 {
+    if (const AppInfo *app = lookupApp(name))
+        return *app;
+    SWSM_FATAL("unknown application '%s'", name.c_str());
+}
+
+const AppInfo *
+lookupApp(const std::string &name)
+{
     for (const AppInfo &app : appRegistry()) {
         if (app.name == name)
-            return app;
+            return &app;
     }
-    SWSM_FATAL("unknown application '%s'", name.c_str());
+    return nullptr;
 }
 
 } // namespace swsm

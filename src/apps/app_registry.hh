@@ -39,6 +39,9 @@ const std::vector<AppInfo> &appRegistry();
 /** Lookup by name; fatal on unknown names. */
 const AppInfo &findApp(const std::string &name);
 
+/** Lookup by name; null on unknown names, for input validation. */
+const AppInfo *lookupApp(const std::string &name);
+
 } // namespace swsm
 
 #endif // SWSM_APPS_APP_REGISTRY_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative fibers (ucontext-based) for execution-driven simulation.
+ * Cooperative fibers for execution-driven simulation.
  *
  * Each simulated processor runs its application thread on a Fiber; the
  * discrete-event scheduler resumes fibers in simulated-time order. This
@@ -10,6 +10,13 @@
  *
  * Fibers are strictly cooperative and single-OS-thread; there is no
  * preemption and no locking, which keeps simulations deterministic.
+ *
+ * Every switch is an ordinary function call, so it only has to keep
+ * what the calling convention makes callee-saved. On x86-64 a short
+ * assembly routine (fiber.cc) saves the SysV callee-saved registers,
+ * MXCSR and the x87 control word on the stack it leaves; glibc's
+ * swapcontext would also save the signal mask, one system call per
+ * switch. Other architectures use ucontext.
  */
 
 #ifndef SWSM_FIBER_FIBER_HH
@@ -18,7 +25,9 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 namespace swsm
 {
@@ -68,22 +77,41 @@ class Fiber
     static Fiber *current();
 
   private:
+#if defined(__x86_64__)
+    /** A suspended context is its stack pointer; the rest is on the stack. */
+    using Context = void *;
+#else
+    using Context = ucontext_t;
     static void trampoline(unsigned hi, unsigned lo);
+#endif
+
+    /** Save the running context in @p save and continue in @p load. */
+    static void switchContext(Context &save, const Context &load);
+    /** First code run on a new fiber's stack. */
+    static void entry(Fiber *self);
     void run();
 
     Body body;
     std::unique_ptr<char[]> stack;
-    ucontext_t context;
-    ucontext_t returnContext;
+    std::size_t stackBytes;
+    /** This fiber's saved context while it is suspended. */
+    Context context{};
+    /** The resumer's saved context while this fiber runs. */
+    Context returnContext{};
     /**
      * ThreadSanitizer's shadow context for this fiber and for the
      * resumer we switch back to (TSan fiber API). Null in non-TSan
-     * builds; without these annotations TSan misreads every ucontext
-     * stack switch as one thread racing itself.
+     * builds; without these annotations TSan misreads every stack
+     * switch as one thread racing itself.
      */
     void *tsanFiber = nullptr;
     void *tsanReturnFiber = nullptr;
-    bool started = false;
+    /**
+     * The resumer's stack, as AddressSanitizer reports it when this
+     * fiber is entered (ASan fiber API); unused in non-ASan builds.
+     */
+    const void *asanReturnBottom = nullptr;
+    std::size_t asanReturnSize = 0;
     bool finished_ = false;
     bool running_ = false;
 };

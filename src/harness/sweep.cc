@@ -55,6 +55,34 @@ defaultJobs()
     return hw ? static_cast<int>(hw) : 1;
 }
 
+namespace
+{
+
+void
+printUsage(const char *prog)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--quick|--medium|--size=CLASS] "
+                 "[--full] [--procs=N] [--apps=a,b,...] "
+                 "[--jobs=N] [--sim-threads=N] [--trace=FILE]\n"
+                 "  --size=CLASS  problem size: tiny, small, "
+                 "medium or paper (the paper's published "
+                 "sizes); --quick and --medium are shorthands\n"
+                 "  --apps=LIST   comma-separated registry names, "
+                 "e.g. fft,lu (default: the whole suite)\n"
+                 "  --jobs=N      worker threads for the sweep "
+                 "(default: SWSM_JOBS or hardware concurrency)\n"
+                 "  --sim-threads=N  worker threads inside each "
+                 "simulation (parallel event kernel; results "
+                 "are bit-identical to serial; default: "
+                 "SWSM_SIM_THREADS or 1)\n"
+                 "  --trace=FILE  write a Chrome trace_event "
+                 "JSON of every experiment (chrome://tracing)\n",
+                 prog);
+}
+
+} // namespace
+
 bool
 SweepOptions::parse(int argc, char **argv)
 {
@@ -109,31 +137,27 @@ SweepOptions::parse(int argc, char **argv)
             }
         } else if (arg.rfind("--apps=", 0) == 0) {
             apps.clear();
-            std::string list = arg.substr(7);
+            const std::string list = arg.substr(7);
             std::size_t pos = 0;
             while (pos != std::string::npos) {
                 const std::size_t comma = list.find(',', pos);
-                apps.push_back(list.substr(
-                    pos, comma == std::string::npos ? comma : comma - pos));
+                std::string name = list.substr(
+                    pos, comma == std::string::npos ? comma : comma - pos);
+                if (!lookupApp(name)) {
+                    std::string known;
+                    for (const AppInfo &app : appRegistry())
+                        known += (known.empty() ? "" : ",") + app.name;
+                    std::fprintf(stderr,
+                                 "--apps: unknown app \"%s\"; known: %s\n",
+                                 name.c_str(), known.c_str());
+                    printUsage(argv[0]);
+                    return false;
+                }
+                apps.push_back(std::move(name));
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick|--medium|--size=CLASS] "
-                         "[--full] [--procs=N] [--apps=a,b,...] "
-                         "[--jobs=N] [--sim-threads=N] [--trace=FILE]\n"
-                         "  --size=CLASS  problem size: tiny, small, "
-                         "medium or paper (the paper's published "
-                         "sizes); --quick and --medium are shorthands\n"
-                         "  --jobs=N      worker threads for the sweep "
-                         "(default: SWSM_JOBS or hardware concurrency)\n"
-                         "  --sim-threads=N  worker threads inside each "
-                         "simulation (parallel event kernel; results "
-                         "are bit-identical to serial; default: "
-                         "SWSM_SIM_THREADS or 1)\n"
-                         "  --trace=FILE  write a Chrome trace_event "
-                         "JSON of every experiment (chrome://tracing)\n",
-                         argv[0]);
+            printUsage(argv[0]);
             return false;
         }
     }

@@ -31,17 +31,6 @@ namespace swsm
 namespace
 {
 
-/** Non-fatal registry lookup (bad requests must not kill the server). */
-const AppInfo *
-findAppSoft(const std::string &name)
-{
-    for (const AppInfo &app : appRegistry()) {
-        if (app.name == name)
-            return &app;
-    }
-    return nullptr;
-}
-
 bool
 sendEvent(int fd, const std::function<void(JsonWriter &)> &fill)
 {
@@ -120,7 +109,7 @@ buildSweep(const wire::Request &req, const ServerOptions &server,
         pos = comma + 1;
         if (name.empty())
             continue;
-        if (!findAppSoft(name)) {
+        if (!lookupApp(name)) {
             err = "unknown app \"" + name + "\"";
             return false;
         }
@@ -136,7 +125,7 @@ buildSweep(const wire::Request &req, const ServerOptions &server,
 bool
 buildRunItem(const wire::Request &req, GridItem &out, std::string &err)
 {
-    const AppInfo *app = findAppSoft(req.get("app"));
+    const AppInfo *app = lookupApp(req.get("app"));
     if (!app) {
         err = "unknown app \"" + req.get("app") + "\"";
         return false;

@@ -16,17 +16,6 @@ namespace swsm
 namespace
 {
 
-/** Registry lookup that reports instead of killing the worker. */
-const AppInfo *
-findAppSoft(const std::string &name)
-{
-    for (const AppInfo &app : appRegistry()) {
-        if (app.name == name)
-            return &app;
-    }
-    return nullptr;
-}
-
 std::vector<std::string>
 splitKey(const std::string &key)
 {
@@ -66,7 +55,7 @@ parseJobKey(const std::string &key, JobSpec &out, std::string &err)
             err = "malformed baseline job key: " + key;
             return false;
         }
-        const AppInfo *app = findAppSoft(parts[2]);
+        const AppInfo *app = lookupApp(parts[2]);
         if (!app) {
             err = "unknown app in job key: " + key;
             return false;
@@ -83,7 +72,7 @@ parseJobKey(const std::string &key, JobSpec &out, std::string &err)
         err = "bad procs in job key: " + key;
         return false;
     }
-    const AppInfo *app = findAppSoft(parts[2]);
+    const AppInfo *app = lookupApp(parts[2]);
     if (!app) {
         err = "unknown app in job key: " + key;
         return false;

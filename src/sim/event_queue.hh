@@ -12,10 +12,11 @@
  * The kernel schedules millions of events per run, so the callback type
  * is a small-buffer EventFn rather than std::function: every callback the
  * simulator itself creates fits in the inline storage and scheduling one
- * costs no heap allocation. The underlying binary heap is an explicit
- * std::vector (reserved up front) instead of std::priority_queue, so
- * entries can be moved out without const_cast and the backing storage
- * can be pre-sized.
+ * costs no heap allocation. The pending set is an EventHeap: a binary
+ * heap of 24-byte (when, stamp, slab index, exec slot) keys over a slab
+ * that holds the callbacks, so a sift moves plain keys and each callback
+ * is relocated only on its way into the slab and once more on its way
+ * out.
  *
  * Slots and execution contexts: every event belongs to a slot (in the
  * machine layer, the node whose state it touches). schedule() inherits
@@ -36,6 +37,7 @@
 #ifndef SWSM_SIM_EVENT_QUEUE_HH
 #define SWSM_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -169,6 +171,115 @@ class EventFn
 };
 
 /**
+ * Pending events in (when, stamp) order: the serial queue's event set
+ * and each PdesEngine partition's.
+ *
+ * The binary heap holds 24-byte keys; each key names the slab slot that
+ * holds its callback, so sifts never touch an EventFn. Vacated slots go
+ * on a LIFO free list, and the next push refills the most recently
+ * vacated, cache-warm slot. Stamps are unique, so (when, stamp) is a
+ * strict total order and the heap's internal layout never shows in the
+ * execution order.
+ */
+class EventHeap
+{
+  public:
+    /** A pending event outside the heap: popped, or in a PDES mailbox. */
+    struct Event
+    {
+        Cycles when;
+        /** (scheduling slot << 48) | per-slot sequence; unique. */
+        std::uint64_t stamp;
+        /** Slot whose context the event executes in. */
+        std::uint32_t execSlot;
+        EventFn fn;
+    };
+
+    bool empty() const { return keys_.empty(); }
+    std::size_t size() const { return keys_.size(); }
+
+    /** Time of the earliest event. @pre !empty() */
+    Cycles topWhen() const { return keys_.front().when; }
+
+    /** Pre-size keys, slab and free list for @p events pending events. */
+    void
+    reserve(std::size_t events)
+    {
+        keys_.reserve(events);
+        slab_.reserve(events);
+        free_.reserve(events);
+    }
+
+    void
+    push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
+         EventFn &&fn)
+    {
+        std::uint32_t index;
+        if (free_.empty()) {
+            index = static_cast<std::uint32_t>(slab_.size());
+            slab_.push_back(std::move(fn));
+        } else {
+            index = free_.back();
+            free_.pop_back();
+            slab_[index] = std::move(fn);
+        }
+        keys_.push_back(Key{when, stamp, index, exec_slot});
+        std::push_heap(keys_.begin(), keys_.end(), Later{});
+    }
+
+    void
+    push(Event &&e)
+    {
+        push(e.when, e.stamp, e.execSlot, std::move(e.fn));
+    }
+
+    /**
+     * Remove the earliest event. Its callback leaves the slab here,
+     * before the caller runs it: the callback may schedule events, and
+     * a push that grows the slab would relocate a callable mid-call.
+     * @pre !empty()
+     */
+    Event
+    pop()
+    {
+        std::pop_heap(keys_.begin(), keys_.end(), Later{});
+        const Key k = keys_.back();
+        keys_.pop_back();
+        free_.push_back(k.index);
+        return Event{k.when, k.stamp, k.execSlot,
+                     std::move(slab_[k.index])};
+    }
+
+  private:
+    struct Key
+    {
+        Cycles when;
+        std::uint64_t stamp;
+        /** Slab slot of the callback. */
+        std::uint32_t index;
+        /** Fills the padding after index; read only at pop. */
+        std::uint32_t execSlot;
+    };
+    static_assert(sizeof(Key) == 24);
+
+    struct Later
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.stamp > b.stamp;
+        }
+    };
+
+    std::vector<Key> keys_;
+    std::vector<EventFn> slab_;
+    /** Vacant slab slots, most recently vacated last. */
+    std::vector<std::uint32_t> free_;
+};
+
+/**
  * Priority queue of timed callbacks with deterministic tie-breaking.
  *
  * The queue owns the notion of "now": the timestamp of the event currently
@@ -202,13 +313,13 @@ class EventQueue
     }
 
     /** Number of pending events (serial mode). */
-    std::size_t pending() const { return heap.size(); }
+    std::size_t pending() const { return heap_.size(); }
 
     /** True when no events remain (serial mode). */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return heap_.empty(); }
 
     /** Pre-size the backing storage for @p events pending events. */
-    void reserve(std::size_t events) { heap.reserve(events); }
+    void reserve(std::size_t events) { heap_.reserve(events); }
 
     /**
      * Declare the number of execution slots (e.g. cluster nodes). Must
@@ -277,27 +388,6 @@ class EventQueue
   private:
     friend class PdesEngine;
 
-    struct Entry
-    {
-        Cycles when;
-        /** (scheduling slot << 48) | per-slot sequence; unique. */
-        std::uint64_t stamp;
-        /** Slot whose context the event executes in. */
-        std::uint32_t execSlot;
-        EventFn fn;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.stamp > b.stamp;
-        }
-    };
-
     /**
      * Per-slot stamp counter, cache-line padded: in parallel mode each
      * slot's counter is touched only by the worker owning that slot's
@@ -328,7 +418,7 @@ class EventQueue
     Cycles parallelNow() const;
     std::uint32_t parallelSlot() const;
 
-    std::vector<Entry> heap;
+    EventHeap heap_;
     Cycles now_ = 0;
     std::uint32_t curSlot_ = 0;
     std::vector<SlotSeq> slotSeq_;

@@ -111,19 +111,17 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
 PdesEngine::~PdesEngine() = default;
 
 void
-PdesEngine::pushLocal(Partition &part, Entry entry)
+PdesEngine::pushLocal(Partition &part, Event &&ev)
 {
-    part.heap.push_back(std::move(entry));
-    std::push_heap(part.heap.begin(), part.heap.end(),
-                   EventQueue::Later{});
+    part.heap.push(std::move(ev));
     if (part.heap.size() > part.maxPending)
         part.maxPending = part.heap.size();
 }
 
 void
-PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
+PdesEngine::drainBox(Partition &part, std::vector<Event> &box)
 {
-    for (const Entry &e : box) {
+    for (const Event &e : box) {
         // Always-on causality check (not just SWSM_CHECK): with the
         // sound window bound this is dead code by construction, and
         // it is the check that catches any unsound widening executing
@@ -136,29 +134,9 @@ PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
                 static_cast<unsigned long long>(part.now));
         }
     }
-    // Append the batch, then repair the heap in one pass: for small
-    // batches an incremental push_heap preserves the O(k log n) bound;
-    // once the batch is a sizable fraction of the heap a single
-    // make_heap is cheaper (O(n)). Heap layout does not affect
-    // determinism — events execute in (when, stamp) order, a strict
-    // total order.
-    auto &heap = part.heap;
-    const std::size_t start = heap.size();
-    for (Entry &e : box)
-        heap.push_back(std::move(e));
+    for (Event &e : box)
+        pushLocal(part, std::move(e));
     box.clear();
-    const std::size_t added = heap.size() - start;
-    if (added == 0)
-        return;
-    if (added > start / 4) {
-        std::make_heap(heap.begin(), heap.end(), EventQueue::Later{});
-    } else {
-        for (std::size_t i = start + 1; i <= heap.size(); ++i)
-            std::push_heap(heap.begin(), heap.begin() + i,
-                           EventQueue::Later{});
-    }
-    if (heap.size() > part.maxPending)
-        part.maxPending = heap.size();
 }
 
 void
@@ -174,7 +152,7 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     if (dst == tlsPartition) {
         if (when < part.now)
             eq_.pastPanic(when, part.now);
-        pushLocal(part, Entry{when, stamp, exec_slot, std::move(fn)});
+        pushLocal(part, Event{when, stamp, exec_slot, std::move(fn)});
         return;
     }
     // The conservative contract: anything crossing partitions must land
@@ -190,7 +168,7 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     }
     ++part.mailed;
     boxes_[static_cast<std::size_t>(tlsPartition) * numPartitions_ + dst]
-        .push_back(Entry{when, stamp, exec_slot, std::move(fn)});
+        .push_back(Event{when, stamp, exec_slot, std::move(fn)});
 }
 
 void
@@ -244,15 +222,13 @@ PdesEngine::windowBound(int p, const Cycles *earliest) const
 void
 PdesEngine::executeWindow(Partition &part, Cycles window_end)
 {
-    auto &heap = part.heap;
-    while (!heap.empty() && heap.front().when < window_end) {
-        std::pop_heap(heap.begin(), heap.end(), EventQueue::Later{});
-        Entry entry = std::move(heap.back());
-        heap.pop_back();
-        part.now = entry.when;
-        part.slot = entry.execSlot;
+    EventHeap &heap = part.heap;
+    while (!heap.empty() && heap.topWhen() < window_end) {
+        Event ev = heap.pop();
+        part.now = ev.when;
+        part.slot = ev.execSlot;
         ++part.executed;
-        entry.fn();
+        ev.fn();
     }
 }
 
@@ -289,7 +265,7 @@ PdesEngine::workerLoop(int p)
         }
 
         const Cycles pub =
-            part.heap.empty() ? noEvent : part.heap.front().when;
+            part.heap.empty() ? noEvent : part.heap.topWhen();
         part.published.store(pub, std::memory_order_relaxed);
         barrier_.wait();
 
@@ -339,12 +315,11 @@ PdesEngine::run()
 {
     // Seed the partitions from the queue's pending events (setup-phase
     // events scheduled serially before the run).
-    for (Entry &e : eq_.heap)
-        parts_[partitionOf_[e.execSlot]].heap.push_back(std::move(e));
-    eq_.heap.clear();
+    while (!eq_.heap_.empty()) {
+        Event e = eq_.heap_.pop();
+        parts_[partitionOf_[e.execSlot]].heap.push(std::move(e));
+    }
     for (Partition &part : parts_) {
-        std::make_heap(part.heap.begin(), part.heap.end(),
-                       EventQueue::Later{});
         part.now = eq_.now_;
         part.maxPending = part.heap.size();
     }
@@ -361,7 +336,6 @@ PdesEngine::run()
 
     // Merge the partition counters back into the queue.
     std::uint64_t executed = 0;
-    bool leftovers = false;
     stats_.partitions = static_cast<std::uint64_t>(numPartitions_);
     stats_.windows = parts_[0].windows;
     stats_.partitionEvents.clear();
@@ -377,15 +351,9 @@ PdesEngine::run()
         stats_.maxPartitionEvents =
             std::max(stats_.maxPartitionEvents, part.executed);
         stats_.partitionEvents.push_back(part.executed);
-        for (Entry &e : part.heap) {
-            eq_.heap.push_back(std::move(e));
-            leftovers = true;
-        }
-        part.heap.clear();
+        while (!part.heap.empty())
+            eq_.heap_.push(part.heap.pop());
     }
-    if (leftovers)
-        std::make_heap(eq_.heap.begin(), eq_.heap.end(),
-                       EventQueue::Later{});
 
     for (const Partition &part : parts_) {
         if (part.error)

@@ -156,7 +156,7 @@ class PdesEngine
   private:
     friend class EventQueue;
 
-    using Entry = EventQueue::Entry;
+    using Event = EventHeap::Event;
 
     /** Sense-reversing spin barrier for the window rounds. */
     class Barrier
@@ -173,7 +173,7 @@ class PdesEngine
 
     struct alignas(64) Partition
     {
-        std::vector<Entry> heap;
+        EventHeap heap;
         Cycles now = 0;
         std::uint32_t slot = 0;
         std::uint64_t executed = 0;
@@ -213,9 +213,9 @@ class PdesEngine
     /** Window bound for partition @p p given the fixpoint values. */
     Cycles windowBound(int p, const Cycles *earliest) const;
     void executeWindow(Partition &part, Cycles window_end);
-    void pushLocal(Partition &part, Entry entry);
-    /** Move a whole mailbox into the heap with one batched repair. */
-    void drainBox(Partition &part, std::vector<Entry> &box);
+    void pushLocal(Partition &part, Event &&ev);
+    /** Move a whole mailbox into the partition's heap. */
+    void drainBox(Partition &part, std::vector<Event> &box);
 
     EventQueue &eq_;
     const std::vector<int> partitionOf_;
@@ -225,7 +225,7 @@ class PdesEngine
     Cycles minLookahead_ = noEvent;
     std::vector<Partition> parts_;
     /** Mailboxes, indexed [src * P + dst]; single producer per window. */
-    std::vector<std::vector<Entry>> boxes_;
+    std::vector<std::vector<Event>> boxes_;
     Barrier barrier_;
     std::atomic<bool> abort_{false};
     PdesRunStats stats_;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fiber/fiber.hh"
@@ -133,6 +136,75 @@ TEST(Fiber, InterleavedPairCooperates)
         b.resume();
     }
     EXPECT_EQ(order, (std::vector<int>{10, 20, 11, 21, 12, 22}));
+}
+
+/** 1/3 in double precision under the running rounding mode. */
+double
+oneThird()
+{
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+}
+
+TEST(Fiber, RoundingModeIsPerContext)
+{
+    // The floating-point control state is callee-saved and every switch
+    // is a call, so each side of a switch keeps its own rounding mode.
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    const double nearest = oneThird();
+    int mode_after_yield = -1;
+    double third_after_yield = 0;
+    Fiber f([&] {
+        std::fesetround(FE_UPWARD);
+        Fiber::yield();
+        mode_after_yield = std::fegetround();
+        third_after_yield = oneThird();
+        std::fesetround(FE_TONEAREST);
+    });
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(oneThird(), nearest);
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(mode_after_yield, FE_UPWARD);
+    EXPECT_GT(third_after_yield, nearest);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(Fiber, ManyFibersKeepTheirStacksAcrossYields)
+{
+    // 64 fibers interleave 1000 yields each; after every yield each
+    // checks a 32-byte aligned local written before it.
+    constexpr int fibers = 64;
+    constexpr int yields = 1000;
+    int bad = 0;
+    std::vector<std::unique_ptr<Fiber>> fs;
+    for (int id = 0; id < fibers; ++id) {
+        fs.push_back(std::make_unique<Fiber>(
+            [&bad, id] {
+                alignas(32) volatile std::uint64_t local[4];
+                for (int i = 0; i < yields; ++i) {
+                    const std::uint64_t v =
+                        static_cast<std::uint64_t>(id) << 32 | i;
+                    for (int k = 0; k < 4; ++k)
+                        local[k] = v + k;
+                    Fiber::yield();
+                    if (reinterpret_cast<std::uintptr_t>(local) % 32 != 0)
+                        ++bad;
+                    for (int k = 0; k < 4; ++k)
+                        bad += local[k] != v + k;
+                }
+            },
+            64 * 1024));
+    }
+    for (int i = 0; i <= yields; ++i) {
+        for (auto &f : fs)
+            f->resume();
+    }
+    for (const auto &f : fs)
+        EXPECT_TRUE(f->finished());
+    EXPECT_EQ(bad, 0);
 }
 
 } // namespace

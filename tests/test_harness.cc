@@ -100,11 +100,14 @@ TEST(SweepOptions, ParseRecognizesFlags)
 
 TEST(SweepOptions, ParseRejectsUnknown)
 {
-    SweepOptions opts;
-    char prog[] = "prog";
-    char bogus[] = "--bogus";
-    char *argv[] = {prog, bogus};
-    EXPECT_FALSE(opts.parse(2, argv));
+    for (const char *bad : {"--bogus", "--apps=fftt", "--apps=fft,",
+                            "--apps=", "--apps=fft,,lu"}) {
+        SweepOptions opts;
+        char prog[] = "prog";
+        std::string arg = bad;
+        char *argv[] = {prog, arg.data()};
+        EXPECT_FALSE(opts.parse(2, argv)) << bad;
+    }
 }
 
 TEST(SweepRunner, CachesResultsAndBaselines)

@@ -191,6 +191,38 @@ TEST(EventQueue, ReserveDoesNotDisturbOrdering)
     EXPECT_EQ(order, expect);
 }
 
+TEST(EventQueue, CallbackSurvivesTheSlabGrowthItCauses)
+{
+    // One callback schedules more events than the queue reserves up
+    // front, so the callback slab reallocates while it runs. It must
+    // have left the slab before running: its by-value captures stay
+    // intact, and the events it scheduled still run in (when, seq)
+    // order.
+    constexpr int n = 10000;
+    auto when = [](int i) {
+        return static_cast<Cycles>(2 + (i * 7919) % 97);
+    };
+    EventQueue eq;
+    std::vector<int> order;
+    const std::vector<std::uint64_t> canary = {0xfeedu, 0xbeefu, 0xcafeu};
+    bool intact = false;
+    eq.schedule(1, [&eq, &order, &intact, &when, canary] {
+        for (int i = 0; i < n; ++i)
+            eq.schedule(when(i), [&order, i] { order.push_back(i); });
+        intact = canary == std::vector<std::uint64_t>{0xfeedu, 0xbeefu,
+                                                      0xcafeu};
+    });
+    eq.run();
+    EXPECT_TRUE(intact);
+    EXPECT_GE(eq.maxPending(), static_cast<std::uint64_t>(n));
+    std::vector<int> expect(n);
+    for (int i = 0; i < n; ++i)
+        expect[i] = i;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [&](int a, int b) { return when(a) < when(b); });
+    EXPECT_EQ(order, expect);
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     Rng a(7), b(7);
