@@ -2,21 +2,20 @@
  * @file
  * swsm_query: client CLI for the sweep server (serve/server.hh).
  *
- *   swsm_query [--sock=PATH] [--out=FILE] [--timeout=MS] [--retries=N]
+ *   swsm_query [--sock=PATH] [--out=FILE] [--timeout=MS]
  *              <verb> [key=value]...
  *
  * Verbs mirror the wire protocol: ping, stats, shutdown,
  * run app=fft proto=hlrc comm=A cost=O size=small procs=16,
- * grid bench=fig3 size=tiny procs=8 [full=1] [apps=a,b],
- * shard peers=host:port,... (fan a grid out over TCP peers).
+ * grid bench=fig3 size=tiny procs=8 [full=1] [apps=a,b].
  *
  * --timeout bounds every socket read/write so a wedged server yields a
- * diagnostic instead of a hang; --retries re-attempts the initial
- * connect with exponential backoff (a server still starting up).
+ * diagnostic instead of a hang. A connect to an absent server fails at
+ * once; scripts that start a server wait for its socket file first.
  *
- * Event lines stream to stderr as they arrive; the BENCH report (run,
- * grid and shard verbs) goes to stdout or --out=FILE. Exits non-zero
- * on transport or server errors.
+ * Event lines stream to stderr as they arrive; the BENCH report (run
+ * and grid verbs) goes to stdout or --out=FILE. Exits non-zero on
+ * transport or server errors.
  */
 
 #include <cstdio>
@@ -50,13 +49,6 @@ main(int argc, char **argv)
                 return 1;
             }
             copts.timeoutMs = parsed;
-        } else if (arg.rfind("--retries=", 0) == 0) {
-            if (!parseBoundedInt(arg.substr(10), 0, 1000, parsed)) {
-                std::fprintf(stderr,
-                             "swsm_query: bad --retries (0..1000)\n");
-                return 1;
-            }
-            copts.retries = parsed;
         } else if (req.verb.empty() &&
                    arg.find('=') == std::string::npos) {
             req.verb = arg;
@@ -74,8 +66,7 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: swsm_query [--sock=PATH] [--out=FILE] "
-                "[--timeout=MS] [--retries=N] "
-                "<ping|stats|run|grid|shard|shutdown> "
+                "[--timeout=MS] <ping|stats|run|grid|shutdown> "
                 "[key=value]...\n");
             return arg == "--help" ? 0 : 1;
         }

@@ -67,7 +67,7 @@ BenchReport::BenchReport(std::string name, const SweepOptions *opts)
     if (opts) {
         haveOpts = true;
         jobs = opts->jobs;
-        simThreads = opts->effectiveSimThreads();
+        simThreads = opts->simThreads;
         numProcs = opts->numProcs;
         sizeName = sizeClassName(opts->size);
         tracePath = opts->tracePath;

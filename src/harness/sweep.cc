@@ -44,6 +44,33 @@ parseSizeClass(std::string_view name, SizeClass &out)
     return true;
 }
 
+bool
+parseAppList(std::string_view list, std::vector<std::string> &out,
+             std::string &err)
+{
+    std::vector<std::string> apps;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', pos);
+        std::string name(list.substr(
+            pos, comma == std::string_view::npos ? comma : comma - pos));
+        if (name.empty()) {
+            err = "empty app name in \"" + std::string(list) + "\"";
+            return false;
+        }
+        if (!lookupApp(name)) {
+            err = "unknown app \"" + name + "\"";
+            return false;
+        }
+        apps.push_back(std::move(name));
+        if (comma == std::string_view::npos)
+            break;
+        pos = comma + 1;
+    }
+    out = std::move(apps);
+    return true;
+}
+
 int
 defaultJobs()
 {
@@ -136,25 +163,16 @@ SweepOptions::parse(int argc, char **argv)
                 return false;
             }
         } else if (arg.rfind("--apps=", 0) == 0) {
-            apps.clear();
-            const std::string list = arg.substr(7);
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = list.find(',', pos);
-                std::string name = list.substr(
-                    pos, comma == std::string::npos ? comma : comma - pos);
-                if (!lookupApp(name)) {
-                    std::string known;
-                    for (const AppInfo &app : appRegistry())
-                        known += (known.empty() ? "" : ",") + app.name;
-                    std::fprintf(stderr,
-                                 "--apps: unknown app \"%s\"; known: %s\n",
-                                 name.c_str(), known.c_str());
-                    printUsage(argv[0]);
-                    return false;
-                }
-                apps.push_back(std::move(name));
-                pos = comma == std::string::npos ? comma : comma + 1;
+            std::string err;
+            if (!parseAppList(std::string_view(arg).substr(7), apps,
+                              err)) {
+                std::string known;
+                for (const AppInfo &app : appRegistry())
+                    known += (known.empty() ? "" : ",") + app.name;
+                std::fprintf(stderr, "--apps: %s; known: %s\n",
+                             err.c_str(), known.c_str());
+                printUsage(argv[0]);
+                return false;
             }
         } else {
             printUsage(argv[0]);
@@ -253,7 +271,7 @@ SweepRunner::run(const AppInfo &app, ProtocolKind kind, char comm_set,
     cfg.numProcs = opts.numProcs;
     cfg.blockBytes = app.scBlockBytes;
     cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.effectiveSimThreads();
+    cfg.simThreads = opts.simThreads;
     return runWithKey(resultKey(app, kind, comm_set, proto_set), app, cfg);
 }
 
@@ -264,7 +282,7 @@ SweepRunner::runIdeal(const AppInfo &app)
     cfg.protocol = ProtocolKind::Ideal;
     cfg.numProcs = opts.numProcs;
     cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.effectiveSimThreads();
+    cfg.simThreads = opts.simThreads;
     return runWithKey(idealKey(app), app, cfg);
 }
 

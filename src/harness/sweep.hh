@@ -47,6 +47,16 @@ const char *sizeClassName(SizeClass size);
 /** Parse a size-class name; false (out untouched) on unknown names. */
 bool parseSizeClass(std::string_view name, SizeClass &out);
 
+/**
+ * Parse a comma-separated list of registry app names ("fft,lu"), the
+ * one grammar shared by --apps and the sweep server's apps= parameter.
+ * @return false, with a diagnostic in @p err and @p out untouched, when
+ *         an element is empty ("fft,", ",fft", "") or names no
+ *         registered app
+ */
+bool parseAppList(std::string_view list, std::vector<std::string> &out,
+                  std::string &err);
+
 /** Options shared by the bench binaries. */
 struct SweepOptions
 {
@@ -78,13 +88,6 @@ struct SweepOptions
 
     /** Apps to run: the selection or the whole registry. */
     std::vector<AppInfo> selectedApps() const;
-
-    /**
-     * The per-simulation thread count experiments actually use: the
-     * requested simThreads as given. No core count or job count
-     * changes it, so runs stay serial unless someone asks.
-     */
-    int effectiveSimThreads() const { return simThreads; }
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "client.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 
@@ -13,22 +12,6 @@ namespace swsm
 
 namespace
 {
-
-/** Connect with bounded exponential-backoff retry; -1 when exhausted. */
-int
-connectWithRetry(const std::string &sock_path, const ClientOptions &opts)
-{
-    int backoff = std::max(1, opts.backoffMs);
-    for (int attempt = 0;; ++attempt) {
-        const int fd = wire::connectUnix(sock_path);
-        if (fd >= 0)
-            return fd;
-        if (attempt >= opts.retries)
-            return -1;
-        ::usleep(static_cast<useconds_t>(backoff) * 1000);
-        backoff = std::min(backoff * 2, 5000);
-    }
-}
 
 void
 applyTimeout(int fd, int timeout_ms)
@@ -79,12 +62,20 @@ eventField(const std::string &line, const std::string &name,
     const std::size_t pos = line.find(needle);
     if (pos == std::string::npos)
         return false;
-    const std::size_t start = pos + needle.size();
-    const std::size_t end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(start, end - start);
-    return true;
+    // Undo the writer's backslash escapes so a message that quotes the
+    // offending value ("unknown app \"fftt\"") survives intact.
+    std::string value;
+    for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
+        char c = line[i];
+        if (c == '"') {
+            out = std::move(value);
+            return true;
+        }
+        if (c == '\\' && i + 1 < line.size())
+            c = line[++i];
+        value += c;
+    }
+    return false;
 }
 
 ServeResponse
@@ -93,12 +84,9 @@ serveRequest(const std::string &sock_path, const wire::Request &req,
              const ClientOptions &opts)
 {
     ServeResponse resp;
-    const int fd = connectWithRetry(sock_path, opts);
+    const int fd = wire::connectUnix(sock_path);
     if (fd < 0) {
         resp.error = "cannot connect to " + sock_path;
-        if (opts.retries > 0)
-            resp.error +=
-                " (" + std::to_string(opts.retries + 1) + " attempts)";
         return resp;
     }
     applyTimeout(fd, opts.timeoutMs);

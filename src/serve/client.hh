@@ -36,10 +36,9 @@ struct ServeResponse
 };
 
 /**
- * Transport knobs. The defaults keep the historical behaviour (one
- * connect attempt, block forever); swsm_query exposes them as
- * --timeout and --retries so a wedged or absent server produces a
- * diagnostic instead of a hang.
+ * Transport knobs. The default blocks forever; swsm_query exposes the
+ * deadline as --timeout so a wedged server produces a diagnostic
+ * instead of a hang. A connect to an absent server always fails fast.
  */
 struct ClientOptions
 {
@@ -50,10 +49,6 @@ struct ClientOptions
      * seconds keeps resetting it.
      */
     int timeoutMs = 0;
-    /** Extra connect attempts after the first fails; 0 = fail fast. */
-    int retries = 0;
-    /** First retry delay; doubles per attempt (capped at 5 s). */
-    int backoffMs = 50;
 };
 
 /**
@@ -70,7 +65,10 @@ ServeResponse serveRequest(
 bool eventField(const std::string &line, const std::string &name,
                 std::uint64_t &out);
 
-/** Extract a string JSON field ("name":"value") from an event line. */
+/**
+ * Extract a string JSON field ("name":"value") from an event line;
+ * escaped quotes and backslashes inside the value are unescaped.
+ */
 bool eventField(const std::string &line, const std::string &name,
                 std::string &out);
 

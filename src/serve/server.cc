@@ -3,26 +3,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
 #include <functional>
 #include <set>
+#include <thread>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/prctl.h>
-#endif
 
 #include "harness/bench_report.hh"
 #include "harness/task_pool.hh"
 #include "obs/json_writer.hh"
 #include "serve/result_codec.hh"
-#include "serve/shard.hh"
-#include "serve/worker.hh"
 #include "sim/log.hh"
 
 namespace swsm
@@ -98,23 +89,17 @@ buildSweep(const wire::Request &req, const ServerOptions &server,
         err = "bad procs";
         return false;
     }
-    sweep.full = req.get("full", "0") == "1";
-    const std::string apps = req.get("apps");
-    std::size_t pos = 0;
-    while (pos < apps.size()) {
-        std::size_t comma = apps.find(',', pos);
-        if (comma == std::string::npos)
-            comma = apps.size();
-        const std::string name = apps.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (name.empty())
-            continue;
-        if (!lookupApp(name)) {
-            err = "unknown app \"" + name + "\"";
-            return false;
-        }
-        sweep.apps.push_back(name);
+    const std::string full = req.get("full", "0");
+    if (full != "0" && full != "1") {
+        err = "bad full (want 0 or 1)";
+        return false;
     }
+    sweep.full = full == "1";
+    // No apps parameter means the whole registry; an explicit list
+    // must name registered apps only, as --apps must.
+    if (req.params.count("apps") &&
+        !parseAppList(req.get("apps"), sweep.apps, err))
+        return false;
     sweep.jobs = server.jobs;
     sweep.simThreads = server.simThreads;
     out = std::move(sweep);
@@ -172,13 +157,6 @@ struct FdCloser
             ::close(fd);
     }
 };
-
-/** Job-queue segment name: rides beside the memo segment. */
-std::string
-queueNameFor(const std::string &segment)
-{
-    return segment + ".jobq";
-}
 
 /**
  * Dedupe a grid by canonical cache key, keeping first-occurrence order
@@ -273,66 +251,13 @@ Server::Server(const ServerOptions &opts)
         std::lock_guard<std::mutex> lock(latencyMu_);
         return latencyUs_;
     });
-
-    if (opts_.tcpPort > 0) {
-        tcpListenFd_ = wire::listenTcp(opts_.tcpPort);
-        if (tcpListenFd_ < 0)
-            SWSM_FATAL("sweep server: cannot listen on tcp port %d",
-                       opts_.tcpPort);
-    }
-
-    if (opts_.workers > 0) {
-        // The queue is transient coordination state (unlike the memo
-        // cache): always start fresh so stale jobs or failure records
-        // from a crashed server cannot leak into new requests.
-        ShmQueue::remove(queueNameFor(opts_.segment));
-        ShmQueue::Options qo;
-        qo.name = queueNameFor(opts_.segment);
-        queue_ = std::make_unique<ShmQueue>(qo);
-        // Forking here, before run() spawns any threads, keeps the
-        // children single-threaded at birth; later respawns fork from
-        // the supervisor thread and immediately confine themselves to
-        // runWorkerLoop.
-        for (int i = 0; i < opts_.workers; ++i)
-            workerPids_.push_back(spawnWorkerProcess());
-        supervisor_ = std::thread(&Server::superviseWorkers, this);
-    }
 }
 
 Server::~Server()
 {
     stop();
-    if (supervisor_.joinable())
-        supervisor_.join();
-
-    std::vector<pid_t> pids;
-    {
-        std::lock_guard<std::mutex> lock(workerMu_);
-        pids.swap(workerPids_);
-    }
-    for (const pid_t pid : pids)
-        ::kill(pid, SIGTERM);
-    for (const pid_t pid : pids) {
-        bool reaped = false;
-        for (int i = 0; i < 200 && !reaped; ++i) {
-            if (::waitpid(pid, nullptr, WNOHANG) == pid)
-                reaped = true;
-            else
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-        }
-        if (!reaped) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
-        }
-    }
-    if (queue_)
-        ShmQueue::remove(queueNameFor(opts_.segment));
-
     if (listenFd_ >= 0)
         ::close(listenFd_);
-    if (tcpListenFd_ >= 0)
-        ::close(tcpListenFd_);
     ::unlink(opts_.sockPath.c_str());
 }
 
@@ -342,97 +267,6 @@ Server::stop()
     stopping_.store(true, std::memory_order_relaxed);
     if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
-    if (tcpListenFd_ >= 0)
-        ::shutdown(tcpListenFd_, SHUT_RDWR);
-}
-
-std::vector<pid_t>
-Server::workerPids() const
-{
-    std::lock_guard<std::mutex> lock(workerMu_);
-    return workerPids_;
-}
-
-pid_t
-Server::spawnWorkerProcess()
-{
-    const pid_t pid = ::fork();
-    if (pid < 0)
-        SWSM_FATAL("sweep server: cannot fork worker");
-    if (pid != 0)
-        return pid;
-
-    // Worker child: drop the listening sockets, die with the server,
-    // and never return into the parent's control flow.
-#ifdef __linux__
-    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
-#endif
-    if (listenFd_ >= 0)
-        ::close(listenFd_);
-    if (tcpListenFd_ >= 0)
-        ::close(tcpListenFd_);
-    WorkerOptions wo;
-    wo.segment = opts_.segment;
-    wo.cacheSlotCount = opts_.slotCount;
-    wo.arenaBytes = opts_.arenaBytes;
-    wo.queueName = queueNameFor(opts_.segment);
-    wo.simThreads = opts_.simThreads;
-    wo.heartbeatMs = opts_.workerHeartbeatMs;
-    try {
-        runWorkerLoop(wo);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "swsm worker: %s\n", e.what());
-        ::_exit(1);
-    }
-    ::_exit(0);
-}
-
-void
-Server::superviseWorkers()
-{
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        queue_->reclaimExpired(opts_.leaseTimeoutMs);
-
-        std::lock_guard<std::mutex> lock(workerMu_);
-        for (pid_t &pid : workerPids_) {
-            if (::waitpid(pid, nullptr, WNOHANG) != pid)
-                continue;
-            SWSM_WARN("sweep server: worker %d died, respawning",
-                      static_cast<int>(pid));
-            pid = spawnWorkerProcess();
-        }
-    }
-}
-
-std::string
-Server::computeViaQueue(const std::string &key)
-{
-    if (!queue_->push(key))
-        fatal("job queue full: cannot enqueue " + key);
-    // The submitter polls: the worker publishes the blob to the memo
-    // cache *before* retiring its lease, so "not in the queue and not
-    // in the cache" means the job was truly lost (bounded re-push).
-    int repushes = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::minutes(10);
-    for (;;) {
-        std::string blob;
-        if (cache_.get(key, blob))
-            return blob;
-        std::string err;
-        if (queue_->takeFailure(key, err))
-            fatal("worker failed on " + key + ": " + err);
-        if (!queue_->contains(key)) {
-            if (cache_.get(key, blob))
-                return blob;
-            if (++repushes > 3 || !queue_->push(key))
-                fatal("job repeatedly lost: " + key);
-        }
-        if (std::chrono::steady_clock::now() > deadline)
-            fatal("timed out waiting for a worker on " + key);
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
 }
 
 void
@@ -453,27 +287,15 @@ void
 Server::run()
 {
     std::vector<std::thread> connections;
-    std::mutex connMu;
-    const auto acceptLoop = [&](int listen_fd) {
-        while (!stopping_.load(std::memory_order_relaxed)) {
-            const int fd = ::accept(listen_fd, nullptr, nullptr);
-            if (fd < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            std::lock_guard<std::mutex> lock(connMu);
-            connections.emplace_back(&Server::handleConnection, this,
-                                     fd);
+    while (!stopping_.load(std::memory_order_relaxed)) {
+        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        if (fd < 0) {
+            if (errno == EINTR)
+                continue;
+            break;
         }
-    };
-
-    std::thread tcpAccept;
-    if (tcpListenFd_ >= 0)
-        tcpAccept = std::thread(acceptLoop, tcpListenFd_);
-    acceptLoop(listenFd_);
-    if (tcpAccept.joinable())
-        tcpAccept.join();
+        connections.emplace_back(&Server::handleConnection, this, fd);
+    }
     for (std::thread &t : connections)
         t.join();
 }
@@ -518,11 +340,6 @@ Server::obtain(const std::string &key, bool &cached,
         // and the inflight claim) may have stored it meanwhile.
         if (cache_.get(key, result)) {
             cached = true;
-        } else if (queue_) {
-            // Worker fan-out: dispatch instead of simulating here; the
-            // worker publishes into the cache itself.
-            simRuns_.fetch_add(1, std::memory_order_relaxed);
-            result = computeViaQueue(key);
         } else {
             simRuns_.fetch_add(1, std::memory_order_relaxed);
             result = compute();
@@ -553,7 +370,7 @@ Server::obtain(const std::string &key, bool &cached,
 
 Cycles
 Server::obtainBaseline(const AppInfo &app, const SweepOptions &sweep,
-                       bool &cached, std::string *blob_out)
+                       bool &cached)
 {
     const std::string blob =
         obtain(cacheKeyBaseline(sweep, app.name), cached, [&] {
@@ -563,14 +380,12 @@ Server::obtainBaseline(const AppInfo &app, const SweepOptions &sweep,
     Cycles seq = 0;
     if (!codec::decodeBaseline(blob, seq))
         fatal("shm cache: undecodable baseline blob for " + app.name);
-    if (blob_out)
-        *blob_out = blob;
     return seq;
 }
 
 ExperimentResult
 Server::obtainResult(const GridItem &item, const SweepOptions &sweep,
-                     Cycles seq, bool &cached, std::string *blob_out)
+                     Cycles seq, bool &cached)
 {
     const std::string blob =
         obtain(cacheKeyResult(sweep, item), cached, [&] {
@@ -578,7 +393,7 @@ Server::obtainResult(const GridItem &item, const SweepOptions &sweep,
             cfg.protocol = item.kind;
             cfg.numProcs = sweep.numProcs;
             cfg.trace = false;
-            cfg.simThreads = sweep.effectiveSimThreads();
+            cfg.simThreads = sweep.simThreads;
             if (!item.ideal) {
                 cfg.commSet = item.commSet;
                 cfg.protoSet =
@@ -593,8 +408,6 @@ Server::obtainResult(const GridItem &item, const SweepOptions &sweep,
     ExperimentResult r;
     if (!codec::decodeResult(blob, r))
         fatal("shm cache: undecodable result blob");
-    if (blob_out)
-        *blob_out = blob;
     return r;
 }
 
@@ -615,14 +428,11 @@ Server::executeGrid(const SweepOptions &sweep,
         bool done = false;
         bool cached = false;
         ExperimentResult result;
-        std::string blob;
         std::string error;
     };
     struct BaselineState
     {
         Cycles seq = 0;
-        bool cached = false;
-        std::string blob;
         std::string error;
     };
 
@@ -654,11 +464,8 @@ Server::executeGrid(const SweepOptions &sweep,
                                               &countLookup] {
             try {
                 bool cached = false;
-                const Cycles seq =
-                    obtainBaseline(app, sweep, cached, &bs.blob);
+                bs.seq = obtainBaseline(app, sweep, cached);
                 countLookup(cached);
-                bs.seq = seq;
-                bs.cached = cached;
             } catch (const std::exception &e) {
                 bs.error = e.what();
             }
@@ -674,14 +481,11 @@ Server::executeGrid(const SweepOptions &sweep,
                     if (!bs.error.empty())
                         fatal(bs.error);
                     bool cached = false;
-                    std::string blob;
-                    ExperimentResult r = obtainResult(item, sweep,
-                                                      bs.seq, cached,
-                                                      &blob);
+                    ExperimentResult r =
+                        obtainResult(item, sweep, bs.seq, cached);
                     countLookup(cached);
                     std::lock_guard<std::mutex> lock(mu);
                     st.result = std::move(r);
-                    st.blob = std::move(blob);
                     st.cached = cached;
                     st.done = true;
                 } catch (const std::exception &e) {
@@ -698,7 +502,6 @@ Server::executeGrid(const SweepOptions &sweep,
     // completed item is reported as soon as every earlier one is.
     std::thread runner([&] { pool.run(); });
     run.results.resize(items.size());
-    run.blobs.resize(items.size());
     run.cached.resize(items.size());
     bool keepReporting = true;
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -713,18 +516,16 @@ Server::executeGrid(const SweepOptions &sweep,
         }
         // The pool task is finished with this state; move it out.
         run.results[i] = std::move(st.result);
-        run.blobs[i] = std::move(st.blob);
         run.cached[i] = st.cached;
-        if (keepReporting && onResult)
+        if (keepReporting)
             keepReporting = onResult(i);
     }
     runner.join();
     if (!failure.empty())
         return false;
 
-    for (auto &[app, bs] : baselines)
-        run.baselines[app] = {bs.seq, std::move(bs.blob)};
-    run.items = std::move(items);
+    for (const auto &[app, bs] : baselines)
+        run.baselines[app] = bs.seq;
     run.hits = hits.load(std::memory_order_relaxed);
     run.misses = misses.load(std::memory_order_relaxed);
     return true;
@@ -790,13 +591,13 @@ Server::handleRunOrGrid(int fd, const wire::Request &req)
     // The top-level hostSeconds is the (deterministic) sum over the
     // entries' stored values, not wall-clock — see the class comment.
     BenchReport report(benchName, &sweep);
-    for (const auto &[app, bs] : run.baselines)
-        report.addBaseline(app, bs.first);
+    for (const auto &[app, seq] : run.baselines)
+        report.addBaseline(app, seq);
     // Entries carry the bare runner key so the document matches the
     // batch binaries' BENCH output (the size/procs context lives in
     // the report header, as it does there).
     std::map<std::string, const ExperimentResult *> byKey;
-    for (std::size_t i = 0; i < run.items.size(); ++i)
+    for (std::size_t i = 0; i < run.results.size(); ++i)
         byKey[run.reportKeys[i]] = &run.results[i];
     double hostSum = 0.0;
     for (const auto &[key, r] : byKey) {
@@ -819,186 +620,6 @@ Server::handleRunOrGrid(int fd, const wire::Request &req)
         w.member("misses", run.misses);
         w.member("simRunsTotal",
                  simRuns_.load(std::memory_order_relaxed));
-    });
-}
-
-bool
-Server::handleShardWork(int fd, const wire::Request &req)
-{
-    SweepOptions sweep;
-    std::string err;
-    if (!buildSweep(req, opts_, sweep, err))
-        return sendError(fd, err);
-    const std::string benchName = req.get("bench", "fig3");
-    if (benchName != "fig3")
-        return sendError(fd, "unknown bench \"" + benchName + "\"");
-    int shards = 0;
-    int index = 0;
-    if (!parseBoundedInt(req.get("shards", "1"), 1,
-                         static_cast<int>(shard::maxShards), shards))
-        return sendError(fd, "bad shards");
-    if (!parseBoundedInt(req.get("index", "0"), 0, shards - 1, index))
-        return sendError(fd, "bad shard index");
-
-    std::vector<GridItem> mine;
-    for (GridItem &item : figure3Grid(sweep)) {
-        const std::string rk = item.ideal
-            ? SweepRunner::idealKey(item.app)
-            : SweepRunner::resultKey(item.app, item.kind, item.commSet,
-                                     item.protoSet);
-        if (shard::selects(rk, static_cast<std::uint32_t>(shards),
-                           static_cast<std::uint32_t>(index)))
-            mine.push_back(std::move(item));
-    }
-
-    GridRun run;
-    std::string failure;
-    if (!mine.empty() &&
-        !executeGrid(sweep, std::move(mine), run, nullptr, failure))
-        return sendError(fd, failure);
-
-    const auto sendBlob = [&](const std::string &key,
-                              const std::string &blob) {
-        return sendEvent(fd,
-                         [&](JsonWriter &w) {
-                             w.member("event", "blob");
-                             w.member("key", key);
-                             w.member("bytes",
-                                      static_cast<std::uint64_t>(
-                                          blob.size()));
-                         }) &&
-            wire::writeAll(fd, blob);
-    };
-    std::uint64_t count = 0;
-    for (const auto &[app, bs] : run.baselines) {
-        if (!sendBlob(cacheKeyBaseline(sweep, app), bs.second))
-            return false;
-        ++count;
-    }
-    for (std::size_t i = 0; i < run.items.size(); ++i) {
-        if (!sendBlob(run.keys[i], run.blobs[i]))
-            return false;
-        ++count;
-    }
-    return sendEvent(fd, [&](JsonWriter &w) {
-        w.member("event", "done");
-        w.member("blobs", count);
-        w.member("hits", run.hits);
-        w.member("misses", run.misses);
-    });
-}
-
-bool
-Server::handleShard(int fd, const wire::Request &req)
-{
-    SweepOptions sweep;
-    std::string err;
-    if (!buildSweep(req, opts_, sweep, err))
-        return sendError(fd, err);
-    const std::string benchName = req.get("bench", "fig3");
-    if (benchName != "fig3")
-        return sendError(fd, "unknown bench \"" + benchName + "\"");
-    std::vector<shard::Peer> peers;
-    if (!shard::parsePeers(req.get("peers"), peers, err))
-        return sendError(fd, err);
-    const std::uint32_t n = static_cast<std::uint32_t>(peers.size());
-
-    // Fan the slices out to every peer concurrently; each peer derives
-    // the same partition from (shards, index) alone.
-    std::vector<std::map<std::string, std::string>> shardBlobs(n);
-    std::vector<std::string> shardErr(n);
-    {
-        std::vector<std::thread> fetchers;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            fetchers.emplace_back([&, i] {
-                wire::Request work;
-                work.verb = "shardwork";
-                work.params = req.params;
-                work.params.erase("peers");
-                work.params["shards"] = std::to_string(n);
-                work.params["index"] = std::to_string(i);
-                shard::fetchShard(peers[i], work, shardBlobs[i],
-                                  shardErr[i]);
-            });
-        }
-        for (std::thread &t : fetchers)
-            t.join();
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (!shardErr[i].empty())
-            return sendError(fd, "shard " + std::to_string(i) + ": " +
-                                 shardErr[i]);
-    }
-
-    // Merge. Baselines land in every shard whose slice needs them, so
-    // overlapping keys must carry byte-identical blobs — anything else
-    // means the hosts disagree on a deterministic result.
-    std::map<std::string, std::string> blobs;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        for (auto &[key, blob] : shardBlobs[i]) {
-            const auto [it, fresh] = blobs.emplace(key, blob);
-            if (!fresh && it->second != blob)
-                return sendError(fd, "shards disagree on " + key);
-        }
-    }
-
-    std::vector<GridItem> items = figure3Grid(sweep);
-    std::vector<std::string> keys;
-    std::vector<std::string> reportKeys;
-    dedupeGrid(sweep, items, keys, reportKeys);
-    if (items.empty())
-        return sendError(fd, "empty grid");
-
-    // Canonical header: the merged report must not depend on shard
-    // count, arrival order, or this host's parallelism settings
-    // (results are bit-identical across jobs/simThreads anyway).
-    SweepOptions headerSweep = sweep;
-    headerSweep.jobs = 1;
-    headerSweep.simThreads = 1;
-    BenchReport report(benchName, &headerSweep);
-
-    std::set<std::string> apps;
-    for (const GridItem &item : items)
-        apps.insert(item.app.name);
-    for (const std::string &app : apps) {
-        const std::string key = cacheKeyBaseline(sweep, app);
-        const auto it = blobs.find(key);
-        Cycles seq = 0;
-        if (it == blobs.end() || !codec::decodeBaseline(it->second, seq))
-            return sendError(fd, "missing baseline blob " + key);
-        report.addBaseline(app, seq);
-    }
-
-    std::map<std::string, std::string> keyByReportKey;
-    for (std::size_t i = 0; i < items.size(); ++i)
-        keyByReportKey[reportKeys[i]] = keys[i];
-    for (const auto &[rk, key] : keyByReportKey) {
-        const auto it = blobs.find(key);
-        ExperimentResult r;
-        if (it == blobs.end() || !codec::decodeResult(it->second, r))
-            return sendError(fd, "missing result blob " + key);
-        // Host timing is a per-host measurement: which peer computed a
-        // key changes with the shard count and peer order, so any
-        // nonzero value here would break the merged report's
-        // byte-identity guarantee. Zero it out — every other field is
-        // bit-identical across hosts by construction, and per-host
-        // timing stays available from each peer's own grid reports.
-        r.hostSeconds = 0.0;
-        report.add(rk, r);
-    }
-    const std::string doc = report.render(0.0);
-
-    if (!sendEvent(fd, [&](JsonWriter &w) {
-            w.member("event", "report");
-            w.member("bytes",
-                     static_cast<std::uint64_t>(doc.size()));
-        }))
-        return false;
-    if (!wire::writeAll(fd, doc))
-        return false;
-    return sendEvent(fd, [&](JsonWriter &w) {
-        w.member("event", "done");
-        w.member("shards", static_cast<std::uint64_t>(n));
     });
 }
 
@@ -1030,18 +651,6 @@ Server::handleConnection(int fd)
             w.member("event", "stats");
             w.member("segmentHits", cs.hits);
             w.member("segmentMisses", cs.misses);
-            if (queue_) {
-                const ShmQueue::Stats qs = queue_->stats();
-                w.member("workers",
-                         static_cast<std::uint64_t>(
-                             workerPids().size()));
-                w.member("queuePushed", qs.pushed);
-                w.member("queueCompleted", qs.completed);
-                w.member("queueFailed", qs.failed);
-                w.member("queueReclaimed", qs.reclaimed);
-                w.member("jobsQueued", qs.queued);
-                w.member("jobsLeased", qs.leased);
-            }
             writeSnapshot(w, m);
         });
     } else if (req.verb == "shutdown") {
@@ -1050,18 +659,6 @@ Server::handleConnection(int fd)
     } else if (req.verb == "run" || req.verb == "grid") {
         try {
             handleRunOrGrid(fd, req);
-        } catch (const std::exception &e) {
-            sendError(fd, e.what());
-        }
-    } else if (req.verb == "shardwork") {
-        try {
-            handleShardWork(fd, req);
-        } catch (const std::exception &e) {
-            sendError(fd, e.what());
-        }
-    } else if (req.verb == "shard") {
-        try {
-            handleShard(fd, req);
         } catch (const std::exception &e) {
             sendError(fd, e.what());
         }

@@ -21,14 +21,7 @@
  * Concurrent clients requesting the same uncached configuration are
  * deduplicated in-flight: the first request simulates, the rest block
  * on its completion, and serve.sim_runs counts each simulation once.
- *
- * With workers > 0 the server stops simulating in-process: cache
- * misses are pushed onto a shared-memory job queue (serve/shm_queue.hh)
- * and N forked worker processes (serve/worker.hh) pull, simulate and
- * publish into the memo segment; a supervisor thread reclaims the
- * leases of crashed workers and respawns them. With tcpPort > 0 the
- * same verbs are also served over TCP, which is how shard peers
- * (serve/shard.hh) reach each other across hosts.
+ * Every simulation runs in this process, on the grid's TaskPool.
  *
  * Replay determinism: the cached blob stores the host seconds measured
  * when the experiment originally ran, and the report's top-level
@@ -50,15 +43,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/types.h>
 
 #include "harness/sweep.hh"
 #include "obs/metrics.hh"
 #include "serve/shm_cache.hh"
-#include "serve/shm_queue.hh"
 #include "serve/wire.hh"
 
 namespace swsm
@@ -78,21 +67,6 @@ struct ServerOptions
     int simThreads = defaultSimThreads();
     /** Wipe the segment before serving. */
     bool reset = false;
-    /**
-     * Worker processes pulling jobs off the shared-memory queue
-     * (serve/shm_queue.hh); 0 = simulate in-process (the classic
-     * single-process server).
-     */
-    int workers = 0;
-    /** Re-queue a leased job whose heartbeat is older than this. */
-    std::uint64_t leaseTimeoutMs = 10000;
-    /** Worker lease heartbeat period. */
-    std::uint64_t workerHeartbeatMs = 250;
-    /**
-     * Also accept requests on this TCP port (the shard protocol's
-     * cross-host transport, serve/shard.hh); 0 = unix socket only.
-     */
-    int tcpPort = 0;
 };
 
 /** The sweep server; construct, then run() until a shutdown request. */
@@ -123,12 +97,6 @@ class Server
     /** Frozen serve.* metrics (requests, hits, queue depth, latency). */
     MetricsSnapshot metrics() const { return registry_.snapshot(); }
 
-    /** The job queue, when --workers is active (tests peek at stats). */
-    ShmQueue *jobQueue() { return queue_.get(); }
-
-    /** Live worker process ids (empty when workers == 0). */
-    std::vector<pid_t> workerPids() const;
-
   private:
     struct Inflight
     {
@@ -141,34 +109,29 @@ class Server
     };
 
     /**
-     * One executed grid: deduped items, their cache keys, and every
-     * blob/decoded result — enough to render a BENCH report or stream
-     * raw blobs to a shard coordinator.
+     * One executed grid: the deduped items' cache keys and decoded
+     * results, in grid order — enough to render a BENCH report.
      */
     struct GridRun
     {
-        std::vector<GridItem> items;
         /** Memo-cache keys, grid order. */
         std::vector<std::string> keys;
         /** Bare batch-runner keys (reports key on these). */
         std::vector<std::string> reportKeys;
         std::vector<ExperimentResult> results;
-        std::vector<std::string> blobs;
         std::vector<bool> cached;
-        /** app -> (sequential cycles, encoded baseline blob). */
-        std::map<std::string, std::pair<Cycles, std::string>> baselines;
+        /** app -> sequential baseline cycles. */
+        std::map<std::string, Cycles> baselines;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
     };
 
     void handleConnection(int fd);
     bool handleRunOrGrid(int fd, const wire::Request &req);
-    bool handleShardWork(int fd, const wire::Request &req);
-    bool handleShard(int fd, const wire::Request &req);
 
     /**
      * Dedupe @p items and run them all (baselines first, TaskPool
-     * parallel, memo-cached). @p onResult, when set, sees each item in
+     * parallel, memo-cached). @p onResult sees each item in
      * grid order as it completes; a false return stops further calls
      * (client gone) without aborting the grid. @return false with
      * @p failure set when any item failed.
@@ -177,13 +140,6 @@ class Server
                      std::vector<GridItem> items, GridRun &run,
                      const std::function<bool(std::size_t)> &onResult,
                      std::string &failure);
-
-    /** Fork one worker process (queue consumer); returns its pid. */
-    pid_t spawnWorkerProcess();
-    /** Supervisor thread: reclaim stale leases, respawn dead workers. */
-    void superviseWorkers();
-    /** Dispatch @p key to the worker queue and wait for its blob. */
-    std::string computeViaQueue(const std::string &key);
 
     /**
      * Cache lookup with in-flight dedup; on miss @p compute runs (once
@@ -195,25 +151,17 @@ class Server
                        const std::function<std::string()> &compute);
 
     Cycles obtainBaseline(const AppInfo &app, const SweepOptions &sweep,
-                          bool &cached, std::string *blob_out = nullptr);
+                          bool &cached);
     ExperimentResult obtainResult(const GridItem &item,
                                   const SweepOptions &sweep, Cycles seq,
-                                  bool &cached,
-                                  std::string *blob_out = nullptr);
+                                  bool &cached);
 
     void recordLatency(double seconds);
 
     ServerOptions opts_;
     ShmCache cache_;
     int listenFd_ = -1;
-    int tcpListenFd_ = -1;
     std::atomic<bool> stopping_{false};
-
-    /** Worker fan-out state (workers > 0 only). */
-    std::unique_ptr<ShmQueue> queue_;
-    std::vector<pid_t> workerPids_;
-    mutable std::mutex workerMu_;
-    std::thread supervisor_;
 
     std::mutex inflightMu_;
     std::map<std::string, std::shared_ptr<Inflight>> inflight_;

@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <netdb.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -115,51 +113,6 @@ connectUnix(const std::string &path)
         ::close(fd);
         return -1;
     }
-    return fd;
-}
-
-int
-listenTcp(int port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-int
-connectTcp(const std::string &host, int port)
-{
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
-                      &hints, &res) != 0)
-        return -1;
-    int fd = -1;
-    for (const addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
     return fd;
 }
 

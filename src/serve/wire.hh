@@ -2,8 +2,8 @@
  * @file
  * Wire protocol of the sweep server (serve/server.hh).
  *
- * Transport is a SOCK_STREAM AF_UNIX socket. A client sends one
- * newline-terminated request line
+ * Transport is a SOCK_STREAM AF_UNIX socket; the server is local to
+ * one host. A client sends one newline-terminated request line
  *
  *   <verb> [key=value]...
  *
@@ -11,8 +11,9 @@
  * newline-terminated JSON event objects back. A "report" event carries
  * a "bytes" field and is followed by exactly that many raw bytes of
  * BENCH-schema JSON document; every other event is a single line. The
- * stream ends with a "done" (or "error") event and the server closes
- * the connection.
+ * stream ends with one terminal event ("done" after a run or grid,
+ * "pong", "stats" or "bye" for the other verbs, "error" on failure)
+ * and the server closes the connection.
  *
  * Keys and values must not contain spaces or newlines — every
  * parameter is a name, letter, or number, so no quoting is needed.
@@ -53,15 +54,6 @@ int listenUnix(const std::string &path);
 
 /** Connect to a unix socket; -1 on error. */
 int connectUnix(const std::string &path);
-
-/**
- * Bind + listen a TCP socket on @p port, all interfaces (the shard
- * protocol's cross-host transport; SO_REUSEADDR set); -1 on error.
- */
-int listenTcp(int port);
-
-/** Connect to @p host:@p port (name or numeric); -1 on error. */
-int connectTcp(const std::string &host, int port);
 
 /** Write the whole buffer (MSG_NOSIGNAL); false on a closed peer. */
 bool writeAll(int fd, std::string_view data);

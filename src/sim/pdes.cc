@@ -30,6 +30,21 @@ cpuRelax()
 
 } // namespace
 
+// Spin briefly for the dedicated-core case, then yield on every
+// iteration: on an oversubscribed host (more workers than cores) the
+// releasing thread needs our timeslice, and spinning through it
+// multiplies every window's cost. The core count is read once here:
+// hardware_concurrency() reads sysfs, system calls a per-wait read
+// would pay on every window.
+PdesEngine::Barrier::Barrier(int parties)
+    : parties_(parties),
+      spinLimit_(std::thread::hardware_concurrency() >=
+                         static_cast<unsigned>(parties)
+                     ? 4096u
+                     : 0u)
+{
+}
+
 void
 PdesEngine::Barrier::wait()
 {
@@ -38,18 +53,9 @@ PdesEngine::Barrier::wait()
         arrived_.store(0, std::memory_order_relaxed);
         sense_.store(s ^ 1, std::memory_order_release);
     } else {
-        // Spin briefly for the dedicated-core case, then yield on
-        // every iteration: on an oversubscribed host (more workers
-        // than cores) the releasing thread needs our timeslice, and
-        // spinning through it multiplies every window's cost.
-        const std::uint32_t spin_limit =
-            std::thread::hardware_concurrency() >=
-                    static_cast<unsigned>(parties_)
-                ? 4096u
-                : 0u;
         std::uint32_t spins = 0;
         while (sense_.load(std::memory_order_acquire) == s) {
-            if (++spins > spin_limit)
+            if (++spins > spinLimit_)
                 std::this_thread::yield();
             else
                 cpuRelax();

@@ -162,11 +162,13 @@ class PdesEngine
     class Barrier
     {
       public:
-        explicit Barrier(int parties) : parties_(parties) {}
+        explicit Barrier(int parties);
         void wait();
 
       private:
         const int parties_;
+        /** Pause-spins before a waiter starts yielding (fixed at birth). */
+        const std::uint32_t spinLimit_;
         std::atomic<int> arrived_{0};
         std::atomic<int> sense_{0};
     };

@@ -1,12 +1,18 @@
 /**
  * @file
  * Harness-level tests: configuration expansion, parameter-set
- * invariants, result caching, and the coarse performance-monotonicity
+ * invariants, option parsing (sim threads run only when asked), result
+ * caching, and the coarse performance-monotonicity
  * properties the whole study rests on (better layer costs never make a
  * deterministic run slower, worse costs never make it faster).
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "apps/app_registry.hh"
 #include "harness/sweep.hh"
@@ -101,13 +107,75 @@ TEST(SweepOptions, ParseRecognizesFlags)
 TEST(SweepOptions, ParseRejectsUnknown)
 {
     for (const char *bad : {"--bogus", "--apps=fftt", "--apps=fft,",
-                            "--apps=", "--apps=fft,,lu"}) {
+                            "--apps=,fft", "--apps=", "--apps=fft,,lu"}) {
         SweepOptions opts;
         char prog[] = "prog";
         std::string arg = bad;
         char *argv[] = {prog, arg.data()};
         EXPECT_FALSE(opts.parse(2, argv)) << bad;
     }
+}
+
+/** Unsets SWSM_SIM_THREADS for a test; restores it on scope exit. */
+class SimThreadsEnv
+{
+  public:
+    SimThreadsEnv()
+    {
+        if (const char *v = std::getenv("SWSM_SIM_THREADS"))
+            saved_ = v;
+        ::unsetenv("SWSM_SIM_THREADS");
+    }
+
+    ~SimThreadsEnv()
+    {
+        if (saved_)
+            ::setenv("SWSM_SIM_THREADS", saved_->c_str(), 1);
+        else
+            ::unsetenv("SWSM_SIM_THREADS");
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+/** Parse @p args (after a program name) into fresh SweepOptions. */
+SweepOptions
+parsed(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    SweepOptions opts;
+    EXPECT_TRUE(opts.parse(static_cast<int>(argv.size()), argv.data()));
+    return opts;
+}
+
+TEST(SweepOptions, SimThreadsRunOnlyWhenAsked)
+{
+    SimThreadsEnv env;
+    // Nothing asked: serial, however many cores a single job leaves.
+    SweepOptions opts;
+    opts.jobs = 1;
+    EXPECT_EQ(opts.simThreads, 1);
+
+    // SWSM_SIM_THREADS is taken as given, even with many jobs.
+    ::setenv("SWSM_SIM_THREADS", "3", 1);
+    SweepOptions from_env;
+    from_env.jobs = 64;
+    EXPECT_EQ(from_env.simThreads, 3);
+    ::unsetenv("SWSM_SIM_THREADS");
+
+    // So is an explicit flag.
+    EXPECT_EQ(parsed({"--jobs=1", "--sim-threads=5"}).simThreads, 5);
+}
+
+TEST(SweepOptions, ExplicitSimThreadsWin)
+{
+    SimThreadsEnv env;
+    ::setenv("SWSM_SIM_THREADS", "2", 1);
+    EXPECT_EQ(parsed({"--jobs=4", "--sim-threads=6"}).simThreads, 6);
 }
 
 TEST(SweepRunner, CachesResultsAndBaselines)

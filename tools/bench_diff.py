@@ -27,7 +27,6 @@ Usage: bench_diff.py A.json B.json
        bench_diff.py --host-seconds A.json B.json
        bench_diff.py --from-shm NAME --size SIZE --procs N
                      [--bench NAME] [--dir DIR] [--out FILE]
-       bench_diff.py --merge SHARD.json... [--out FILE]
        bench_diff.py --selftest
 Exit status: 0 when equivalent, 1 with a difference report otherwise.
 With --host-seconds, prints a host-time comparison of the two reports
@@ -39,16 +38,6 @@ never gate CI).
 by a C++ static_assert) as a BENCH-schema JSON document, filtered to
 one size/procs tier, so a segment left behind by swsm_serve can be
 compared against a batch or server report with the normal mode.
-
---merge combines BENCH reports produced by shard peers (swsm_serve
---tcp plus the shard verb, src/serve/shard.hh) into the one report a
-single process would have written: headers must agree, baselines and
-experiments are unioned (sorted by app / key, so the result does not
-depend on shard count or order), and entries appearing in more than
-one shard must agree on every deterministic field — hostSeconds, which
-legitimately differs per host, is min-summed instead (the fastest
-host's measurement per entry; the top-level value is their sum).
-Disagreement on any compared field is an error, exit status 1.
 """
 
 import json
@@ -354,73 +343,6 @@ def render_from_shm(name, size, procs, bench, directory):
 
 
 # ---------------------------------------------------------------------------
-# Shard-report merging (coordinator side of src/serve/shard.hh, for
-# shards collected as files rather than over TCP).
-
-MERGE_SPLIT_KEYS = ("hostSeconds", "baselines", "experiments")
-
-
-def merge_shards(shards):
-    """Merge shard BENCH docs into the single-process report.
-
-    The merge is order- and count-invariant: headers must agree,
-    baselines and experiments are unioned in sorted order, and an entry
-    present in several shards must agree on every field bench_diff
-    compares (strip()); its hostSeconds is min-summed — each entry
-    keeps the fastest host's measurement and the top-level value is
-    the sum of those minima. Raises ValueError on disagreement.
-    """
-    if not shards:
-        raise ValueError("no shards to merge")
-
-    def header_of(doc):
-        return {k: v for k, v in doc.items() if k not in MERGE_SPLIT_KEYS}
-
-    header = header_of(shards[0])
-    baselines = {}
-    experiments = {}
-    for doc in shards:
-        if header_of(doc) != header:
-            raise ValueError(
-                "shards disagree on the report header: "
-                f"{header_of(doc)!r} != {header!r}")
-        for entry in doc.get("baselines", []):
-            app = entry.get("app")
-            if app in baselines and baselines[app] != entry:
-                raise ValueError(f"shards disagree on baseline {app!r}")
-            baselines[app] = entry
-        for entry in doc.get("experiments", []):
-            key = entry.get("key")
-            if key not in experiments:
-                experiments[key] = entry
-                continue
-            held = experiments[key]
-            if strip(held) != strip(entry):
-                diff = "; ".join(describe(strip(held), strip(entry)))
-                raise ValueError(
-                    f"shards disagree on experiment {key!r}: {diff}")
-            if (host_seconds_value(entry.get("hostSeconds", 0.0)) <
-                    host_seconds_value(held.get("hostSeconds", 0.0))):
-                experiments[key] = entry
-
-    # Rebuild in the first shard's key order so a report split into
-    # shards and merged back is byte-identical to the original.
-    merged = {}
-    for k, v in shards[0].items():
-        if k == "hostSeconds":
-            merged[k] = g10(sum(
-                host_seconds_value(e.get("hostSeconds", 0.0))
-                for e in experiments.values()))
-        elif k == "baselines":
-            merged[k] = [baselines[a] for a in sorted(baselines)]
-        elif k == "experiments":
-            merged[k] = [experiments[key] for key in sorted(experiments)]
-        else:
-            merged[k] = v
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # Selftest (run by CI; no simulator binaries needed).
 
 def _selftest_sections():
@@ -550,36 +472,6 @@ def main(argv):
         text = json.dumps(doc, indent=2) + "\n"
         if args["--out"]:
             with open(args["--out"], "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    if len(argv) >= 2 and argv[1] == "--merge":
-        rest = argv[2:]
-        out_path = ""
-        if "--out" in rest:
-            i = rest.index("--out")
-            if i + 1 >= len(rest):
-                print("--out needs a file name", file=sys.stderr)
-                return 2
-            out_path = rest[i + 1]
-            rest = rest[:i] + rest[i + 2:]
-        if not rest:
-            print("--merge needs at least one shard report",
-                  file=sys.stderr)
-            return 2
-        shards = []
-        for path in rest:
-            with open(path) as f:
-                shards.append(json.load(f))
-        try:
-            doc = merge_shards(shards)
-        except ValueError as e:
-            print(f"merge failed: {e}", file=sys.stderr)
-            return 1
-        text = json.dumps(doc, indent=2) + "\n"
-        if out_path:
-            with open(out_path, "w") as f:
                 f.write(text)
         else:
             sys.stdout.write(text)

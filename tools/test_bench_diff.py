@@ -280,196 +280,6 @@ class HostSectionTest(unittest.TestCase):
         self.assertIn("2.00x", out.getvalue())
 
 
-def bench_doc():
-    """A small single-process BENCH document, shaped like the server's
-    grid output (top-level hostSeconds = sum of the entries')."""
-    experiments = [
-        {"key": "fft/hlrc/AO", "workload": "fft", "simCycles": 1000,
-         "seqCycles": 4000, "hostSeconds": 0.25,
-         "metrics": {"counters": {"net.bytes": 77}}},
-        {"key": "fft/ideal", "workload": "fft", "simCycles": 800,
-         "seqCycles": 4000, "hostSeconds": 0.125,
-         "metrics": {"counters": {"net.bytes": 0}}},
-        {"key": "lu/hlrc/AO", "workload": "lu", "simCycles": 2000,
-         "seqCycles": 6000, "hostSeconds": 0.5,
-         "metrics": {"counters": {"net.bytes": 42}}},
-        {"key": "lu/sc/AO", "workload": "lu", "simCycles": 2500,
-         "seqCycles": 6000, "hostSeconds": 0.0625,
-         "metrics": {"counters": {"net.bytes": 99}}},
-    ]
-    return {
-        "bench": "fig3",
-        "jobs": 1,
-        "simThreads": 1,
-        "numProcs": 4,
-        "size": "tiny",
-        "hostSeconds": bench_diff.g10(
-            sum(e["hostSeconds"] for e in experiments)),
-        "baselines": [{"app": "fft", "simCycles": 4000},
-                      {"app": "lu", "simCycles": 6000}],
-        "experiments": experiments,
-    }
-
-
-def split_doc(doc, shards, host_scale=None):
-    """Split a BENCH doc into shard docs the way shard peers produce
-    them: experiments partitioned round-robin, baselines duplicated
-    into every shard that has one of the app's experiments."""
-    out = []
-    for i in range(shards):
-        exps = [json.loads(json.dumps(e))
-                for j, e in enumerate(doc["experiments"])
-                if j % shards == i]
-        if host_scale is not None:
-            for e in exps:
-                e["hostSeconds"] = e["hostSeconds"] * host_scale(i)
-        apps = {e["workload"] for e in exps}
-        shard = {k: v for k, v in doc.items()
-                 if k not in ("baselines", "experiments", "hostSeconds")}
-        shard["hostSeconds"] = bench_diff.g10(
-            sum(bench_diff.host_seconds_value(e["hostSeconds"])
-                for e in exps))
-        shard["baselines"] = [b for b in doc["baselines"]
-                              if b["app"] in apps]
-        shard["experiments"] = exps
-        out.append(shard)
-    return out
-
-
-class MergeShardsTest(unittest.TestCase):
-    """The shard-merge contract: merging the pieces of a report gives
-    back exactly the single-process report, independent of shard count
-    and order; shards disagreeing on a deterministic field is an
-    error, disagreeing on host timing is min-summed."""
-
-    def test_single_shard_merge_is_identity(self):
-        doc = bench_doc()
-        text = json.dumps(doc, indent=2)
-        merged = bench_diff.merge_shards([json.loads(text)])
-        self.assertEqual(json.dumps(merged, indent=2), text)
-
-    def test_merge_is_byte_identical_across_shard_counts_and_order(self):
-        doc = bench_doc()
-        text = json.dumps(doc, indent=2)
-        for shards in (2, 3, 4):
-            pieces = split_doc(doc, shards)
-            merged = bench_diff.merge_shards(pieces)
-            self.assertEqual(json.dumps(merged, indent=2), text,
-                             f"{shards} shards")
-            flipped = bench_diff.merge_shards(list(reversed(pieces)))
-            self.assertEqual(json.dumps(flipped, indent=2), text,
-                             f"{shards} shards, reversed")
-
-    def test_duplicate_entries_min_sum_host_seconds(self):
-        doc = bench_doc()
-        # Both shards carry the full grid (e.g. two full local runs);
-        # shard 1 was slower on every entry.
-        a, = split_doc(doc, 1)
-        b, = split_doc(doc, 1, host_scale=lambda i: 3.0)
-        merged = bench_diff.merge_shards([b, a])
-        self.assertEqual(json.dumps(merged, indent=2),
-                         json.dumps(doc, indent=2))
-        # Entry-wise minima: mixed winners still sum per entry.
-        b["experiments"][0]["hostSeconds"] = 0.001
-        merged = bench_diff.merge_shards([a, b])
-        self.assertEqual(merged["experiments"][0]["hostSeconds"], 0.001)
-        expected = 0.001 + sum(e["hostSeconds"]
-                               for e in doc["experiments"][1:])
-        self.assertEqual(merged["hostSeconds"], bench_diff.g10(expected))
-
-    def test_schema3_section_host_seconds_min_sum_by_total(self):
-        doc = bench_doc()
-        for e in doc["experiments"]:
-            e["hostSeconds"] = {
-                "access": {"min": e["hostSeconds"], "median": 1.0},
-                "events": {"min": 0.5, "median": 1.0},
-            }
-        doc["hostSeconds"] = bench_diff.g10(sum(
-            bench_diff.host_seconds_value(e["hostSeconds"])
-            for e in doc["experiments"]))
-        text = json.dumps(doc, indent=2)
-        merged = bench_diff.merge_shards(split_doc(doc, 2))
-        self.assertEqual(json.dumps(merged, indent=2), text)
-
-    def test_shards_disagreeing_on_counters_is_an_error(self):
-        doc = bench_doc()
-        a, b = split_doc(doc, 2)
-        # Give b a copy of one of a's entries with a diverged counter.
-        rogue = json.loads(json.dumps(a["experiments"][0]))
-        rogue["metrics"]["counters"]["net.bytes"] += 1
-        b["experiments"].append(rogue)
-        with self.assertRaises(ValueError) as ctx:
-            bench_diff.merge_shards([a, b])
-        self.assertIn("disagree on experiment", str(ctx.exception))
-        self.assertIn("net.bytes", str(ctx.exception))
-
-    def test_shards_disagreeing_on_baselines_or_header_is_an_error(self):
-        doc = bench_doc()
-        a, b = split_doc(doc, 2)
-        b["baselines"] = [{"app": "fft", "simCycles": 4001}]
-        with self.assertRaises(ValueError) as ctx:
-            bench_diff.merge_shards([a, b])
-        self.assertIn("disagree on baseline", str(ctx.exception))
-
-        a, b = split_doc(doc, 2)
-        b["numProcs"] = 8
-        with self.assertRaises(ValueError) as ctx:
-            bench_diff.merge_shards([a, b])
-        self.assertIn("header", str(ctx.exception))
-
-    def test_host_timing_divergence_on_duplicates_is_not_an_error(self):
-        doc = bench_doc()
-        a, = split_doc(doc, 1)
-        b, = split_doc(doc, 1, host_scale=lambda i: 7.0)
-        b["hostSeconds"] = a["hostSeconds"]  # header must still agree
-        merged = bench_diff.merge_shards([a, b])
-        self.assertEqual(json.dumps(merged, indent=2),
-                         json.dumps(doc, indent=2))
-
-    def test_empty_shard_list_is_an_error(self):
-        with self.assertRaises(ValueError):
-            bench_diff.merge_shards([])
-
-
-class MergeCliTest(unittest.TestCase):
-    def run_main(self, *argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            status = bench_diff.main(["bench_diff.py", *argv])
-        return status, out.getvalue(), err.getvalue()
-
-    def test_merge_writes_the_single_process_report(self):
-        doc = bench_doc()
-        with tempfile.TemporaryDirectory() as d:
-            paths = [write_json(d, f"shard{i}.json", s)
-                     for i, s in enumerate(split_doc(doc, 2))]
-            out_path = os.path.join(d, "merged.json")
-            status, _, err = self.run_main(
-                "--merge", *paths, "--out", out_path)
-            self.assertEqual(status, 0, err)
-            with open(out_path) as f:
-                self.assertEqual(f.read(),
-                                 json.dumps(doc, indent=2) + "\n")
-
-    def test_merge_disagreement_exits_one(self):
-        doc = bench_doc()
-        a, b = split_doc(doc, 2)
-        rogue = json.loads(json.dumps(a["experiments"][0]))
-        rogue["simCycles"] += 1
-        b["experiments"].append(rogue)
-        with tempfile.TemporaryDirectory() as d:
-            pa = write_json(d, "a.json", a)
-            pb = write_json(d, "b.json", b)
-            status, _, err = self.run_main("--merge", pa, pb)
-        self.assertEqual(status, 1)
-        self.assertIn("merge failed", err)
-
-    def test_merge_without_inputs_exits_two(self):
-        status, _, err = self.run_main("--merge")
-        self.assertEqual(status, 2)
-        self.assertIn("at least one shard", err)
-
-
 class SelftestTest(unittest.TestCase):
     def test_builtin_selftest_passes(self):
         """Runs the section checks plus the synthetic shared-memory
