@@ -14,16 +14,16 @@
  *  - polling quantum sensitivity (validates the polling-approximation
  *    methodology: results should be stable across quanta).
  *
- * Every point is an independent simulation and runs on the parallel
- * sweep engine (--jobs=N); BENCH_ablation.json records per-experiment
- * wall-clock.
+ * Every point is an independent simulation and runs on the sweep
+ * runner (--jobs=N; --trace and --sim-threads apply to every point);
+ * BENCH_ablation.json records per-experiment wall-clock.
  */
 
 #include <cstdio>
 #include <string>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -42,22 +42,17 @@ baseParams(const AppInfo &app, ProtocolKind kind, int procs)
 
 /** Plan one custom-parameter point keyed app/ablation/<tag>. */
 void
-planPoint(ParallelSweepRunner &runner, const AppInfo &app,
-          const std::string &tag, const MachineParams &mp)
+planPoint(SweepRunner &runner, const AppInfo &app, const std::string &tag,
+          const MachineParams &mp)
 {
-    const SizeClass size = runner.options().size;
-    runner.planCustom(app, app.name + "/ablation/" + tag,
-                      [app, mp, size, tag](Cycles seq) {
-                          return runExperiment(app.factory, size, mp,
-                                               tag, seq);
-                      });
+    runner.plan(app, app.name + "/ablation/" + tag, mp, tag);
 }
 
 double
-point(ParallelSweepRunner &runner, const AppInfo &app,
+point(const SweepRunner &runner, const AppInfo &app,
       const std::string &tag)
 {
-    return runner.custom(app.name + "/ablation/" + tag).speedup();
+    return runner.result(app.name + "/ablation/" + tag).speedup();
 }
 
 } // namespace
@@ -71,7 +66,7 @@ main(int argc, char **argv)
     if (opts.apps.empty())
         opts.apps = {"fft", "radix", "barnes", "ocean", "water-nsq"};
     BenchReport report("ablation", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto apps = opts.selectedApps();
 
     // Plan every section's grid up front, in the serial print order.

@@ -22,7 +22,7 @@
 #include <cstdio>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -33,7 +33,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
     BenchReport report("fig3", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto configs = figure3Configs(opts.full);
     const auto apps = opts.selectedApps();
 

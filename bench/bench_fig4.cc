@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -47,7 +47,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
     BenchReport report("fig4", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto configs = figure3Configs(opts.full);
     const auto apps = opts.selectedApps();
 

@@ -7,9 +7,10 @@
  * depends mostly on overhead and occupancy, HLRC mostly on bandwidth —
  * is the paper's headline per-parameter conclusion.
  *
- * The per-parameter points are independent simulations, so they run on
- * the parallel sweep engine as custom experiments (--jobs=N);
- * BENCH_fig5.json records per-experiment wall-clock.
+ * The per-parameter points are independent simulations planned as
+ * custom experiments next to the AO points (--jobs=N; --trace and
+ * --sim-threads apply to every point); BENCH_fig5.json records
+ * per-experiment wall-clock.
  */
 
 #include <cstdio>
@@ -17,7 +18,7 @@
 #include <string>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -40,25 +41,17 @@ pointKey(const AppInfo &app, ProtocolKind kind, const char *axis,
 
 /** Plan one app/protocol point with a customized communication setting. */
 void
-planPoint(ParallelSweepRunner &runner, const AppInfo &app,
-          ProtocolKind kind, const ParamAxis &axis, double f,
-          const CommParams &base)
+planPoint(SweepRunner &runner, const AppInfo &app, ProtocolKind kind,
+          const ParamAxis &axis, double f, const CommParams &base)
 {
-    const SweepOptions &opts = runner.options();
-    CommParams comm = base;
-    axis.apply(comm, f);
-    runner.planCustom(
-        app, pointKey(app, kind, axis.name, f),
-        [app, kind, opts, comm](Cycles seq) {
-            ExperimentConfig cfg;
-            cfg.protocol = kind;
-            cfg.numProcs = opts.numProcs;
-            cfg.blockBytes = app.scBlockBytes;
-            MachineParams mp = cfg.machineParams();
-            mp.comm = comm;
-            return runExperiment(app.factory, opts.size, mp, cfg.name(),
-                                 seq);
-        });
+    ExperimentConfig cfg;
+    cfg.protocol = kind;
+    cfg.numProcs = runner.options().numProcs;
+    cfg.blockBytes = app.scBlockBytes;
+    MachineParams mp = cfg.machineParams();
+    mp.comm = base;
+    axis.apply(mp.comm, f);
+    runner.plan(app, pointKey(app, kind, axis.name, f), mp, cfg.name());
 }
 
 } // namespace
@@ -70,7 +63,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
     BenchReport report("fig5", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto apps = opts.selectedApps();
 
     const CommParams a = CommParams::achievable();
@@ -127,7 +120,7 @@ main(int argc, char **argv)
                 int i = 0;
                 for (const double f : {0.5, 1.0}) {
                     sp[i++] =
-                        runner.custom(pointKey(app, kind, axis.name, f))
+                        runner.result(pointKey(app, kind, axis.name, f))
                             .speedup();
                 }
                 std::printf(

@@ -7,15 +7,16 @@
  * (superlinear cache regions).
  *
  * Every (app, protocol, procs) point is an independent simulation and
- * runs on the parallel sweep engine (--jobs=N); BENCH_scaling.json
- * records per-experiment wall-clock.
+ * runs on the sweep runner (--jobs=N; --trace and --sim-threads apply
+ * to every point); BENCH_scaling.json records per-experiment
+ * wall-clock.
  */
 
 #include <cstdio>
 #include <string>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -43,7 +44,7 @@ main(int argc, char **argv)
         opts.apps = {"fft", "lu", "ocean-rowwise", "water-nsq",
                      "volrend-restr"};
     BenchReport report("scaling", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto apps = opts.selectedApps();
 
     const int counts[] = {2, 4, 8, 16, 32};
@@ -52,17 +53,12 @@ main(int argc, char **argv)
         for (const ProtocolKind kind :
              {ProtocolKind::Hlrc, ProtocolKind::Sc}) {
             for (const int p : counts) {
-                const SizeClass size = opts.size;
-                runner.planCustom(
-                    app, pointKey(app, kind, p),
-                    [app, kind, p, size](Cycles seq) {
-                        ExperimentConfig cfg;
-                        cfg.protocol = kind;
-                        cfg.numProcs = p;
-                        cfg.blockBytes = app.scBlockBytes;
-                        return runExperiment(app.factory, size, cfg,
-                                             seq);
-                    });
+                ExperimentConfig cfg;
+                cfg.protocol = kind;
+                cfg.numProcs = p;
+                cfg.blockBytes = app.scBlockBytes;
+                runner.plan(app, pointKey(app, kind, p),
+                            cfg.machineParams(), cfg.name());
             }
         }
     }
@@ -83,7 +79,7 @@ main(int argc, char **argv)
             for (const int p : counts) {
                 std::printf(
                     " %7.2f",
-                    runner.custom(pointKey(app, kind, p)).speedup());
+                    runner.result(pointKey(app, kind, p)).speedup());
             }
             std::printf("\n");
         }

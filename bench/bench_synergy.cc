@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -36,7 +36,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
     BenchReport report("synergy", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto apps = opts.selectedApps();
 
     for (const AppInfo &app : apps) {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -28,7 +28,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
     BenchReport report("table5", &opts);
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const auto apps = opts.selectedApps();
 
     // Cheapest-first ladder of improvements over the base system.

@@ -8,9 +8,9 @@
  * shared arrays, compute charging, locks and barriers.
  *
  * The program is run twice — once under page-based HLRC and once under
- * fine-grained SC — and the two simulations execute concurrently on a
- * TaskPool (each Cluster is confined to one worker thread), showing
- * how to use the parallel sweep engine's executor directly for custom
+ * fine-grained SC — and the two simulations execute concurrently
+ * through parallelFor (each Cluster is confined to one worker thread),
+ * the executor the sweep runner uses, called directly for custom
  * experiments.
  *
  *   ./build/examples/custom_app [--jobs=N]
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "harness/sweep.hh"
-#include "harness/task_pool.hh"
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
@@ -131,12 +130,9 @@ main(int argc, char **argv)
 
     // Both simulations are independent (one Cluster each, confined to
     // its worker thread), so they can run concurrently.
-    TaskPool pool(jobs);
-    for (int i = 0; i < 2; ++i)
-        pool.submit([i, &protocols, &results] {
-            results[i] = runHistogram(protocols[i]);
-        });
-    pool.run();
+    parallelFor(jobs, 2, [&](std::size_t i) {
+        results[i] = runHistogram(protocols[i]);
+    });
 
     bool ok = true;
     for (int i = 0; i < 2; ++i) {

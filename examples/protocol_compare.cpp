@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
 
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
 
     for (const AppInfo &app : opts.selectedApps()) {
         for (const ProtocolKind kind :

@@ -7,15 +7,15 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart [--quick] [--jobs=N]
  *
- * The sweep harness (ParallelSweepRunner) computes the sequential
- * baseline and the parallel run; with a single experiment --jobs
- * cannot help, but the same two-phase plan/run pattern scales to the
- * full grids in the bench binaries.
+ * The sweep harness (SweepRunner) runs the sequential baseline and the
+ * parallel run as two independent tasks, then reads both back; the
+ * same two-phase plan/run pattern scales to the full grids in the
+ * bench binaries.
  */
 
 #include <cstdio>
 
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -27,13 +27,13 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 1;
 
-    ParallelSweepRunner runner(opts);
+    SweepRunner runner(opts);
     const AppInfo &app = findApp("fft");
 
     // 1. Plan the base system of the paper: 16 nodes, achievable
     //    communication costs (set A), original protocol costs (set O).
-    //    The sequential baseline (1-processor ideal machine) is an
-    //    implicit dependency and runs first.
+    //    The runner adds the sequential baseline (1-processor ideal
+    //    machine) that the speedup divides by.
     runner.plan(app, ProtocolKind::Hlrc, 'A', 'O');
     runner.runPlanned();
 

@@ -11,17 +11,16 @@
  * Unknown applications, protocols, configurations and sizes print the
  * usage text and exit 1.
  *
- * Runs through the parallel sweep engine (a single experiment, so
- * --jobs only matters when this grows into a grid).
+ * Runs through the sweep runner: the experiment and its sequential
+ * baseline are two independent tasks, so --jobs=2 runs them at once.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <string_view>
 
 #include "apps/app_registry.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace
 {
@@ -41,31 +40,6 @@ usage(const char *prog)
     for (const swsm::AppInfo &app : swsm::appRegistry())
         std::fprintf(stderr, "  %-16s (%s)\n", app.name.c_str(),
                      app.paperSize.c_str());
-}
-
-/** Parse a protocol name; false (out untouched) on unknown names. */
-bool
-parseProtocol(std::string_view name, swsm::ProtocolKind &out)
-{
-    if (name == "hlrc")
-        out = swsm::ProtocolKind::Hlrc;
-    else if (name == "sc")
-        out = swsm::ProtocolKind::Sc;
-    else if (name == "ideal")
-        out = swsm::ProtocolKind::Ideal;
-    else
-        return false;
-    return true;
-}
-
-/** True for a communication set letter followed by a cost set letter. */
-bool
-validConfig(std::string_view config)
-{
-    return config.size() == 2 &&
-           std::string_view("AHBWX").find(config[0]) !=
-               std::string_view::npos &&
-           std::string_view("OHB").find(config[1]) != std::string_view::npos;
 }
 
 } // namespace
@@ -96,7 +70,9 @@ main(int argc, char **argv)
         else if (const char *v = value("--proto="))
             ok = parseProtocol(v, kind);
         else if (const char *v = value("--config="))
-            ok = validConfig(config.assign(v));
+            ok = config.assign(v).size() == 2 &&
+                validCommSet(config.substr(0, 1)) &&
+                validProtoSet(config.substr(1));
         else if (const char *v = value("--size="))
             ok = parseSizeClass(v, size);
         else if (const char *v = value("--procs="))
@@ -132,7 +108,6 @@ main(int argc, char **argv)
     cfg.numProcs = procs;
     cfg.blockBytes =
         block ? static_cast<std::uint32_t>(block) : app.scBlockBytes;
-    cfg.trace = !trace_path.empty();
 
     std::printf("%s on %d-proc %s cluster, config %s, size %s\n",
                 app.name.c_str(), procs, protocolKindName(cfg.protocol),
@@ -143,14 +118,13 @@ main(int argc, char **argv)
     opts.numProcs = procs;
     opts.apps = {app.name};
     opts.jobs = jobs;
-    ParallelSweepRunner runner(opts);
-    runner.planCustom(app, app.name + "/run", [&app, size, cfg](Cycles s) {
-        return runExperiment(app.factory, size, cfg, s);
-    });
+    opts.tracePath = trace_path;
+    SweepRunner runner(opts);
+    runner.plan(app, app.name + "/run", cfg.machineParams(), cfg.name());
     runner.runPlanned();
 
     const Cycles seq = runner.baseline(app);
-    const ExperimentResult &r = runner.custom(app.name + "/run");
+    const ExperimentResult &r = runner.result(app.name + "/run");
 
     std::printf("\nsequential: %.2f Mcycles   parallel: %.2f Mcycles   "
                 "speedup: %.2f   verified: %s\n",

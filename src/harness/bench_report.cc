@@ -102,16 +102,6 @@ BenchReport::addAll(const SweepRunner &runner)
         });
 }
 
-void
-BenchReport::addAll(const ParallelSweepRunner &runner)
-{
-    addAll(static_cast<const SweepRunner &>(runner));
-    runner.forEachCustom(
-        [this](const std::string &key, const ExperimentResult &r) {
-            add(key, r);
-        });
-}
-
 std::string
 BenchReport::render(double wall_seconds) const
 {

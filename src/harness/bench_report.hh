@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -44,11 +44,8 @@ class BenchReport
     /** Record a sequential baseline. */
     void addBaseline(const std::string &app, Cycles seq);
 
-    /** Record everything cached in @p runner (key order). */
+    /** Record every baseline and result of @p runner (key order). */
     void addAll(const SweepRunner &runner);
-
-    /** Record cached grid + custom experiments (key order). */
-    void addAll(const ParallelSweepRunner &runner);
 
     /**
      * Render the BENCH-schema JSON document for everything recorded so

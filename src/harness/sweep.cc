@@ -1,8 +1,11 @@
 #include "sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <exception>
 #include <thread>
+#include <utility>
 
 #include "sim/env.hh"
 #include "sim/log.hh"
@@ -42,6 +45,35 @@ parseSizeClass(std::string_view name, SizeClass &out)
         return false;
     }
     return true;
+}
+
+bool
+parseProtocol(std::string_view name, ProtocolKind &out)
+{
+    if (name == "hlrc") {
+        out = ProtocolKind::Hlrc;
+    } else if (name == "sc") {
+        out = ProtocolKind::Sc;
+    } else if (name == "ideal") {
+        out = ProtocolKind::Ideal;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+bool
+validCommSet(std::string_view name)
+{
+    return name.size() == 1 &&
+        std::string_view("AHBWX").find(name[0]) != std::string_view::npos;
+}
+
+bool
+validProtoSet(std::string_view name)
+{
+    return name.size() == 1 &&
+        std::string_view("OHB").find(name[0]) != std::string_view::npos;
 }
 
 bool
@@ -193,18 +225,114 @@ SweepOptions::selectedApps() const
     return out;
 }
 
-Cycles
-SweepRunner::baseline(const AppInfo &app)
+void
+parallelFor(int jobs, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = baselines.find(app.name);
-        if (it != baselines.end())
-            return it->second;
+    std::vector<std::exception_ptr> errors(n);
+    const auto runOne = [&](std::size_t i) {
+        try {
+            fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    const std::size_t threads =
+        std::min(n, static_cast<std::size_t>(std::max(jobs, 1)));
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            runOne(i);
+    } else {
+        std::atomic<std::size_t> next{0};
+        std::vector<std::jthread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t) {
+            pool.emplace_back([&] {
+                for (std::size_t i = next++; i < n; i = next++)
+                    runOne(i);
+            });
+        }
+    } // the jthreads join here
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
     }
-    const Cycles seq = runSequentialBaseline(app.factory, opts.size);
-    std::lock_guard<std::mutex> lock(mu);
-    return baselines.emplace(app.name, seq).first->second;
+}
+
+void
+SweepRunner::plan(const AppInfo &app, ProtocolKind kind, char comm_set,
+                  char proto_set)
+{
+    const ExperimentConfig cfg =
+        gridConfig(GridItem{app, false, kind, comm_set, proto_set}, opts);
+    plan(app, resultKey(app, kind, comm_set, proto_set),
+         cfg.machineParams(), cfg.name());
+}
+
+void
+SweepRunner::planIdeal(const AppInfo &app)
+{
+    const ExperimentConfig cfg =
+        gridConfig(GridItem{app, true, ProtocolKind::Ideal, 0, 0}, opts);
+    plan(app, idealKey(app), cfg.machineParams(), cfg.name());
+}
+
+void
+SweepRunner::plan(const AppInfo &app, const std::string &key,
+                  MachineParams mp, const std::string &config)
+{
+    if (results.count(key) || !plannedKeys.insert(key).second)
+        return;
+    mp.simThreads = opts.simThreads;
+    mp.trace = !opts.tracePath.empty();
+    planned.push_back(Planned{app, key, std::move(mp), config});
+}
+
+void
+SweepRunner::runPlanned()
+{
+    const std::vector<Planned> todo = std::exchange(planned, {});
+    plannedKeys.clear();
+
+    std::vector<AppInfo> apps;
+    for (const Planned &p : todo) {
+        const auto same = [&](const AppInfo &a) {
+            return a.name == p.app.name;
+        };
+        if (!baselines.count(p.app.name) &&
+            std::none_of(apps.begin(), apps.end(), same))
+            apps.push_back(p.app);
+    }
+
+    std::vector<Cycles> seqs(apps.size());
+    std::vector<ExperimentResult> out(todo.size());
+    parallelFor(opts.jobs, apps.size() + todo.size(), [&](std::size_t i) {
+        if (i < apps.size()) {
+            seqs[i] = runSequentialBaseline(apps[i].factory, opts.size);
+            return;
+        }
+        const Planned &p = todo[i - apps.size()];
+        out[i - apps.size()] =
+            runExperiment(p.app.factory, opts.size, p.mp, p.config, 0);
+    });
+
+    for (std::size_t i = 0; i < apps.size(); ++i)
+        baselines.emplace(apps[i].name, seqs[i]);
+    for (std::size_t i = 0; i < todo.size(); ++i) {
+        out[i].sequentialCycles = baselines.at(todo[i].app.name);
+        results.emplace(todo[i].key, std::move(out[i]));
+    }
+}
+
+Cycles
+SweepRunner::baseline(const AppInfo &app) const
+{
+    auto it = baselines.find(app.name);
+    if (it == baselines.end())
+        SWSM_FATAL("no sequential baseline for '%s': no experiment of it "
+                   "was planned and run",
+                   app.name.c_str());
+    return it->second;
 }
 
 std::string
@@ -223,67 +351,28 @@ SweepRunner::idealKey(const AppInfo &app)
     return app.name + "/ideal";
 }
 
-bool
-SweepRunner::cached(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return cache.find(key) != cache.end();
-}
-
-bool
-SweepRunner::baselineCached(const std::string &app) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return baselines.find(app) != baselines.end();
-}
-
 const ExperimentResult &
-SweepRunner::runWithKey(const std::string &key, const AppInfo &app,
-                        const ExperimentConfig &cfg)
+SweepRunner::result(const std::string &key) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-    }
-    ExperimentResult r =
-        runExperiment(app.factory, opts.size, cfg, baseline(app));
-    if (!r.verified)
-        SWSM_WARN("%s failed verification under %s", key.c_str(),
-                  cfg.name().c_str());
-    // If another thread raced us here, emplace keeps its (identical,
-    // deterministic) result and ours is discarded.
-    std::lock_guard<std::mutex> lock(mu);
-    return cache.emplace(key, std::move(r)).first->second;
+    auto it = results.find(key);
+    if (it == results.end())
+        SWSM_FATAL("experiment '%s' was not planned and run before being "
+                   "read",
+                   key.c_str());
+    return it->second;
 }
 
 const ExperimentResult &
 SweepRunner::run(const AppInfo &app, ProtocolKind kind, char comm_set,
-                 char proto_set)
+                 char proto_set) const
 {
-    if (kind == ProtocolKind::Sc)
-        proto_set = 'O';
-    ExperimentConfig cfg;
-    cfg.protocol = kind;
-    cfg.commSet = comm_set;
-    cfg.protoSet = proto_set;
-    cfg.numProcs = opts.numProcs;
-    cfg.blockBytes = app.scBlockBytes;
-    cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.simThreads;
-    return runWithKey(resultKey(app, kind, comm_set, proto_set), app, cfg);
+    return result(resultKey(app, kind, comm_set, proto_set));
 }
 
 const ExperimentResult &
-SweepRunner::runIdeal(const AppInfo &app)
+SweepRunner::runIdeal(const AppInfo &app) const
 {
-    ExperimentConfig cfg;
-    cfg.protocol = ProtocolKind::Ideal;
-    cfg.numProcs = opts.numProcs;
-    cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.simThreads;
-    return runWithKey(idealKey(app), app, cfg);
+    return result(idealKey(app));
 }
 
 void
@@ -291,8 +380,7 @@ SweepRunner::forEachResult(
     const std::function<void(const std::string &, const ExperimentResult &)>
         &fn) const
 {
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto &[key, r] : cache)
+    for (const auto &[key, r] : results)
         fn(key, r);
 }
 
@@ -300,7 +388,6 @@ void
 SweepRunner::forEachBaseline(
     const std::function<void(const std::string &, Cycles)> &fn) const
 {
-    std::lock_guard<std::mutex> lock(mu);
     for (const auto &[app, seq] : baselines)
         fn(app, seq);
 }
@@ -341,6 +428,24 @@ figure3Grid(const SweepOptions &opts)
         }
     }
     return grid;
+}
+
+ExperimentConfig
+gridConfig(const GridItem &item, const SweepOptions &opts)
+{
+    ExperimentConfig cfg;
+    cfg.protocol = item.ideal ? ProtocolKind::Ideal : item.kind;
+    cfg.numProcs = opts.numProcs;
+    cfg.trace = !opts.tracePath.empty();
+    cfg.simThreads = opts.simThreads;
+    if (!item.ideal) {
+        cfg.commSet = item.commSet;
+        // SC handlers are fixed; no protocol variants
+        cfg.protoSet =
+            item.kind == ProtocolKind::Sc ? 'O' : item.protoSet;
+        cfg.blockBytes = item.app.scBlockBytes;
+    }
+    return cfg;
 }
 
 } // namespace swsm

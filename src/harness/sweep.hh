@@ -2,24 +2,28 @@
  * @file
  * Sweep driver shared by the table/figure benchmark binaries.
  *
- * Runs (workload x configuration) grids with cached sequential
+ * Runs (workload x configuration) grids with per-app sequential
  * baselines, simple command-line options, and the paper's configuration
  * naming (comm set A/H/B/W/X x protocol set O/H/B; SC runs protocol
  * cost variants are meaningless and always use O with its fixed simple
  * handler cost, as in the paper).
  *
- * SweepRunner's caches are thread-safe so the parallel sweep engine
- * (harness/parallel_sweep.hh) can fill them from worker threads; each
- * individual simulation still runs confined to a single thread.
+ * Every experiment of a grid is an independent simulation: a baseline
+ * is only the denominator of its app's speedups, stamped into the
+ * results after they run. So a grid is one flat list of tasks,
+ * baselines first, executed by parallelFor; each simulation runs
+ * confined to the one thread that executes it.
  */
 
 #ifndef SWSM_HARNESS_SWEEP_HH
 #define SWSM_HARNESS_SWEEP_HH
 
+#include <cstddef>
 #include <functional>
 #include <map>
-#include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app_registry.hh"
@@ -46,6 +50,19 @@ const char *sizeClassName(SizeClass size);
 
 /** Parse a size-class name; false (out untouched) on unknown names. */
 bool parseSizeClass(std::string_view name, SizeClass &out);
+
+/**
+ * Parse a protocol name (hlrc, sc or ideal), the grammar of swsm_run's
+ * --proto and the sweep server's proto= parameter; false (out
+ * untouched) on unknown names.
+ */
+bool parseProtocol(std::string_view name, ProtocolKind &out);
+
+/** True if @p name is one communication set letter: A, H, B, W or X. */
+bool validCommSet(std::string_view name);
+
+/** True if @p name is one protocol cost set letter: O, H or B. */
+bool validProtoSet(std::string_view name);
 
 /**
  * Parse a comma-separated list of registry app names ("fft,lu"), the
@@ -91,30 +108,73 @@ struct SweepOptions
 };
 
 /**
- * Runs experiments with per-app cached sequential baselines.
+ * Run fn(0), ..., fn(n - 1), each index once, on up to @p jobs threads
+ * that claim indices in increasing order: by the time a thread takes
+ * index i, every lower index has been taken by a running thread, so
+ * fn(i) may wait for the work of a lower index that waits on nothing.
+ * With jobs <= 1 the calls run inline, in index order, on the calling
+ * thread. Every index runs even if some throw; then the exception of
+ * the lowest failing index is rethrown.
+ */
+void parallelFor(int jobs, std::size_t n,
+                 const std::function<void(std::size_t)> &fn);
+
+/**
+ * Plans a sweep's experiments, runs them, and serves their results.
  *
- * All public methods are thread-safe; cache misses compute the
- * experiment on the calling thread. Returned references stay valid for
- * the runner's lifetime (map nodes are stable).
+ * Usage is two-phase: plan() every experiment, runPlanned(), then read
+ * the results back in print order. Each experiment is an isolated
+ * simulation, so results are bit-identical for any job count and the
+ * printed output of --jobs=N matches --jobs=1 byte for byte. The
+ * lookups are read-only: reading a key that was not planned and run is
+ * a fatal error. Returned references stay valid for the runner's
+ * lifetime.
  */
 class SweepRunner
 {
   public:
     explicit SweepRunner(const SweepOptions &opts) : opts(opts) {}
 
-    /** Sequential baseline cycles for @p app (cached). */
-    Cycles baseline(const AppInfo &app);
+    /**
+     * Plan @p app under protocol @p kind with comm/proto set letters.
+     * For SC the proto letter is forced to 'O' (fixed simple handlers).
+     */
+    void plan(const AppInfo &app, ProtocolKind kind, char comm_set,
+              char proto_set);
+
+    /** Plan the Ideal (algorithmic limit) run for @p app. */
+    void planIdeal(const AppInfo &app);
 
     /**
-     * Run @p app under protocol @p kind with comm/proto set letters.
-     * For SC the proto letter is forced to 'O' (fixed simple handlers).
-     * Results are cached by (app, protocol, config).
+     * Plan @p app on custom machine parameters (ablations, single
+     * parameter and scaling sweeps) under @p key, labelled @p config.
+     * Like every other experiment it takes its simThreads and tracing
+     * from the options, overriding those fields of @p mp.
      */
-    const ExperimentResult &run(const AppInfo &app, ProtocolKind kind,
-                                char comm_set, char proto_set);
+    void plan(const AppInfo &app, const std::string &key,
+              MachineParams mp, const std::string &config);
 
-    /** Run the Ideal (algorithmic limit) configuration. */
-    const ExperimentResult &runIdeal(const AppInfo &app);
+    /**
+     * Run the planned experiments and the sequential baseline of each
+     * planned app not yet measured, as independent tasks (baselines
+     * first) on options().jobs threads; then stamp each result's
+     * sequentialCycles. Keys already run are not planned again, so
+     * plan/runPlanned may repeat.
+     */
+    void runPlanned();
+
+    /** Sequential baseline cycles of an app with a run experiment. */
+    Cycles baseline(const AppInfo &app) const;
+
+    /** Result of a planned (app, protocol, config) experiment. */
+    const ExperimentResult &run(const AppInfo &app, ProtocolKind kind,
+                                char comm_set, char proto_set) const;
+
+    /** Result of a planned Ideal run. */
+    const ExperimentResult &runIdeal(const AppInfo &app) const;
+
+    /** Result of the experiment planned under @p key. */
+    const ExperimentResult &result(const std::string &key) const;
 
     const SweepOptions &options() const { return opts; }
 
@@ -122,38 +182,38 @@ class SweepRunner
      * Cache key for a (app, protocol, config) run (SC collapses onto
      * proto set 'O'). Public because the sweep server's shared-memory
      * memo cache and its BENCH report assembly key on the same strings
-     * as the in-process cache (serve/server.hh).
+     * as the runner (serve/server.hh).
      */
     static std::string resultKey(const AppInfo &app, ProtocolKind kind,
                                  char comm_set, char proto_set);
     /** Cache key for the Ideal run. */
     static std::string idealKey(const AppInfo &app);
 
-    /** Visit every cached result in key order (for reports). */
+    /** Visit every result in key order (for reports). */
     void forEachResult(
         const std::function<void(const std::string &key,
                                  const ExperimentResult &r)> &fn) const;
 
-    /** Visit every cached baseline in app-name order. */
+    /** Visit every baseline in app-name order. */
     void forEachBaseline(
         const std::function<void(const std::string &app, Cycles seq)> &fn)
         const;
 
-  protected:
-    /** True if @p key is already cached. */
-    bool cached(const std::string &key) const;
-    /** True if @p app's baseline is already cached. */
-    bool baselineCached(const std::string &app) const;
-
   private:
-    const ExperimentResult &runWithKey(const std::string &key,
-                                       const AppInfo &app,
-                                       const ExperimentConfig &cfg);
+    struct Planned
+    {
+        AppInfo app;
+        std::string key;
+        MachineParams mp;
+        std::string config;
+    };
 
     SweepOptions opts;
-    mutable std::mutex mu;
+    /** Planned since the last runPlanned(), in plan order. */
+    std::vector<Planned> planned;
+    std::set<std::string> plannedKeys;
     std::map<std::string, Cycles> baselines;
-    std::map<std::string, ExperimentResult> cache;
+    std::map<std::string, ExperimentResult> results;
 };
 
 /** The paper's main Figure 3 configuration list (comm, proto) pairs. */
@@ -180,6 +240,14 @@ struct GridItem
  * binary runs.
  */
 std::vector<GridItem> figure3Grid(const SweepOptions &opts);
+
+/**
+ * The configuration @p item runs under @p opts: the one mapping from a
+ * grid item to machine settings, shared by SweepRunner and the sweep
+ * server. SC's proto set is forced to 'O' (fixed simple handlers).
+ */
+ExperimentConfig gridConfig(const GridItem &item,
+                            const SweepOptions &opts);
 
 } // namespace swsm
 

@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "harness/bench_report.hh"
-#include "harness/task_pool.hh"
 #include "obs/json_writer.hh"
 #include "serve/result_codec.hh"
 #include "sim/log.hh"
@@ -117,27 +116,18 @@ buildRunItem(const wire::Request &req, GridItem &out, std::string &err)
     }
     GridItem item;
     item.app = *app;
-    const std::string proto = req.get("proto", "hlrc");
-    if (proto == "ideal") {
-        item.ideal = true;
-        item.kind = ProtocolKind::Ideal;
-    } else if (proto == "hlrc") {
-        item.kind = ProtocolKind::Hlrc;
-    } else if (proto == "sc") {
-        item.kind = ProtocolKind::Sc;
-    } else {
+    if (!parseProtocol(req.get("proto", "hlrc"), item.kind)) {
         err = "bad proto (want hlrc|sc|ideal)";
         return false;
     }
+    item.ideal = item.kind == ProtocolKind::Ideal;
     const std::string comm = req.get("comm", "A");
     const std::string cost = req.get("cost", "O");
-    if (comm.size() != 1 ||
-        std::string("AHBWX").find(comm[0]) == std::string::npos) {
+    if (!validCommSet(comm)) {
         err = "bad comm set (want one of A H B W X)";
         return false;
     }
-    if (cost.size() != 1 ||
-        std::string("OHB").find(cost[0]) == std::string::npos) {
+    if (!validProtoSet(cost)) {
         err = "bad cost set (want one of O H B)";
         return false;
     }
@@ -385,23 +375,15 @@ Server::obtainBaseline(const AppInfo &app, const SweepOptions &sweep,
 
 ExperimentResult
 Server::obtainResult(const GridItem &item, const SweepOptions &sweep,
-                     Cycles seq, bool &cached)
+                     const std::function<Cycles()> &baseline,
+                     bool &cached)
 {
     const std::string blob =
         obtain(cacheKeyResult(sweep, item), cached, [&] {
-            ExperimentConfig cfg;
-            cfg.protocol = item.kind;
-            cfg.numProcs = sweep.numProcs;
-            cfg.trace = false;
-            cfg.simThreads = sweep.simThreads;
-            if (!item.ideal) {
-                cfg.commSet = item.commSet;
-                cfg.protoSet =
-                    item.kind == ProtocolKind::Sc ? 'O' : item.protoSet;
-                cfg.blockBytes = item.app.scBlockBytes;
-            }
-            return codec::encodeResult(
-                runExperiment(item.app.factory, sweep.size, cfg, seq));
+            ExperimentResult r = runExperiment(
+                item.app.factory, sweep.size, gridConfig(item, sweep), 0);
+            r.sequentialCycles = baseline();
+            return codec::encodeResult(r);
         });
     // Fresh computes decode their own encoding too, so hit and miss
     // paths render byte-identically.
@@ -423,109 +405,103 @@ Server::executeGrid(const SweepOptions &sweep,
         return false;
     }
 
-    struct ItemState
+    // One flat task list: each distinct app's baseline, then every
+    // item. An item needs its baseline only for the seqCycles its memo
+    // blob stores, so a computed item waits for that slot just before
+    // encoding. That cannot deadlock: parallelFor claims indices in
+    // order, so every baseline has started, and baselines wait on no
+    // slot, before any item can wait.
+    std::vector<const AppInfo *> apps;
+    std::vector<std::size_t> baselineOf(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const auto it =
+            std::find_if(apps.begin(), apps.end(), [&](const AppInfo *a) {
+                return a->name == items[i].app.name;
+            });
+        baselineOf[i] = static_cast<std::size_t>(it - apps.begin());
+        if (it == apps.end())
+            apps.push_back(&items[i].app);
+    }
+
+    struct Slot
     {
         bool done = false;
         bool cached = false;
-        ExperimentResult result;
         std::string error;
     };
-    struct BaselineState
-    {
-        Cycles seq = 0;
-        std::string error;
-    };
-
-    std::vector<ItemState> states(items.size());
-    std::map<std::string, BaselineState> baselines;
+    const std::size_t nb = apps.size();
+    std::vector<Slot> slots(nb + items.size());
+    std::vector<Cycles> seqs(nb);
+    run.results.resize(items.size());
+    run.cached.resize(items.size());
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
-    const auto countLookup = [&](bool cached) {
-        (cached ? hits : misses).fetch_add(1, std::memory_order_relaxed);
-        (cached ? reqHits_ : reqMisses_)
-            .fetch_add(1, std::memory_order_relaxed);
+
+    // A finished slot is never written again, so it may be read after
+    // the wait without the lock.
+    const auto await = [&](std::size_t s) -> const Slot & {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return slots[s].done; });
+        return slots[s];
+    };
+    const auto task = [&](std::size_t s) {
+        Slot out;
+        try {
+            if (s < nb) {
+                seqs[s] = obtainBaseline(*apps[s], sweep, out.cached);
+            } else {
+                const std::size_t b = baselineOf[s - nb];
+                run.results[s - nb] = obtainResult(
+                    items[s - nb], sweep,
+                    [&] {
+                        const Slot &base = await(b);
+                        if (!base.error.empty())
+                            fatal(base.error);
+                        return seqs[b];
+                    },
+                    out.cached);
+            }
+            (out.cached ? hits : misses)
+                .fetch_add(1, std::memory_order_relaxed);
+            (out.cached ? reqHits_ : reqMisses_)
+                .fetch_add(1, std::memory_order_relaxed);
+        } catch (const std::exception &e) {
+            out.error = e.what();
+        }
+        out.done = true;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            slots[s] = std::move(out);
+        }
+        cv.notify_all();
     };
 
-    // Pre-insert every app's baseline node so worker threads only ever
-    // assign through stable references.
-    for (const GridItem &item : items)
-        baselines[item.app.name];
-
-    TaskPool pool(std::max(1, sweep.jobs));
-    std::map<std::string, TaskPool::TaskId> baselineTask;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const AppInfo &app = items[i].app;
-        if (baselineTask.count(app.name))
-            continue;
-        BaselineState &bs = baselines[app.name];
-        baselineTask[app.name] = pool.submit([this, &app, &sweep, &bs,
-                                              &countLookup] {
-            try {
-                bool cached = false;
-                bs.seq = obtainBaseline(app, sweep, cached);
-                countLookup(cached);
-            } catch (const std::exception &e) {
-                bs.error = e.what();
-            }
-        });
-    }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const GridItem &item = items[i];
-        ItemState &st = states[i];
-        const BaselineState &bs = baselines[item.app.name];
-        pool.submit(
-            [this, &item, &sweep, &st, &bs, &mu, &cv, &countLookup] {
-                try {
-                    if (!bs.error.empty())
-                        fatal(bs.error);
-                    bool cached = false;
-                    ExperimentResult r =
-                        obtainResult(item, sweep, bs.seq, cached);
-                    countLookup(cached);
-                    std::lock_guard<std::mutex> lock(mu);
-                    st.result = std::move(r);
-                    st.cached = cached;
-                    st.done = true;
-                } catch (const std::exception &e) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    st.error = e.what();
-                    st.done = true;
-                }
-                cv.notify_all();
-            },
-            {baselineTask[item.app.name]});
-    }
-
-    // Hand items over in grid order while the pool executes; a
-    // completed item is reported as soon as every earlier one is.
-    std::thread runner([&] { pool.run(); });
-    run.results.resize(items.size());
-    run.cached.resize(items.size());
+    // Hand items over in grid order while the tasks run; a completed
+    // item is reported as soon as every earlier one is.
+    std::jthread worker([&] { parallelFor(sweep.jobs, slots.size(), task); });
     bool keepReporting = true;
     for (std::size_t i = 0; i < items.size(); ++i) {
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cv.wait(lock, [&] { return states[i].done; });
-        }
-        ItemState &st = states[i];
+        const Slot &st = await(nb + i);
         if (!st.error.empty()) {
             failure = st.error;
             break;
         }
-        // The pool task is finished with this state; move it out.
-        run.results[i] = std::move(st.result);
         run.cached[i] = st.cached;
         if (keepReporting)
             keepReporting = onResult(i);
     }
-    runner.join();
+    worker.join();
+    // An item served from the memo never waits for its baseline, so a
+    // failed baseline must fail the request here.
+    for (std::size_t s = 0; failure.empty() && s < nb; ++s)
+        failure = slots[s].error;
     if (!failure.empty())
         return false;
 
-    for (const auto &[app, bs] : baselines)
-        run.baselines[app] = bs.seq;
+    for (std::size_t s = 0; s < nb; ++s)
+        run.baselines[apps[s]->name] = seqs[s];
     run.hits = hits.load(std::memory_order_relaxed);
     run.misses = misses.load(std::memory_order_relaxed);
     return true;

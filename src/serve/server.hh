@@ -1,10 +1,9 @@
 /**
  * @file
  * Persistent sweep server: accepts run/grid requests over a local unix
- * socket, schedules the underlying simulations on the harness TaskPool
- * (baselines before the configurations that need them, exactly like
- * the batch ParallelSweepRunner), and streams BENCH-schema results
- * back incrementally.
+ * socket, runs the underlying simulations as one flat parallelFor task
+ * list (baselines first, exactly like the batch SweepRunner), and
+ * streams BENCH-schema results back incrementally.
  *
  * Completed experiments are memoized in a named shared-memory segment
  * (serve/shm_cache.hh) keyed by the canonical parameter tuple
@@ -21,7 +20,8 @@
  * Concurrent clients requesting the same uncached configuration are
  * deduplicated in-flight: the first request simulates, the rest block
  * on its completion, and serve.sim_runs counts each simulation once.
- * Every simulation runs in this process, on the grid's TaskPool.
+ * Every simulation runs in this process, on the grid's parallelFor
+ * threads.
  *
  * Replay determinism: the cached blob stores the host seconds measured
  * when the experiment originally ran, and the report's top-level
@@ -61,7 +61,7 @@ struct ServerOptions
     std::string segment = "swsm_memo";
     std::uint32_t slotCount = 4096;
     std::uint64_t arenaBytes = 64ull << 20;
-    /** TaskPool workers per grid request. */
+    /** Simulation threads per grid request (parallelFor jobs). */
     int jobs = defaultJobs();
     /** Threads inside each simulation (parallel event kernel). */
     int simThreads = defaultSimThreads();
@@ -130,8 +130,8 @@ class Server
     bool handleRunOrGrid(int fd, const wire::Request &req);
 
     /**
-     * Dedupe @p items and run them all (baselines first, TaskPool
-     * parallel, memo-cached). @p onResult sees each item in
+     * Dedupe @p items and run them all (baselines first, on
+     * parallelFor, memo-cached). @p onResult sees each item in
      * grid order as it completes; a false return stops further calls
      * (client gone) without aborting the grid. @return false with
      * @p failure set when any item failed.
@@ -152,8 +152,14 @@ class Server
 
     Cycles obtainBaseline(const AppInfo &app, const SweepOptions &sweep,
                           bool &cached);
+    /**
+     * @param baseline yields the app's sequential baseline cycles; a
+     *        fresh compute calls it, after simulating, to stamp them
+     *        into the blob it stores
+     */
     ExperimentResult obtainResult(const GridItem &item,
-                                  const SweepOptions &sweep, Cycles seq,
+                                  const SweepOptions &sweep,
+                                  const std::function<Cycles()> &baseline,
                                   bool &cached);
 
     void recordLatency(double seconds);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Determinism guarantees of the simulator and the parallel sweep
- * engine: repeated serial runs of the same experiment are bitwise
- * identical, and a parallel sweep produces exactly the same results as
- * the serial sweep over the same grid.
+ * Determinism guarantees of the simulator and the sweep runner:
+ * repeated serial runs of the same experiment are bitwise identical,
+ * and a parallel sweep produces exactly the same results as the serial
+ * sweep over the same grid.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <map>
 #include <string>
 
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 
 namespace swsm
 {
@@ -29,16 +29,21 @@ quickOptions(int jobs)
     return opts;
 }
 
+/** One AO experiment of @p app on a fresh runner. */
+ExperimentResult
+runOnce(const AppInfo &app, ProtocolKind kind)
+{
+    SweepRunner runner(quickOptions(1));
+    runner.plan(app, kind, 'A', 'O');
+    runner.runPlanned();
+    return runner.run(app, kind, 'A', 'O');
+}
+
 TEST(Determinism, RepeatedSerialRunsIdentical)
 {
-    const SweepOptions opts = quickOptions(1);
     const AppInfo &app = findApp("fft");
-
-    SweepRunner first(opts);
-    SweepRunner second(opts);
-    const ExperimentResult &a = first.run(app, ProtocolKind::Hlrc, 'A', 'O');
-    const ExperimentResult &b =
-        second.run(app, ProtocolKind::Hlrc, 'A', 'O');
+    const ExperimentResult a = runOnce(app, ProtocolKind::Hlrc);
+    const ExperimentResult b = runOnce(app, ProtocolKind::Hlrc);
 
     EXPECT_EQ(a.sequentialCycles, b.sequentialCycles);
     EXPECT_EQ(a.parallelCycles, b.parallelCycles);
@@ -53,13 +58,9 @@ TEST(Determinism, RepeatedSerialRunsIdentical)
 
 TEST(Determinism, RepeatedScRunsIdentical)
 {
-    const SweepOptions opts = quickOptions(1);
     const AppInfo &app = findApp("lu");
-
-    SweepRunner first(opts);
-    SweepRunner second(opts);
-    const ExperimentResult &a = first.run(app, ProtocolKind::Sc, 'A', 'O');
-    const ExperimentResult &b = second.run(app, ProtocolKind::Sc, 'A', 'O');
+    const ExperimentResult a = runOnce(app, ProtocolKind::Sc);
+    const ExperimentResult b = runOnce(app, ProtocolKind::Sc);
 
     EXPECT_EQ(a.parallelCycles, b.parallelCycles);
     EXPECT_EQ(a.stats.netMessages, b.stats.netMessages);
@@ -73,7 +74,7 @@ TEST(Determinism, RepeatedScRunsIdentical)
 TEST(Determinism, ParallelSweepMatchesSerial)
 {
     auto sweep = [](int jobs) {
-        ParallelSweepRunner runner(quickOptions(jobs));
+        SweepRunner runner(quickOptions(jobs));
         for (const AppInfo &app : runner.options().selectedApps()) {
             runner.planIdeal(app);
             for (const auto &[comm, proto] : figure3Configs(false)) {
@@ -116,26 +117,19 @@ TEST(Determinism, ParallelSweepMatchesSerial)
 TEST(Determinism, ParallelCustomExperimentsMatchSerial)
 {
     auto sweep = [](int jobs) {
-        ParallelSweepRunner runner(quickOptions(jobs));
+        SweepRunner runner(quickOptions(jobs));
         const AppInfo &app = findApp("fft");
         for (const int procs : {4, 8}) {
             ExperimentConfig cfg;
-            cfg.protocol = ProtocolKind::Hlrc;
-            cfg.commSet = 'A';
-            cfg.protoSet = 'O';
             cfg.numProcs = procs;
-            const SizeClass size = runner.options().size;
-            runner.planCustom(
-                app, "fft/" + std::to_string(procs) + "p",
-                [&app, size, cfg](Cycles seq) {
-                    return runExperiment(app.factory, size, cfg, seq);
-                });
+            runner.plan(app, "fft/" + std::to_string(procs) + "p",
+                        cfg.machineParams(), cfg.name());
         }
         runner.runPlanned();
-        std::map<std::string, Cycles> cycles;
-        runner.forEachCustom(
+        std::map<std::string, std::pair<Cycles, Cycles>> cycles;
+        runner.forEachResult(
             [&](const std::string &key, const ExperimentResult &r) {
-                cycles[key] = r.parallelCycles;
+                cycles[key] = {r.parallelCycles, r.sequentialCycles};
             });
         return cycles;
     };

@@ -1,17 +1,24 @@
 /**
  * @file
  * Harness-level tests: configuration expansion, parameter-set
- * invariants, option parsing (sim threads run only when asked), result
- * caching, and the coarse performance-monotonicity
+ * invariants, option parsing (sim threads run only when asked), the
+ * parallelFor executor, the sweep runner's plan/run/lookup contract,
+ * and the coarse performance-monotonicity
  * properties the whole study rests on (better layer costs never make a
  * deterministic run slower, worse costs never make it faster).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app_registry.hh"
@@ -178,35 +185,195 @@ TEST(SweepOptions, ExplicitSimThreadsWin)
     EXPECT_EQ(parsed({"--jobs=4", "--sim-threads=6"}).simThreads, 6);
 }
 
-TEST(SweepRunner, CachesResultsAndBaselines)
+// parallelFor runs a task list on a pool of up to `jobs` threads; the
+// suite keeps the name of the TaskPool class it replaced so that each
+// test still checks the property it checked there.
+
+TEST(TaskPool, SerialModeRunsInSubmissionOrder)
+{
+    std::vector<std::size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    parallelFor(1, 16, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), 16u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(TaskPool, EmptyPoolRuns)
+{
+    int runs = 0;
+    parallelFor(4, 0, [&](std::size_t) { ++runs; });
+    EXPECT_EQ(runs, 0);
+}
+
+TEST(TaskPool, AllTasksExecuteExactlyOnce)
+{
+    constexpr std::size_t n = 200;
+    std::vector<std::atomic<int>> runs(n);
+    std::set<std::thread::id> threads;
+    std::mutex mu;
+    parallelFor(4, n, [&](std::size_t i) {
+        ++runs[i];
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+    });
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    EXPECT_LE(threads.size(), 4u);
+}
+
+TEST(TaskPool, ManyWorkersFewTasks)
+{
+    std::atomic<int> runs{0};
+    parallelFor(16, 1, [&](std::size_t i) {
+        EXPECT_EQ(i, 0u);
+        ++runs;
+    });
+    EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(TaskPool, FirstExceptionRethrownAfterDrain)
+{
+    // Every index runs; the lowest failing index's exception wins.
+    std::atomic<int> ran{0};
+    try {
+        parallelFor(2, 6, [&](std::size_t i) {
+            ++ran;
+            if (i == 1)
+                throw std::logic_error("index 1");
+            if (i == 4)
+                throw std::runtime_error("index 4");
+        });
+        ADD_FAILURE() << "nothing rethrown";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(), "index 1");
+    }
+    EXPECT_EQ(ran.load(), 6);
+}
+
+TEST(TaskPool, SerialModeExceptionPropagates)
+{
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallelFor(1, 3,
+                             [&](std::size_t i) {
+                                 if (i == 0)
+                                     throw std::logic_error("first");
+                                 ++ran;
+                             }),
+                 std::logic_error);
+    EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(TaskPool, LaterIndicesMayWaitForEarlierOnes)
+{
+    // The sweep server's items wait for their app's baseline, which is
+    // an earlier index: claiming indices in order keeps that live.
+    constexpr std::size_t heads = 3;
+    constexpr std::size_t n = 60;
+    for (const int jobs : {1, 2, 4}) {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::vector<bool> done(heads, false);
+        std::size_t waited = 0;
+        parallelFor(jobs, n, [&](std::size_t i) {
+            std::unique_lock<std::mutex> lock(mu);
+            if (i < heads) {
+                done[i] = true;
+                cv.notify_all();
+                return;
+            }
+            cv.wait(lock, [&] { return done[i % heads]; });
+            ++waited;
+        });
+        EXPECT_EQ(waited, n - heads) << "jobs " << jobs;
+    }
+}
+
+/** Tiny inputs on 4 processors, two jobs. */
+SweepOptions
+tinyOptions()
 {
     SweepOptions opts;
     opts.size = SizeClass::Tiny;
     opts.numProcs = 4;
-    SweepRunner runner(opts);
+    opts.jobs = 2;
+    return opts;
+}
+
+TEST(SweepRunner, CachesResultsAndBaselines)
+{
+    SweepRunner runner(tinyOptions());
     const AppInfo &app = findApp("lu");
-    const Cycles b1 = runner.baseline(app);
-    const Cycles b2 = runner.baseline(app);
-    EXPECT_EQ(b1, b2);
-    const ExperimentResult &r1 =
+    runner.plan(app, ProtocolKind::Hlrc, 'A', 'O');
+    runner.plan(app, ProtocolKind::Hlrc, 'A', 'O');
+    runner.runPlanned();
+    int results = 0;
+    runner.forEachResult(
+        [&](const std::string &, const ExperimentResult &) { ++results; });
+    EXPECT_EQ(results, 1); // planned once
+
+    const ExperimentResult &r =
         runner.run(app, ProtocolKind::Hlrc, 'A', 'O');
-    const ExperimentResult &r2 =
-        runner.run(app, ProtocolKind::Hlrc, 'A', 'O');
-    EXPECT_EQ(&r1, &r2); // same cached object
+    EXPECT_GT(runner.baseline(app), 0u);
+    EXPECT_EQ(r.sequentialCycles, runner.baseline(app));
+
+    // A key already run is not run again.
+    runner.plan(app, ProtocolKind::Hlrc, 'A', 'O');
+    runner.runPlanned();
+    EXPECT_EQ(&runner.run(app, ProtocolKind::Hlrc, 'A', 'O'), &r);
+
+    // Lookups never compute: an unplanned key or app is an error.
+    EXPECT_THROW(runner.run(app, ProtocolKind::Hlrc, 'B', 'O'),
+                 FatalError);
+    EXPECT_THROW(runner.runIdeal(app), FatalError);
+    EXPECT_THROW(runner.result("lu/custom"), FatalError);
+    EXPECT_THROW(runner.baseline(findApp("fft")), FatalError);
 }
 
 TEST(SweepRunner, ScCollapsesProtoVariants)
 {
-    SweepOptions opts;
-    opts.size = SizeClass::Tiny;
-    opts.numProcs = 4;
-    SweepRunner runner(opts);
+    SweepRunner runner(tinyOptions());
     const AppInfo &app = findApp("lu");
+    runner.plan(app, ProtocolKind::Sc, 'A', 'O');
+    runner.plan(app, ProtocolKind::Sc, 'A', 'B');
+    runner.runPlanned();
     const ExperimentResult &ao =
         runner.run(app, ProtocolKind::Sc, 'A', 'O');
     const ExperimentResult &ab =
         runner.run(app, ProtocolKind::Sc, 'A', 'B');
-    EXPECT_EQ(ao.parallelCycles, ab.parallelCycles);
+    EXPECT_EQ(&ao, &ab);
+    EXPECT_EQ(ao.config, "AO");
+}
+
+TEST(SweepRunner, CustomPointsTakeTraceAndSimThreadsFromTheOptions)
+{
+    const AppInfo &app = findApp("fft");
+    ExperimentConfig cfg;
+    cfg.numProcs = 4;
+    const auto runCustom = [&](SweepOptions opts) {
+        SweepRunner runner(opts);
+        runner.plan(app, "fft/custom", cfg.machineParams(), "custom");
+        runner.runPlanned();
+        return runner.result("fft/custom");
+    };
+
+    // Tracing forces the serial kernel, so each option gets its own run.
+    SweepOptions traced = tinyOptions();
+    traced.tracePath = "unused"; // turns tracing on in the runner
+    traced.simThreads = 1;
+    const ExperimentResult t = runCustom(traced);
+    ASSERT_NE(t.trace, nullptr);
+    EXPECT_FALSE(t.trace->events.empty());
+
+    SweepOptions partitioned = tinyOptions();
+    partitioned.simThreads = 2;
+    const ExperimentResult p = runCustom(partitioned);
+    EXPECT_EQ(p.stats.metrics.counter("sim.pdes_partitions"), 2u);
+    EXPECT_EQ(p.parallelCycles, t.parallelCycles);
+    EXPECT_EQ(p.sequentialCycles, t.sequentialCycles);
 }
 
 struct MonotonicityCase
@@ -240,6 +407,9 @@ TEST_P(LayerMonotonicity, CommCostsOrderExecutionTime)
     opts.numProcs = 8;
     SweepRunner runner(opts);
     const AppInfo &app = findApp(GetParam().app);
+    for (const char comm : {'W', 'A', 'B'})
+        runner.plan(app, GetParam().kind, comm, 'O');
+    runner.runPlanned();
     const Cycles worse =
         runner.run(app, GetParam().kind, 'W', 'O').parallelCycles;
     const Cycles base =
@@ -259,6 +429,9 @@ TEST_P(LayerMonotonicity, ProtoCostsOrderHlrcExecutionTime)
     opts.numProcs = 8;
     SweepRunner runner(opts);
     const AppInfo &app = findApp(GetParam().app);
+    runner.plan(app, ProtocolKind::Hlrc, 'A', 'O');
+    runner.plan(app, ProtocolKind::Hlrc, 'A', 'B');
+    runner.runPlanned();
     const Cycles original =
         runner.run(app, ProtocolKind::Hlrc, 'A', 'O').parallelCycles;
     const Cycles best =

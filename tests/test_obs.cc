@@ -19,7 +19,7 @@
 
 #include "apps/app_registry.hh"
 #include "harness/bench_report.hh"
-#include "harness/parallel_sweep.hh"
+#include "harness/sweep.hh"
 #include "obs/json_writer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -570,7 +570,7 @@ TEST(Trace, SerialAndParallelSweepsProduceIdenticalBytes)
         opts.numProcs = 4;
         opts.jobs = jobs;
         opts.tracePath = "unused"; // turns tracing on in the runner
-        ParallelSweepRunner runner(opts);
+        SweepRunner runner(opts);
         runner.plan(lu, ProtocolKind::Hlrc, 'A', 'O');
         runner.plan(lu, ProtocolKind::Sc, 'A', 'O');
         runner.runPlanned();

@@ -6,8 +6,8 @@
  * protocol — cache-hit replays are byte-identical, concurrent clients
  * asking for the same uncached configuration simulate it once, a
  * corrupted segment is rejected and rebuilt instead of served, and bad
- * verbs or grid parameters get an error event instead of a fallback
- * run. The client turns a wedged server or a dead socket into a
+ * verbs, grid parameters or run parameters get an error event instead
+ * of a fallback run. The client turns a wedged server or a dead socket into a
  * diagnostic.
  *
  * Every test routes segments and sockets into a private temp directory
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -321,30 +322,25 @@ TEST_F(ServeTest, ServerAnswersPingAndRejectsUnknownVerbs)
     }
 }
 
-TEST_F(ServeTest, ServerRejectsBadGridParameters)
+struct BadParam
 {
-    ServerHandle h(testServerOptions(sock()));
-    struct Bad
-    {
-        const char *key;
-        const char *value;
-        const char *diagnostic;
-    };
-    const Bad bad[] = {
-        {"apps", "fft,", "empty app name in \"fft,\""},
-        {"apps", ",fft", "empty app name"},
-        {"apps", "fftt", "unknown app \"fftt\""},
-        {"apps", "", "empty app name"},
-        {"full", "yes", "bad full"},
-        {"size", "huge", "bad size"},
-        {"procs", "0", "bad procs"},
-    };
+    const char *key;
+    const char *value;
+    const char *diagnostic;
+};
+
+/**
+ * Each bad parameter, set on @p base, must get an error event carrying
+ * its diagnostic instead of a run on a fallback value.
+ */
+void
+expectRejected(const std::string &sock, const wire::Request &base,
+               std::initializer_list<BadParam> bad)
+{
     for (const auto &[key, value, diagnostic] : bad) {
-        wire::Request req;
-        req.verb = "grid";
-        req.params = {{"size", "tiny"}, {"procs", "4"}, {"apps", "fft"}};
+        wire::Request req = base;
         req.params[key] = value;
-        const ServeResponse r = serveRequest(sock(), req);
+        const ServeResponse r = serveRequest(sock, req);
         EXPECT_FALSE(r.ok) << key << "=" << value;
         EXPECT_FALSE(r.haveDone) << key << "=" << value;
         ASSERT_FALSE(r.events.empty()) << key << "=" << value;
@@ -353,6 +349,39 @@ TEST_F(ServeTest, ServerRejectsBadGridParameters)
         EXPECT_NE(r.error.find(diagnostic), std::string::npos)
             << key << "=" << value << ": " << r.error;
     }
+}
+
+TEST_F(ServeTest, ServerRejectsBadGridParameters)
+{
+    ServerHandle h(testServerOptions(sock()));
+    wire::Request grid;
+    grid.verb = "grid";
+    grid.params = {{"size", "tiny"}, {"procs", "4"}, {"apps", "fft"}};
+    expectRejected(sock(), grid,
+                   {
+                       {"apps", "fft,", "empty app name in \"fft,\""},
+                       {"apps", ",fft", "empty app name"},
+                       {"apps", "fftt", "unknown app \"fftt\""},
+                       {"apps", "", "empty app name"},
+                       {"full", "yes", "bad full"},
+                       {"size", "huge", "bad size"},
+                       {"procs", "0", "bad procs"},
+                   });
+    EXPECT_EQ(h.server->simRuns(), 0u); // nothing ran on a fallback
+}
+
+TEST_F(ServeTest, ServerRejectsBadRunParameters)
+{
+    ServerHandle h(testServerOptions(sock()));
+    expectRejected(sock(), fftRunRequest(),
+                   {
+                       {"app", "fftt", "unknown app \"fftt\""},
+                       {"proto", "scc", "bad proto"},
+                       {"comm", "Q", "bad comm set"},
+                       {"comm", "AB", "bad comm set"},
+                       {"cost", "X", "bad cost set"},
+                       {"cost", "", "bad cost set"},
+                   });
     EXPECT_EQ(h.server->simRuns(), 0u); // nothing ran on a fallback
 }
 
