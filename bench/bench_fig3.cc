@@ -13,10 +13,11 @@
  * The whole grid is executed by the parallel sweep engine before any
  * row is printed, so --jobs=N changes wall-clock time but never the
  * (byte-identical) table. A BENCH_fig3.json wall-clock report is
- * written alongside.
+ * written alongside. With --memo=DIR a re-run replays the experiments
+ * an earlier run stored in DIR and prints the same table.
  *
  * Options: --quick / --medium (problem size), --full (adds the halfway
- * configurations), --apps=..., --procs=N, --jobs=N.
+ * configurations), --apps=..., --procs=N, --jobs=N, --memo=DIR.
  */
 
 #include <cstdio>
@@ -37,9 +38,8 @@ main(int argc, char **argv)
     const auto configs = figure3Configs(opts.full);
     const auto apps = opts.selectedApps();
 
-    // The grid definition is shared with the sweep server
-    // (serve/server.hh) so a grid served from the memo cache is this
-    // exact experiment set.
+    // The grid definition is shared with the host-time benchmark
+    // (swsmbench/), so its fig3 workloads time this experiment set.
     for (const GridItem &item : figure3Grid(opts)) {
         if (item.ideal)
             runner.planIdeal(item.app);

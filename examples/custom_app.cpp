@@ -102,7 +102,7 @@ runHistogram(swsm::ProtocolKind protocol)
     for (int b = 0; b < buckets; ++b)
         res.ok &= histogram.peek(cluster, b) == expect[b];
     res.totalCycles = cluster.stats().totalCycles;
-    res.netMessages = cluster.stats().netMessages;
+    res.netMessages = cluster.stats().metrics.counter("net.messages");
     return res;
 }
 

@@ -43,14 +43,15 @@ main(int argc, char **argv)
         for (const ProtocolKind kind :
              {ProtocolKind::Hlrc, ProtocolKind::Sc}) {
             const ExperimentResult &r = runner.run(app, kind, 'A', 'O');
+            const MetricsSnapshot &m = r.stats.metrics;
             std::printf("%-14s %-6s %9.2f %10llu %10.1f %9llu%s\n",
                         app.name.c_str(), protocolKindName(kind),
                         r.speedup(),
                         static_cast<unsigned long long>(
-                            r.stats.netMessages),
-                        r.stats.netBytes / 1e6,
+                            m.counter("net.messages")),
+                        m.counter("net.bytes") / 1e6,
                         static_cast<unsigned long long>(
-                            r.stats.diffsCreated),
+                            m.counter("proto.diffs_created")),
                         r.verified ? "" : "  (VERIFY FAILED)");
         }
     }

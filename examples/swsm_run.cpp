@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "apps/app_registry.hh"
 #include "harness/sweep.hh"
@@ -139,24 +140,21 @@ main(int argc, char **argv)
                     100.0 * r.stats.bucketFraction(bucket));
     }
 
+    const MetricsSnapshot &m = r.stats.metrics;
     std::printf("\nprotocol events:\n");
-    std::printf("  read faults    %10llu\n",
-                static_cast<unsigned long long>(r.stats.readFaults));
-    std::printf("  write faults   %10llu\n",
-                static_cast<unsigned long long>(r.stats.writeFaults));
-    std::printf("  data fetches   %10llu\n",
-                static_cast<unsigned long long>(r.stats.pageFetches));
-    std::printf("  diffs created  %10llu\n",
-                static_cast<unsigned long long>(r.stats.diffsCreated));
-    std::printf("  invalidations  %10llu\n",
-                static_cast<unsigned long long>(r.stats.invalidations));
-    std::printf("  lock handoffs  %10llu\n",
-                static_cast<unsigned long long>(r.stats.lockHandoffs));
-    std::printf("  handlers run   %10llu\n",
-                static_cast<unsigned long long>(r.stats.handlersRun));
+    for (const auto &[label, name] :
+         {std::pair{"read faults", "proto.read_faults"},
+          {"write faults", "proto.write_faults"},
+          {"data fetches", "proto.page_fetches"},
+          {"diffs created", "proto.diffs_created"},
+          {"invalidations", "proto.invalidations"},
+          {"lock handoffs", "proto.lock_handoffs"},
+          {"handlers run", "proto.handlers_run"}})
+        std::printf("  %-14s %10llu\n", label,
+                    static_cast<unsigned long long>(m.counter(name)));
     std::printf("\nnetwork: %llu messages, %.2f MB\n",
-                static_cast<unsigned long long>(r.stats.netMessages),
-                r.stats.netBytes / 1e6);
+                static_cast<unsigned long long>(m.counter("net.messages")),
+                m.counter("net.bytes") / 1e6);
 
     if (!trace_path.empty()) {
         if (r.trace &&

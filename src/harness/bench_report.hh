@@ -48,14 +48,6 @@ class BenchReport
     void addAll(const SweepRunner &runner);
 
     /**
-     * Render the BENCH-schema JSON document for everything recorded so
-     * far, with @p wall_seconds as the top-level hostSeconds field.
-     * Deterministic: identical entries render to identical bytes,
-     * which the sweep server's cache-hit replays rely on.
-     */
-    std::string render(double wall_seconds) const;
-
-    /**
      * Write BENCH_<name>.json — and, when the sweep options carried a
      * --trace path, the merged Chrome trace of every recorded
      * experiment (one pid per experiment, in add() order). Total host
@@ -65,6 +57,12 @@ class BenchReport
     bool write();
 
   private:
+    /**
+     * Render the BENCH-schema JSON document for everything recorded so
+     * far, with @p wall_seconds as the top-level hostSeconds field.
+     */
+    std::string render(double wall_seconds) const;
+
     struct Entry
     {
         std::string key;

@@ -70,7 +70,8 @@ runExperiment(const WorkloadFactory &factory, SizeClass size,
 }
 
 Cycles
-runSequentialBaseline(const WorkloadFactory &factory, SizeClass size)
+runSequentialBaseline(const WorkloadFactory &factory, SizeClass size,
+                      bool *verified)
 {
     auto workload = factory(size);
     MachineParams mp;
@@ -79,7 +80,10 @@ runSequentialBaseline(const WorkloadFactory &factory, SizeClass size)
     Cluster cluster(mp);
     workload->setup(cluster);
     cluster.run([&](Thread &t) { workload->body(t); });
-    if (!workload->verify(cluster))
+    const bool ok = workload->verify(cluster);
+    if (verified)
+        *verified = ok;
+    if (!ok)
         SWSM_WARN("%s failed verification in the sequential baseline",
                   workload->name());
     return cluster.stats().totalCycles;

@@ -62,10 +62,16 @@ struct ExperimentResult
     Cycles parallelCycles = 0;
     Cycles sequentialCycles = 0;
     bool verified = false;
-    /** Host wall-clock seconds spent simulating this experiment. */
+    /**
+     * Host wall-clock seconds spent simulating this experiment (for a
+     * memo replay, those of the run that stored it).
+     */
     double hostSeconds = 0.0;
     RunStats stats;
-    /** Recorded events (empty buffer unless the config asked to trace). */
+    /**
+     * Recorded events (empty buffer unless the config asked to trace;
+     * null for a memo replay, which never traces).
+     */
     std::shared_ptr<const TraceBuffer> trace;
 
     double
@@ -102,9 +108,10 @@ ExperimentResult runExperiment(const WorkloadFactory &factory,
 /**
  * Run the workload on a 1-processor Ideal machine: the best sequential
  * version all speedups are measured against.
+ * @param verified if non-null, set to whether the output verified
  */
 Cycles runSequentialBaseline(const WorkloadFactory &factory,
-                             SizeClass size);
+                             SizeClass size, bool *verified = nullptr);
 
 } // namespace swsm
 

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
+#include <system_error>
 #include <thread>
 #include <utility>
 
+#include "harness/memo.hh"
 #include "sim/env.hh"
 #include "sim/log.hh"
 #include "sim/pdes.hh"
@@ -123,7 +126,8 @@ printUsage(const char *prog)
     std::fprintf(stderr,
                  "usage: %s [--quick|--medium|--size=CLASS] "
                  "[--full] [--procs=N] [--apps=a,b,...] "
-                 "[--jobs=N] [--sim-threads=N] [--trace=FILE]\n"
+                 "[--jobs=N] [--sim-threads=N] [--trace=FILE] "
+                 "[--memo=DIR]\n"
                  "  --size=CLASS  problem size: tiny, small, "
                  "medium or paper (the paper's published "
                  "sizes); --quick and --medium are shorthands\n"
@@ -136,8 +140,34 @@ printUsage(const char *prog)
                  "are bit-identical to serial; default: "
                  "SWSM_SIM_THREADS or 1)\n"
                  "  --trace=FILE  write a Chrome trace_event "
-                 "JSON of every experiment (chrome://tracing)\n",
+                 "JSON of every experiment (chrome://tracing)\n"
+                 "  --memo=DIR    replay the grid experiments and "
+                 "baselines stored in DIR and store the ones "
+                 "simulated (not with --trace)\n",
                  prog);
+}
+
+/**
+ * The configuration @p item runs under @p opts: the one mapping from a
+ * grid item to machine settings. SC's proto set is forced to 'O'
+ * (fixed simple handlers).
+ */
+ExperimentConfig
+gridConfig(const GridItem &item, const SweepOptions &opts)
+{
+    ExperimentConfig cfg;
+    cfg.protocol = item.ideal ? ProtocolKind::Ideal : item.kind;
+    cfg.numProcs = opts.numProcs;
+    cfg.trace = !opts.tracePath.empty();
+    cfg.simThreads = opts.simThreads;
+    if (!item.ideal) {
+        cfg.commSet = item.commSet;
+        // SC handlers are fixed; no protocol variants
+        cfg.protoSet =
+            item.kind == ProtocolKind::Sc ? 'O' : item.protoSet;
+        cfg.blockBytes = item.app.scBlockBytes;
+    }
+    return cfg;
 }
 
 } // namespace
@@ -194,6 +224,12 @@ SweepOptions::parse(int argc, char **argv)
                 std::fprintf(stderr, "--trace needs a file path\n");
                 return false;
             }
+        } else if (arg.rfind("--memo=", 0) == 0) {
+            memoDir = arg.substr(7);
+            if (memoDir.empty()) {
+                std::fprintf(stderr, "--memo needs a directory path\n");
+                return false;
+            }
         } else if (arg.rfind("--apps=", 0) == 0) {
             std::string err;
             if (!parseAppList(std::string_view(arg).substr(7), apps,
@@ -208,6 +244,22 @@ SweepOptions::parse(int argc, char **argv)
             }
         } else {
             printUsage(argv[0]);
+            return false;
+        }
+    }
+    if (!memoDir.empty()) {
+        if (!tracePath.empty()) {
+            std::fprintf(stderr, "--memo cannot be combined with --trace: "
+                                 "a replayed experiment has no trace\n");
+            return false;
+        }
+        std::error_code ec;
+        std::filesystem::create_directories(memoDir, ec);
+        if (ec || !std::filesystem::is_directory(memoDir)) {
+            std::fprintf(stderr,
+                         "--memo: cannot use \"%s\" as a directory%s%s\n",
+                         memoDir.c_str(), ec ? ": " : "",
+                         ec ? ec.message().c_str() : "");
             return false;
         }
     }
@@ -265,8 +317,8 @@ SweepRunner::plan(const AppInfo &app, ProtocolKind kind, char comm_set,
 {
     const ExperimentConfig cfg =
         gridConfig(GridItem{app, false, kind, comm_set, proto_set}, opts);
-    plan(app, resultKey(app, kind, comm_set, proto_set),
-         cfg.machineParams(), cfg.name());
+    add(app, resultKey(app, kind, comm_set, proto_set),
+        cfg.machineParams(), cfg.name(), true);
 }
 
 void
@@ -274,23 +326,34 @@ SweepRunner::planIdeal(const AppInfo &app)
 {
     const ExperimentConfig cfg =
         gridConfig(GridItem{app, true, ProtocolKind::Ideal, 0, 0}, opts);
-    plan(app, idealKey(app), cfg.machineParams(), cfg.name());
+    add(app, idealKey(app), cfg.machineParams(), cfg.name(), true);
 }
 
 void
 SweepRunner::plan(const AppInfo &app, const std::string &key,
                   MachineParams mp, const std::string &config)
 {
+    add(app, key, std::move(mp), config, false);
+}
+
+void
+SweepRunner::add(const AppInfo &app, const std::string &key,
+                 MachineParams mp, const std::string &config, bool grid)
+{
     if (results.count(key) || !plannedKeys.insert(key).second)
         return;
     mp.simThreads = opts.simThreads;
     mp.trace = !opts.tracePath.empty();
-    planned.push_back(Planned{app, key, std::move(mp), config});
+    planned.push_back(Planned{app, key, std::move(mp), config, grid});
 }
 
 void
 SweepRunner::runPlanned()
 {
+    const std::string &dir = opts.memoDir;
+    if (!dir.empty() && !opts.tracePath.empty())
+        SWSM_FATAL("a memoized sweep cannot trace: a replayed experiment "
+                   "has no trace");
     const std::vector<Planned> todo = std::exchange(planned, {});
     plannedKeys.clear();
 
@@ -304,23 +367,65 @@ SweepRunner::runPlanned()
             apps.push_back(p.app);
     }
 
-    std::vector<Cycles> seqs(apps.size());
+    // Task i < nb is apps[i]'s baseline, task nb + j runs todo[j]. A
+    // baseline is a 1-node run, so its memo key has no procs.
+    const std::size_t nb = apps.size();
+    std::vector<Cycles> seqs(nb);
     std::vector<ExperimentResult> out(todo.size());
-    parallelFor(opts.jobs, apps.size() + todo.size(), [&](std::size_t i) {
-        if (i < apps.size()) {
-            seqs[i] = runSequentialBaseline(apps[i].factory, opts.size);
+    const std::string size = sizeClassName(opts.size);
+    const auto memoKey = [&](std::size_t i) {
+        return i < nb ? size + "/baseline/" + apps[i].name
+                      : size + "/p" + std::to_string(opts.numProcs) +
+                            "/" + todo[i - nb].key;
+    };
+    const auto replay = [&](std::size_t i) {
+        std::string blob;
+        if (dir.empty() || !memo::load(dir, memoKey(i), blob))
+            return false;
+        return i < nb ? memo::decodeBaseline(blob, seqs[i])
+                      : memo::decodeResult(blob, out[i - nb]);
+    };
+
+    // Replay what the memo holds; the rest is the work list.
+    std::vector<std::size_t> work;
+    std::size_t custom = 0;
+    for (std::size_t i = 0; i < nb + todo.size(); ++i) {
+        const bool grid = i < nb || todo[i - nb].grid;
+        custom += !grid;
+        if (!grid || !replay(i))
+            work.push_back(i);
+    }
+
+    parallelFor(opts.jobs, work.size(), [&](std::size_t k) {
+        const std::size_t i = work[k];
+        if (i < nb) {
+            bool verified = false;
+            seqs[i] =
+                runSequentialBaseline(apps[i].factory, opts.size, &verified);
+            if (!dir.empty() && verified)
+                memo::store(dir, memoKey(i), memo::encodeBaseline(seqs[i]));
             return;
         }
-        const Planned &p = todo[i - apps.size()];
-        out[i - apps.size()] =
-            runExperiment(p.app.factory, opts.size, p.mp, p.config, 0);
+        const Planned &p = todo[i - nb];
+        ExperimentResult &r = out[i - nb];
+        r = runExperiment(p.app.factory, opts.size, p.mp, p.config, 0);
+        if (!dir.empty() && p.grid && r.verified)
+            memo::store(dir, memoKey(i), memo::encodeResult(r));
     });
 
-    for (std::size_t i = 0; i < apps.size(); ++i)
+    for (std::size_t i = 0; i < nb; ++i)
         baselines.emplace(apps[i].name, seqs[i]);
     for (std::size_t i = 0; i < todo.size(); ++i) {
         out[i].sequentialCycles = baselines.at(todo[i].app.name);
         results.emplace(todo[i].key, std::move(out[i]));
+    }
+    if (!dir.empty()) {
+        std::fprintf(stderr, "memo %s: %zu replayed, %zu simulated",
+                     dir.c_str(), nb + todo.size() - work.size(),
+                     work.size());
+        if (custom)
+            std::fprintf(stderr, " (%zu custom, never memoized)", custom);
+        std::fprintf(stderr, "\n");
     }
 }
 
@@ -428,24 +533,6 @@ figure3Grid(const SweepOptions &opts)
         }
     }
     return grid;
-}
-
-ExperimentConfig
-gridConfig(const GridItem &item, const SweepOptions &opts)
-{
-    ExperimentConfig cfg;
-    cfg.protocol = item.ideal ? ProtocolKind::Ideal : item.kind;
-    cfg.numProcs = opts.numProcs;
-    cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.simThreads;
-    if (!item.ideal) {
-        cfg.commSet = item.commSet;
-        // SC handlers are fixed; no protocol variants
-        cfg.protoSet =
-            item.kind == ProtocolKind::Sc ? 'O' : item.protoSet;
-        cfg.blockBytes = item.app.scBlockBytes;
-    }
-    return cfg;
 }
 
 } // namespace swsm

@@ -12,7 +12,10 @@
  * is only the denominator of its app's speedups, stamped into the
  * results after they run. So a grid is one flat list of tasks,
  * baselines first, executed by parallelFor; each simulation runs
- * confined to the one thread that executes it.
+ * confined to the one thread that executes it. With --memo=DIR the
+ * runner first replays every grid experiment and baseline that an
+ * earlier run left in DIR (harness/memo.hh) and simulates only the
+ * rest.
  */
 
 #ifndef SWSM_HARNESS_SWEEP_HH
@@ -53,8 +56,7 @@ bool parseSizeClass(std::string_view name, SizeClass &out);
 
 /**
  * Parse a protocol name (hlrc, sc or ideal), the grammar of swsm_run's
- * --proto and the sweep server's proto= parameter; false (out
- * untouched) on unknown names.
+ * --proto; false (out untouched) on unknown names.
  */
 bool parseProtocol(std::string_view name, ProtocolKind &out);
 
@@ -66,7 +68,7 @@ bool validProtoSet(std::string_view name);
 
 /**
  * Parse a comma-separated list of registry app names ("fft,lu"), the
- * one grammar shared by --apps and the sweep server's apps= parameter.
+ * grammar of --apps.
  * @return false, with a diagnostic in @p err and @p out untouched, when
  *         an element is empty ("fft,", ",fft", "") or names no
  *         registered app
@@ -94,10 +96,19 @@ struct SweepOptions
     int simThreads = defaultSimThreads();
     /** Chrome trace_event output path (empty = tracing off). */
     std::string tracePath;
+    /**
+     * Memo directory of finished experiments (empty = off): grid
+     * experiments and baselines found there are replayed instead of
+     * simulated, and the ones simulated are stored there.
+     */
+    std::string memoDir;
 
     /**
      * Parse --quick/--medium/--size=CLASS, --procs=N, --apps=a,b,c,
-     * --full, --jobs=N, --sim-threads=N, --trace=FILE.
+     * --full, --jobs=N, --sim-threads=N, --trace=FILE, --memo=DIR.
+     * --memo creates DIR if needed; it rejects an empty path, a path
+     * that is not and cannot be made a directory, and --trace (a
+     * replay has no trace).
      * @return false (after printing usage) on unknown or invalid
      *         arguments
      */
@@ -149,7 +160,8 @@ class SweepRunner
      * Plan @p app on custom machine parameters (ablations, single
      * parameter and scaling sweeps) under @p key, labelled @p config.
      * Like every other experiment it takes its simThreads and tracing
-     * from the options, overriding those fields of @p mp.
+     * from the options, overriding those fields of @p mp. A custom key
+     * does not fix @p mp, so a custom point is never memoized.
      */
     void plan(const AppInfo &app, const std::string &key,
               MachineParams mp, const std::string &config);
@@ -160,6 +172,12 @@ class SweepRunner
      * first) on options().jobs threads; then stamp each result's
      * sequentialCycles. Keys already run are not planned again, so
      * plan/runPlanned may repeat.
+     *
+     * With options().memoDir set, every planned grid experiment, Ideal
+     * run and baseline is first looked up in the memo and replayed on
+     * a hit; the verified ones simulated are stored. A replay reports
+     * the hostSeconds and host telemetry of the run that stored it.
+     * Ends with one stderr line, "memo DIR: N replayed, M simulated".
      */
     void runPlanned();
 
@@ -179,14 +197,14 @@ class SweepRunner
     const SweepOptions &options() const { return opts; }
 
     /**
-     * Cache key for a (app, protocol, config) run (SC collapses onto
-     * proto set 'O'). Public because the sweep server's shared-memory
-     * memo cache and its BENCH report assembly key on the same strings
-     * as the runner (serve/server.hh).
+     * Result key for a (app, protocol, config) run (SC collapses onto
+     * proto set 'O'), "fft/hlrc/AO". The memo entry of a grid
+     * experiment is "<size>/p<procs>/<key>", of a baseline
+     * "<size>/baseline/<app>".
      */
     static std::string resultKey(const AppInfo &app, ProtocolKind kind,
                                  char comm_set, char proto_set);
-    /** Cache key for the Ideal run. */
+    /** Result key for the Ideal run. */
     static std::string idealKey(const AppInfo &app);
 
     /** Visit every result in key order (for reports). */
@@ -206,7 +224,12 @@ class SweepRunner
         std::string key;
         MachineParams mp;
         std::string config;
+        /** A grid or Ideal key, which fixes mp: memoizable. */
+        bool grid = false;
     };
+
+    void add(const AppInfo &app, const std::string &key, MachineParams mp,
+             const std::string &config, bool grid);
 
     SweepOptions opts;
     /** Planned since the last runPlanned(), in plan order. */
@@ -235,19 +258,9 @@ struct GridItem
 /**
  * The full Figure 3 experiment grid for @p opts (apps x Ideal +
  * {HLRC, SC} x configurations, SC restricted to the O/B cost sets as
- * in the paper). Shared by bench_fig3 and the sweep server so a grid
- * served from the memo cache is the exact experiment set the batch
- * binary runs.
+ * in the paper). Shared by bench_fig3 and the host-time benchmark.
  */
 std::vector<GridItem> figure3Grid(const SweepOptions &opts);
-
-/**
- * The configuration @p item runs under @p opts: the one mapping from a
- * grid item to machine settings, shared by SweepRunner and the sweep
- * server. SC's proto set is forced to 'O' (fixed simple handlers).
- */
-ExperimentConfig gridConfig(const GridItem &item,
-                            const SweepOptions &opts);
 
 } // namespace swsm
 

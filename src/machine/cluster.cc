@@ -297,34 +297,15 @@ Cluster::run(std::function<void(Thread &)> body)
         protocol_->checkQuiescent();
     }
 
-    // Collect results.
+    // Collect results: the registry is the single source of counts.
     stats_ = RunStats{};
     stats_.finishTimes.reserve(params_.numProcs);
-    stats_.perProc.reserve(params_.numProcs);
     for (auto &node : nodes) {
         stats_.finishTimes.push_back(node->finishTime());
-        stats_.perProc.push_back(node->allBuckets());
         stats_.totalCycles =
             std::max(stats_.totalCycles, node->finishTime());
     }
-    // The registry is the single source: freeze it, then fill the
-    // legacy scalar fields from the snapshot.
     stats_.metrics = registry_.snapshot();
-    const MetricsSnapshot &m = stats_.metrics;
-    stats_.readFaults = m.counter("proto.read_faults");
-    stats_.writeFaults = m.counter("proto.write_faults");
-    stats_.pageFetches = m.counter("proto.page_fetches");
-    stats_.diffsCreated = m.counter("proto.diffs_created");
-    stats_.diffWordsWritten = m.counter("proto.diff_words_written");
-    stats_.invalidations = m.counter("proto.invalidations");
-    stats_.writeNotices = m.counter("proto.write_notices");
-    stats_.lockRequests = m.counter("proto.lock_requests");
-    stats_.lockHandoffs = m.counter("proto.lock_handoffs");
-    stats_.handlersRun = m.counter("proto.handlers_run");
-    stats_.protoMsgs = m.counter("proto.msgs");
-    stats_.protoBytes = m.counter("proto.bytes");
-    stats_.netMessages = m.counter("net.messages");
-    stats_.netBytes = m.counter("net.bytes");
 }
 
 std::shared_ptr<const TraceBuffer>

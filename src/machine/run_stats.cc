@@ -1,24 +1,23 @@
 #include "run_stats.hh"
 
+#include <string>
+
 namespace swsm
 {
 
 double
 RunStats::avgBucket(TimeBucket b) const
 {
-    if (perProc.empty())
+    if (finishTimes.empty())
         return 0.0;
     return static_cast<double>(sumBucket(b)) /
-           static_cast<double>(perProc.size());
+           static_cast<double>(finishTimes.size());
 }
 
 Cycles
 RunStats::sumBucket(TimeBucket b) const
 {
-    Cycles sum = 0;
-    for (const auto &p : perProc)
-        sum += p[static_cast<int>(b)];
-    return sum;
+    return metrics.counter(std::string("time.") + timeBucketName(b));
 }
 
 Cycles

@@ -6,50 +6,30 @@
 #ifndef SWSM_MACHINE_RUN_STATS_HH
 #define SWSM_MACHINE_RUN_STATS_HH
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "proto/proto_stats.hh"
 #include "sim/types.hh"
 
 namespace swsm
 {
 
-/** Per-run timing breakdowns and protocol/network event counts. */
+/**
+ * One run's results: the finish times, and every count and time bucket
+ * as a metrics snapshot. The bucket accessors read the time.* counters
+ * (per-bucket sums over processors).
+ */
 struct RunStats
 {
     /** Parallel execution time: the last processor's finish time. */
     Cycles totalCycles = 0;
     /** Per-processor finish times. */
     std::vector<Cycles> finishTimes;
-    /** Per-processor time-bucket breakdowns. */
-    std::vector<std::array<Cycles, numTimeBuckets>> perProc;
-
-    /** Protocol event counters (copied from the protocol). */
-    std::uint64_t readFaults = 0;
-    std::uint64_t writeFaults = 0;
-    std::uint64_t pageFetches = 0;
-    std::uint64_t diffsCreated = 0;
-    std::uint64_t diffWordsWritten = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t writeNotices = 0;
-    std::uint64_t lockRequests = 0;
-    std::uint64_t lockHandoffs = 0;
-    std::uint64_t handlersRun = 0;
-    std::uint64_t protoMsgs = 0;
-    std::uint64_t protoBytes = 0;
-
-    /** Network totals. */
-    std::uint64_t netMessages = 0;
-    std::uint64_t netBytes = 0;
 
     /**
-     * The full metrics registry snapshot. The scalar counters above are
-     * populated from it (legacy accessors); the snapshot additionally
-     * carries kernel scheduling stats, per-resource histograms and the
-     * Figure 4 time buckets, and is what BenchReport serializes.
+     * The full metrics registry snapshot: protocol and network counts,
+     * kernel scheduling stats, per-resource histograms and the Figure 4
+     * time buckets. BenchReport serializes it.
      */
     MetricsSnapshot metrics;
 

@@ -37,37 +37,4 @@ Histogram::reset()
     total = 0;
 }
 
-void
-StatGroup::addCounter(const std::string &name, const Counter *c)
-{
-    counters.emplace_back(name, c);
-}
-
-void
-StatGroup::addAccumulator(const std::string &name, const Accumulator *a)
-{
-    accumulators.emplace_back(name, a);
-}
-
-void
-StatGroup::addChild(const StatGroup *g)
-{
-    children.push_back(g);
-}
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    const std::string base = prefix.empty() ? name_ : prefix + "." + name_;
-    for (const auto &[name, c] : counters)
-        os << base << "." << name << " " << c->value() << "\n";
-    for (const auto &[name, a] : accumulators) {
-        os << base << "." << name << ".sum " << a->sum() << "\n";
-        os << base << "." << name << ".mean " << a->mean() << "\n";
-        os << base << "." << name << ".count " << a->count() << "\n";
-    }
-    for (const auto *child : children)
-        child->dump(os, base);
-}
-
 } // namespace swsm

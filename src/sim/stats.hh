@@ -2,10 +2,11 @@
  * @file
  * Lightweight statistics package for simulation components.
  *
- * Components register named statistics in a StatGroup; the harness dumps
- * groups hierarchically. Three statistic kinds cover the paper's needs:
- * counters (message counts), accumulators (per-processor time buckets,
- * message sizes) and histograms (latency distributions).
+ * Components embed these statistics as members and publish them under
+ * dotted names through the metrics registry (obs/metrics.hh). Three
+ * statistic kinds cover the paper's needs: counters (event counts),
+ * accumulators (queueing delays) and histograms (delay and occupancy
+ * distributions).
  */
 
 #ifndef SWSM_SIM_STATS_HH
@@ -14,8 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace swsm
@@ -139,33 +138,6 @@ class Histogram
   private:
     std::vector<std::uint64_t> buckets;
     std::uint64_t total = 0;
-};
-
-/**
- * A named collection of statistics belonging to one component.
- *
- * StatGroup does not own the statistics; components embed them as members
- * and register pointers. Groups nest via child registration.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(const std::string &name, const Counter *c);
-    void addAccumulator(const std::string &name, const Accumulator *a);
-    void addChild(const StatGroup *g);
-
-    const std::string &name() const { return name_; }
-
-    /** Dump all statistics, one "<prefix>.<name> <value>" line each. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
-  private:
-    std::string name_;
-    std::vector<std::pair<std::string, const Counter *>> counters;
-    std::vector<std::pair<std::string, const Accumulator *>> accumulators;
-    std::vector<const StatGroup *> children;
 };
 
 } // namespace swsm

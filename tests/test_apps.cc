@@ -118,7 +118,8 @@ TEST(AppDeterminism, SameSeedSameResult)
     const auto r1 = runExperiment(app.factory, SizeClass::Tiny, cfg, 1);
     const auto r2 = runExperiment(app.factory, SizeClass::Tiny, cfg, 1);
     EXPECT_EQ(r1.parallelCycles, r2.parallelCycles);
-    EXPECT_EQ(r1.stats.protoMsgs, r2.stats.protoMsgs);
+    EXPECT_EQ(r1.stats.metrics.counter("proto.msgs"),
+              r2.stats.metrics.counter("proto.msgs"));
 }
 
 } // namespace

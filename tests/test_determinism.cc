@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -29,6 +30,13 @@ quickOptions(int jobs)
     return opts;
 }
 
+/** Counter @p name of @p r's metrics. */
+std::uint64_t
+count(const ExperimentResult &r, const char *name)
+{
+    return r.stats.metrics.counter(name);
+}
+
 /** One AO experiment of @p app on a fresh runner. */
 ExperimentResult
 runOnce(const AppInfo &app, ProtocolKind kind)
@@ -47,11 +55,9 @@ TEST(Determinism, RepeatedSerialRunsIdentical)
 
     EXPECT_EQ(a.sequentialCycles, b.sequentialCycles);
     EXPECT_EQ(a.parallelCycles, b.parallelCycles);
-    EXPECT_EQ(a.stats.netMessages, b.stats.netMessages);
-    EXPECT_EQ(a.stats.netBytes, b.stats.netBytes);
-    EXPECT_EQ(a.stats.readFaults, b.stats.readFaults);
-    EXPECT_EQ(a.stats.writeFaults, b.stats.writeFaults);
-    EXPECT_EQ(a.stats.diffsCreated, b.stats.diffsCreated);
+    for (const char *name : {"net.messages", "net.bytes", "proto.read_faults",
+                             "proto.write_faults", "proto.diffs_created"})
+        EXPECT_EQ(count(a, name), count(b, name)) << name;
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
 }
@@ -63,7 +69,7 @@ TEST(Determinism, RepeatedScRunsIdentical)
     const ExperimentResult b = runOnce(app, ProtocolKind::Sc);
 
     EXPECT_EQ(a.parallelCycles, b.parallelCycles);
-    EXPECT_EQ(a.stats.netMessages, b.stats.netMessages);
+    EXPECT_EQ(count(a, "net.messages"), count(b, "net.messages"));
 }
 
 /**
@@ -107,9 +113,9 @@ TEST(Determinism, ParallelSweepMatchesSerial)
         const ExperimentResult &p = parallel.at(key);
         EXPECT_EQ(r.sequentialCycles, p.sequentialCycles) << key;
         EXPECT_EQ(r.parallelCycles, p.parallelCycles) << key;
-        EXPECT_EQ(r.stats.netMessages, p.stats.netMessages) << key;
-        EXPECT_EQ(r.stats.netBytes, p.stats.netBytes) << key;
-        EXPECT_EQ(r.stats.diffsCreated, p.stats.diffsCreated) << key;
+        for (const char *name :
+             {"net.messages", "net.bytes", "proto.diffs_created"})
+            EXPECT_EQ(count(r, name), count(p, name)) << key << " " << name;
         EXPECT_EQ(r.verified, p.verified) << key;
     }
 }

@@ -269,8 +269,9 @@ TEST(TaskPool, SerialModeExceptionPropagates)
 
 TEST(TaskPool, LaterIndicesMayWaitForEarlierOnes)
 {
-    // The sweep server's items wait for their app's baseline, which is
-    // an earlier index: claiming indices in order keeps that live.
+    // A task may wait for the work of an earlier index (here, each
+    // waits for one of the first three): claiming indices in order
+    // keeps that live on any thread count.
     constexpr std::size_t heads = 3;
     constexpr std::size_t n = 60;
     for (const int jobs : {1, 2, 4}) {

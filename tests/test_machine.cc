@@ -45,8 +45,8 @@ TEST(Cluster, ComputeChargesBusyTime)
 {
     Cluster c(smallMachine(ProtocolKind::Ideal, 2));
     c.run([&](Thread &t) { t.compute(12345); });
-    for (const auto &buckets : c.stats().perProc)
-        EXPECT_EQ(buckets[static_cast<int>(TimeBucket::Busy)], 12345u);
+    for (NodeId n = 0; n < c.numProcs(); ++n)
+        EXPECT_EQ(c.node(n).bucket(TimeBucket::Busy), 12345u);
 }
 
 TEST(Cluster, BarrierSynchronizesAllThreads)
@@ -149,10 +149,12 @@ TEST(Cluster, BucketsSumToFinishTime)
             t.barrier(bar);
         });
         const RunStats &s = c.stats();
-        for (std::size_t pr = 0; pr < s.perProc.size(); ++pr) {
+        ASSERT_EQ(s.finishTimes.size(),
+                  static_cast<std::size_t>(c.numProcs()));
+        for (NodeId pr = 0; pr < c.numProcs(); ++pr) {
             Cycles total = 0;
-            for (int b = 0; b < numTimeBuckets; ++b)
-                total += s.perProc[pr][b];
+            for (const Cycles b : c.node(pr).allBuckets())
+                total += b;
             EXPECT_EQ(total, s.finishTimes[pr])
                 << protocolKindName(kind) << " proc " << pr;
         }

@@ -2,10 +2,11 @@
  * @file
  * Observability layer tests: JSON writer escaping, metrics registry,
  * BENCH/trace round trips through a minimal JSON parser, registry
- * totals against the legacy RunStats counters, trace determinism
+ * totals against the nodes' own time buckets, trace determinism
  * across sweep worker counts, and option parsing.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "apps/app_registry.hh"
 #include "harness/bench_report.hh"
 #include "harness/sweep.hh"
+#include "machine/cluster.hh"
 #include "obs/json_writer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -405,42 +407,55 @@ TEST(MetricsRegistry, DuplicateNamesThrow)
 }
 
 // -----------------------------------------------------------------
-// Registry totals vs the legacy RunStats counters
+// Registry totals vs the nodes' and protocol's own statistics
 // -----------------------------------------------------------------
 
 TEST(RegistryVsLegacy, CountersMatchRunStats)
 {
     const AppInfo &app = findApp("lu");
-    ExperimentConfig cfg;
-    cfg.protocol = ProtocolKind::Hlrc;
-    cfg.numProcs = 4;
-    const ExperimentResult r =
-        runExperiment(app.factory, SizeClass::Tiny, cfg, 0);
-    ASSERT_TRUE(r.verified);
+    MachineParams mp;
+    mp.protocol = ProtocolKind::Hlrc;
+    mp.numProcs = 4;
+    const auto workload = app.factory(SizeClass::Tiny);
+    Cluster c(mp);
+    workload->setup(c);
+    c.run([&](Thread &t) { workload->body(t); });
+    ASSERT_TRUE(workload->verify(c));
 
-    const MetricsSnapshot &m = r.stats.metrics;
+    const RunStats &s = c.stats();
+    const MetricsSnapshot &m = s.metrics;
     EXPECT_FALSE(m.empty());
-    EXPECT_EQ(m.counter("proto.read_faults"), r.stats.readFaults);
-    EXPECT_EQ(m.counter("proto.write_faults"), r.stats.writeFaults);
-    EXPECT_EQ(m.counter("proto.page_fetches"), r.stats.pageFetches);
-    EXPECT_EQ(m.counter("proto.diffs_created"), r.stats.diffsCreated);
-    EXPECT_EQ(m.counter("proto.invalidations"), r.stats.invalidations);
-    EXPECT_EQ(m.counter("proto.lock_requests"), r.stats.lockRequests);
-    EXPECT_EQ(m.counter("proto.handlers_run"), r.stats.handlersRun);
-    EXPECT_EQ(m.counter("net.messages"), r.stats.netMessages);
-    EXPECT_EQ(m.counter("net.bytes"), r.stats.netBytes);
-    EXPECT_EQ(m.counter("sim.total_cycles"), r.stats.totalCycles);
+    const ProtoStats &ps = c.protocol().stats();
+    EXPECT_EQ(m.counter("proto.read_faults"), ps.readFaults.value());
+    EXPECT_EQ(m.counter("proto.page_fetches"), ps.pageFetches.value());
+    EXPECT_EQ(m.counter("proto.diffs_created"), ps.diffsCreated.value());
 
-    // Figure 4 time buckets: registry values equal the per-proc sums.
+    // Figure 4 time buckets: the registry's time.* counters, which the
+    // RunStats bucket accessors read, equal the nodes' own sums.
     std::uint64_t all = 0;
     for (int b = 0; b < numTimeBuckets; ++b) {
         const auto bucket = static_cast<TimeBucket>(b);
         const std::string name =
             std::string("time.") + timeBucketName(bucket);
-        EXPECT_EQ(m.counter(name), r.stats.sumBucket(bucket)) << name;
-        all += r.stats.sumBucket(bucket);
+        std::uint64_t sum = 0;
+        for (NodeId n = 0; n < c.numProcs(); ++n)
+            sum += c.node(n).bucket(bucket);
+        EXPECT_EQ(m.counter(name), sum) << name;
+        EXPECT_EQ(s.sumBucket(bucket), sum) << name;
+        all += sum;
     }
     EXPECT_EQ(m.counter("time.total"), all);
+    EXPECT_EQ(s.sumAllBuckets(), all);
+
+    // Finish times: sim.total_cycles is the last node's.
+    ASSERT_EQ(s.finishTimes.size(), static_cast<std::size_t>(c.numProcs()));
+    Cycles finish = 0;
+    for (NodeId n = 0; n < c.numProcs(); ++n) {
+        EXPECT_EQ(s.finishTimes[n], c.node(n).finishTime()) << n;
+        finish = std::max(finish, c.node(n).finishTime());
+    }
+    EXPECT_EQ(m.counter("sim.total_cycles"), finish);
+    EXPECT_EQ(s.totalCycles, finish);
 
     // Kernel stats exist and are self-consistent.
     EXPECT_GT(m.counter("sim.events_run"), 0u);

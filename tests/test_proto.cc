@@ -231,7 +231,8 @@ TEST(Hlrc, ProtocolTimeRespondsToDiffCost)
             }
         });
         Cycles proto = 0;
-        for (const auto &buckets : c.stats().perProc) {
+        for (NodeId n = 0; n < c.numProcs(); ++n) {
+            const auto &buckets = c.node(n).allBuckets();
             for (int b = 0; b < numTimeBuckets; ++b)
                 if (isProtoBucket(static_cast<TimeBucket>(b)))
                     proto += buckets[b];
@@ -502,7 +503,7 @@ TEST(Ideal, SharedAccessesMoveRealBytesWithNoMessages)
     EXPECT_EQ(s.protoMsgs.value(), 0u);
     EXPECT_EQ(s.readFaults.value(), 0u);
     EXPECT_EQ(s.writeFaults.value(), 0u);
-    EXPECT_EQ(c.stats().netMessages, 0u);
+    EXPECT_EQ(c.stats().metrics.counter("net.messages"), 0u);
 }
 
 TEST(Ideal, LockMutualExclusionCountsExactly)
@@ -528,7 +529,7 @@ TEST(Ideal, LockMutualExclusionCountsExactly)
     const ProtoStats &s = c.protocol().stats();
     EXPECT_EQ(s.lockRequests.value(),
               static_cast<std::uint64_t>(procs) * iters);
-    EXPECT_EQ(c.stats().netMessages, 0u);
+    EXPECT_EQ(c.stats().metrics.counter("net.messages"), 0u);
 }
 
 TEST(Ideal, BarrierEpisodesSeparatePhases)
@@ -573,7 +574,7 @@ TEST(Ideal, UniprocessorRunsSequentially)
     });
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(a.peek(c, i), 2u * i);
-    EXPECT_EQ(c.stats().netMessages, 0u);
+    EXPECT_EQ(c.stats().metrics.counter("net.messages"), 0u);
 }
 
 } // namespace

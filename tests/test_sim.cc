@@ -319,22 +319,6 @@ TEST(Stats, HistogramBucketsPowerOfTwo)
     EXPECT_EQ(h.bucketCount(2), 2u); // 2..3
 }
 
-TEST(Stats, GroupDumpContainsEntries)
-{
-    Counter c;
-    c.inc(5);
-    Accumulator a;
-    a.sample(2.0);
-    StatGroup g("net");
-    g.addCounter("msgs", &c);
-    g.addAccumulator("delay", &a);
-    std::ostringstream os;
-    g.dump(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("net.msgs 5"), std::string::npos);
-    EXPECT_NE(s.find("net.delay.mean 2"), std::string::npos);
-}
-
 TEST(TimeBuckets, NamesAndProtoClassification)
 {
     EXPECT_STREQ(timeBucketName(TimeBucket::Busy), "busy");

@@ -282,8 +282,7 @@ class HostSectionTest(unittest.TestCase):
 
 class SelftestTest(unittest.TestCase):
     def test_builtin_selftest_passes(self):
-        """Runs the section checks plus the synthetic shared-memory
-        segment round-trip (layout mirror of serve/shm_cache.hh)."""
+        """Runs the host-section and ignored-key checks."""
         out = io.StringIO()
         with redirect_stdout(out):
             status = bench_diff.main(["bench_diff.py", "--selftest"])
