@@ -18,7 +18,11 @@
  *    scalar;
  *  - events/sec: raw event-kernel schedule+dispatch throughput;
  *  - fiber ns/switch: resume+yield round trips into one fiber, the
- *    switch every simulated processor makes at each quantum and block.
+ *    switch every simulated processor makes at each quantum and block;
+ *  - cache_model ns: one CacheModel::access, and one 4 KB accessRange
+ *    (the page walk behind every twin, diff and page copy);
+ *  - message ns: one 4 KB message through a two-node Network, from
+ *    send to delivery (the five-stage packet pipeline).
  *
  * The "SIMD" arm of each A/B uses the ambient dispatch level, so a run
  * under SWSM_SIMD=0 reports scalar-vs-scalar (ratio ~1) and the two CI
@@ -26,8 +30,9 @@
  * times (default 3); throughputs come from the fastest rep and the
  * JSON carries per-section host seconds as {"min", "median"} objects
  * under "hostSeconds" (schema 3), so one descheduled rep cannot skew a
- * comparison between two reports. The fiber section also reports its
- * per-switch cost as {"min", "median"} ns.
+ * comparison between two reports. The fiber, cache_model and message
+ * sections also report their per-operation cost as {"min", "median"}
+ * ns.
  *
  * Writes BENCH_hotpath.json (SWSM_BENCH_DIR honored). The ratios are
  * host-dependent, so the ctest smoke run is report-only: it exercises
@@ -49,7 +54,9 @@
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
 #include "mem/aligned.hh"
+#include "mem/cache_model.hh"
 #include "mem/simd.hh"
+#include "net/network.hh"
 #include "obs/json_writer.hh"
 #include "proto/hlrc/diff.hh"
 #include "sim/env.hh"
@@ -279,6 +286,67 @@ fiberSeconds(std::uint64_t round_trips)
     return elapsed;
 }
 
+/**
+ * Host seconds for @p refs CacheModel::access calls striding a page
+ * plus a line through 1 MB, so the references mix L1 hits, L2 hits
+ * and misses.
+ */
+double
+cacheAccessSeconds(std::uint64_t refs)
+{
+    CacheModel cache{MemoryParams{}};
+    GlobalAddr addr = 0;
+    Cycles stall = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < refs; ++i) {
+        stall += cache.access(addr, false);
+        addr = (addr + pageBytes + 32) & 0xfffff;
+    }
+    const double elapsed = secondsSince(start);
+    if (stall == 0)
+        std::fprintf(stderr, "cache access loop never stalled\n");
+    return elapsed;
+}
+
+/**
+ * Host seconds for @p walks 4 KB CacheModel::accessRange calls over
+ * 256 consecutive pages, four times the L2.
+ */
+double
+cacheRangeSeconds(std::uint64_t walks)
+{
+    CacheModel cache{MemoryParams{}};
+    Cycles stall = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < walks; ++i)
+        stall += cache.accessRange((i & 255) * pageBytes, pageBytes, false);
+    const double elapsed = secondsSince(start);
+    if (stall == 0)
+        std::fprintf(stderr, "cache range loop never stalled\n");
+    return elapsed;
+}
+
+/** Host seconds to simulate @p messages 4 KB messages, one at a time. */
+double
+messageSeconds(std::uint64_t messages)
+{
+    EventQueue eq;
+    Network net(eq, 2, CommParams::achievable());
+    std::uint64_t delivered = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < messages; ++i) {
+        net.send(0, 1, pageBytes, eq.now(),
+                 [&delivered](Cycles) { ++delivered; });
+        eq.run();
+    }
+    const double elapsed = secondsSince(start);
+    if (delivered != messages)
+        std::fprintf(stderr, "delivered %llu of %llu messages\n",
+                     static_cast<unsigned long long>(delivered),
+                     static_cast<unsigned long long>(messages));
+    return elapsed;
+}
+
 /** Min/median over a measurement's reps. */
 struct Reps
 {
@@ -328,6 +396,17 @@ writeSection(JsonWriter &w, const char *name,
     w.endObject();
 }
 
+/** {"min": ..., "median": ...} ns per operation of one measurement. */
+void
+writeNsPerOp(JsonWriter &w, const char *name, const Reps &r, double ops)
+{
+    w.key(name);
+    w.beginObject();
+    w.member("min", r.min() * 1e9 / ops);
+    w.member("median", r.median() * 1e9 / ops);
+    w.endObject();
+}
+
 } // namespace
 
 int
@@ -353,6 +432,9 @@ main(int argc, char **argv)
     const std::uint64_t copy_reps = quick ? 50'000 : 500'000;
     const std::uint64_t event_total = quick ? 500'000 : 5'000'000;
     const std::uint64_t fiber_trips = quick ? 500'000 : 5'000'000;
+    const std::uint64_t cache_refs = quick ? 1'000'000 : 10'000'000;
+    const std::uint64_t cache_walks = quick ? 10'000 : 100'000;
+    const std::uint64_t message_total = quick ? 50'000 : 500'000;
 
     // "SIMD" arm = the ambient dispatch level (honors SWSM_SIMD), so
     // the scalar-forced run's artifact documents the scalar host mode.
@@ -386,6 +468,12 @@ main(int argc, char **argv)
         measure(reps, [&] { return eventSeconds(event_total); });
     const Reps fiber =
         measure(reps, [&] { return fiberSeconds(fiber_trips); });
+    const Reps cache_access =
+        measure(reps, [&] { return cacheAccessSeconds(cache_refs); });
+    const Reps cache_range =
+        measure(reps, [&] { return cacheRangeSeconds(cache_walks); });
+    const Reps message =
+        measure(reps, [&] { return messageSeconds(message_total); });
 
     // Throughputs from the fastest rep of each measurement.
     const double work = static_cast<double>(2 * access_iters);
@@ -407,8 +495,9 @@ main(int argc, char **argv)
     const double ts = copy_work / twin_scalar.min();
     const double ev = static_cast<double>(event_total) / events.min();
     const double switches = 2.0 * static_cast<double>(fiber_trips);
-    const double fiber_min_ns = fiber.min() * 1e9 / switches;
-    const double fiber_median_ns = fiber.median() * 1e9 / switches;
+    const double refs = static_cast<double>(cache_refs);
+    const double walks = static_cast<double>(cache_walks);
+    const double sent = static_cast<double>(message_total);
 
     std::printf("simd level %s (scalar A/B in-process)\n",
                 simd::levelName(vec));
@@ -423,8 +512,17 @@ main(int argc, char **argv)
     std::printf("twin create w/sec simd     %.3e  scalar   %.3e  (%.2fx)\n",
                 tv, ts, tv / ts);
     std::printf("events/sec        %.3e   (best of %d reps)\n", ev, reps);
-    std::printf("fiber ns/switch   min %.1f  median %.1f\n", fiber_min_ns,
-                fiber_median_ns);
+    std::printf("fiber ns/switch   min %.1f  median %.1f\n",
+                fiber.min() * 1e9 / switches,
+                fiber.median() * 1e9 / switches);
+    std::printf("cache ns/access   min %.1f  median %.1f\n",
+                cache_access.min() * 1e9 / refs,
+                cache_access.median() * 1e9 / refs);
+    std::printf("cache ns/4KB walk min %.1f  median %.1f\n",
+                cache_range.min() * 1e9 / walks,
+                cache_range.median() * 1e9 / walks);
+    std::printf("message ns/4KB    min %.1f  median %.1f\n",
+                message.min() * 1e9 / sent, message.median() * 1e9 / sent);
 
     JsonWriter w(2);
     w.beginObject();
@@ -464,11 +562,10 @@ main(int argc, char **argv)
     w.member("speedup", tv / ts);
     w.endObject();
     w.member("events_per_sec", ev);
-    w.key("fiber_ns_per_switch");
-    w.beginObject();
-    w.member("min", fiber_min_ns);
-    w.member("median", fiber_median_ns);
-    w.endObject();
+    writeNsPerOp(w, "fiber_ns_per_switch", fiber, switches);
+    writeNsPerOp(w, "cache_ns_per_access", cache_access, refs);
+    writeNsPerOp(w, "cache_ns_per_4k_range", cache_range, walks);
+    writeNsPerOp(w, "message_ns_per_4k", message, sent);
     w.key("hostSeconds");
     w.beginObject();
     writeSection(w, "access", {&acc_fast, &acc_slow});
@@ -479,6 +576,8 @@ main(int argc, char **argv)
     writeSection(w, "twin_create", {&twin_simd, &twin_scalar});
     writeSection(w, "events", {&events});
     writeSection(w, "fiber", {&fiber});
+    writeSection(w, "cache_model", {&cache_access, &cache_range});
+    writeSection(w, "message", {&message});
     w.endObject();
     w.endObject();
 

@@ -47,8 +47,8 @@ MachineParams
 pdesMachineForSeed(ProtocolKind protocol, std::uint64_t seed)
 {
     const LitmusConfig cfg = configForSeed(protocol, seed);
-    // Independent stream for the topology axes, so adding one does not
-    // shift the timing parameters an existing seed maps to.
+    // Independent stream for the cluster size, so it does not shift
+    // the timing parameters a seed maps to.
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0xd1b54a32d192ed03ULL +
             static_cast<std::uint64_t>(protocol));
 
@@ -62,21 +62,6 @@ pdesMachineForSeed(ProtocolKind protocol, std::uint64_t seed)
     mp.seed = cfg.seed;
     static constexpr int procs[] = {4, 6, 8};
     mp.numProcs = procs[rng.nextBounded(3)];
-    static constexpr double bw_factors[] = {1.0, 0.5, 0.25};
-    switch (rng.nextBounded(3)) {
-      case 0: // flat
-        break;
-      case 1: // small islands (pairs)
-        mp.comm = mp.comm.withIslands(
-            2, 1 + rng.nextBounded(5000),
-            bw_factors[rng.nextBounded(3)]);
-        break;
-      default: // two halves
-        mp.comm = mp.comm.withIslands(
-            mp.numProcs / 2, 1 + rng.nextBounded(5000),
-            bw_factors[rng.nextBounded(3)]);
-        break;
-    }
     return mp;
 }
 

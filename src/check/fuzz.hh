@@ -52,12 +52,11 @@ LitmusConfig configForSeed(ProtocolKind protocol, std::uint64_t seed);
 
 /**
  * The parallel-schedule fuzzer's seed → machine map: the timing
- * perturbations of configForSeed() plus a randomized island topology
- * (cluster size, nodes per island, inter-island latency/bandwidth) —
- * the asymmetric geometries the per-destination lookahead matrix
- * (sim/pdes.hh) exploits. Deterministic per (protocol, seed); the
- * caller sweeps simThreads over the returned params and asserts
- * bit-equivalence against a serial run (tests/test_pdes_fuzz.cc).
+ * perturbations of configForSeed() plus a randomized cluster size,
+ * which moves the partition boundaries. Deterministic per (protocol,
+ * seed); the caller sweeps simThreads over the returned params and
+ * asserts bit-equivalence against a serial run
+ * (tests/test_pdes_fuzz.cc).
  */
 MachineParams pdesMachineForSeed(ProtocolKind protocol,
                                  std::uint64_t seed);

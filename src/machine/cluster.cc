@@ -165,8 +165,6 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
                          [this] { return pdesStats_.mailboxEvents; });
     registry_.addCounter("sim.pdes_max_partition_events",
                          [this] { return pdesStats_.maxPartitionEvents; });
-    registry_.addCounter("sim.pdes_window_widened",
-                         [this] { return pdesStats_.widenedWindows; });
 }
 
 Cluster::~Cluster() = default;
@@ -243,27 +241,8 @@ Cluster::run(std::function<void(Thread &)> body)
                 static_cast<std::int64_t>(n) * partitions /
                 params_.numProcs);
         }
-        // Partition-to-partition minimum hop cost: the least lookahead
-        // over the node pairs that cross the partition boundary. The
-        // contiguous-block partition map keeps island geometries
-        // aligned with partitions, which is what makes the
-        // per-destination windows wide for asymmetric topologies.
-        std::vector<Cycles> lookahead(
-            static_cast<std::size_t>(partitions) * partitions,
-            PdesEngine::noEvent);
-        for (NodeId a = 0; a < params_.numProcs; ++a) {
-            for (NodeId b = 0; b < params_.numProcs; ++b) {
-                if (a == b || partition_of[a] == partition_of[b])
-                    continue;
-                auto &entry =
-                    lookahead[static_cast<std::size_t>(partition_of[a]) *
-                                  partitions +
-                              partition_of[b]];
-                entry = std::min(entry, network_->crossLookahead(a, b));
-            }
-        }
         PdesEngine engine(eq, std::move(partition_of), partitions,
-                          std::move(lookahead));
+                          network_->lookahead());
         engine.run();
         pdesStats_ = engine.stats();
         if (check::enabled())

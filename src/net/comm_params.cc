@@ -72,21 +72,6 @@ CommParams::fromName(char name)
 }
 
 CommParams
-CommParams::withIslands(int nodes_per_island, Cycles extra_latency,
-                        double bandwidth_factor) const
-{
-    if (nodes_per_island < 0)
-        SWSM_FATAL("island size must be >= 0, got %d", nodes_per_island);
-    if (bandwidth_factor <= 0.0)
-        SWSM_FATAL("inter-island bandwidth factor must be positive");
-    CommParams p = *this;
-    p.islandNodes = nodes_per_island;
-    p.interIslandExtraLatency = extra_latency;
-    p.interIslandBandwidthFactor = bandwidth_factor;
-    return p;
-}
-
-CommParams
 CommParams::interpolate(const CommParams &other, double f) const
 {
     auto mixCycles = [f](Cycles a, Cycles b) {
@@ -106,9 +91,6 @@ CommParams::interpolate(const CommParams &other, double f) const
     p.linkBytesPerCycle = linkBytesPerCycle * (1.0 - f) +
                           other.linkBytesPerCycle * f;
     p.maxPacketBytes = maxPacketBytes;
-    p.islandNodes = islandNodes;
-    p.interIslandExtraLatency = interIslandExtraLatency;
-    p.interIslandBandwidthFactor = interIslandBandwidthFactor;
     return p;
 }
 

@@ -61,25 +61,6 @@ struct CommParams
     /** Maximum packet payload (Myrinet-like; a page fits one packet). */
     std::uint32_t maxPacketBytes = 4096;
 
-    /**
-     * Nodes per island for non-uniform "island" geometries (racks or
-     * chassis joined by a slower spine): nodes n and m share an island
-     * iff n / islandNodes == m / islandNodes. 0 keeps the classic flat
-     * network of the paper. Intra-island hops use the base
-     * linkLatency / linkBytesPerCycle; inter-island hops add
-     * interIslandExtraLatency and scale link bandwidth by
-     * interIslandBandwidthFactor. Asymmetric geometries are what the
-     * parallel engine's per-destination lookahead exploits
-     * (sim/pdes.hh): islands aligned with partitions make the
-     * cross-partition lookahead large even when the intra-island
-     * latency — and with it the global minimum — is tiny.
-     */
-    int islandNodes = 0;
-    /** Extra wire latency of an inter-island hop, cycles. */
-    Cycles interIslandExtraLatency = 0;
-    /** Inter-island link bandwidth multiplier, > 0 (1.0 = no change). */
-    double interIslandBandwidthFactor = 1.0;
-
     /** The base, currently-achievable system (set A). */
     static CommParams achievable();
     /** All parameterized costs halved / bandwidth doubled (set H). */
@@ -94,14 +75,7 @@ struct CommParams
     /** Parameter set from its one-letter name (A/H/B/W/X). */
     static CommParams fromName(char name);
 
-    /** Copy of this set with an island topology applied. */
-    CommParams withIslands(int nodes_per_island, Cycles extra_latency,
-                           double bandwidth_factor = 1.0) const;
-
-    /**
-     * Interpolate each cost between this and @p other (0 → this). The
-     * topology (island fields) is not a cost and is taken from this.
-     */
+    /** Interpolate each cost between this and @p other (0 → this). */
     CommParams interpolate(const CommParams &other, double f) const;
 };
 

@@ -18,10 +18,6 @@ Network::Network(EventQueue &eq, int num_nodes, const CommParams &params)
         SWSM_FATAL("network bandwidths must be positive");
     if (params.maxPacketBytes == 0)
         SWSM_FATAL("maximum packet size must be positive");
-    if (params.islandNodes < 0)
-        SWSM_FATAL("island size must be >= 0, got %d", params.islandNodes);
-    if (params.interIslandBandwidthFactor <= 0)
-        SWSM_FATAL("inter-island bandwidth factor must be positive");
     // The wire hop targets one execution slot per node; declare them so
     // standalone Network users get valid tie-break stamps without
     // having to know about the queue's slot machinery.
@@ -86,15 +82,15 @@ Network::transferCycles(std::uint32_t bytes, double bytes_per_cycle)
 }
 
 Cycles
-Network::crossLookahead(NodeId from, NodeId to) const
+Network::lookahead() const
 {
     // Every remote packet is scheduled for arrival from an event
-    // executing at ni_done, and arrive >= ni_done + NI occupancy + the
-    // hop's link latency + at least one wire cycle (bandwidth is
-    // finite, so a 1-byte transfer costs >= 1 cycle). This bound holds
-    // for every CommParams set and is computed once per run.
-    return params_.niOccupancyPerPacket + linkLatency(from, to) +
-           transferCycles(1, linkBandwidth(from, to));
+    // executing at ni_done, and arrive >= ni_done + NI occupancy + link
+    // latency + at least one wire cycle (bandwidth is finite, so a
+    // 1-byte transfer costs >= 1 cycle). This bound holds for every
+    // CommParams set.
+    return params_.niOccupancyPerPacket + params_.linkLatency +
+           transferCycles(1, params_.linkBytesPerCycle);
 }
 
 void
@@ -230,12 +226,8 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                 Nic &snic = *nics[src];
                 const Cycles ni_done = snic.niProc.acquire(
                     eq.now(), params_.niOccupancyPerPacket);
-                // Island-aware hop costs: crossLookahead(src, dst)
-                // lower-bounds (arrive - ni_done) per pair, which is
-                // what makes the per-destination lookahead matrix
-                // sound.
-                const Cycles arrive = ni_done + linkLatency(src, dst) +
-                    transferCycles(pkt, linkBandwidth(src, dst));
+                const Cycles arrive = ni_done + params_.linkLatency +
+                    transferCycles(pkt, params_.linkBytesPerCycle);
 
                 auto stage3 = [this, dst, pkt, &channel, seq, tracker] {
                     Nic &dnic = *nics[dst];
@@ -273,9 +265,8 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                               "packet stage closure outgrew EventFn's "
                               "inline storage");
                 // The wire hop: this is the only cross-node schedule in
-                // the simulator, and crossLookahead(src, dst)
-                // lower-bounds (arrive - now) for the parallel engine's
-                // windows.
+                // the simulator, and lookahead() lower-bounds
+                // (arrive - now) for the parallel engine's windows.
                 eq.scheduleTo(static_cast<std::uint32_t>(dst), arrive,
                               std::move(stage3));
             };

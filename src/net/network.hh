@@ -95,44 +95,15 @@ class Network
     /** Messages whose delivery callback has run (conservation check). */
     const ShardedCounter &messagesDelivered() const { return delivered_; }
 
-    /** True when @p a and @p b sit on the same island (flat: always). */
-    bool
-    sameIsland(NodeId a, NodeId b) const
-    {
-        return params_.islandNodes <= 0 ||
-               a / params_.islandNodes == b / params_.islandNodes;
-    }
-
-    /** Wire latency of the @p src -> @p dst hop (island-aware). */
-    Cycles
-    linkLatency(NodeId src, NodeId dst) const
-    {
-        return sameIsland(src, dst)
-                   ? params_.linkLatency
-                   : params_.linkLatency +
-                         params_.interIslandExtraLatency;
-    }
-
-    /** Wire bandwidth of the @p src -> @p dst hop, bytes/cycle. */
-    double
-    linkBandwidth(NodeId src, NodeId dst) const
-    {
-        return sameIsland(src, dst)
-                   ? params_.linkBytesPerCycle
-                   : params_.linkBytesPerCycle *
-                         params_.interIslandBandwidthFactor;
-    }
-
     /**
      * Minimum gap, in cycles, between the sender-side dispatch event
-     * (the moment a packet leaves @p from's NI pipeline stage) and the
-     * receiver-side arrival it schedules at @p to: NI occupancy + the
-     * hop's link latency + the smallest possible wire transfer over
-     * the hop's bandwidth. This per-destination lookahead feeds the
-     * parallel event engine's partition lookahead matrix (sim/pdes.hh);
-     * it is >= 1 because link bandwidth is finite.
+     * (the moment a packet leaves the sender's NI pipeline stage) and
+     * the arrival it schedules at another node: NI occupancy + link
+     * latency + the smallest possible wire transfer. This is the
+     * parallel event engine's lookahead (sim/pdes.hh); it is >= 1
+     * because link bandwidth is finite.
      */
-    Cycles crossLookahead(NodeId from, NodeId to) const;
+    Cycles lookahead() const;
 
     /**
      * Verify end-of-run conservation: every injected message was

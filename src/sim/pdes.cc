@@ -28,45 +28,45 @@ cpuRelax()
 #endif
 }
 
+/** Partition workers of every engine running in this process. */
+std::atomic<int> liveWorkers{0};
+
+/** Host cores, read once: hardware_concurrency() reads sysfs. */
+const int hostCores =
+    static_cast<int>(std::thread::hardware_concurrency());
+
 } // namespace
 
-// Spin briefly for the dedicated-core case, then yield on every
-// iteration: on an oversubscribed host (more workers than cores) the
-// releasing thread needs our timeslice, and spinning through it
-// multiplies every window's cost. The core count is read once here:
-// hardware_concurrency() reads sysfs, system calls a per-wait read
-// would pay on every window.
-PdesEngine::Barrier::Barrier(int parties)
-    : parties_(parties),
-      spinLimit_(std::thread::hardware_concurrency() >=
-                         static_cast<unsigned>(parties)
-                     ? 4096u
-                     : 0u)
-{
-}
-
+// Spin (briefly) only while every live partition worker can have a
+// core. When workers outnumber cores, because one engine has more
+// partitions than the host has cores or several engines run at once
+// under --jobs, the releasing thread needs our timeslice: spinning
+// through it multiplies every window's cost, so yield at once.
 void
 PdesEngine::Barrier::wait()
 {
+    constexpr std::uint32_t spinLimit = 4096;
     const int s = sense_.load(std::memory_order_relaxed);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) == parties_ - 1) {
         arrived_.store(0, std::memory_order_relaxed);
         sense_.store(s ^ 1, std::memory_order_release);
     } else {
+        const bool spin =
+            liveWorkers.load(std::memory_order_relaxed) <= hostCores;
         std::uint32_t spins = 0;
         while (sense_.load(std::memory_order_acquire) == s) {
-            if (++spins > spinLimit_)
-                std::this_thread::yield();
-            else
+            if (spin && ++spins <= spinLimit)
                 cpuRelax();
+            else
+                std::this_thread::yield();
         }
     }
 }
 
 PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
-                       int num_partitions, std::vector<Cycles> lookahead)
+                       int num_partitions, Cycles lookahead)
     : eq_(eq), partitionOf_(std::move(partition_of)),
-      numPartitions_(num_partitions), lookahead_(std::move(lookahead)),
+      numPartitions_(num_partitions), lookahead_(lookahead),
       parts_(static_cast<std::size_t>(num_partitions)),
       boxes_(static_cast<std::size_t>(num_partitions) * num_partitions),
       barrier_(num_partitions)
@@ -74,26 +74,8 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
     if (numPartitions_ < 2 || numPartitions_ > maxPartitions)
         SWSM_PANIC("PdesEngine needs 2..%d partitions, got %d",
                    maxPartitions, numPartitions_);
-    if (lookahead_.size() !=
-        static_cast<std::size_t>(numPartitions_) * numPartitions_) {
-        SWSM_PANIC("lookahead matrix has %zu entries, need %d x %d",
-                   lookahead_.size(), numPartitions_, numPartitions_);
-    }
-    for (int from = 0; from < numPartitions_; ++from) {
-        for (int to = 0; to < numPartitions_; ++to) {
-            if (from == to)
-                continue;
-            const Cycles l = edge(from, to);
-            if (l == 0) {
-                SWSM_PANIC("PdesEngine needs positive lookahead, "
-                           "entry [%d][%d] is zero",
-                           from, to);
-            }
-            minLookahead_ = std::min(minLookahead_, l);
-        }
-    }
-    if (minLookahead_ == noEvent)
-        SWSM_PANIC("PdesEngine lookahead matrix has no finite edge");
+    if (lookahead_ == 0)
+        SWSM_PANIC("PdesEngine needs a positive lookahead");
     if (partitionOf_.size() < eq_.numSlots())
         SWSM_PANIC("partition map covers %zu slots, queue has %u",
                    partitionOf_.size(), eq_.numSlots());
@@ -102,16 +84,6 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
             SWSM_PANIC("slot mapped to partition %d outside [0, %d)", p,
                        numPartitions_);
     }
-}
-
-PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
-                       int num_partitions, Cycles lookahead)
-    : PdesEngine(eq, std::move(partition_of), num_partitions,
-                 std::vector<Cycles>(
-                     static_cast<std::size_t>(num_partitions) *
-                         num_partitions,
-                     lookahead))
-{
 }
 
 PdesEngine::~PdesEngine() = default;
@@ -164,65 +136,16 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     // The conservative contract: anything crossing partitions must land
     // at least one full lookahead ahead of the sender's clock, or a
     // window that already executed could have depended on it.
-    if (when < satAdd(part.now, edge(tlsPartition, dst))) {
+    if (when < satAdd(part.now, lookahead_)) {
         SWSM_PANIC("cross-partition event violates lookahead: when=%llu "
                    "now=%llu lookahead=%llu",
                    static_cast<unsigned long long>(when),
                    static_cast<unsigned long long>(part.now),
-                   static_cast<unsigned long long>(
-                       edge(tlsPartition, dst)));
+                   static_cast<unsigned long long>(lookahead_));
     }
     ++part.mailed;
     boxes_[static_cast<std::size_t>(tlsPartition) * numPartitions_ + dst]
         .push_back(Event{when, stamp, exec_slot, std::move(fn)});
-}
-
-void
-PdesEngine::computeEarliest(Cycles *earliest) const
-{
-    // Least fixpoint of
-    //   E[q] = min(published[q], min over r != q of E[r] + L[r][q]),
-    // i.e. the transitive closure of "who can cause what, how soon"
-    // over the lookahead graph. Every worker computes this from the
-    // same post-barrier published snapshot, so all agree bit-for-bit.
-    // Converges in <= P passes (each pass finalizes at least the
-    // smallest undetermined value); P <= 16 keeps this trivially cheap.
-    for (int q = 0; q < numPartitions_; ++q) {
-        earliest[q] =
-            parts_[q].published.load(std::memory_order_relaxed);
-    }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int q = 0; q < numPartitions_; ++q) {
-            for (int r = 0; r < numPartitions_; ++r) {
-                if (r == q)
-                    continue;
-                const Cycles via = satAdd(earliest[r], edge(r, q));
-                if (via < earliest[q]) {
-                    earliest[q] = via;
-                    changed = true;
-                }
-            }
-        }
-    }
-}
-
-Cycles
-PdesEngine::windowBound(int p, const Cycles *earliest) const
-{
-    // Bound partition p by its actual incoming edges: no peer can get
-    // a message to p earlier than its own earliest possible event plus
-    // the minimum hop cost of the edge. p's own head does not bound p
-    // — only round trips through peers do, and those are captured by
-    // the fixpoint.
-    Cycles bound = noEvent;
-    for (int q = 0; q < numPartitions_; ++q) {
-        if (q == p)
-            continue;
-        bound = std::min(bound, satAdd(earliest[q], edge(q, p)));
-    }
-    return bound;
 }
 
 void
@@ -277,20 +200,18 @@ PdesEngine::workerLoop(int p)
 
         // Every worker reads the same published values, so they all
         // agree on the same bounds (and on termination) without
-        // further communication.
-        Cycles t_all = noEvent;
+        // further communication. The bound is the one in pdes.hh.
+        Cycles peers = noEvent;
         for (int q = 0; q < numPartitions_; ++q) {
-            t_all = std::min(
-                t_all, parts_[q].published.load(std::memory_order_relaxed));
+            if (q != p) {
+                peers = std::min(peers, parts_[q].published.load(
+                                            std::memory_order_relaxed));
+            }
         }
-        if (t_all == noEvent)
+        if (pub == noEvent && peers == noEvent)
             break;
-
-        Cycles earliest[maxPartitions];
-        computeEarliest(earliest);
-        const Cycles bound = windowBound(p, earliest);
-        if (bound > satAdd(t_all, minLookahead_))
-            ++part.widened;
+        const Cycles bound =
+            satAdd(std::min(satAdd(pub, lookahead_), peers), lookahead_);
 
         ++part.windows;
         if (drain_error) {
@@ -331,6 +252,7 @@ PdesEngine::run()
     }
 
     eq_.pdes_ = this;
+    liveWorkers.fetch_add(numPartitions_);
     std::vector<std::thread> threads;
     threads.reserve(numPartitions_ - 1);
     for (int p = 1; p < numPartitions_; ++p)
@@ -338,6 +260,7 @@ PdesEngine::run()
     workerLoop(0);
     for (std::thread &t : threads)
         t.join();
+    liveWorkers.fetch_sub(numPartitions_);
     eq_.pdes_ = nullptr;
 
     // Merge the partition counters back into the queue.
@@ -352,7 +275,6 @@ PdesEngine::run()
         eq_.maxPending_ = std::max<std::uint64_t>(eq_.maxPending_,
                                                   part.maxPending);
         eq_.now_ = std::max(eq_.now_, part.now);
-        stats_.widenedWindows += part.widened;
         stats_.mailboxEvents += part.mailed;
         stats_.maxPartitionEvents =
             std::max(stats_.maxPartitionEvents, part.executed);

@@ -1,16 +1,13 @@
 /**
  * @file
- * Time-windowed conservative parallel discrete-event engine with
- * per-destination lookahead.
+ * Time-windowed conservative parallel discrete-event engine.
  *
  * A PdesEngine partitions an EventQueue's execution slots (cluster
  * nodes) across worker threads and advances all partitions in bounded
- * time windows. The window bound comes from a partition-to-partition
- * lookahead matrix L[q][p]: the minimum latency between an event
- * executing in partition q and the earliest cross-partition event it
- * can schedule into partition p (in the machine layer, computed once
- * per run from CommParams by Network::crossLookahead(from, to) and
- * minimized over the node pairs of each partition pair).
+ * time windows. The window bound comes from one lookahead L: the
+ * minimum latency between an event executing in one partition and the
+ * earliest cross-partition event it can schedule (in the machine
+ * layer, Network::lookahead(), the cost of the wire hop).
  *
  * Each window round:
  *
@@ -24,28 +21,22 @@
  *      appended to single-producer mailbox vectors,
  *   4. all workers wait at a second barrier and loop.
  *
- * Window bound. From the published heads the workers compute the
- * least fixpoint of
+ * Window bound. From the published heads, partition p runs every event
+ * strictly below
  *
- *     E[q] = min(published[q], min over r != q of E[r] + L[r][q])
+ *     bound[p] = min(head[p] + L, min over q != p of head[q]) + L
  *
- * — E[q] is a lower bound on the earliest event partition q can ever
- * execute from this round on, over all transitive cross-partition
- * chains — and then bound each partition by its actual incoming edges:
- *
- *     bound[p] = min over q != p of E[q] + L[q][p].
- *
- * Soundness: by induction on chain length, any event q executes now or
- * later happens at time >= E[q] (it is either pending, at
- * >= published[q], or descends from mail from some r, at
- * >= E[r] + L[r][q]); therefore every message that can still reach p
- * arrives at >= bound[p], and executing p's events strictly below
- * bound[p] can never run past an undelivered message. The bound is
- * never below the plain global minimum min(published) + min(L): a
- * partition's *own* published head never bounds it (only round trips
- * through peers do), and asymmetric topologies widen the bound
- * further. PdesRunStats::widenedWindows counts the rounds where it is
- * strictly wider.
+ * (saturating adds). Soundness: at a round boundary no mail is in
+ * flight, so every event still to run descends from a pending one
+ * through local schedules, which never go back in time, and mail
+ * hops, which each add at least L. An event in a peer q != p thus runs
+ * at >= min over q != p of head[q] if its chain starts in a peer, and
+ * at >= head[p] + L if it starts in p (the chain has to leave p). Any
+ * message to p is sent by such an event and arrives at least L later,
+ * at >= bound[p], so executing p's events strictly below bound[p]
+ * never runs past an undelivered message. Dropping the head[p] + L
+ * term (bounding p by its peers alone) is unsound: p's own mail wakes
+ * a peer whose reply lands in p's past.
  *
  * Determinism: events carry (when, stamp) with stamp =
  * (scheduling slot << 48 | per-slot seq) assigned by the EventQueue.
@@ -78,12 +69,6 @@ struct PdesRunStats
     std::uint64_t partitions = 0;
     /** Window rounds executed (barrier pairs). */
     std::uint64_t windows = 0;
-    /**
-     * Partition-rounds whose per-destination bound strictly exceeded
-     * the global-minimum bound (deterministic for a given partition
-     * count).
-     */
-    std::uint64_t widenedWindows = 0;
     /** Cross-partition events routed through mailboxes. */
     std::uint64_t mailboxEvents = 0;
     /** Events executed by the busiest partition. */
@@ -96,7 +81,7 @@ struct PdesRunStats
  * Runs one EventQueue to completion on several worker threads.
  *
  * The engine is built per run: construct with a slot-to-partition map
- * and a lookahead matrix, call run(), read stats(). While run() is
+ * and a lookahead, call run(), read stats(). While run() is
  * live the queue routes schedule()/now() to the engine; afterwards the
  * queue is back in serial mode with its counters merged (events
  * scheduled/run sum over partitions; max pending is the max over
@@ -111,7 +96,7 @@ class PdesEngine
     /** Sentinel for parallelSchedule: keep the scheduling slot. */
     static constexpr std::uint32_t sameSlot = ~0u;
 
-    /** "No pending event" / "no edge" time sentinel. */
+    /** "No pending event" time sentinel. */
     static constexpr Cycles noEvent = ~static_cast<Cycles>(0);
 
     /**
@@ -119,15 +104,9 @@ class PdesEngine
      * @param partition_of slot -> partition, one entry per queue slot;
      *        values in [0, num_partitions)
      * @param num_partitions worker count, in [2, maxPartitions]
-     * @param lookahead partition-to-partition minimum scheduling
-     *        latency, row-major [from * num_partitions + to].
-     *        Off-diagonal entries must be positive (noEvent means "no
-     *        edge"); the diagonal is ignored.
+     * @param lookahead minimum gap, > 0, between an event and any
+     *        cross-partition event it schedules
      */
-    PdesEngine(EventQueue &eq, std::vector<int> partition_of,
-               int num_partitions, std::vector<Cycles> lookahead);
-
-    /** Convenience: the same lookahead on every edge. */
     PdesEngine(EventQueue &eq, std::vector<int> partition_of,
                int num_partitions, Cycles lookahead);
 
@@ -158,17 +137,19 @@ class PdesEngine
 
     using Event = EventHeap::Event;
 
-    /** Sense-reversing spin barrier for the window rounds. */
+    /**
+     * Sense-reversing barrier for the window rounds. A waiter spins
+     * only while every live partition worker in the process can have a
+     * core; otherwise it yields at once.
+     */
     class Barrier
     {
       public:
-        explicit Barrier(int parties);
+        explicit Barrier(int parties) : parties_(parties) {}
         void wait();
 
       private:
         const int parties_;
-        /** Pause-spins before a waiter starts yielding (fixed at birth). */
-        const std::uint32_t spinLimit_;
         std::atomic<int> arrived_{0};
         std::atomic<int> sense_{0};
     };
@@ -182,7 +163,6 @@ class PdesEngine
         std::uint64_t scheduled = 0;
         std::uint64_t mailed = 0;
         std::uint64_t windows = 0;
-        std::uint64_t widened = 0;
         std::size_t maxPending = 0;
         std::exception_ptr error;
         /** Earliest pending event time, published at the barrier. */
@@ -196,24 +176,10 @@ class PdesEngine
         return s < a ? noEvent : s;
     }
 
-    Cycles
-    edge(int from, int to) const
-    {
-        return lookahead_[static_cast<std::size_t>(from) * numPartitions_ +
-                          to];
-    }
-
     /** Called by EventQueue while the run is live. */
     void parallelSchedule(std::uint32_t exec_slot, Cycles when, EventFn fn);
 
     void workerLoop(int p);
-    /**
-     * Fixpoint of the per-partition earliest-possible-event bound from
-     * the published heads; fills @p earliest (numPartitions_ entries).
-     */
-    void computeEarliest(Cycles *earliest) const;
-    /** Window bound for partition @p p given the fixpoint values. */
-    Cycles windowBound(int p, const Cycles *earliest) const;
     void executeWindow(Partition &part, Cycles window_end);
     void pushLocal(Partition &part, Event &&ev);
     /** Move a whole mailbox into the partition's heap. */
@@ -222,9 +188,7 @@ class PdesEngine
     EventQueue &eq_;
     const std::vector<int> partitionOf_;
     const int numPartitions_;
-    const std::vector<Cycles> lookahead_;
-    /** Minimum off-diagonal lookahead (the global-minimum bound). */
-    Cycles minLookahead_ = noEvent;
+    const Cycles lookahead_;
     std::vector<Partition> parts_;
     /** Mailboxes, indexed [src * P + dst]; single producer per window. */
     std::vector<std::vector<Event>> boxes_;

@@ -4,16 +4,15 @@
  *
  * Two seeded sweeps, both asserting the parallel event kernel's core
  * contract — bit-equivalence with the serial kernel — across the axes
- * the windows depend on: per-destination lookahead matrices and
- * asymmetric (island) topologies.
+ * the windows depend on: the lookahead, the timing and the partition
+ * boundaries.
  *
- *  - Kernel tier: random event graphs over random asymmetric
- *    slot-to-slot lookahead matrices, run serially and under {2, 4}
- *    partitions. Per-slot mutation order and hash chains must match the
- *    serial run exactly.
+ *  - Kernel tier: random event graphs under one random lookahead per
+ *    seed, run serially and under {2, 4} partitions. Per-slot mutation
+ *    order and hash chains must match the serial run exactly.
  *  - Cluster tier: full machine runs (real protocol, network, fibers)
  *    whose shape comes from check::pdesMachineForSeed — randomized
- *    timing plus island geometry — swept over sim-thread counts {2, 4}.
+ *    timing and cluster size — swept over sim-thread counts {2, 4}.
  *    Every counter except the engine's own bookkeeping must be
  *    identical to serial.
  *
@@ -67,7 +66,7 @@ baseSeed()
 }
 
 // ---------------------------------------------------------------------
-// Kernel tier: random event graphs under random lookahead matrices.
+// Kernel tier: random event graphs under a random lookahead.
 // ---------------------------------------------------------------------
 
 /** Per-slot state the fuzz events mutate; order-sensitive per slot. */
@@ -97,14 +96,8 @@ struct GraphState
 struct Graph
 {
     std::uint32_t numSlots = 0;
-    /** Slot-to-slot minimum cross-schedule gap, row-major. */
-    std::vector<Cycles> lookahead;
-
-    Cycles
-    edge(std::uint32_t from, std::uint32_t to) const
-    {
-        return lookahead[static_cast<std::size_t>(from) * numSlots + to];
-    }
+    /** Minimum gap of every cross-slot schedule. */
+    Cycles lookahead = 0;
 };
 
 Graph
@@ -114,16 +107,7 @@ graphForSeed(std::uint64_t seed)
     Graph g;
     static constexpr std::uint32_t slot_counts[] = {4, 5, 8};
     g.numSlots = slot_counts[rng.nextBounded(3)];
-    g.lookahead.assign(
-        static_cast<std::size_t>(g.numSlots) * g.numSlots, 0);
-    for (std::uint32_t i = 0; i < g.numSlots; ++i) {
-        for (std::uint32_t j = 0; j < g.numSlots; ++j) {
-            if (i != j) {
-                g.lookahead[static_cast<std::size_t>(i) * g.numSlots +
-                            j] = 20 + rng.nextBounded(2000);
-            }
-        }
-    }
+    g.lookahead = 20 + rng.nextBounded(2000);
     return g;
 }
 
@@ -141,8 +125,8 @@ struct GraphRun
  * Execute one fuzz event: mutate the slot's cell, then schedule 0-2
  * children derived deterministically from the event's own stream, so
  * serial and parallel runs build the same graph. Cross-slot children
- * respect the slot-level lookahead matrix, which lower-bounds every
- * partition-level edge the engine derives from it.
+ * land at least one lookahead ahead, so every cross-partition one
+ * does.
  */
 void
 runEvent(GraphRun *run, std::uint32_t slot, Cycles when, int depth,
@@ -156,7 +140,7 @@ runEvent(GraphRun *run, std::uint32_t slot, Cycles when, int depth,
     for (std::uint64_t c = 0; c < children; ++c) {
         const auto dst =
             static_cast<std::uint32_t>(rng.nextBounded(run->graph.numSlots));
-        const Cycles gap = dst == slot ? 1 : run->graph.edge(slot, dst);
+        const Cycles gap = dst == slot ? 1 : run->graph.lookahead;
         const Cycles child_when = when + gap + rng.nextBounded(300);
         const std::uint64_t child_stream =
             stream * 0x9e3779b97f4a7c15ULL + c + 1;
@@ -207,29 +191,15 @@ TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitions)
                     static_cast<std::uint64_t>(s) * partitions /
                     graph.numSlots);
             }
-            std::vector<Cycles> lookahead(
-                static_cast<std::size_t>(partitions) * partitions,
-                PdesEngine::noEvent);
-            for (std::uint32_t a = 0; a < graph.numSlots; ++a) {
-                for (std::uint32_t b = 0; b < graph.numSlots; ++b) {
-                    if (a == b || partition_of[a] == partition_of[b])
-                        continue;
-                    auto &entry =
-                        lookahead[static_cast<std::size_t>(
-                                      partition_of[a]) *
-                                      partitions +
-                                  partition_of[b]];
-                    entry = std::min(entry, graph.edge(a, b));
-                }
-            }
             GraphRun par(graph);
             seedGraph(par, seed);
             PdesEngine engine(par.eq, partition_of, partitions,
-                              std::move(lookahead));
+                              graph.lookahead);
             const std::uint64_t events = engine.run();
             engine.checkDrained();
             const std::string label =
                 "seed=" + std::to_string(seed) +
+                " lookahead=" + std::to_string(graph.lookahead) +
                 " partitions=" + std::to_string(partitions) +
                 " (replay: SWSM_PDES_FUZZ_SEEDS=1 "
                 "SWSM_PDES_FUZZ_BASE=" +
@@ -241,7 +211,7 @@ TEST(PdesFuzz, KernelGraphsAreBitEquivalentAcrossPartitions)
 }
 
 // ---------------------------------------------------------------------
-// Cluster tier: full machine runs over fuzzed island topologies.
+// Cluster tier: full machine runs over fuzzed timing and sizes.
 // ---------------------------------------------------------------------
 
 /** Lock-serialized counters plus falsely-shared writes: cross-node
