@@ -1,21 +1,17 @@
 /**
  * @file
  * Simulator data-path microbenchmark (host throughput, not simulated
- * cycles). Measures the hot loops of the data path, each with the
- * optimization on and off:
+ * cycles). Measures the hot loops of the simulator, and times the two
+ * host-side accelerators (the access fast path and the chunked diff
+ * scan) on and off:
  *
  *  - accesses/sec: single-word shared reads and writes through a
  *    Thread on a warmed HLRC page, fast-path TLB vs the full
  *    virtual-dispatch page-table walk (SWSM_FASTPATH=0 equivalent);
- *  - diff_scan words/sec: dense full-page twin comparison, dispatched
- *    SIMD kernel vs the forced-scalar reference (setLevel A/B in one
- *    process);
+ *  - diff_scan words/sec: dense full-page twin comparison;
  *  - diff_scan_sparse words/sec: chunk-skipping scan of a mostly-clean
  *    page vs the dense sweep (the dirty-chunk bitmap accelerator);
- *  - diff_apply words/sec: writing a diff's words into a home page,
- *    SIMD run bursts vs the scalar word loop;
- *  - twin_create words/sec: page copy into a twin buffer, SIMD vs
- *    scalar;
+ *  - diff_apply words/sec: writing a diff's words into a home page;
  *  - events/sec: raw event-kernel schedule+dispatch throughput;
  *  - fiber ns/switch: resume+yield round trips into one fiber, the
  *    switch every simulated processor makes at each quantum and block;
@@ -24,15 +20,14 @@
  *  - message ns: one 4 KB message through a two-node Network, from
  *    send to delivery (the five-stage packet pipeline).
  *
- * The "SIMD" arm of each A/B uses the ambient dispatch level, so a run
- * under SWSM_SIMD=0 reports scalar-vs-scalar (ratio ~1) and the two CI
- * artifacts cover both host modes. Every measurement runs --reps=N
- * times (default 3); throughputs come from the fastest rep and the
- * JSON carries per-section host seconds as {"min", "median"} objects
- * under "hostSeconds" (schema 3), so one descheduled rep cannot skew a
- * comparison between two reports. The fiber, cache_model and message
- * sections also report their per-operation cost as {"min", "median"}
- * ns.
+ * Every measurement runs --reps=N times (default 3); throughputs come
+ * from the fastest rep and the JSON carries per-section host seconds as
+ * {"min", "median"} objects under "hostSeconds", so one descheduled rep
+ * cannot skew a comparison between two reports. The fiber, cache_model
+ * and message sections also report their per-operation cost as
+ * {"min", "median"} ns. "simd_level" names the host CPU's vector level
+ * (nothing dispatches on it). Schema 4: the SIMD-vs-scalar arms and
+ * the twin_create section of schema 3 are gone.
  *
  * Writes BENCH_hotpath.json (SWSM_BENCH_DIR honored). The ratios are
  * host-dependent, so the ctest smoke run is report-only: it exercises
@@ -53,7 +48,6 @@
 #include "machine/fast_path.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
-#include "mem/aligned.hh"
 #include "mem/cache_model.hh"
 #include "mem/simd.hh"
 #include "net/network.hh"
@@ -78,11 +72,11 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** A page-sized pattern buffer, 32-byte aligned like the real pools. */
-AlignedBytes
+/** A page-sized pattern buffer. */
+std::vector<std::uint8_t>
 patternPage(std::uint8_t salt)
 {
-    AlignedBytes b(pageBytes);
+    std::vector<std::uint8_t> b(pageBytes);
     for (std::uint32_t i = 0; i < pageBytes; ++i)
         b[i] = static_cast<std::uint8_t>(i * 131 + salt);
     return b;
@@ -131,20 +125,17 @@ accessSeconds(bool fast_path, std::uint64_t iters)
 }
 
 /**
- * Host seconds for reps dense full-page diff scans at @p level. Eight
- * scattered dirty words: the compare path dominates, the refine path
- * stays exercised.
+ * Host seconds for reps dense full-page diff scans. Eight scattered
+ * dirty words: the compare path dominates.
  */
 double
-diffScanSeconds(simd::Level level, std::uint64_t reps)
+diffScanSeconds(std::uint64_t reps)
 {
-    const AlignedBytes twin = patternPage(0);
-    AlignedBytes cur = twin;
+    const std::vector<std::uint8_t> twin = patternPage(0);
+    std::vector<std::uint8_t> cur = twin;
     for (std::uint32_t w = 0; w < 8; ++w)
         cur[(w * 509 + 13) * 4 % pageBytes] ^= 0xff;
 
-    const simd::Level prev = simd::activeLevel();
-    simd::setLevel(level);
     hlrcdiff::DiffWords out;
     out.reserve(16);
     std::size_t found = 0;
@@ -155,7 +146,6 @@ diffScanSeconds(simd::Level level, std::uint64_t reps)
         found += out.size();
     }
     const double elapsed = secondsSince(start);
-    simd::setLevel(prev);
     if (found != 8 * reps)
         std::fprintf(stderr, "diff scan found %zu words, expected %llu\n",
                      found, static_cast<unsigned long long>(8 * reps));
@@ -171,8 +161,8 @@ double
 diffScanSparseSeconds(bool chunked, std::uint64_t reps)
 {
     const std::uint32_t shift = hlrcdiff::chunkShift(pageBytes);
-    const AlignedBytes twin = patternPage(0);
-    AlignedBytes cur = twin;
+    const std::vector<std::uint8_t> twin = patternPage(0);
+    std::vector<std::uint8_t> cur = twin;
     // One dirty word in one chunk: the mostly-clean page a
     // single-word-per-interval writer produces.
     cur[600] ^= 0xff;
@@ -201,50 +191,27 @@ diffScanSparseSeconds(bool chunked, std::uint64_t reps)
 }
 
 /**
- * Host seconds for reps diff applies at @p level: one 256-word run
- * plus 16 scattered singles, the common shape of a sequential writer
- * with a few stray updates.
+ * Host seconds for reps diff applies: one 256-word run plus 16
+ * scattered singles, the common shape of a sequential writer with a
+ * few stray updates.
  */
 double
-diffApplySeconds(simd::Level level, std::uint64_t reps,
-                 std::size_t &words_per_rep)
+diffApplySeconds(std::uint64_t reps, std::size_t &words_per_rep)
 {
-    AlignedBytes home = patternPage(1);
-    simd::DiffWords words;
+    std::vector<std::uint8_t> home = patternPage(1);
+    hlrcdiff::DiffWords words;
     for (std::uint32_t w = 64; w < 64 + 256; ++w)
         words.emplace_back(w, w * 2654435761u);
     for (std::uint32_t i = 0; i < 16; ++i)
         words.emplace_back(384 + i * 40, i * 40503u);
     words_per_rep = words.size();
 
-    const simd::Level prev = simd::activeLevel();
-    simd::setLevel(level);
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t r = 0; r < reps; ++r)
-        simd::applyWords(home.data(), words.data(), words.size());
+        hlrcdiff::applyWords(home.data(), words);
     const double elapsed = secondsSince(start);
-    simd::setLevel(prev);
     if (home[64 * 4] == home[65 * 4] && home[0] == 0)
         std::fprintf(stderr, "unexpected apply result\n");
-    return elapsed;
-}
-
-/** Host seconds for reps page copies (the twin create) at @p level. */
-double
-twinCreateSeconds(simd::Level level, std::uint64_t reps)
-{
-    const AlignedBytes src = patternPage(2);
-    AlignedBytes dst(pageBytes);
-
-    const simd::Level prev = simd::activeLevel();
-    simd::setLevel(level);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r)
-        simd::copyBytes(dst.data(), src.data(), pageBytes);
-    const double elapsed = secondsSince(start);
-    simd::setLevel(prev);
-    if (dst != src)
-        std::fprintf(stderr, "twin copy mismatch\n");
     return elapsed;
 }
 
@@ -379,7 +346,7 @@ measure(int reps, Fn fn)
     return r;
 }
 
-/** "hostSeconds" section: {"min": ..., "median": ...} over both arms. */
+/** "hostSeconds" section: {"min": ..., "median": ...} over its arms. */
 void
 writeSection(JsonWriter &w, const char *name,
              std::initializer_list<const Reps *> parts)
@@ -429,41 +396,26 @@ main(int argc, char **argv)
     const std::uint64_t access_iters = quick ? 200'000 : 2'000'000;
     const std::uint64_t diff_reps = quick ? 20'000 : 200'000;
     const std::uint64_t apply_reps = quick ? 50'000 : 500'000;
-    const std::uint64_t copy_reps = quick ? 50'000 : 500'000;
     const std::uint64_t event_total = quick ? 500'000 : 5'000'000;
     const std::uint64_t fiber_trips = quick ? 500'000 : 5'000'000;
     const std::uint64_t cache_refs = quick ? 1'000'000 : 10'000'000;
     const std::uint64_t cache_walks = quick ? 10'000 : 100'000;
     const std::uint64_t message_total = quick ? 50'000 : 500'000;
 
-    // "SIMD" arm = the ambient dispatch level (honors SWSM_SIMD), so
-    // the scalar-forced run's artifact documents the scalar host mode.
-    const simd::Level vec = simd::activeLevel();
-    const simd::Level sca = simd::Level::Scalar;
-
     const Reps acc_fast =
         measure(reps, [&] { return accessSeconds(true, access_iters); });
     const Reps acc_slow =
         measure(reps, [&] { return accessSeconds(false, access_iters); });
-    const Reps scan_simd =
-        measure(reps, [&] { return diffScanSeconds(vec, diff_reps); });
-    const Reps scan_scalar =
-        measure(reps, [&] { return diffScanSeconds(sca, diff_reps); });
+    const Reps scan =
+        measure(reps, [&] { return diffScanSeconds(diff_reps); });
     const Reps sparse_chunked = measure(
         reps, [&] { return diffScanSparseSeconds(true, diff_reps); });
     const Reps sparse_wordwise = measure(
         reps, [&] { return diffScanSparseSeconds(false, diff_reps); });
     std::size_t apply_words = 0;
-    const Reps apply_simd = measure(reps, [&] {
-        return diffApplySeconds(vec, apply_reps, apply_words);
+    const Reps apply = measure(reps, [&] {
+        return diffApplySeconds(apply_reps, apply_words);
     });
-    const Reps apply_scalar = measure(reps, [&] {
-        return diffApplySeconds(sca, apply_reps, apply_words);
-    });
-    const Reps twin_simd =
-        measure(reps, [&] { return twinCreateSeconds(vec, copy_reps); });
-    const Reps twin_scalar =
-        measure(reps, [&] { return twinCreateSeconds(sca, copy_reps); });
     const Reps events =
         measure(reps, [&] { return eventSeconds(event_total); });
     const Reps fiber =
@@ -481,36 +433,26 @@ main(int argc, char **argv)
     const double as = work / acc_slow.min();
     const double scan_work =
         static_cast<double>(diff_reps) * wordsPerPage;
-    const double sv = scan_work / scan_simd.min();
-    const double ss = scan_work / scan_scalar.min();
+    const double sd = scan_work / scan.min();
     const double dc = scan_work / sparse_chunked.min();
     const double dw = scan_work / sparse_wordwise.min();
     const double apply_work =
         static_cast<double>(apply_reps) * apply_words;
-    const double av = apply_work / apply_simd.min();
-    const double asx = apply_work / apply_scalar.min();
-    const double copy_work =
-        static_cast<double>(copy_reps) * wordsPerPage;
-    const double tv = copy_work / twin_simd.min();
-    const double ts = copy_work / twin_scalar.min();
+    const double ap = apply_work / apply.min();
     const double ev = static_cast<double>(event_total) / events.min();
     const double switches = 2.0 * static_cast<double>(fiber_trips);
     const double refs = static_cast<double>(cache_refs);
     const double walks = static_cast<double>(cache_walks);
     const double sent = static_cast<double>(message_total);
 
-    std::printf("simd level %s (scalar A/B in-process)\n",
-                simd::levelName(vec));
+    const char *simd_level = simd::levelName(simd::activeLevel());
+    std::printf("host simd level %s\n", simd_level);
     std::printf("accesses/sec      fastpath %.3e  slowpath %.3e  (%.2fx)\n",
                 af, as, af / as);
-    std::printf("diff scan w/sec   simd     %.3e  scalar   %.3e  (%.2fx)\n",
-                sv, ss, sv / ss);
+    std::printf("diff scan w/sec   %.3e\n", sd);
     std::printf("sparse scan w/sec chunked  %.3e  wordwise %.3e  (%.2fx)\n",
                 dc, dw, dc / dw);
-    std::printf("diff apply w/sec  simd     %.3e  scalar   %.3e  (%.2fx)\n",
-                av, asx, av / asx);
-    std::printf("twin create w/sec simd     %.3e  scalar   %.3e  (%.2fx)\n",
-                tv, ts, tv / ts);
+    std::printf("diff apply w/sec  %.3e\n", ap);
     std::printf("events/sec        %.3e   (best of %d reps)\n", ev, reps);
     std::printf("fiber ns/switch   min %.1f  median %.1f\n",
                 fiber.min() * 1e9 / switches,
@@ -526,41 +468,25 @@ main(int argc, char **argv)
 
     JsonWriter w(2);
     w.beginObject();
-    w.member("schema", 3);
+    w.member("schema", 4);
     w.member("bench", "hotpath");
     w.member("quick", quick);
     w.member("reps", reps);
-    w.member("simd_level", simd::levelName(vec));
+    w.member("simd_level", simd_level);
     w.key("accesses_per_sec");
     w.beginObject();
     w.member("fastpath", af);
     w.member("slowpath", as);
     w.member("speedup", af / as);
     w.endObject();
-    w.key("diff_scan_words_per_sec");
-    w.beginObject();
-    w.member("simd", sv);
-    w.member("scalar", ss);
-    w.member("speedup", sv / ss);
-    w.endObject();
+    w.member("diff_scan_words_per_sec", sd);
     w.key("diff_scan_sparse_words_per_sec");
     w.beginObject();
     w.member("chunked", dc);
     w.member("wordwise", dw);
     w.member("speedup", dc / dw);
     w.endObject();
-    w.key("diff_apply_words_per_sec");
-    w.beginObject();
-    w.member("simd", av);
-    w.member("scalar", asx);
-    w.member("speedup", av / asx);
-    w.endObject();
-    w.key("twin_create_words_per_sec");
-    w.beginObject();
-    w.member("simd", tv);
-    w.member("scalar", ts);
-    w.member("speedup", tv / ts);
-    w.endObject();
+    w.member("diff_apply_words_per_sec", ap);
     w.member("events_per_sec", ev);
     writeNsPerOp(w, "fiber_ns_per_switch", fiber, switches);
     writeNsPerOp(w, "cache_ns_per_access", cache_access, refs);
@@ -569,11 +495,10 @@ main(int argc, char **argv)
     w.key("hostSeconds");
     w.beginObject();
     writeSection(w, "access", {&acc_fast, &acc_slow});
-    writeSection(w, "diff_scan", {&scan_simd, &scan_scalar});
+    writeSection(w, "diff_scan", {&scan});
     writeSection(w, "diff_scan_sparse",
                  {&sparse_chunked, &sparse_wordwise});
-    writeSection(w, "diff_apply", {&apply_simd, &apply_scalar});
-    writeSection(w, "twin_create", {&twin_simd, &twin_scalar});
+    writeSection(w, "diff_apply", {&apply});
     writeSection(w, "events", {&events});
     writeSection(w, "fiber", {&fiber});
     writeSection(w, "cache_model", {&cache_access, &cache_range});

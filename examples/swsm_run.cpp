@@ -8,13 +8,15 @@
  *       [--procs=16] [--size=tiny|small|medium|paper] [--block=64] \
  *       [--jobs=N] [--trace=FILE]
  *
- * Unknown applications, protocols, configurations and sizes print the
- * usage text and exit 1.
+ * Unknown applications, protocols, configurations and sizes, a
+ * cluster above 32 nodes, a block size that is not a power of two and
+ * an empty --trace print the usage text and exit 1.
  *
  * Runs through the sweep runner: the experiment and its sequential
  * baseline are two independent tasks, so --jobs=2 runs them at once.
  */
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,8 +38,10 @@ usage(const char *prog)
                  "[--block=BYTES] [--jobs=N] [--trace=FILE]\n"
                  "  --config=XY  communication set X (A H B W X) and "
                  "protocol cost set Y (O H B)\n"
+                 "  --procs=N    cluster size, 1 to %d\n"
+                 "  --block=BYTES  coherence block size, a power of two\n"
                  "applications:\n",
-                 prog);
+                 prog, swsm::maxProcs);
     for (const swsm::AppInfo &app : swsm::appRegistry())
         std::fprintf(stderr, "  %-16s (%s)\n", app.name.c_str(),
                      app.paperSize.c_str());
@@ -77,13 +81,14 @@ main(int argc, char **argv)
         else if (const char *v = value("--size="))
             ok = parseSizeClass(v, size);
         else if (const char *v = value("--procs="))
-            ok = parseBoundedInt(v, 1, maxProcs, procs);
+            ok = parseProcs(v, procs);
         else if (const char *v = value("--block="))
-            ok = parseBoundedInt(v, 1, 1 << 20, block);
+            ok = parseBoundedInt(v, 1, 1 << 20, block) &&
+                std::has_single_bit(static_cast<unsigned>(block));
         else if (const char *v = value("--jobs="))
             ok = parseBoundedInt(v, 1, maxJobs, jobs);
         else if (const char *v = value("--trace="))
-            trace_path = v;
+            ok = !trace_path.assign(v).empty();
         else
             ok = false;
         if (!ok) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -47,6 +48,17 @@ parseSizeClass(std::string_view name, SizeClass &out)
     } else {
         return false;
     }
+    return true;
+}
+
+bool
+parseProcs(std::string_view text, int &out)
+{
+    int procs = 0;
+    if (!parseBoundedInt(text, 1, std::numeric_limits<int>::max(), procs) ||
+        procs > maxProcs)
+        return false;
+    out = procs;
     return true;
 }
 
@@ -193,11 +205,12 @@ SweepOptions::parse(int argc, char **argv)
         } else if (arg == "--full") {
             full = true;
         } else if (arg.rfind("--procs=", 0) == 0) {
-            if (!parseBoundedInt(arg.substr(8), 1, maxProcs, numProcs)) {
+            if (!parseProcs(arg.substr(8), numProcs)) {
                 std::fprintf(stderr,
-                             "--procs needs an integer in [1, %d], got "
-                             "\"%s\"\n",
+                             "--procs needs an integer in [1, %d] (SC's "
+                             "sharer bitmask), got \"%s\"\n",
                              maxProcs, arg.c_str() + 8);
+                printUsage(argv[0]);
                 return false;
             }
         } else if (arg.rfind("--jobs=", 0) == 0) {

@@ -43,8 +43,12 @@ namespace swsm
  */
 int defaultJobs();
 
-/** Largest cluster size the option parser accepts (clamped above). */
-constexpr int maxProcs = 4096;
+/**
+ * Largest cluster size the option parsers accept: SC's directory keeps
+ * each block's sharers in a 32-bit mask. Larger values are rejected,
+ * never clamped.
+ */
+constexpr int maxProcs = 32;
 /** Largest worker count the option parser accepts (clamped above). */
 constexpr int maxJobs = 1024;
 
@@ -53,6 +57,12 @@ const char *sizeClassName(SizeClass size);
 
 /** Parse a size-class name; false (out untouched) on unknown names. */
 bool parseSizeClass(std::string_view name, SizeClass &out);
+
+/**
+ * Parse a cluster size in [1, maxProcs]; false (out untouched) on
+ * anything else, including values above maxProcs.
+ */
+bool parseProcs(std::string_view text, int &out);
 
 /**
  * Parse a protocol name (hlrc, sc or ideal), the grammar of swsm_run's

@@ -1,262 +1,24 @@
 #include "simd.hh"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "sim/log.hh"
-
 namespace swsm::simd
 {
-
-namespace detail
-{
-
-// Implemented in simd_avx2.cc (compiled with -mavx2) when the
-// toolchain supports it; never called unless avx2Supported().
-void diffWordsAvx2(const std::uint8_t *cur, const std::uint8_t *twin,
-                   std::uint32_t bytes, std::uint32_t word0,
-                   DiffWords &out);
-bool rangesEqualAvx2(const std::uint8_t *a, const std::uint8_t *b,
-                     std::uint32_t bytes);
-void copyBytesAvx2(std::uint8_t *dst, const std::uint8_t *src,
-                   std::uint32_t bytes);
-void applyRunAvx2(std::uint8_t *dst,
-                  const std::pair<std::uint32_t, std::uint32_t> *words,
-                  std::size_t count);
-
-namespace
-{
-
-/**
- * The scalar reference kernels below spell out their word loops
- * instead of deferring to memcpy/memcmp on purpose: libc's versions
- * are themselves vectorized, which would both undermine SWSM_SIMD=0
- * as a scalar baseline and hide alignment bugs the explicit loops
- * surface. Word loads still go through std::memcpy (the legal way to
- * type-pun), which compilers lower to a single load.
- */
-
-inline std::uint32_t
-load32(const std::uint8_t *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-inline std::uint64_t
-load64(const std::uint8_t *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-void
-diffWordsScalar(const std::uint8_t *cur, const std::uint8_t *twin,
-                std::uint32_t bytes, std::uint32_t word0, DiffWords &out)
-{
-    std::uint32_t off = 0;
-    // 8-byte probe, word-granular refine: the PR 4 chunked scan's
-    // inner loop, kept as the bit-equivalence reference.
-    for (; off + 8 <= bytes; off += 8) {
-        if (load64(cur + off) == load64(twin + off))
-            continue;
-        for (std::uint32_t o = off; o < off + 8; o += 4) {
-            const std::uint32_t a = load32(cur + o);
-            if (a != load32(twin + o))
-                out.emplace_back(word0 + o / 4, a);
-        }
-    }
-    for (; off + 4 <= bytes; off += 4) {
-        const std::uint32_t a = load32(cur + off);
-        if (a != load32(twin + off))
-            out.emplace_back(word0 + off / 4, a);
-    }
-}
-
-bool
-rangesEqualScalar(const std::uint8_t *a, const std::uint8_t *b,
-                  std::uint32_t bytes)
-{
-    std::uint32_t off = 0;
-    for (; off + 8 <= bytes; off += 8) {
-        if (load64(a + off) != load64(b + off))
-            return false;
-    }
-    for (; off < bytes; ++off) {
-        if (a[off] != b[off])
-            return false;
-    }
-    return true;
-}
-
-void
-copyBytesScalar(std::uint8_t *dst, const std::uint8_t *src,
-                std::uint32_t bytes)
-{
-    std::uint32_t off = 0;
-    for (; off + 8 <= bytes; off += 8) {
-        std::uint64_t v;
-        std::memcpy(&v, src + off, 8);
-        std::memcpy(dst + off, &v, 8);
-    }
-    for (; off < bytes; ++off)
-        dst[off] = src[off];
-}
-
-void
-applyRunScalar(std::uint8_t *dst,
-               const std::pair<std::uint32_t, std::uint32_t> *words,
-               std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        std::memcpy(dst + 4 * i, &words[i].second, 4);
-}
-
-Level
-resolve()
-{
-    // Accept the level tokens plus the usual flag spellings
-    // (envFlag-compatible): "off"/"false"/"no" select scalar like "0",
-    // anything else unrecognized warns and keeps auto-detection.
-    if (const char *env = std::getenv("SWSM_SIMD")) {
-        if (std::strcmp(env, "scalar") == 0 ||
-            std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-            std::strcmp(env, "false") == 0 || std::strcmp(env, "no") == 0)
-            return Level::Scalar;
-        if (std::strcmp(env, "avx2") == 0) {
-            if (avx2Supported())
-                return Level::Avx2;
-            SWSM_WARN("SWSM_SIMD=avx2 requested but AVX2 is not "
-                      "available; using scalar kernels");
-            return Level::Scalar;
-        }
-        if (std::strcmp(env, "1") != 0 && std::strcmp(env, "on") != 0 &&
-            std::strcmp(env, "true") != 0 &&
-            std::strcmp(env, "yes") != 0 && std::strcmp(env, "auto") != 0)
-            SWSM_WARN("ignoring unrecognized SWSM_SIMD value \"%s\" "
-                      "(want scalar, avx2, auto, or a 0/1 flag)",
-                      env);
-    }
-    return avx2Supported() ? Level::Avx2 : Level::Scalar;
-}
-
-Level &
-levelSlot()
-{
-    static Level level = resolve();
-    return level;
-}
-
-} // namespace
-} // namespace detail
-
-bool
-avx2Supported()
-{
-#if defined(SWSM_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
-
-Level
-bestLevel()
-{
-    return detail::resolve();
-}
 
 Level
 activeLevel()
 {
-    return detail::levelSlot();
-}
-
-Level
-setLevel(Level level)
-{
-    if (level == Level::Avx2 && !avx2Supported())
-        level = Level::Scalar;
-    detail::levelSlot() = level;
+#if defined(__x86_64__) || defined(__i386__)
+    static const Level level =
+        __builtin_cpu_supports("avx2") ? Level::Avx2 : Level::Scalar;
     return level;
+#else
+    return Level::Scalar;
+#endif
 }
 
 const char *
 levelName(Level level)
 {
     return level == Level::Avx2 ? "avx2" : "scalar";
-}
-
-void
-diffWords(const std::uint8_t *cur, const std::uint8_t *twin,
-          std::uint32_t bytes, std::uint32_t word0, DiffWords &out)
-{
-#ifdef SWSM_HAVE_AVX2
-    if (activeLevel() == Level::Avx2) {
-        detail::diffWordsAvx2(cur, twin, bytes, word0, out);
-        return;
-    }
-#endif
-    detail::diffWordsScalar(cur, twin, bytes, word0, out);
-}
-
-bool
-rangesEqual(const std::uint8_t *a, const std::uint8_t *b,
-            std::uint32_t bytes)
-{
-#ifdef SWSM_HAVE_AVX2
-    if (activeLevel() == Level::Avx2)
-        return detail::rangesEqualAvx2(a, b, bytes);
-#endif
-    return detail::rangesEqualScalar(a, b, bytes);
-}
-
-void
-copyBytes(std::uint8_t *dst, const std::uint8_t *src, std::uint32_t bytes)
-{
-#ifdef SWSM_HAVE_AVX2
-    if (activeLevel() == Level::Avx2) {
-        detail::copyBytesAvx2(dst, src, bytes);
-        return;
-    }
-#endif
-    detail::copyBytesScalar(dst, src, bytes);
-}
-
-void
-applyWords(std::uint8_t *base,
-           const std::pair<std::uint32_t, std::uint32_t> *words,
-           std::size_t count)
-{
-#ifdef SWSM_HAVE_AVX2
-    const bool avx2 = activeLevel() == Level::Avx2;
-#else
-    const bool avx2 = false;
-#endif
-    // Batch maximal runs of consecutive word indices (diffs list words
-    // ascending, and real write patterns dirty contiguous spans), so
-    // one run becomes one streaming store burst instead of count
-    // scattered 4-byte writes.
-    std::size_t i = 0;
-    while (i < count) {
-        std::size_t run = 1;
-        while (i + run < count &&
-               words[i + run].first == words[i].first + run)
-            ++run;
-        std::uint8_t *dst = base + 4 * std::size_t{words[i].first};
-#ifdef SWSM_HAVE_AVX2
-        if (avx2 && run >= 8)
-            detail::applyRunAvx2(dst, words + i, run);
-        else
-            detail::applyRunScalar(dst, words + i, run);
-#else
-        (void)avx2;
-        detail::applyRunScalar(dst, words + i, run);
-#endif
-        i += run;
-    }
 }
 
 } // namespace swsm::simd

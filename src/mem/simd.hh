@@ -1,100 +1,32 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the memory-coherence data path.
+ * The host CPU's SIMD level, as a descriptor for benchmark reports.
  *
- * Four host-side byte operations dominate a diff-based protocol run:
- * comparing a page against its twin (diff scan), verifying clean
- * ranges match (the SWSM_CHECK cross-check), copying a page into its
- * twin (twin create) and writing a diff's words into the home copy
- * (diff apply). Each has two implementations with bit-identical
- * observable results:
- *
- *  - a scalar reference (explicit word loops — deliberately not libc
- *    memcpy/memcmp, whose hidden vectorization would make the scalar
- *    baseline meaningless);
- *  - an AVX2 version (simd_avx2.cc, compiled with -mavx2 in its own
- *    translation unit) processing 32 bytes per step.
- *
- * The level is resolved once per process from CPUID and the SWSM_SIMD
- * environment variable (SWSM_SIMD=0 forces scalar — the escape hatch
- * for A/B timing and for bisecting a suspected divergence), and can be
- * overridden by tests and microbenchmarks through setLevel(). Because
- * both levels produce the same word lists and the same bytes, nothing
- * simulated depends on which one ran; tests/test_simd.cc enforces this
- * end to end.
+ * Nothing in the simulator dispatches on it: HLRC's twin, diff and
+ * apply work runs one portable path (proto/hlrc/diff.hh and
+ * std::memcpy, which libc already vectorizes), and the paper charges
+ * that work per word anyway. Reports name the level so a host-time
+ * number says what hardware it came from.
  */
 
 #ifndef SWSM_MEM_SIMD_HH
 #define SWSM_MEM_SIMD_HH
 
-#include <cstdint>
-#include <utility>
-#include <vector>
-
 namespace swsm::simd
 {
 
-/** (word index, new value) pairs, ascending — the HLRC diff format. */
-using DiffWords = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
-/** Kernel implementation tiers. */
+/** Vector instruction tiers a host may offer. */
 enum class Level
 {
-    Scalar, ///< reference word loops, always available
-    Avx2,   ///< 256-bit kernels (x86 AVX2)
+    Scalar, ///< no AVX2 (or not an x86 host)
+    Avx2,   ///< x86 with AVX2
 };
 
-/** True when the host CPU can execute the AVX2 kernels. */
-bool avx2Supported();
-
-/**
- * The level a fresh process would select: Avx2 when the CPU supports
- * it and SWSM_SIMD is not "0", else Scalar. Reads the environment on
- * every call (cheap enough off the hot path); activeLevel() caches.
- */
-Level bestLevel();
-
-/** The level the kernels dispatch on (resolved once, then cached). */
+/** The host CPU's level (checked once per process). */
 Level activeLevel();
-
-/**
- * Override the dispatch level (tests, microbenchmark A/B). Requests
- * for an unsupported level fall back to Scalar; returns the level
- * actually installed.
- */
-Level setLevel(Level level);
 
 /** "scalar" or "avx2". */
 const char *levelName(Level level);
-
-/**
- * Append (word0 + i, value) for every differing 4-byte word i of
- * [cur, cur+bytes) vs [twin, twin+bytes), in ascending order.
- * @p bytes must be a multiple of 4. Both levels produce identical
- * output for identical input.
- */
-void diffWords(const std::uint8_t *cur, const std::uint8_t *twin,
-               std::uint32_t bytes, std::uint32_t word0, DiffWords &out);
-
-/** True if [a, a+bytes) and [b, b+bytes) are byte-identical. */
-bool rangesEqual(const std::uint8_t *a, const std::uint8_t *b,
-                 std::uint32_t bytes);
-
-/**
- * Copy @p bytes from @p src to @p dst (non-overlapping). The twin
- * create path; @p bytes need not be word-aligned.
- */
-void copyBytes(std::uint8_t *dst, const std::uint8_t *src,
-               std::uint32_t bytes);
-
-/**
- * Write each (word index, value) of @p words at @p base + 4 * index.
- * Runs of consecutive indices (the common diff shape: contiguous
- * dirty words) are stored as one vectorized burst.
- */
-void applyWords(std::uint8_t *base,
-                const std::pair<std::uint32_t, std::uint32_t> *words,
-                std::size_t count);
 
 } // namespace swsm::simd
 

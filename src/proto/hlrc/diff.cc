@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
-#include "mem/simd.hh"
 #include "sim/types.hh"
 
 namespace swsm::hlrcdiff
@@ -20,10 +20,30 @@ chunkShift(std::uint32_t page_bytes)
 }
 
 void
+diffWords(const std::uint8_t *cur, const std::uint8_t *twin,
+          std::uint32_t bytes, std::uint32_t word0, DiffWords &out)
+{
+    for (std::uint32_t off = 0; off < bytes; off += wordBytes) {
+        std::uint32_t a, b;
+        std::memcpy(&a, cur + off, wordBytes);
+        std::memcpy(&b, twin + off, wordBytes);
+        if (a != b)
+            out.emplace_back(word0 + off / wordBytes, a);
+    }
+}
+
+void
+applyWords(std::uint8_t *base, const DiffWords &words)
+{
+    for (const auto &[w, value] : words)
+        std::memcpy(base + std::size_t{w} * wordBytes, &value, wordBytes);
+}
+
+void
 scanFull(const std::uint8_t *cur, const std::uint8_t *twin,
          std::uint32_t page_bytes, DiffWords &out)
 {
-    simd::diffWords(cur, twin, page_bytes, 0, out);
+    diffWords(cur, twin, page_bytes, 0, out);
 }
 
 void
@@ -32,9 +52,8 @@ scanChunks(const std::uint8_t *cur, const std::uint8_t *twin,
            std::uint64_t dirty_chunks, DiffWords &out)
 {
     // Merge adjacent dirty chunks into maximal runs before scanning:
-    // sequential writers dirty long contiguous spans, and one wide
-    // SIMD sweep over a run beats per-chunk kernel entry (the 64-byte
-    // chunks of a 4K page are exactly two 256-bit compares each).
+    // sequential writers dirty long contiguous spans, and one loop
+    // over a run beats a call per chunk.
     std::uint64_t mask = dirty_chunks;
     while (mask) {
         const auto c = static_cast<std::uint32_t>(std::countr_zero(mask));
@@ -49,8 +68,8 @@ scanChunks(const std::uint8_t *cur, const std::uint8_t *twin,
             break;
         const std::uint32_t end = std::min(
             begin + (len << chunk_shift), page_bytes);
-        simd::diffWords(cur + begin, twin + begin, end - begin,
-                        begin / wordBytes, out);
+        diffWords(cur + begin, twin + begin, end - begin,
+                  begin / wordBytes, out);
     }
 }
 
@@ -69,15 +88,15 @@ cleanChunksMatch(const std::uint8_t *cur, const std::uint8_t *twin,
             run_begin = begin;
             in_run = true;
         } else if (!clean && in_run) {
-            if (!simd::rangesEqual(cur + run_begin, twin + run_begin,
-                                   begin - run_begin))
+            if (std::memcmp(cur + run_begin, twin + run_begin,
+                            begin - run_begin) != 0)
                 return false;
             in_run = false;
         }
     }
     if (in_run) {
-        return simd::rangesEqual(cur + run_begin, twin + run_begin,
-                                 page_bytes - run_begin);
+        return std::memcmp(cur + run_begin, twin + run_begin,
+                           page_bytes - run_begin) == 0;
     }
     return true;
 }

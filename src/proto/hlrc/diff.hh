@@ -1,10 +1,10 @@
 /**
  * @file
- * Twin-vs-data diff scan kernels for HLRC.
+ * Twin-vs-data diff scan and diff apply for HLRC.
  *
- * Two host implementations of the same simulated operation (comparing
- * a page against its twin word by word and collecting the words that
- * changed):
+ * One portable implementation of each host operation: diffWords and
+ * applyWords are plain word loops, and the clean-chunk cross-check is
+ * a memcmp. Two scans share diffWords:
  *
  *  - scanFull: a dense sweep of the whole page, used when the fast
  *    path is disabled (SWSM_FASTPATH=0);
@@ -13,12 +13,11 @@
  *    maximal runs), so clean regions of a mostly-clean page are never
  *    touched.
  *
- * Both delegate the byte work to the runtime-dispatched SIMD kernels
- * of mem/simd.hh (AVX2 with a bit-equivalent scalar fallback,
- * SWSM_SIMD=0 forcing scalar), and both produce the identical word
- * list (ascending offsets), so the diff message bytes, apply order and
- * every simulated charge are the same; only host time differs.
- * bench/micro_hotpath measures the variants head to head.
+ * Both produce the identical word list (ascending offsets), so the
+ * diff message bytes, apply order and every simulated charge are the
+ * same; only host time differs. The simulated cost is Table 3's
+ * per-word charge either way. bench/micro_hotpath times the two scans
+ * head to head.
  */
 
 #ifndef SWSM_PROTO_HLRC_DIFF_HH
@@ -31,10 +30,22 @@
 namespace swsm::hlrcdiff
 {
 
+/** (word index, new value) pairs, ascending: the HLRC diff format. */
 using DiffWords = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 /** log2 of the dirty-chunk size for @p page_bytes (<= 64 chunks). */
 std::uint32_t chunkShift(std::uint32_t page_bytes);
+
+/**
+ * Append (word0 + i, value) for every differing 4-byte word i of
+ * [cur, cur+bytes) vs [twin, twin+bytes), in ascending order.
+ * @p bytes must be a multiple of 4.
+ */
+void diffWords(const std::uint8_t *cur, const std::uint8_t *twin,
+               std::uint32_t bytes, std::uint32_t word0, DiffWords &out);
+
+/** Write each (word index, value) of @p words at @p base + 4 * index. */
+void applyWords(std::uint8_t *base, const DiffWords &words);
 
 /** Full word-wise scan of @p page_bytes; appends (word, value). */
 void scanFull(const std::uint8_t *cur, const std::uint8_t *twin,

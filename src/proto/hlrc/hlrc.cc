@@ -5,8 +5,6 @@
 #include <cstring>
 
 #include "check/check.hh"
-#include "mem/simd.hh"
-#include "proto/hlrc/diff.hh"
 #include "sim/log.hh"
 
 namespace swsm
@@ -221,28 +219,19 @@ HlrcProtocol::fetchPage(ProcEnv &env, PageId p)
                 stats_.handlersRun.inc();
                 henv.charge(params.handlerBase, TimeBucket::ProtoHandler);
                 // Snapshot the home copy; the NI will DMA it out. The
-                // buffer comes from the *home's* pool (this handler runs
-                // on the home's partition) and is recycled through the
-                // requester's pool by the deposit closure (which runs on
-                // the requester's partition) — each mutation stays
-                // partition-local.
-                PageBufferPool::Bytes snap =
-                    nodeState(henv.node()).pool.acquirePage();
-                snap.resize(pageBytes);
-                simd::copyBytes(snap.data(), space.homeBytes(base),
-                                pageBytes);
-                simdStats_.pageCopyCalls.inc();
-                simdStats_.pageCopyBytes.inc(pageBytes);
+                // snapshot lives in the deposit closure.
+                const std::uint8_t *home_copy = space.homeBytes(base);
+                std::vector<std::uint8_t> snap(home_copy,
+                                               home_copy + pageBytes);
+                dataPathStats_.pageCopyCalls.inc();
+                dataPathStats_.pageCopyBytes.inc(pageBytes);
                 sendDat(henv, n, pageBytes,
                         [this, p, n, base,
-                         snap = std::move(snap)](Cycles t) mutable {
+                         snap = std::move(snap)](Cycles t) {
                             PageCopy &pc = pageCopy(n, p);
-                            pc.data.resize(pageBytes);
-                            simd::copyBytes(pc.data.data(), snap.data(),
-                                            pageBytes);
-                            simdStats_.pageCopyCalls.inc();
-                            simdStats_.pageCopyBytes.inc(pageBytes);
-                            nodeState(n).pool.releasePage(std::move(snap));
+                            pc.data.assign(snap.begin(), snap.end());
+                            dataPathStats_.pageCopyCalls.inc();
+                            dataPathStats_.pageCopyBytes.inc(pageBytes);
                             // Coherent DMA: stale cached lines of the
                             // page are invalidated by the deposit.
                             procs[n]->invalidateCacheRange(base, pageBytes);
@@ -275,19 +264,9 @@ HlrcProtocol::makeTwin(ProcEnv &env, PageId p, PageCopy &pc)
     SWSM_INVARIANT(space.pageHome(p) != env.node(),
                    "twin created for home page %llu on node %d",
                    static_cast<unsigned long long>(p), env.node());
-    pc.twin = nodeState(env.node()).pool.acquirePage();
-    pc.twin.resize(pc.data.size());
-    if (check::enabled()) {
-        SWSM_INVARIANT(simdAligned(pc.twin.data()) &&
-                           simdAligned(pc.data.data()),
-                       "unaligned twin/data buffer for page %llu on "
-                       "node %d (SIMD contract)",
-                       static_cast<unsigned long long>(p), env.node());
-    }
-    simd::copyBytes(pc.twin.data(), pc.data.data(),
-                    static_cast<std::uint32_t>(pc.data.size()));
-    simdStats_.twinCopyCalls.inc();
-    simdStats_.twinCopyBytes.inc(pc.data.size());
+    pc.twin = pc.data;
+    dataPathStats_.twinCopyCalls.inc();
+    dataPathStats_.twinCopyBytes.inc(pc.data.size());
     pc.dirtyChunks = 0;
     stats_.twinsCreated.inc();
     env.charge(static_cast<Cycles>(wordsPerPage) * params.twinPerWord,
@@ -304,10 +283,9 @@ HlrcProtocol::makeTwin(ProcEnv &env, PageId p, PageCopy &pc)
 }
 
 void
-HlrcProtocol::discardTwin(NodeId n, PageCopy &pc)
+HlrcProtocol::discardTwin(PageCopy &pc)
 {
-    nodeState(n).pool.releasePage(std::move(pc.twin));
-    pc.twin.clear();
+    std::vector<std::uint8_t>().swap(pc.twin);
     pc.dirtyChunks = 0;
 }
 
@@ -476,16 +454,9 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
     // Comparison against the twin, on real bytes. The simulated cost
     // below is always the full word-by-word scan; on the host, the
     // fast-path build skips chunks the write path never marked (they
-    // are guaranteed identical to the twin) and compares the marked
-    // ones 64 bits at a time. Both scans yield the same word list.
-    PageBufferPool::DiffWords words = nodeState(n).pool.acquireWords();
-    if (check::enabled()) {
-        SWSM_INVARIANT(simdAligned(pc.data.data()) &&
-                           simdAligned(pc.twin.data()),
-                       "unaligned twin/data buffer for page %llu on "
-                       "node %d (SIMD contract)",
-                       static_cast<unsigned long long>(p), n);
-    }
+    // are guaranteed identical to the twin) and scans only the marked
+    // ones. Both scans yield the same word list.
+    hlrcdiff::DiffWords words;
     if (hostFastDiff_) {
         if (check::enabled()) {
             SWSM_INVARIANT(
@@ -498,16 +469,16 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
         }
         hlrcdiff::scanChunks(pc.data.data(), pc.twin.data(), pageBytes,
                              diffChunkShift_, pc.dirtyChunks, words);
-        simdStats_.diffScanBytes.inc(std::min<std::uint64_t>(
+        dataPathStats_.diffScanBytes.inc(std::min<std::uint64_t>(
             pageBytes,
             static_cast<std::uint64_t>(std::popcount(pc.dirtyChunks))
                 << diffChunkShift_));
     } else {
         hlrcdiff::scanFull(pc.data.data(), pc.twin.data(), pageBytes,
                            words);
-        simdStats_.diffScanBytes.inc(pageBytes);
+        dataPathStats_.diffScanBytes.inc(pageBytes);
     }
-    simdStats_.diffScanCalls.inc();
+    dataPathStats_.diffScanCalls.inc();
     stats_.diffsCreated.inc();
     stats_.diffWordsCompared.inc(wordsPerPage);
     stats_.diffWordsWritten.inc(words.size());
@@ -544,7 +515,7 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
         smallPayload + 8 * static_cast<std::uint32_t>(words.size());
     sendReq(env, home, diff_bytes,
             [this, p, n, diff_seq,
-             words = std::move(words)](NodeEnv &henv) mutable {
+             words = std::move(words)](NodeEnv &henv) {
                 stats_.handlersRun.inc();
                 stats_.diffsApplied.inc();
                 henv.charge(params.handlerBase +
@@ -562,13 +533,6 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
                     last = diff_seq;
                 }
                 applyDiff(henv, p, words);
-                // The word vector's capacity is recycled through the
-                // *home's* pool — this closure runs in the home node's
-                // context, and pools are partition-owned (releasing to
-                // the writer's pool would mutate another partition's
-                // state under the parallel engine). Which pool recycles
-                // the capacity is invisible to the simulation.
-                nodeState(henv.node()).pool.releaseWords(std::move(words));
                 sendDat(henv, n, smallPayload,
                         [this, n](Cycles t) {
                             auto &rns = nodeState(n);
@@ -583,17 +547,16 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
 }
 
 void
-HlrcProtocol::applyDiff(
-    NodeEnv &env, PageId p,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> &words)
+HlrcProtocol::applyDiff(NodeEnv &env, PageId p,
+                        const hlrcdiff::DiffWords &words)
 {
     if (check::faultPlan().dropDiffApply)
         return; // fault injection: lose the diff's words (harness only)
     const GlobalAddr base = space.pageBase(p);
     // Charges first (same per-word order as before, so the cache model
-    // sees the identical reference stream), then one vectorized store
-    // pass over the home copy — the page is contiguous in the home
-    // store, so word w lives at homeBytes(base) + w * wordBytes.
+    // sees the identical reference stream), then one store pass over
+    // the home copy — the page is contiguous in the home store, so
+    // word w lives at homeBytes(base) + w * wordBytes.
     if (params.diffApplyPerWord > 0) {
         for (const auto &[w, value] : words) {
             (void)value;
@@ -602,9 +565,9 @@ HlrcProtocol::applyDiff(
                 true, TimeBucket::ProtoDiff);
         }
     }
-    simd::applyWords(space.homeBytes(base), words.data(), words.size());
-    simdStats_.applyCalls.inc();
-    simdStats_.applyWords.inc(words.size());
+    hlrcdiff::applyWords(space.homeBytes(base), words);
+    dataPathStats_.applyCalls.inc();
+    dataPathStats_.applyWords.inc(words.size());
 }
 
 void
@@ -628,20 +591,17 @@ HlrcProtocol::flushInterval(ProcEnv &env, TimeBucket wait_bucket)
     if (ns.dirtyPages.empty() && ns.earlyFlushed.empty())
         return;
 
-    // The interval's page list goes straight into the node's notice
-    // arena: one bump-pointer allocation, stable for the run (other
-    // nodes read it through the interval log).
-    const std::size_t count =
-        ns.dirtyPages.size() + ns.earlyFlushed.size();
-    PageId *list = ns.noticeArena.alloc(count);
-    std::size_t filled = 0;
+    // The interval's write notices: its dirty pages, then the pages
+    // flushed early within it.
+    IntervalRec notices = ns.dirtyPages;
+    notices.insert(notices.end(), ns.earlyFlushed.begin(),
+                   ns.earlyFlushed.end());
     std::uint64_t reprotect = 0;
     for (PageId p : ns.dirtyPages) {
         PageCopy &pc = pageCopy(n, p);
-        list[filled++] = p;
         if (space.pageHome(p) != n) {
             sendDiff(env, n, p, pc);
-            discardTwin(n, pc);
+            discardTwin(pc);
         }
         pc.dirty = false;
         pc.state = PState::ReadOnly;
@@ -650,8 +610,6 @@ HlrcProtocol::flushInterval(ProcEnv &env, TimeBucket wait_bucket)
         invalidateFastPage(n, p);
         ++reprotect;
     }
-    for (PageId p : ns.earlyFlushed)
-        list[filled++] = p;
     ns.dirtyPages.clear();
     ns.earlyFlushed.clear();
     chargeProtect(env, reprotect);
@@ -659,8 +617,7 @@ HlrcProtocol::flushInterval(ProcEnv &env, TimeBucket wait_bucket)
     waitForAcks(env, wait_bucket);
 
     ns.vc[n] += 1;
-    intervals[n].push_back(
-        IntervalRec{list, static_cast<std::uint32_t>(count)});
+    intervals[n].push_back(std::move(notices));
 }
 
 // ---------------------------------------------------------------------
@@ -673,7 +630,7 @@ HlrcProtocol::countMissingNotices(const Vc &have, const Vc &upto) const
     std::uint64_t count = 0;
     for (NodeId j = 0; j < numNodes; ++j) {
         for (std::uint32_t k = have[j]; k < upto[j]; ++k)
-            count += intervals[j][k].numPages;
+            count += intervals[j][k].size();
     }
     return count;
 }
@@ -718,7 +675,7 @@ HlrcProtocol::applyNotices(ProcEnv &env, const Vc &new_vc,
             // False sharing: our own concurrent words must reach the
             // home before we drop the copy.
             sendDiff(env, n, p, pc);
-            discardTwin(n, pc);
+            discardTwin(pc);
             pc.dirty = false;
             auto &dp = ns.dirtyPages;
             dp.erase(std::remove(dp.begin(), dp.end(), p), dp.end());
@@ -857,7 +814,7 @@ HlrcProtocol::barrier(ProcEnv &env, BarrierId barrier)
     const BarrierState &pre = barrierState(barrier);
     std::uint64_t fresh = 0;
     for (std::uint32_t k = pre.prevMerged[n]; k < my_vc[n]; ++k)
-        fresh += intervals[n][k].numPages;
+        fresh += intervals[n][k].size();
     const std::uint32_t arrive_bytes = smallPayload + vcBytes() +
         8 * static_cast<std::uint32_t>(fresh);
 
@@ -919,49 +876,22 @@ HlrcProtocol::registerMetrics(MetricsRegistry &registry) const
 {
     Protocol::registerMetrics(registry);
 
-    // Pool and arena hit rates, summed over nodes. Deterministic
-    // across host modes (see page_buffer_pool.hh), so they participate
-    // in the cross-mode equivalence checks.
-    const auto pool = [this, &registry](const char *name, auto get) {
-        registry.addCounter(std::string("proto.") + name, [this, get] {
-            std::uint64_t total = 0;
-            for (const NodeState &ns : nodes)
-                total += get(ns);
-            return total;
-        });
-    };
-    pool("pool_page_allocs",
-         [](const NodeState &ns) { return ns.pool.pageAllocs(); });
-    pool("pool_page_reuses",
-         [](const NodeState &ns) { return ns.pool.pageReuses(); });
-    pool("pool_word_allocs",
-         [](const NodeState &ns) { return ns.pool.wordAllocs(); });
-    pool("pool_word_reuses",
-         [](const NodeState &ns) { return ns.pool.wordReuses(); });
-    pool("pool_notice_slabs",
-         [](const NodeState &ns) { return ns.noticeArena.slabAllocs(); });
-    pool("pool_notice_reuses",
-         [](const NodeState &ns) { return ns.noticeArena.slabReuses(); });
-
-    // Host SIMD telemetry. Mode-dependent by design (SWSM_SIMD,
-    // SWSM_FASTPATH change what the kernels see), hence the mem.simd_
-    // prefix that tools/bench_diff.py ignores.
+    // Host data-path telemetry. Mode-dependent by design
+    // (SWSM_FASTPATH changes how many bytes the diff scan visits),
+    // hence the mem.simd_ prefix that tools/bench_diff.py ignores.
     const auto kernel = [&registry](const char *name,
                                     const ShardedCounter &c) {
         registry.addCounter(std::string("mem.simd_") + name,
                             [&c] { return c.value(); });
     };
-    registry.addCounter("mem.simd_level", [] {
-        return static_cast<std::uint64_t>(simd::activeLevel());
-    });
-    kernel("diff_scan_calls", simdStats_.diffScanCalls);
-    kernel("diff_scan_bytes", simdStats_.diffScanBytes);
-    kernel("twin_copy_calls", simdStats_.twinCopyCalls);
-    kernel("twin_copy_bytes", simdStats_.twinCopyBytes);
-    kernel("apply_calls", simdStats_.applyCalls);
-    kernel("apply_words", simdStats_.applyWords);
-    kernel("page_copy_calls", simdStats_.pageCopyCalls);
-    kernel("page_copy_bytes", simdStats_.pageCopyBytes);
+    kernel("diff_scan_calls", dataPathStats_.diffScanCalls);
+    kernel("diff_scan_bytes", dataPathStats_.diffScanBytes);
+    kernel("twin_copy_calls", dataPathStats_.twinCopyCalls);
+    kernel("twin_copy_bytes", dataPathStats_.twinCopyBytes);
+    kernel("apply_calls", dataPathStats_.applyCalls);
+    kernel("apply_words", dataPathStats_.applyWords);
+    kernel("page_copy_calls", dataPathStats_.pageCopyCalls);
+    kernel("page_copy_bytes", dataPathStats_.pageCopyBytes);
 }
 
 // ---------------------------------------------------------------------

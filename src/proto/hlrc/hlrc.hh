@@ -31,9 +31,8 @@
 #include <vector>
 
 #include "machine/fast_path.hh"
-#include "mem/aligned.hh"
 #include "proto/address_space.hh"
-#include "proto/page_buffer_pool.hh"
+#include "proto/hlrc/diff.hh"
 #include "proto/proto_params.hh"
 #include "proto/protocol.hh"
 #include "sim/stable_vector.hh"
@@ -83,11 +82,10 @@ class HlrcProtocol : public Protocol
                     int num_barriers) override;
 
     /**
-     * proto.* counters plus the HLRC-specific pooling and SIMD
-     * telemetry: proto.pool_* (buffer-pool and notice-arena hit rates,
-     * deterministic across host modes) and mem.simd_* (host kernel
-     * activity — legitimately differs between SWSM_SIMD / fast-path
-     * modes, so tools/bench_diff.py ignores the prefix).
+     * proto.* counters plus the HLRC data-path telemetry mem.simd_*
+     * (bytes and words handed to the twin, diff and apply loops; the
+     * fast path's chunked scan visits fewer bytes than the dense one,
+     * so tools/bench_diff.py ignores the prefix).
      */
     void registerMetrics(MetricsRegistry &registry) const override;
 
@@ -103,9 +101,11 @@ class HlrcProtocol : public Protocol
     {
         PState state = PState::Invalid;
         bool dirty = false;
-        /** Empty on the page's home. 32-byte aligned (SIMD contract). */
-        AlignedBytes data;
-        AlignedBytes twin; ///< non-empty while writable; 32-byte aligned
+        /** Empty on the page's home. */
+        std::vector<std::uint8_t> data;
+        /** Non-empty while writable; allocated at the write fault and
+         *  freed at the flush. */
+        std::vector<std::uint8_t> twin;
         /**
          * Which chunks of the page were written since the twin was
          * made (host-side diff accelerator; bit c covers bytes
@@ -116,19 +116,8 @@ class HlrcProtocol : public Protocol
         std::uint64_t dirtyChunks = 0;
     };
 
-    /**
-     * A closed interval: the pages its node dirtied. The page list is
-     * a view into the writing node's NoticeArena (stable for the run),
-     * so appending an interval record costs no heap allocation.
-     */
-    struct IntervalRec
-    {
-        const PageId *pages = nullptr;
-        std::uint32_t numPages = 0;
-
-        const PageId *begin() const { return pages; }
-        const PageId *end() const { return pages + numPages; }
-    };
+    /** A closed interval: the pages its node dirtied (its notices). */
+    using IntervalRec = std::vector<PageId>;
 
     /** Per-node protocol state. */
     struct NodeState
@@ -144,10 +133,6 @@ class HlrcProtocol : public Protocol
         bool waitingAcks = false;
         /** Grant/barrier-release payload stashed by data closures. */
         Vc stashedVc;
-        /** Recycles twin buffers and diff word vectors (host-side). */
-        PageBufferPool pool;
-        /** Slab storage for this node's interval page lists. */
-        NoticeArena noticeArena;
         /** Scratch page list reused across applyNotices calls. */
         std::vector<PageId> noticeScratch;
     };
@@ -202,8 +187,8 @@ class HlrcProtocol : public Protocol
     /** Create the twin of page @p p on node env.node(). */
     void makeTwin(ProcEnv &env, PageId p, PageCopy &pc);
 
-    /** Return @p pc's twin to @p n's pool and clear the dirty bitmap. */
-    void discardTwin(NodeId n, PageCopy &pc);
+    /** Free @p pc's twin and clear the dirty bitmap. */
+    void discardTwin(PageCopy &pc);
 
     /** Node @p n's access fast path, or nullptr when disabled. */
     FastPath *fastPath(NodeId n) { return procs[n]->fastPath(); }
@@ -227,8 +212,7 @@ class HlrcProtocol : public Protocol
 
     /** Apply @p words (offset, value) pairs to @p p's home copy. */
     void applyDiff(NodeEnv &env, PageId p,
-                   const std::vector<std::pair<std::uint32_t,
-                                               std::uint32_t>> &words);
+                   const hlrcdiff::DiffWords &words);
 
     /**
      * Close the current interval: diff every dirty page to its home,
@@ -292,14 +276,15 @@ class HlrcProtocol : public Protocol
     std::uint32_t vcBytes() const { return 4u * numNodes; }
 
     /**
-     * Host-side SIMD kernel telemetry (mem.simd_*). Counts calls and
-     * bytes handed to the dispatched diff/twin/apply kernels; sharded
-     * because diff application runs on the home node's partition.
-     * These legitimately differ between host modes (SWSM_FASTPATH
-     * changes how many bytes the diff scan visits), so bench_diff.py
-     * ignores the mem.simd_ prefix in equivalence checks.
+     * Host-side data-path telemetry (mem.simd_*; the names stay
+     * because the benchmark reads them). Counts calls and bytes handed
+     * to the diff/twin/apply loops and page copies; sharded because
+     * diff application runs on the home node's partition. These
+     * legitimately differ between host modes (SWSM_FASTPATH changes
+     * how many bytes the diff scan visits), so bench_diff.py ignores
+     * the mem.simd_ prefix in equivalence checks.
      */
-    struct SimdStats
+    struct DataPathStats
     {
         ShardedCounter diffScanCalls;
         ShardedCounter diffScanBytes;
@@ -310,7 +295,7 @@ class HlrcProtocol : public Protocol
         ShardedCounter pageCopyCalls;
         ShardedCounter pageCopyBytes;
     };
-    SimdStats simdStats_;
+    DataPathStats dataPathStats_;
 
     /** log2 of the dirty-chunk size (64 chunks per page, min 8 B). */
     std::uint32_t diffChunkShift_ = 0;

@@ -86,16 +86,13 @@ class Protocol
     virtual void write(ProcEnv &env, GlobalAddr addr, const void *in,
                        std::uint32_t bytes) = 0;
 
-    /**
-     * Timed bulk read of an arbitrary extent; default implementation
-     * loops word-wise, protocols override with per-unit fast paths.
-     */
+    /** Timed bulk read of an arbitrary extent. */
     virtual void readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                           std::uint64_t bytes);
+                           std::uint64_t bytes) = 0;
 
     /** Timed bulk write; see readRange(). */
     virtual void writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                            std::uint64_t bytes);
+                            std::uint64_t bytes) = 0;
 
     /** Acquire lock @p lock (blocking). */
     virtual void acquire(ProcEnv &env, LockId lock) = 0;

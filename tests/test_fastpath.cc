@@ -1,19 +1,17 @@
 /**
  * @file
- * Fast-path correctness: the per-thread access TLB, the page-buffer
- * pool and the chunked diff scan, plus the property the whole overhaul
- * hangs on — a simulation runs bit-identically with the fast path on
- * and off (same cycles, same protocol and network counters), across
- * protocols and geometries.
+ * Fast-path correctness: the per-thread access TLB, the chunked diff
+ * scan and the diff/apply loops it shares with the dense scan, plus
+ * the property the whole overhaul hangs on — a simulation runs
+ * bit-identically with the fast path on and off (same cycles, same
+ * protocol and network counters), across protocols and geometries.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "machine/cluster.hh"
@@ -21,8 +19,7 @@
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
 #include "proto/hlrc/diff.hh"
-#include "proto/page_buffer_pool.hh"
-#include "sim/log.hh"
+#include "sim_kernels.hh"
 
 namespace swsm
 {
@@ -130,39 +127,6 @@ TEST(FastPath, WritesThroughEntryFeedTheDirtyMask)
     EXPECT_EQ(mask, std::uint64_t{1} << 3);
 }
 
-// ----------------------------------------------------- PageBufferPool
-
-TEST(PageBufferPool, ReusesReleasedPageBuffers)
-{
-    PageBufferPool pool;
-    PageBufferPool::Bytes b = pool.acquirePage();
-    b.resize(4096);
-    const std::uint8_t *heap = b.data();
-    pool.releasePage(std::move(b));
-    EXPECT_EQ(pool.freePages(), 1u);
-    PageBufferPool::Bytes b2 = pool.acquirePage();
-    EXPECT_TRUE(b2.empty());
-    EXPECT_GE(b2.capacity(), 4096u);
-    b2.resize(4096);
-    EXPECT_EQ(b2.data(), heap); // same heap buffer came back
-    EXPECT_EQ(pool.pageAllocs(), 1u);
-    EXPECT_EQ(pool.pageReuses(), 1u);
-}
-
-TEST(PageBufferPool, ReusesReleasedWordVectors)
-{
-    PageBufferPool pool;
-    PageBufferPool::DiffWords w = pool.acquireWords();
-    w.emplace_back(1, 2);
-    pool.releaseWords(std::move(w));
-    PageBufferPool::DiffWords w2 = pool.acquireWords();
-    EXPECT_TRUE(w2.empty());
-    EXPECT_GE(w2.capacity(), 1u);
-    EXPECT_EQ(pool.wordAllocs(), 1u);
-    EXPECT_EQ(pool.wordReuses(), 1u);
-    EXPECT_EQ(pool.freeWordVectors(), 0u);
-}
-
 // ------------------------------------------------------- Diff kernels
 
 TEST(DiffScan, ChunkedMatchesFullScanOnRandomPages)
@@ -219,24 +183,132 @@ TEST(DiffScan, SmallPageUsesMinimumChunk)
     EXPECT_EQ(full[0].first, (page_bytes - 4) / 4);
 }
 
+std::uint64_t
+xorshift(std::uint64_t &s)
+{
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+}
+
+/** Byte-compare diff reference: one memcmp per word. */
+hlrcdiff::DiffWords
+naiveDiff(const std::uint8_t *cur, const std::uint8_t *twin,
+          std::uint32_t bytes, std::uint32_t word0)
+{
+    hlrcdiff::DiffWords out;
+    for (std::uint32_t w = 0; w < bytes / 4; ++w) {
+        if (std::memcmp(cur + w * 4, twin + w * 4, 4) != 0) {
+            std::uint32_t value;
+            std::memcpy(&value, cur + w * 4, 4);
+            out.emplace_back(word0 + w, value);
+        }
+    }
+    return out;
+}
+
+TEST(DiffKernels, DiffWordsMatchesNaive)
+{
+    std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+    // Sizes: a single word, sub-chunk and chunk-sized spans, a ragged
+    // length and a whole page.
+    for (std::uint32_t bytes : {4u, 28u, 32u, 64u, 100u, 4096u}) {
+        std::vector<std::uint8_t> twin(bytes);
+        for (std::uint32_t i = 0; i < bytes; ++i)
+            twin[i] = static_cast<std::uint8_t>(xorshift(seed));
+        std::vector<std::uint8_t> cur = twin;
+        // Flip a pseudo-random subset of words, including runs.
+        for (std::uint32_t w = 0; w < bytes / 4; ++w) {
+            if (xorshift(seed) % 3 == 0)
+                cur[w * 4 + xorshift(seed) % 4] ^= 0x5a;
+        }
+        const std::uint32_t word0 =
+            static_cast<std::uint32_t>(xorshift(seed) % 1000);
+        hlrcdiff::DiffWords got;
+        hlrcdiff::diffWords(cur.data(), twin.data(), bytes, word0, got);
+        EXPECT_EQ(got, naiveDiff(cur.data(), twin.data(), bytes, word0))
+            << "bytes=" << bytes;
+    }
+}
+
+TEST(DiffKernels, DiffWordsAllSameAndAllDifferent)
+{
+    std::vector<std::uint8_t> a(256, 0x11), b(256, 0x11);
+    hlrcdiff::DiffWords got;
+    hlrcdiff::diffWords(a.data(), b.data(), 256, 0, got);
+    EXPECT_TRUE(got.empty());
+    b.assign(256, 0x22);
+    got.clear();
+    hlrcdiff::diffWords(a.data(), b.data(), 256, 7, got);
+    ASSERT_EQ(got.size(), 64u);
+    EXPECT_EQ(got.front().first, 7u);
+    EXPECT_EQ(got.back().first, 7u + 63u);
+    EXPECT_EQ(got.front().second, 0x11111111u);
+}
+
+TEST(DiffKernels, ApplyWordsMatchesNaiveStores)
+{
+    std::uint64_t seed = 0xfeedfacefeedfaceULL;
+    std::vector<std::uint8_t> page(4096);
+    for (auto &byte : page)
+        byte = static_cast<std::uint8_t>(xorshift(seed));
+    std::vector<std::uint8_t> want = page;
+    // The common diff shape: long and short runs of consecutive words
+    // and isolated scattered ones.
+    hlrcdiff::DiffWords words;
+    auto add = [&](std::uint32_t w) {
+        const std::uint32_t value =
+            static_cast<std::uint32_t>(xorshift(seed));
+        words.emplace_back(w, value);
+        std::memcpy(want.data() + w * 4, &value, 4);
+    };
+    for (std::uint32_t w = 10; w < 50; ++w)
+        add(w); // 40-word run
+    for (std::uint32_t w = 100; w < 107; ++w)
+        add(w); // 7-word run
+    for (std::uint32_t w = 200; w < 208; ++w)
+        add(w); // 8-word run
+    for (std::uint32_t i = 0; i < 16; ++i)
+        add(300 + i * 11); // singles
+    hlrcdiff::applyWords(page.data(), words);
+    EXPECT_EQ(page, want);
+}
+
+TEST(DiffKernels, ApplyWordsEmptyIsNoOp)
+{
+    std::vector<std::uint8_t> page(64, 0x42);
+    hlrcdiff::applyWords(page.data(), {});
+    EXPECT_EQ(page, std::vector<std::uint8_t>(64, 0x42));
+}
+
+TEST(DiffKernels, HlrcRunReportsDataPathCounters)
+{
+    // A diff-heavy HLRC run must show twin copies and applied diff
+    // words in its mem.simd_* counters (the benchmark reads them).
+    MachineParams mp;
+    mp.numProcs = 4;
+    mp.protocol = ProtocolKind::Hlrc;
+    Cluster c(mp);
+    auto body = falseSharingKernel()(c);
+    c.run(body);
+
+    const MetricsSnapshot &m = c.stats().metrics;
+    EXPECT_GT(m.counter("mem.simd_twin_copy_calls"), 0u);
+    EXPECT_GT(m.counter("mem.simd_apply_words"), 0u);
+}
+
 // ------------------------------------------------- On/off equivalence
 
-/** Everything a run produces that the fast path must not change. */
-struct RunResult
-{
-    Cycles total = 0;
-    std::vector<Cycles> finish;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-};
-
-/** A kernel sets up shared state on the cluster, then returns the
- *  SPMD body. */
-using Kernel =
-    std::function<std::function<void(Thread &)>(Cluster &)>;
-
+/**
+ * One arm of the on/off comparison. The fast path's legitimate
+ * differences are host telemetry: machine.fastpath_* and the
+ * data-path loops' mem.simd_* (the chunk-skipping scan visits fewer
+ * bytes than the full sweep).
+ */
 RunResult
-runKernel(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
-          std::uint32_t block_bytes, const Kernel &kernel)
+runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
+       std::uint32_t block_bytes, const Kernel &kernel)
 {
     MachineParams mp;
     mp.numProcs = 4;
@@ -244,24 +316,7 @@ runKernel(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
     mp.pageBytes = page_bytes;
     mp.blockBytes = block_bytes;
     mp.fastPath = fast_path;
-    Cluster c(mp);
-    auto body = kernel(c);
-    c.run(body);
-
-    RunResult r;
-    r.total = c.stats().totalCycles;
-    r.finish = c.stats().finishTimes;
-    for (const auto &[name, value] : c.stats().metrics.counters) {
-        // machine.fastpath_* and mem.simd_* are the legitimate
-        // differences: host-side telemetry of the access fast path and
-        // the SIMD diff/twin kernels (the chunk-skipping scan visits
-        // fewer bytes than the full sweep).
-        if (name.rfind("machine.fastpath_", 0) == 0 ||
-            name.rfind("mem.simd_", 0) == 0)
-            continue;
-        r.counters.emplace_back(name, value);
-    }
-    return r;
+    return runKernel(mp, kernel, {"machine.fastpath_", "mem.simd_"});
 }
 
 void
@@ -269,75 +324,10 @@ expectEquivalent(ProtocolKind kind, std::uint32_t page_bytes,
                  std::uint32_t block_bytes, const Kernel &kernel)
 {
     const RunResult on =
-        runKernel(kind, true, page_bytes, block_bytes, kernel);
+        runArm(kind, true, page_bytes, block_bytes, kernel);
     const RunResult off =
-        runKernel(kind, false, page_bytes, block_bytes, kernel);
-    EXPECT_EQ(on.total, off.total);
-    EXPECT_EQ(on.finish, off.finish);
-    ASSERT_EQ(on.counters.size(), off.counters.size());
-    for (std::size_t i = 0; i < on.counters.size(); ++i) {
-        EXPECT_EQ(on.counters[i], off.counters[i])
-            << "counter " << on.counters[i].first;
-    }
-}
-
-/** Lock-serialized read-modify-writes plus private slots: exercises
- *  single-reference hits, twins, diffs and notice invalidations. */
-Kernel
-lockCounterKernel()
-{
-    return [](Cluster &c) {
-        const LockId lock = c.allocLock();
-        const BarrierId bar = c.allocBarrier();
-        auto a = std::make_shared<SharedArray<std::uint32_t>>(
-            SharedArray<std::uint32_t>::homedAt(c, 64, 0));
-        for (int i = 0; i < 64; ++i)
-            a->init(c, i, 0);
-        return [lock, bar, a](Thread &t) {
-            for (int round = 0; round < 4; ++round) {
-                t.acquire(lock);
-                a->put(t, 0, a->get(t, 0) + 1);
-                a->put(t, 1 + t.id(), a->get(t, 1 + t.id()) + 3);
-                t.release(lock);
-                t.compute(57);
-            }
-            t.barrier(bar);
-            std::uint32_t sum = 0;
-            for (int i = 0; i < 64; ++i)
-                sum += a->get(t, i);
-            if (sum != 4u * t.nprocs() + 12u * t.nprocs())
-                SWSM_PANIC("lock counter kernel read %u", sum);
-            t.barrier(bar);
-        };
-    };
-}
-
-/** Barrier epochs of falsely-shared writes: exercises early flushes,
- *  multi-writer diffs and repeated twin create/discard cycles. */
-Kernel
-falseSharingKernel()
-{
-    return [](Cluster &c) {
-        const BarrierId bar = c.allocBarrier();
-        auto a = std::make_shared<SharedArray<std::uint64_t>>(
-            SharedArray<std::uint64_t>::homedAt(c, 128, 1));
-        for (int i = 0; i < 128; ++i)
-            a->init(c, i, 0);
-        return [bar, a](Thread &t) {
-            for (int epoch = 1; epoch <= 3; ++epoch) {
-                for (int j = 0; j < 8; ++j)
-                    a->put(t, t.id() * 8 + j,
-                           static_cast<std::uint64_t>(epoch * 100 +
-                                                      t.id() * 8 + j));
-                t.barrier(bar);
-                std::uint64_t sum = 0;
-                for (int i = 0; i < 8 * t.nprocs(); ++i)
-                    sum += a->get(t, i);
-                (void)sum;
-                t.barrier(bar);
-            }
-        };
-    };
+        runArm(kind, false, page_bytes, block_bytes, kernel);
+    expectSameRun(on, off, "fast path off");
 }
 
 /** Unaligned bulk copies crossing page and block boundaries:

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the two-level cache timing model.
+ * Unit tests for the two-level cache timing model and the host SIMD
+ * level descriptor.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/cache_model.hh"
+#include "mem/simd.hh"
 #include "sim/log.hh"
 
 namespace swsm
@@ -134,6 +136,13 @@ TEST(CacheModel, StreamFitsInL2ButNotL1)
     // itself keeps evicting ahead of reuse).
     c.accessRange(0, 4096, true);
     EXPECT_EQ(c.accessRange(0, 4096, false), 128 * p.l2HitCycles);
+}
+
+TEST(SimdDispatch, LevelNames)
+{
+    // Benchmark reports name the host by these strings.
+    EXPECT_STREQ(simd::levelName(simd::Level::Scalar), "scalar");
+    EXPECT_STREQ(simd::levelName(simd::Level::Avx2), "avx2");
 }
 
 } // namespace

@@ -658,6 +658,9 @@ TEST(SweepOptionsParse, RejectsInvalidNumbers)
     EXPECT_FALSE(tryParse({"--jobs=-2"}));
     EXPECT_FALSE(tryParse({"--procs=-3"}));
     EXPECT_FALSE(tryParse({"--procs=16banana"}));
+    // Above SC's 32-bit sharer mask: rejected, not clamped.
+    EXPECT_FALSE(tryParse({"--procs=33"}));
+    EXPECT_FALSE(tryParse({"--procs=5000"}));
     EXPECT_FALSE(tryParse({"--trace="}));
     EXPECT_FALSE(tryParse({"--bogus"}));
 
@@ -668,6 +671,8 @@ TEST(SweepOptionsParse, RejectsInvalidNumbers)
     EXPECT_EQ(opts.numProcs, 8);
     EXPECT_EQ(opts.jobs, 3);
     EXPECT_EQ(opts.tracePath, "t.json");
+    EXPECT_TRUE(tryParse({"--procs=32"}, &opts));
+    EXPECT_EQ(opts.numProcs, maxProcs);
 }
 
 } // namespace

@@ -11,140 +11,45 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
 #include "sim/event_queue.hh"
-#include "sim/log.hh"
 #include "sim/pdes.hh"
+#include "sim_kernels.hh"
 
 namespace swsm
 {
 namespace
 {
 
-/** Everything a run produces that partitioning must not change. */
-struct RunResult
-{
-    Cycles total = 0;
-    std::vector<Cycles> finish;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-};
-
-/** A kernel sets up shared state on the cluster, then returns the
- *  SPMD body. */
-using Kernel =
-    std::function<std::function<void(Thread &)>(Cluster &)>;
-
 RunResult
-runKernel(ProtocolKind kind, int sim_threads, int num_procs,
-          const Kernel &kernel)
+runPartitioned(ProtocolKind kind, int sim_threads, int num_procs,
+               const Kernel &kernel)
 {
     MachineParams mp;
     mp.numProcs = num_procs;
     mp.protocol = kind;
     mp.simThreads = sim_threads;
-    Cluster c(mp);
-    auto body = kernel(c);
-    c.run(body);
-
-    RunResult r;
-    r.total = c.stats().totalCycles;
-    r.finish = c.stats().finishTimes;
-    for (const auto &[name, value] : c.stats().metrics.counters) {
-        // The engine's own bookkeeping and the pending-event high-water
-        // mark are kept out of the equivalence comparison (mirroring
-        // bench_diff.py): per-partition heaps see fewer events at once.
-        if (name.rfind("sim.pdes_", 0) == 0 ||
-            name == "sim.max_pending_events")
-            continue;
-        r.counters.emplace_back(name, value);
-    }
-    return r;
+    // The engine's own bookkeeping and the pending-event high-water
+    // mark are kept out of the equivalence comparison (mirroring
+    // bench_diff.py): per-partition heaps see fewer events at once.
+    return runKernel(mp, kernel, {"sim.pdes_", "sim.max_pending_events"});
 }
 
 void
 expectEquivalent(ProtocolKind kind, int num_procs, const Kernel &kernel)
 {
-    const RunResult serial = runKernel(kind, 1, num_procs, kernel);
+    const RunResult serial = runPartitioned(kind, 1, num_procs, kernel);
     for (const int threads : {2, 4}) {
         const RunResult par =
-            runKernel(kind, threads, num_procs, kernel);
-        const std::string label =
-            "with " + std::to_string(threads) + " partitions";
-        EXPECT_EQ(par.total, serial.total) << label;
-        EXPECT_EQ(par.finish, serial.finish) << label;
-        ASSERT_EQ(par.counters.size(), serial.counters.size()) << label;
-        for (std::size_t i = 0; i < par.counters.size(); ++i) {
-            EXPECT_EQ(par.counters[i], serial.counters[i])
-                << "counter " << serial.counters[i].first << " " << label;
-        }
+            runPartitioned(kind, threads, num_procs, kernel);
+        expectSameRun(serial, par,
+                      "with " + std::to_string(threads) + " partitions");
     }
-}
-
-/** Lock-serialized read-modify-writes plus private slots: every
- *  acquire/release crosses partitions through the lock home. */
-Kernel
-lockCounterKernel()
-{
-    return [](Cluster &c) {
-        const LockId lock = c.allocLock();
-        const BarrierId bar = c.allocBarrier();
-        auto a = std::make_shared<SharedArray<std::uint32_t>>(
-            SharedArray<std::uint32_t>::homedAt(c, 64, 0));
-        for (int i = 0; i < 64; ++i)
-            a->init(c, i, 0);
-        return [lock, bar, a](Thread &t) {
-            for (int round = 0; round < 4; ++round) {
-                t.acquire(lock);
-                a->put(t, 0, a->get(t, 0) + 1);
-                a->put(t, 1 + t.id(), a->get(t, 1 + t.id()) + 3);
-                t.release(lock);
-                t.compute(57);
-            }
-            t.barrier(bar);
-            std::uint32_t sum = 0;
-            for (int i = 0; i < 64; ++i)
-                sum += a->get(t, i);
-            if (sum != 4u * t.nprocs() + 12u * t.nprocs())
-                SWSM_PANIC("lock counter kernel read %u", sum);
-            t.barrier(bar);
-        };
-    };
-}
-
-/** Barrier epochs of falsely-shared writes: many same-cycle cross-node
- *  messages, the tie-break stamps' worst case. */
-Kernel
-falseSharingKernel()
-{
-    return [](Cluster &c) {
-        const BarrierId bar = c.allocBarrier();
-        auto a = std::make_shared<SharedArray<std::uint64_t>>(
-            SharedArray<std::uint64_t>::homedAt(c, 128, 1));
-        for (int i = 0; i < 128; ++i)
-            a->init(c, i, 0);
-        return [bar, a](Thread &t) {
-            for (int epoch = 1; epoch <= 3; ++epoch) {
-                for (int j = 0; j < 8; ++j)
-                    a->put(t, t.id() * 8 + j,
-                           static_cast<std::uint64_t>(epoch * 100 +
-                                                      t.id() * 8 + j));
-                t.barrier(bar);
-                std::uint64_t sum = 0;
-                for (int i = 0; i < 8 * t.nprocs(); ++i)
-                    sum += a->get(t, i);
-                (void)sum;
-                t.barrier(bar);
-            }
-        };
-    };
 }
 
 /** Unbalanced compute phases: partitions drift far apart in simulated

@@ -3,14 +3,14 @@
 
 Everything must match except host-timing fields (hostSeconds), the
 worker counts (jobs, simThreads), the machine.fastpath_* effectiveness
-counters, the mem.simd_* kernel telemetry and the parallel event
-kernel's sim.pdes_* bookkeeping (plus the pending-event high-water
-mark), which legitimately differ between runs of the same sweep (the
-fast path, the SIMD dispatch level and the parallel kernel change how
-the simulation executes on the host, never what anything costs in the
-simulation). Used by CI to check that a parallel sweep (--jobs=N), a
-partitioned run (--sim-threads=N), a SWSM_FASTPATH=0 run, a
-SWSM_SIMD=0 run or a --memo replay produces exactly the metrics of
+counters, the mem.simd_* data-path telemetry (with the fast path the
+chunked diff scan visits fewer bytes) and the parallel event kernel's
+sim.pdes_* bookkeeping (plus the pending-event high-water mark), which
+legitimately differ between runs of the same sweep (the fast path and
+the parallel kernel change how the simulation executes on the host,
+never what anything costs in the simulation). Used by CI to check that
+a parallel sweep (--jobs=N), a partitioned run (--sim-threads=N), a
+SWSM_FASTPATH=0 run or a --memo replay produces exactly the metrics of
 the serial/default one.
 
 hostSeconds fields may be plain numbers, {"min": ..., "median": ...}

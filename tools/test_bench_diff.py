@@ -185,10 +185,10 @@ class MainTest(unittest.TestCase):
     def test_strip_drops_simd_kernel_telemetry(self):
         value = {
             "counters": {
-                "mem.simd_level": 1,
+                "mem.simd_apply_words": 9,
                 "mem.simd_diff_scan_bytes": 4096,
                 "mem.simd_twin_copy_calls": 7,
-                "proto.pool_page_reuses": 12,
+                "proto.twins_created": 7,
                 "proto.diffs_created": 2,
             }
         }
@@ -196,7 +196,7 @@ class MainTest(unittest.TestCase):
             bench_diff.strip(value),
             {
                 "counters": {
-                    "proto.pool_page_reuses": 12,
+                    "proto.twins_created": 7,
                     "proto.diffs_created": 2,
                 }
             },
