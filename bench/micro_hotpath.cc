@@ -26,8 +26,9 @@
  * cannot skew a comparison between two reports. The fiber, cache_model
  * and message sections also report their per-operation cost as
  * {"min", "median"} ns. "simd_level" names the host CPU's vector level
- * (nothing dispatches on it). Schema 4: the SIMD-vs-scalar arms and
- * the twin_create section of schema 3 are gone.
+ * (nothing dispatches on it) and "peakRssMb" the process's peak RSS.
+ * Schema 4: the SIMD-vs-scalar arms and the twin_create section of
+ * schema 3 are gone.
  *
  * Writes BENCH_hotpath.json (SWSM_BENCH_DIR honored). The ratios are
  * host-dependent, so the ctest smoke run is report-only: it exercises
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "fiber/fiber.hh"
+#include "harness/bench_report.hh"
 #include "machine/cluster.hh"
 #include "machine/fast_path.hh"
 #include "machine/shared_array.hh"
@@ -473,6 +475,7 @@ main(int argc, char **argv)
     w.member("quick", quick);
     w.member("reps", reps);
     w.member("simd_level", simd_level);
+    w.member("peakRssMb", peakRssMb());
     w.key("accesses_per_sec");
     w.beginObject();
     w.member("fastpath", af);

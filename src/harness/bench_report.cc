@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <sys/resource.h>
+
 #include "obs/json_writer.hh"
 #include "sim/log.hh"
 
@@ -102,8 +104,16 @@ BenchReport::addAll(const SweepRunner &runner)
         });
 }
 
+double
+peakRssMb()
+{
+    struct rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 std::string
-BenchReport::render(double wall_seconds) const
+BenchReport::render(double wall_seconds, double peak_rss_mb) const
 {
     JsonWriter w(2);
     w.beginObject();
@@ -115,6 +125,7 @@ BenchReport::render(double wall_seconds) const
         w.member("size", sizeName);
     }
     w.member("hostSeconds", wall_seconds);
+    w.member("peakRssMb", peak_rss_mb);
 
     w.key("baselines");
     w.beginArray();
@@ -166,7 +177,7 @@ BenchReport::write()
     if (const char *dir = std::getenv("SWSM_BENCH_DIR"))
         path = std::string(dir) + "/" + path;
 
-    bool ok = writeFile(path, render(wall));
+    bool ok = writeFile(path, render(wall, peakRssMb()));
 
     if (!tracePath.empty()) {
         std::vector<TraceProcess> processes;

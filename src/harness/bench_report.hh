@@ -4,8 +4,9 @@
  *
  * Every bench binary writes a BENCH_<name>.json next to its table
  * output: per-experiment simulated cycles and host wall-clock seconds
- * plus the total elapsed host time, so the simulator's performance
- * trajectory across PRs is diffable without parsing the human tables.
+ * plus the total elapsed host time and the process's peak RSS, so the
+ * simulator's performance trajectory across PRs is diffable without
+ * parsing the human tables.
  *
  * The output directory defaults to the current working directory and
  * can be redirected with the SWSM_BENCH_DIR environment variable.
@@ -25,6 +26,13 @@
 
 namespace swsm
 {
+
+/**
+ * Peak resident set of this process so far, in MiB (getrusage's
+ * ru_maxrss / 1024: the unit of swsmbench's peak_rss_mb). Every
+ * BENCH_*.json records it as the top-level "peakRssMb".
+ */
+double peakRssMb();
 
 /** Collects per-experiment metrics and writes BENCH_<name>.json. */
 class BenchReport
@@ -59,9 +67,10 @@ class BenchReport
   private:
     /**
      * Render the BENCH-schema JSON document for everything recorded so
-     * far, with @p wall_seconds as the top-level hostSeconds field.
+     * far, with @p wall_seconds as the top-level hostSeconds field and
+     * @p peak_rss_mb as peakRssMb.
      */
-    std::string render(double wall_seconds) const;
+    std::string render(double wall_seconds, double peak_rss_mb) const;
 
     struct Entry
     {

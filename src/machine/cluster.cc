@@ -185,6 +185,22 @@ Cluster::allocAt(std::uint64_t bytes, NodeId home)
     return space_->allocAt(bytes, home);
 }
 
+LockId
+Cluster::allocLock()
+{
+    if (ran)
+        SWSM_FATAL("lock allocation after run() is not supported");
+    return nextLock++;
+}
+
+BarrierId
+Cluster::allocBarrier()
+{
+    if (ran)
+        SWSM_FATAL("barrier allocation after run() is not supported");
+    return nextBarrier++;
+}
+
 void
 Cluster::initWrite(GlobalAddr addr, const void *src, std::uint64_t bytes)
 {

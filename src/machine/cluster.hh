@@ -64,10 +64,14 @@ class Cluster
     /** Allocate page-aligned shared memory homed at @p home. */
     GlobalAddr allocAt(std::uint64_t bytes, NodeId home);
 
-    /** Allocate a lock id. */
-    LockId allocLock() { return nextLock++; }
-    /** Allocate a barrier id. */
-    BarrierId allocBarrier() { return nextBarrier++; }
+    /** Allocate a lock id (before run(), like shared memory). */
+    LockId allocLock();
+    /** Allocate a barrier id (before run()). */
+    BarrierId allocBarrier();
+    /** Number of allocated locks: the valid ids are [0, numLocks()). */
+    int numLocks() const { return nextLock; }
+    /** Number of allocated barriers: ids [0, numBarriers()). */
+    int numBarriers() const { return nextBarrier; }
 
     /** Untimed initialization write (before run()). */
     void initWrite(GlobalAddr addr, const void *src, std::uint64_t bytes);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/log.hh"
+
 namespace swsm
 {
 
@@ -14,6 +16,13 @@ Thread::compute(Cycles cycles)
         node_.charge(c, TimeBucket::Busy);
         cycles -= c;
     }
+}
+
+void
+Thread::unallocated(const char *what, int id, int count)
+{
+    SWSM_FATAL("%s %d was never allocated (the cluster has %d)", what, id,
+               count);
 }
 
 } // namespace swsm

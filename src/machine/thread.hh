@@ -202,17 +202,46 @@ class Thread
      */
     void compute(Cycles cycles);
 
-    /** Acquire a lock (blocking). */
-    void acquire(LockId lock) { protocol_.acquire(node_, lock); }
+    /**
+     * Acquire a lock (blocking). Lock and barrier ids must come from
+     * the cluster's allocLock()/allocBarrier(); any other id throws
+     * FatalError (rethrown by Cluster::run).
+     */
+    void
+    acquire(LockId lock)
+    {
+        checkAllocated("lock", lock, cluster_.numLocks());
+        protocol_.acquire(node_, lock);
+    }
     /** Release a lock. */
-    void release(LockId lock) { protocol_.release(node_, lock); }
+    void
+    release(LockId lock)
+    {
+        checkAllocated("lock", lock, cluster_.numLocks());
+        protocol_.release(node_, lock);
+    }
     /** Wait at a barrier until all nprocs() threads arrive. */
-    void barrier(BarrierId b) { protocol_.barrier(node_, b); }
+    void
+    barrier(BarrierId b)
+    {
+        checkAllocated("barrier", b, cluster_.numBarriers());
+        protocol_.barrier(node_, b);
+    }
 
     /** Deterministic per-thread random stream. */
     Rng &rng() { return node_.rng(); }
 
   private:
+    /** Throw FatalError unless @p id is in [0, @p count). */
+    static void
+    checkAllocated(const char *what, int id, int count)
+    {
+        if (id < 0 || id >= count)
+            unallocated(what, id, count);
+    }
+    [[noreturn]] static void unallocated(const char *what, int id,
+                                         int count);
+
     Cluster &cluster_;
     Node &node_;
     Protocol &protocol_;

@@ -44,30 +44,32 @@ void
 HlrcProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
 {
     (void)partitions;
-    // Pre-size every lazily-grown shared table so no run — parallel or
-    // serial — ever regrows one mid-flight. The accessors' lazy paths
-    // remain as fallbacks for ids beyond the declared bounds (which
-    // only the serial engine can serve safely). Creation is idempotent
-    // and identical to the lazy path, so simulated behavior and stats
-    // are unchanged.
+    // Size every shared table here, so no run — parallel or serial —
+    // ever grows one mid-flight. Sizing only appends: the call that
+    // restores the serial view after a partitioned run must keep the
+    // state checkQuiescent inspects. Each lock starts with its token
+    // at its manager, which is also the tail the first request chases.
     for (auto &ns : nodes)
         ns.pages.resize(space.numPages());
     lastDiffSeq.resize(
         space.numPages() * static_cast<std::size_t>(numNodes), 0);
-    for (LockId l = 0; l < num_locks; ++l)
-        lockState(l);
-    for (BarrierId b = 0; b < num_barriers; ++b)
-        barrierState(b);
+    const LockId sized_locks = static_cast<LockId>(lockTail.size());
+    lockTail.resize(num_locks);
+    lockNodes.resize(static_cast<std::size_t>(num_locks) * numNodes);
+    for (LockId l = sized_locks; l < num_locks; ++l) {
+        const NodeId mgr = lockManager(l);
+        lockTail[l] = mgr;
+        lockNode(l, mgr).holdsToken = true;
+    }
+    BarrierState fresh;
+    fresh.arrivedVc.resize(numNodes);
+    fresh.prevMerged.assign(numNodes, 0);
+    barriers.resize(num_barriers, fresh);
 }
 
 std::uint32_t &
 HlrcProtocol::lastDiffSeqAt(PageId p, NodeId n)
 {
-    const std::size_t need = std::max<std::size_t>(
-        space.numPages() * numNodes,
-        (p + 1) * static_cast<std::size_t>(numNodes));
-    if (lastDiffSeq.size() < need)
-        lastDiffSeq.resize(need, 0);
     return lastDiffSeq[p * numNodes + n];
 }
 
@@ -110,49 +112,13 @@ HlrcProtocol::invalidateFastPage(NodeId n, PageId p)
 HlrcProtocol::PageCopy &
 HlrcProtocol::pageCopy(NodeId n, PageId p)
 {
-    auto &pages = nodes.at(n).pages;
-    if (pages.size() <= p) {
-        // The space is fixed once threads run (allocations precede run),
-        // so one full-size resize keeps references stable across blocks.
-        pages.resize(std::max<std::size_t>(space.numPages(), p + 1));
-    }
-    return pages[p];
+    return nodes.at(n).pages[p];
 }
 
 HlrcProtocol::NodeState &
 HlrcProtocol::nodeState(NodeId n)
 {
     return nodes.at(n);
-}
-
-HlrcProtocol::LockState &
-HlrcProtocol::lockState(LockId l)
-{
-    if (locks.size() <= static_cast<std::size_t>(l))
-        locks.resize(l + 1);
-    if (!locks[l]) {
-        auto state = std::make_unique<LockState>();
-        state->node.resize(numNodes);
-        const NodeId mgr = lockManager(l);
-        state->node[mgr].holdsToken = true;
-        state->lastRequester = mgr;
-        locks[l] = std::move(state);
-    }
-    return *locks[l];
-}
-
-HlrcProtocol::BarrierState &
-HlrcProtocol::barrierState(BarrierId b)
-{
-    if (barriers.size() <= static_cast<std::size_t>(b))
-        barriers.resize(b + 1);
-    if (!barriers[b]) {
-        auto state = std::make_unique<BarrierState>();
-        state->arrivedVc.resize(numNodes);
-        state->prevMerged.assign(numNodes, 0);
-        barriers[b] = std::move(state);
-    }
-    return *barriers[b];
 }
 
 NodeId
@@ -701,23 +667,22 @@ HlrcProtocol::applyNotices(ProcEnv &env, const Vc &new_vc,
 void
 HlrcProtocol::tryGrant(NodeEnv &env, LockId lock)
 {
-    auto &ls = lockState(lock);
-    auto &lns = ls.node.at(env.node());
-    if (!lns.holdsToken || lns.inCs || lns.pending.empty())
+    LockNodeState &lns = lockNode(lock, env.node());
+    if (!lns.holdsToken || lns.inCs || lns.next == invalidNode)
         return;
-    Handoff h = std::move(lns.pending.front());
-    lns.pending.pop_front();
+    const NodeId r = lns.next;
+    lns.next = invalidNode;
     lns.holdsToken = false;
 
     auto &grantor = nodeState(env.node());
     Vc grant_vc = grantor.vc;
-    const std::uint64_t notices = countMissingNotices(h.vc, grant_vc);
+    const std::uint64_t notices =
+        countMissingNotices(nodeState(r).requestVc, grant_vc);
     env.charge(notices * params.listPerElem, TimeBucket::ProtoOther);
     stats_.lockHandoffs.inc();
 
     const std::uint32_t bytes = smallPayload + vcBytes() +
         8 * static_cast<std::uint32_t>(notices);
-    const NodeId r = h.requester;
     sendDat(env, r, bytes,
             [this, r, grant_vc = std::move(grant_vc)](Cycles t) {
                 nodeState(r).stashedVc = grant_vc;
@@ -730,8 +695,7 @@ void
 HlrcProtocol::acquire(ProcEnv &env, LockId lock)
 {
     const NodeId n = env.node();
-    auto &ls = lockState(lock);
-    auto &lns = ls.node.at(n);
+    LockNodeState &lns = lockNode(lock, n);
 
     if (lns.holdsToken) {
         // Token cached from our last use and nobody asked for it since.
@@ -742,25 +706,32 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
 
     stats_.lockRequests.inc();
     const Cycles acquire_start = env.now();
-    Vc my_vc = nodeState(n).vc;
+    auto &ns = nodeState(n);
+    // The request carries our VC on the wire; the tail reads it from
+    // requestVc when it grants (see partitionSafe()).
+    ns.requestVc = ns.vc;
     const NodeId mgr = lockManager(lock);
     sendReq(env, mgr, smallPayload + vcBytes(),
-            [this, lock, n, my_vc = std::move(my_vc)](NodeEnv &henv) {
+            [this, lock, n](NodeEnv &henv) {
                 stats_.handlersRun.inc();
                 henv.charge(params.handlerBase, TimeBucket::ProtoHandler);
-                auto &ls = lockState(lock);
-                const NodeId target = ls.lastRequester;
-                ls.lastRequester = n;
+                const NodeId target = lockTail[lock];
+                lockTail[lock] = n;
                 // Chase the token: forward the handoff to the queue
                 // tail; it grants after its own acquire+release.
                 sendReq(henv, target, smallPayload + vcBytes(),
-                        [this, lock, n, my_vc](NodeEnv &henv2) {
+                        [this, lock, n](NodeEnv &henv2) {
                             stats_.handlersRun.inc();
                             henv2.charge(params.handlerBase,
                                          TimeBucket::ProtoHandler);
-                            auto &ls2 = lockState(lock);
-                            auto &tail = ls2.node.at(henv2.node());
-                            tail.pending.push_back(Handoff{n, my_vc});
+                            LockNodeState &tail =
+                                lockNode(lock, henv2.node());
+                            SWSM_INVARIANT(tail.next == invalidNode,
+                                           "lock %d: node %d handed "
+                                           "successor %d while %d waits",
+                                           lock, henv2.node(), n,
+                                           tail.next);
+                            tail.next = n;
                             tryGrant(henv2, lock);
                         },
                         TimeBucket::ProtoHandler);
@@ -769,7 +740,6 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
 
     env.block(TimeBucket::LockWait);
 
-    auto &ns = nodeState(n);
     lns.holdsToken = true;
     lns.inCs = true;
     applyNotices(env, ns.stashedVc, TimeBucket::LockWait);
@@ -785,8 +755,7 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
 void
 HlrcProtocol::release(ProcEnv &env, LockId lock)
 {
-    auto &ls = lockState(lock);
-    auto &lns = ls.node.at(env.node());
+    LockNodeState &lns = lockNode(lock, env.node());
     if (!lns.inCs)
         SWSM_FATAL("release of lock %d not held by node %d", lock,
                    env.node());
@@ -811,7 +780,7 @@ HlrcProtocol::barrier(ProcEnv &env, BarrierId barrier)
     Vc my_vc = ns.vc;
     // The arrive message carries the write notices of our intervals the
     // manager has not merged yet.
-    const BarrierState &pre = barrierState(barrier);
+    const BarrierState &pre = barriers[barrier];
     std::uint64_t fresh = 0;
     for (std::uint32_t k = pre.prevMerged[n]; k < my_vc[n]; ++k)
         fresh += intervals[n][k].size();
@@ -822,7 +791,7 @@ HlrcProtocol::barrier(ProcEnv &env, BarrierId barrier)
             [this, barrier, n, fresh,
              my_vc = std::move(my_vc)](NodeEnv &henv) {
                 stats_.handlersRun.inc();
-                auto &bs = barrierState(barrier);
+                auto &bs = barriers[barrier];
                 henv.charge(params.handlerBase +
                                 fresh * params.listPerElem,
                             TimeBucket::ProtoHandler);
@@ -924,31 +893,28 @@ HlrcProtocol::checkQuiescent() const
                            n, static_cast<unsigned long long>(p));
         }
     }
-    for (const auto &ls : locks) {
-        if (!ls)
-            continue;
+    for (std::size_t l = 0; l < lockTail.size(); ++l) {
         int holders = 0;
         for (NodeId n = 0; n < numNodes; ++n) {
-            const LockNodeState &lns = ls->node[n];
+            const LockNodeState &lns = lockNodes[l * numNodes + n];
             if (lns.holdsToken)
                 ++holders;
             SWSM_INVARIANT(!lns.inCs,
                            "node %d ended inside a critical section", n);
-            SWSM_INVARIANT(lns.pending.empty(),
-                           "node %d ended with %zu queued lock handoffs",
-                           n, lns.pending.size());
+            SWSM_INVARIANT(lns.next == invalidNode,
+                           "node %d ended with a lock handoff to node %d "
+                           "queued",
+                           n, lns.next);
         }
         SWSM_INVARIANT(holders == 1,
                        "lock token held by %d nodes at end of run "
                        "(expected 1)",
                        holders);
     }
-    for (const auto &bs : barriers) {
-        if (!bs)
-            continue;
-        SWSM_INVARIANT(bs->arrived == 0,
+    for (const BarrierState &bs : barriers) {
+        SWSM_INVARIANT(bs.arrived == 0,
                        "barrier ended with %d arrivals pending",
-                       bs->arrived);
+                       bs.arrived);
     }
 }
 

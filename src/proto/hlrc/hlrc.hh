@@ -25,9 +25,6 @@
 #define SWSM_PROTO_HLRC_HLRC_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "machine/fast_path.hh"
@@ -71,11 +68,16 @@ class HlrcProtocol : public Protocol
     void checkQuiescent() const override;
 
     /**
-     * Every HLRC action mutates only the state of the node it runs on;
-     * the only cross-node *reads* (interval records during notice
-     * counting) follow message-carried vector clocks, which the
-     * parallel engine's window barriers turn into real happens-before
-     * edges (and StableVector keeps the records at stable addresses).
+     * Every HLRC action mutates only the state of the node it runs on.
+     * The cross-node *reads* follow message chains, which the parallel
+     * engine's window barriers turn into real happens-before edges:
+     * interval records during notice counting follow message-carried
+     * vector clocks (StableVector keeps the records at stable
+     * addresses), and the tail's tryGrant reads the requester's
+     * requestVc only after the request -> manager -> tail chain. The
+     * requester wrote that slot on its own fiber just before sending
+     * the request and, blocked on its one outstanding acquire, cannot
+     * rewrite it before the grant arrives.
      */
     bool partitionSafe() const override { return true; }
     void prepareRun(int partitions, int num_locks,
@@ -133,31 +135,27 @@ class HlrcProtocol : public Protocol
         bool waitingAcks = false;
         /** Grant/barrier-release payload stashed by data closures. */
         Vc stashedVc;
+        /** The VC of this node's outstanding lock request (see
+         *  partitionSafe()); read by the granting tail. */
+        Vc requestVc;
         /** Scratch page list reused across applyNotices calls. */
         std::vector<PageId> noticeScratch;
     };
 
-    /** A queued lock handoff: who wants the token, with their VC. */
-    struct Handoff
-    {
-        NodeId requester;
-        Vc vc;
-    };
-
-    /** Per-(lock, node) token state. */
+    /**
+     * Per-(lock, node) token state, one 8-byte record in lockNodes.
+     * A node is handed at most one waiter before it passes the token
+     * on: it becomes the tail again only through a new request, which
+     * it sends only after its grant used up that waiter. So one
+     * successor field replaces a queue (checked where it is stored).
+     */
     struct LockNodeState
     {
         bool holdsToken = false;
         bool inCs = false;
-        std::deque<Handoff> pending;
+        NodeId next = invalidNode; ///< the waiter to grant to, if any
     };
-
-    /** Per-lock manager state (lives at lock % numNodes). */
-    struct LockState
-    {
-        NodeId lastRequester = invalidNode; ///< queue tail the token chases
-        std::vector<LockNodeState> node;
-    };
+    static_assert(sizeof(LockNodeState) == 8);
 
     /** Per-barrier manager state (lives at barrier % numNodes). */
     struct BarrierState
@@ -169,8 +167,11 @@ class HlrcProtocol : public Protocol
 
     PageCopy &pageCopy(NodeId n, PageId p);
     NodeState &nodeState(NodeId n);
-    LockState &lockState(LockId l);
-    BarrierState &barrierState(BarrierId b);
+    /** The token state of lock @p l on node @p n. */
+    LockNodeState &lockNode(LockId l, NodeId n)
+    {
+        return lockNodes[static_cast<std::size_t>(l) * numNodes + n];
+    }
 
     NodeId lockManager(LockId l) const;
     NodeId barrierManager(BarrierId b) const;
@@ -263,14 +264,18 @@ class HlrcProtocol : public Protocol
      * Invariant-checker state (SWSM_CHECK): per (page, writer), the
      * interval sequence number of the last diff applied at the home —
      * diffs must arrive in interval order (FIFO channel semantics).
-     * Flat array keyed page-index × node (grown on demand); the old
-     * std::map cost a red-black-tree walk per diff on the hot path.
+     * Flat array keyed page-index × node (sized by prepareRun); the
+     * old std::map cost a red-black-tree walk per diff on the hot path.
      */
     std::vector<std::uint32_t> lastDiffSeq;
-    /** The lastDiffSeq slot for (@p p, @p n), growing the array. */
+    /** The lastDiffSeq slot for (@p p, @p n). */
     std::uint32_t &lastDiffSeqAt(PageId p, NodeId n);
-    std::vector<std::unique_ptr<LockState>> locks;
-    std::vector<std::unique_ptr<BarrierState>> barriers;
+    /** lockNodes[l * numNodes + n]: lock l's token state on node n. */
+    std::vector<LockNodeState> lockNodes;
+    /** Per lock, the last requester: the queue tail the token chases
+     *  (manager state, at lock % numNodes). */
+    std::vector<NodeId> lockTail;
+    std::vector<BarrierState> barriers;
 
     /** VC bytes on the wire (paper-faithful sizing of sync messages). */
     std::uint32_t vcBytes() const { return 4u * numNodes; }

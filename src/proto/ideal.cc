@@ -36,24 +36,14 @@ IdealProtocol::installFastGlobal(NodeId n)
     f->installGlobal(0, space.size(), space.homeBytes(0), true);
 }
 
-IdealProtocol::LockState &
-IdealProtocol::lockState(LockId l)
+void
+IdealProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
 {
-    if (locks.size() <= static_cast<std::size_t>(l))
-        locks.resize(l + 1);
-    if (!locks[l])
-        locks[l] = std::make_unique<LockState>();
-    return *locks[l];
-}
-
-IdealProtocol::BarrierState &
-IdealProtocol::barrierState(BarrierId b)
-{
-    if (barriers.size() <= static_cast<std::size_t>(b))
-        barriers.resize(b + 1);
-    if (!barriers[b])
-        barriers[b] = std::make_unique<BarrierState>();
-    return *barriers[b];
+    (void)partitions;
+    // The only place the tables grow: every id below the bounds is
+    // valid for the whole run, and Thread rejects the others.
+    locks.resize(num_locks);
+    barriers.resize(num_barriers);
 }
 
 void
@@ -98,7 +88,7 @@ void
 IdealProtocol::acquire(ProcEnv &env, LockId lock)
 {
     stats_.lockRequests.inc();
-    LockState &ls = lockState(lock);
+    LockState &ls = locks[lock];
     if (!ls.held) {
         ls.held = true;
         env.charge(1, TimeBucket::Busy);
@@ -111,7 +101,7 @@ IdealProtocol::acquire(ProcEnv &env, LockId lock)
 void
 IdealProtocol::release(ProcEnv &env, LockId lock)
 {
-    LockState &ls = lockState(lock);
+    LockState &ls = locks[lock];
     if (!ls.held)
         SWSM_PANIC("ideal lock %d released while free", lock);
     env.charge(1, TimeBucket::Busy);
@@ -120,7 +110,7 @@ IdealProtocol::release(ProcEnv &env, LockId lock)
         return;
     }
     const NodeId next = ls.queue.front();
-    ls.queue.pop_front();
+    ls.queue.erase(ls.queue.begin());
     stats_.lockHandoffs.inc();
     procs[next]->unblock(env.now());
 }
@@ -128,7 +118,7 @@ IdealProtocol::release(ProcEnv &env, LockId lock)
 void
 IdealProtocol::barrier(ProcEnv &env, BarrierId barrier)
 {
-    BarrierState &bs = barrierState(barrier);
+    BarrierState &bs = barriers[barrier];
     env.charge(1, TimeBucket::Busy);
     if (++bs.arrived < numNodes) {
         bs.waiting.push_back(env.node());
@@ -152,21 +142,17 @@ void
 IdealProtocol::checkQuiescent() const
 {
     for (std::size_t l = 0; l < locks.size(); ++l) {
-        if (!locks[l])
-            continue;
-        SWSM_INVARIANT(!locks[l]->held,
+        SWSM_INVARIANT(!locks[l].held,
                        "ideal lock %zu still held at end of run", l);
-        SWSM_INVARIANT(locks[l]->queue.empty(),
+        SWSM_INVARIANT(locks[l].queue.empty(),
                        "ideal lock %zu ended with %zu queued waiters", l,
-                       locks[l]->queue.size());
+                       locks[l].queue.size());
     }
-    for (const auto &bs : barriers) {
-        if (!bs)
-            continue;
-        SWSM_INVARIANT(bs->arrived == 0 && bs->waiting.empty(),
+    for (const BarrierState &bs : barriers) {
+        SWSM_INVARIANT(bs.arrived == 0 && bs.waiting.empty(),
                        "ideal barrier ended with %d arrivals and %zu "
                        "waiters pending",
-                       bs->arrived, bs->waiting.size());
+                       bs.arrived, bs.waiting.size());
     }
 }
 

@@ -15,8 +15,6 @@
 #define SWSM_PROTO_IDEAL_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "proto/address_space.hh"
@@ -51,12 +49,15 @@ class IdealProtocol : public Protocol
     void debugRead(GlobalAddr addr, void *out,
                    std::uint64_t bytes) override;
     void checkQuiescent() const override;
+    void prepareRun(int partitions, int num_locks,
+                    int num_barriers) override;
 
   private:
     struct LockState
     {
         bool held = false;
-        std::deque<NodeId> queue;
+        /** Waiting nodes, oldest first (at most numNodes). */
+        std::vector<NodeId> queue;
     };
 
     struct BarrierState
@@ -64,9 +65,6 @@ class IdealProtocol : public Protocol
         int arrived = 0;
         std::vector<NodeId> waiting;
     };
-
-    LockState &lockState(LockId l);
-    BarrierState &barrierState(BarrierId b);
 
     /**
      * Publish the whole backing store to node @p n's fast path. One
@@ -80,8 +78,8 @@ class IdealProtocol : public Protocol
     std::vector<ProcEnv *> procs;
     int numNodes;
 
-    std::vector<std::unique_ptr<LockState>> locks;
-    std::vector<std::unique_ptr<BarrierState>> barriers;
+    std::vector<LockState> locks;
+    std::vector<BarrierState> barriers;
 };
 
 } // namespace swsm

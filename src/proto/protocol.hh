@@ -130,15 +130,17 @@ class Protocol
     virtual bool partitionSafe() const { return false; }
 
     /**
-     * Prepare shared tables for a partitioned run: pre-size every
-     * lazily-grown container whose *growth* would race across
-     * partitions (directory/page tables, per-lock and per-barrier
-     * state for ids below the given bounds), and remember the partition
-     * count so checks that legitimately scan other nodes' state can be
-     * confined to single-partition runs. Called by the machine layer
-     * before every run (with partitions == 1 for serial runs, and again
-     * after a parallel run completes so post-run verification sees the
-     * serial view).
+     * Size the protocol's shared tables for a run: page and directory
+     * tables for the allocated space, and per-lock and per-barrier
+     * state for ids in [0, num_locks) and [0, num_barriers). These are
+     * the only places the tables grow, so no accessor ever grows one
+     * mid-run (growth would race across partitions); Thread rejects
+     * any other id. Also remembers the partition count, so checks that
+     * legitimately scan other nodes' state can be confined to
+     * single-partition runs. Called by the machine layer before every
+     * run (with partitions == 1 for serial runs), and again after a
+     * parallel run completes so post-run verification sees the serial
+     * view; sizing must therefore be idempotent and keep existing state.
      */
     virtual void prepareRun(int partitions, int num_locks,
                             int num_barriers)

@@ -69,55 +69,29 @@ void
 ScProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
 {
     partitions_ = partitions;
-    // Pre-size every lazily-grown table: under the parallel engine the
-    // home's grant decision inspects the requester's copy state, and
-    // that lookup must never regrow the requester's block vector from
-    // another partition. Creation matches the lazy paths exactly, so
-    // simulated behavior and stats are unchanged.
+    // Size every shared table here, so no run ever grows one: under the
+    // parallel engine the home's grant decision inspects the
+    // requester's copy state, and that lookup must never regrow the
+    // requester's block vector from another partition. Sizing only
+    // appends, so the call after a partitioned run keeps the state
+    // checkQuiescent inspects.
     for (auto &blocks : nodeBlocks)
         blocks.resize(space.numBlocks());
     dir.resize(space.numBlocks());
-    for (LockId l = 0; l < num_locks; ++l)
-        lockState(l);
-    for (BarrierId b = 0; b < num_barriers; ++b)
-        barrierState(b);
+    locks.resize(num_locks);
+    barriers.resize(num_barriers);
 }
 
 ScProtocol::BlockCopy &
 ScProtocol::blockCopy(NodeId n, BlockId b)
 {
-    auto &blocks = nodeBlocks.at(n);
-    if (blocks.size() <= b)
-        blocks.resize(std::max<std::size_t>(space.numBlocks(), b + 1));
-    return blocks[b];
+    return nodeBlocks.at(n)[b];
 }
 
 ScProtocol::DirEntry &
 ScProtocol::dirEntry(BlockId b)
 {
-    if (dir.size() <= b)
-        dir.resize(std::max<std::size_t>(space.numBlocks(), b + 1));
     return dir[b];
-}
-
-ScProtocol::LockState &
-ScProtocol::lockState(LockId l)
-{
-    if (locks.size() <= static_cast<std::size_t>(l))
-        locks.resize(l + 1);
-    if (!locks[l])
-        locks[l] = std::make_unique<LockState>();
-    return *locks[l];
-}
-
-ScProtocol::BarrierState &
-ScProtocol::barrierState(BarrierId b)
-{
-    if (barriers.size() <= static_cast<std::size_t>(b))
-        barriers.resize(b + 1);
-    if (!barriers[b])
-        barriers[b] = std::make_unique<BarrierState>();
-    return *barriers[b];
 }
 
 std::uint8_t *
@@ -278,7 +252,7 @@ ScProtocol::checkDirInvariant(BlockId b) const
     if (partitions_ > 1)
         return;
     for (NodeId n = 0; n < numNodes; ++n) {
-        if (n == home || b >= nodeBlocks[n].size())
+        if (n == home)
             continue;
         const BlockCopy &bc = nodeBlocks[n][b];
         if (bc.state == BState::Excl) {
@@ -307,8 +281,8 @@ ScProtocol::finish(NodeEnv &henv, BlockId b)
     d.busy = false;
     d.requester = invalidNode;
     if (!d.waiters.empty()) {
-        auto [n, write] = d.waiters.front();
-        d.waiters.pop_front();
+        const auto [n, write] = d.waiters.front();
+        d.waiters.erase(d.waiters.begin());
         handleRequest(henv, b, n, write);
     }
 }
@@ -624,7 +598,7 @@ ScProtocol::acquire(ProcEnv &env, LockId lock)
             [this, lock, n](NodeEnv &henv) {
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
-                LockState &ls = lockState(lock);
+                LockState &ls = locks[lock];
                 if (!ls.held) {
                     ls.held = true;
                     ls.holder = n;
@@ -656,7 +630,7 @@ ScProtocol::release(ProcEnv &env, LockId lock)
             [this, lock, n](NodeEnv &henv) {
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
-                LockState &ls = lockState(lock);
+                LockState &ls = locks[lock];
                 if (!ls.held || ls.holder != n) {
                     SWSM_PANIC("lock %d released by non-holder %d", lock,
                                n);
@@ -667,7 +641,7 @@ ScProtocol::release(ProcEnv &env, LockId lock)
                     return;
                 }
                 const NodeId next = ls.queue.front();
-                ls.queue.pop_front();
+                ls.queue.erase(ls.queue.begin());
                 ls.holder = next;
                 stats_.lockHandoffs.inc();
                 sendDat(henv, next, smallPayload,
@@ -689,7 +663,7 @@ ScProtocol::barrier(ProcEnv &env, BarrierId barrier)
             [this, barrier](NodeEnv &henv) {
                 stats_.handlersRun.inc();
                 henv.charge(params.scHandlerBase, TimeBucket::ProtoHandler);
-                BarrierState &bs = barrierState(barrier);
+                BarrierState &bs = barriers[barrier];
                 if (++bs.arrived < numNodes)
                     return;
                 stats_.barrierEpisodes.inc();
@@ -762,21 +736,17 @@ ScProtocol::checkQuiescent() const
                        "node %d ended with an uninstalled access", n);
     }
     for (std::size_t l = 0; l < locks.size(); ++l) {
-        if (!locks[l])
-            continue;
-        SWSM_INVARIANT(!locks[l]->held,
+        SWSM_INVARIANT(!locks[l].held,
                        "lock %zu still held by node %d at end of run", l,
-                       locks[l]->holder);
-        SWSM_INVARIANT(locks[l]->queue.empty(),
+                       locks[l].holder);
+        SWSM_INVARIANT(locks[l].queue.empty(),
                        "lock %zu ended with %zu queued waiters", l,
-                       locks[l]->queue.size());
+                       locks[l].queue.size());
     }
-    for (const auto &bs : barriers) {
-        if (!bs)
-            continue;
-        SWSM_INVARIANT(bs->arrived == 0,
+    for (const BarrierState &bs : barriers) {
+        SWSM_INVARIANT(bs.arrived == 0,
                        "barrier ended with %d arrivals pending",
-                       bs->arrived);
+                       bs.arrived);
     }
 }
 

@@ -21,8 +21,8 @@
 #define SWSM_PROTO_SC_SC_HH
 
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "machine/fast_path.hh"
@@ -100,7 +100,9 @@ class ScProtocol : public Protocol
         int pendingAcks = 0;
         NodeId requester = invalidNode;
         bool reqWrite = false;
-        std::deque<std::pair<NodeId, bool>> waiters;
+        /** Requests that found the entry busy, oldest first: at most
+         *  one per (blocking) node, so a vector popped at the front. */
+        std::vector<std::pair<NodeId, bool>> waiters;
     };
 
     /** Per-lock manager state (centralized FIFO queue lock). */
@@ -108,7 +110,8 @@ class ScProtocol : public Protocol
     {
         bool held = false;
         NodeId holder = invalidNode;
-        std::deque<NodeId> queue;
+        /** Waiting nodes, oldest first (at most numNodes). */
+        std::vector<NodeId> queue;
     };
 
     /** Per-barrier manager state (centralized counter). */
@@ -119,8 +122,6 @@ class ScProtocol : public Protocol
 
     BlockCopy &blockCopy(NodeId n, BlockId b);
     DirEntry &dirEntry(BlockId b);
-    LockState &lockState(LockId l);
-    BarrierState &barrierState(BarrierId b);
 
     /** Pointer to the current bytes of @p b as seen by node @p n. */
     std::uint8_t *localBytes(NodeId n, GlobalAddr addr);
@@ -202,8 +203,8 @@ class ScProtocol : public Protocol
     std::vector<DirEntry> dir;
     /** One outstanding install-time access per (blocking) processor. */
     std::vector<std::function<void()>> pendingApply;
-    std::vector<std::unique_ptr<LockState>> locks;
-    std::vector<std::unique_ptr<BarrierState>> barriers;
+    std::vector<LockState> locks;
+    std::vector<BarrierState> barriers;
 };
 
 } // namespace swsm

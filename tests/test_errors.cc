@@ -68,11 +68,56 @@ TEST(Errors, ReleasingUnheldLockIsFatal)
                  FatalError);
 }
 
+TEST(Errors, UnallocatedLockIsFatal)
+{
+    // Protocols size their lock tables once, before the run, so an id
+    // outside [0, numLocks()) must fail at the Thread call, not index
+    // past a table or grow one mid-run.
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc,
+                      ProtocolKind::Ideal}) {
+        for (LockId bad : {1, -1}) {
+            Cluster a(machine(kind, 2));
+            a.allocLock();
+            ASSERT_EQ(a.numLocks(), 1);
+            EXPECT_THROW(a.run([&](Thread &t) {
+                if (t.id() == 1)
+                    t.acquire(bad);
+            }),
+                         FatalError)
+                << protocolKindName(kind) << " acquire " << bad;
+
+            Cluster r(machine(kind, 2));
+            const LockId held = r.allocLock();
+            EXPECT_THROW(r.run([&](Thread &t) {
+                if (t.id() == 0) {
+                    t.acquire(held);
+                    t.release(bad);
+                }
+            }),
+                         FatalError)
+                << protocolKindName(kind) << " release " << bad;
+        }
+    }
+}
+
+TEST(Errors, UnallocatedBarrierIsFatal)
+{
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc,
+                      ProtocolKind::Ideal}) {
+        Cluster c(machine(kind, 2));
+        ASSERT_EQ(c.numBarriers(), 0);
+        EXPECT_THROW(c.run([](Thread &t) { t.barrier(0); }), FatalError)
+            << protocolKindName(kind);
+    }
+}
+
 TEST(Errors, AllocationAfterRunIsFatal)
 {
     Cluster c(machine(ProtocolKind::Ideal, 1));
     c.run([](Thread &) {});
     EXPECT_THROW(c.alloc(64), FatalError);
+    EXPECT_THROW(c.allocLock(), FatalError);
+    EXPECT_THROW(c.allocBarrier(), FatalError);
 }
 
 TEST(Errors, ZeroProcessorClusterIsFatal)

@@ -7,6 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__) &&                                               \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define SWSM_HAVE_MALLINFO2 1
+#else
+#define SWSM_HAVE_MALLINFO2 0
+#endif
+
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
@@ -183,6 +191,90 @@ TEST(Hlrc, LockTokenCachesAtLastHolder)
     // Only the first acquire goes remote; reacquisition hits the
     // cached token.
     EXPECT_EQ(c.protocol().stats().lockRequests.value(), 1u);
+}
+
+TEST(Hlrc, TokenHolderKeepsOneSuccessorPerLock)
+{
+    // Node 0 caches the tokens of locks A and B and sits inside both
+    // critical sections when node 1 queues on A and node 2 on B: each
+    // (lock, node) has its own successor slot, and both must be granted.
+    Cluster c(machine(ProtocolKind::Hlrc, 3));
+    const LockId lock_a = c.allocLock(); // managed by node 0
+    const LockId lock_b = c.allocLock(); // managed by node 1
+    const BarrierId bar = c.allocBarrier();
+    SharedArray<std::uint64_t> count(c, 2);
+    count.init(c, 0, 0);
+    count.init(c, 1, 0);
+    const auto bump = [&](Thread &t, int i) {
+        count.put(t, i, count.get(t, i) + 1);
+    };
+    c.run([&](Thread &t) {
+        if (t.id() == 0) {
+            // Fetch B's token; both tokens then stay cached here.
+            t.acquire(lock_a);
+            bump(t, 0);
+            t.release(lock_a);
+            t.acquire(lock_b);
+            bump(t, 1);
+            t.release(lock_b);
+        }
+        t.barrier(bar);
+        if (t.id() == 0) {
+            t.acquire(lock_a);
+            t.acquire(lock_b);
+            bump(t, 0);
+            bump(t, 1);
+            t.compute(200000); // both waiters queue meanwhile
+            t.release(lock_b);
+            t.release(lock_a);
+        } else {
+            const LockId lock = t.id() == 1 ? lock_a : lock_b;
+            t.compute(2000);
+            t.acquire(lock);
+            bump(t, t.id() - 1);
+            t.release(lock);
+        }
+        t.barrier(bar);
+    });
+    EXPECT_EQ(count.peek(c, 0), 3u);
+    EXPECT_EQ(count.peek(c, 1), 3u);
+    // The waiters really queued behind node 0's long critical section.
+    for (NodeId n : {1, 2}) {
+        EXPECT_GT(c.node(n).allBuckets()[static_cast<int>(
+                      TimeBucket::LockWait)],
+                  100000u)
+            << "node " << n;
+    }
+    // B's first fetch plus one grant per waiter.
+    EXPECT_EQ(c.protocol().stats().lockHandoffs.value(), 3u);
+}
+
+TEST(Hlrc, ContendedLockChainsEveryNode)
+{
+    // 16 nodes take one lock once per round. Each round the previous
+    // round's last holder reacquires its cached token and the other 15
+    // queue, so the token chases a 15-long chain of single successors.
+    constexpr int procs = 16;
+    constexpr int rounds = 6;
+    Cluster c(machine(ProtocolKind::Hlrc, procs));
+    const LockId lock = c.allocLock();
+    const BarrierId bar = c.allocBarrier();
+    SharedArray<std::uint64_t> count(c, 1);
+    count.init(c, 0, 0);
+    c.run([&](Thread &t) {
+        for (int r = 0; r < rounds; ++r) {
+            t.acquire(lock);
+            count.put(t, 0, count.get(t, 0) + 1);
+            t.release(lock);
+            t.barrier(bar);
+        }
+    });
+    EXPECT_EQ(count.peek(c, 0),
+              static_cast<std::uint64_t>(procs * rounds));
+    const ProtoStats &s = c.protocol().stats();
+    EXPECT_EQ(s.lockHandoffs.value(),
+              static_cast<std::uint64_t>((procs - 1) * rounds));
+    EXPECT_EQ(s.lockRequests.value(), s.lockHandoffs.value());
 }
 
 TEST(Hlrc, BarrierCarriesNoticesWithoutLocks)
@@ -575,6 +667,69 @@ TEST(Ideal, UniprocessorRunsSequentially)
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(a.peek(c, i), 2u * i);
     EXPECT_EQ(c.stats().metrics.counter("net.messages"), 0u);
+}
+
+// -------------------------------------------------------------- memory
+
+/** Heap bytes in use (glibc mallinfo2: arenas plus mmapped chunks), or
+ *  -1 where that call is unavailable. */
+std::int64_t
+heapBytes()
+{
+#if SWSM_HAVE_MALLINFO2
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<std::int64_t>(mi.uordblks + mi.hblkhd);
+#else
+    return -1;
+#endif
+}
+
+/**
+ * Heap growth of a 16-node cluster under @p kind with @p locks locks
+ * and @p shared_bytes of shared memory allocated, measured after a run
+ * through one barrier while the cluster is still alive.
+ */
+std::int64_t
+clusterHeapGrowth(ProtocolKind kind, int locks, std::uint64_t shared_bytes)
+{
+    const std::int64_t before = heapBytes();
+    Cluster c(machine(kind, 16));
+    for (int i = 0; i < locks; ++i)
+        c.allocLock();
+    const BarrierId bar = c.allocBarrier();
+    if (shared_bytes > 0)
+        c.alloc(shared_bytes);
+    c.run([&](Thread &t) { t.barrier(bar); });
+    return heapBytes() - before;
+}
+
+TEST(ProtoMemory, LockStateIsAtMost200BytesPerLock)
+{
+    if (heapBytes() < 0)
+        GTEST_SKIP() << "needs glibc mallinfo2()";
+    // Barnes allocates one lock per tree cell (393,729 at Paper size),
+    // so per-lock state must not grow with queue capacity.
+    constexpr int locks = 50000;
+    for (auto kind :
+         {ProtocolKind::Hlrc, ProtocolKind::Sc, ProtocolKind::Ideal}) {
+        const std::int64_t grown = clusterHeapGrowth(kind, locks, 0) -
+            clusterHeapGrowth(kind, 0, 0);
+        EXPECT_LE(grown / locks, 200) << protocolKindName(kind);
+    }
+}
+
+TEST(ProtoMemory, ScDirectoryIsAtMost800BytesPerBlock)
+{
+    if (heapBytes() < 0)
+        GTEST_SKIP() << "needs glibc mallinfo2()";
+    // Per 64-byte block: its home store, the directory entry and one
+    // copy record per node.
+    constexpr std::uint64_t bytes = 4u << 20;
+    constexpr std::int64_t blocks = bytes / 64;
+    const std::int64_t grown =
+        clusterHeapGrowth(ProtocolKind::Sc, 0, bytes) -
+        clusterHeapGrowth(ProtocolKind::Sc, 0, 0);
+    EXPECT_LE(grown / blocks, 800);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
 """Compare two BENCH_*.json reports for semantic equality.
 
 Everything must match except host-timing fields (hostSeconds), the
-worker counts (jobs, simThreads), the machine.fastpath_* effectiveness
+process's peak RSS (peakRssMb), the worker counts (jobs, simThreads),
+the machine.fastpath_* effectiveness
 counters, the mem.simd_* data-path telemetry (with the fast path the
 chunked diff scan visits fewer bytes) and the parallel event kernel's
 sim.pdes_* bookkeeping (plus the pending-event high-water mark), which
@@ -23,9 +24,9 @@ Usage: bench_diff.py A.json B.json
        bench_diff.py --host-seconds A.json B.json
        bench_diff.py --selftest
 Exit status: 0 when equivalent, 1 with a difference report otherwise.
-With --host-seconds, prints a host-time comparison of the two reports
-and always exits 0 (wall-clock ratios are machine-dependent and must
-never gate CI).
+With --host-seconds, prints a host-time comparison of the two reports,
+with each report's peakRssMb where it has one, and always exits 0
+(wall-clock ratios are machine-dependent and must never gate CI).
 """
 
 import json
@@ -33,6 +34,7 @@ import sys
 
 IGNORED_KEYS = {
     "hostSeconds",
+    "peakRssMb",
     "jobs",
     "simThreads",
     "machine.fastpath_hits",
@@ -143,8 +145,12 @@ def report_host_seconds(path_a, path_b):
     with open(path_b) as f:
         b = json.load(f)
     ca, cb, incomparable = compare_host_sections(a, b)
-    print(f"{path_a}: {host_seconds(a):.3f} host seconds")
-    print(f"{path_b}: {host_seconds(b):.3f} host seconds")
+    for path, report in ((path_a, a), (path_b, b)):
+        line = f"{path}: {host_seconds(report):.3f} host seconds"
+        rss = report.get("peakRssMb") if isinstance(report, dict) else None
+        if isinstance(rss, (int, float)) and not isinstance(rss, bool):
+            line += f", peak RSS {rss:.1f} MiB"
+        print(line)
     for name in incomparable:
         label = name or "(unsectioned)"
         print(f"section {label!r}: present in only one report; "
@@ -183,7 +189,8 @@ def _selftest_ignored():
     """strip() must drop exactly the host-execution telemetry and keep
     the deterministic fields it sits next to."""
     entry = {"machine.fastpath_hits": 9, "sim.pdes_windows": 10,
-             "sim.events_run": 12, "net.bytes": 77, "hostSeconds": 1.5}
+             "sim.events_run": 12, "net.bytes": 77, "hostSeconds": 1.5,
+             "peakRssMb": 25.5}
     stripped = strip(entry)
     assert stripped == {"sim.events_run": 12, "net.bytes": 77}, stripped
 

@@ -154,6 +154,20 @@ class MainTest(unittest.TestCase):
         self.assertIn("4.000 host seconds", out)
         self.assertIn("2.50x", out)
 
+    def test_peak_rss_is_ignored_for_equality_and_shown(self):
+        with tempfile.TemporaryDirectory() as d:
+            small = dict(REPORT, peakRssMb=25.7)
+            large = dict(REPORT, peakRssMb=547.0)
+            a = write_json(d, "a.json", small)
+            b = write_json(d, "b.json", large)
+            status, out, _ = self.run_main(a, b)
+            self.assertEqual(status, 0)
+            self.assertIn("equivalent", out)
+            status, out, _ = self.run_main("--host-seconds", a, b)
+        self.assertEqual(status, 0)
+        self.assertIn("12.500 host seconds, peak RSS 25.7 MiB", out)
+        self.assertIn("peak RSS 547.0 MiB", out)
+
     def test_host_seconds_mode_sums_nested_fields(self):
         value = {
             "hostSeconds": 1.0,
