@@ -1,16 +1,14 @@
 /**
  * @file
  * Simulator data-path microbenchmark (host throughput, not simulated
- * cycles). Measures the hot loops of the simulator, and times the two
- * host-side accelerators (the access fast path and the chunked diff
- * scan) on and off:
+ * cycles). Measures the hot loops of the simulator, and times the one
+ * host-side accelerator (the access fast path) on and off:
  *
  *  - accesses/sec: single-word shared reads and writes through a
  *    Thread on a warmed HLRC page, fast-path TLB vs the full
  *    virtual-dispatch page-table walk (SWSM_FASTPATH=0 equivalent);
- *  - diff_scan words/sec: dense full-page twin comparison;
- *  - diff_scan_sparse words/sec: chunk-skipping scan of a mostly-clean
- *    page vs the dense sweep (the dirty-chunk bitmap accelerator);
+ *  - diff_scan words/sec: dense full-page twin comparison, the one
+ *    scan every HLRC diff makes;
  *  - diff_apply words/sec: writing a diff's words into a home page;
  *  - events/sec: raw event-kernel schedule+dispatch throughput;
  *  - fiber ns/switch: resume+yield round trips into one fiber, the
@@ -27,8 +25,9 @@
  * and message sections also report their per-operation cost as
  * {"min", "median"} ns. "simd_level" names the host CPU's vector level
  * (nothing dispatches on it) and "peakRssMb" the process's peak RSS.
- * Schema 4: the SIMD-vs-scalar arms and the twin_create section of
- * schema 3 are gone.
+ * Schema 5: no diff_scan_sparse section, since every HLRC diff is the
+ * full-page scan diff_scan times; schema 4 dropped schema 3's
+ * SIMD-vs-scalar arms and twin_create section.
  *
  * Writes BENCH_hotpath.json (SWSM_BENCH_DIR honored). The ratios are
  * host-dependent, so the ctest smoke run is report-only: it exercises
@@ -47,7 +46,6 @@
 #include "fiber/fiber.hh"
 #include "harness/bench_report.hh"
 #include "machine/cluster.hh"
-#include "machine/fast_path.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
 #include "mem/cache_model.hh"
@@ -144,51 +142,13 @@ diffScanSeconds(std::uint64_t reps)
     const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t r = 0; r < reps; ++r) {
         out.clear();
-        hlrcdiff::scanFull(cur.data(), twin.data(), pageBytes, out);
+        hlrcdiff::diffWords(cur.data(), twin.data(), pageBytes, 0, out);
         found += out.size();
     }
     const double elapsed = secondsSince(start);
     if (found != 8 * reps)
         std::fprintf(stderr, "diff scan found %zu words, expected %llu\n",
                      found, static_cast<unsigned long long>(8 * reps));
-    return elapsed;
-}
-
-/**
- * Host seconds for reps twin-diff scans of a mostly-clean page (both
- * scans cover the same simulated wordsPerPage; the chunked one just
- * skips clean chunks on the host).
- */
-double
-diffScanSparseSeconds(bool chunked, std::uint64_t reps)
-{
-    const std::uint32_t shift = hlrcdiff::chunkShift(pageBytes);
-    const std::vector<std::uint8_t> twin = patternPage(0);
-    std::vector<std::uint8_t> cur = twin;
-    // One dirty word in one chunk: the mostly-clean page a
-    // single-word-per-interval writer produces.
-    cur[600] ^= 0xff;
-    const std::uint64_t dirty = FastPath::dirtyBits(600, 4, shift);
-
-    hlrcdiff::DiffWords out;
-    out.reserve(8);
-    std::size_t found = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) {
-        out.clear();
-        if (chunked) {
-            hlrcdiff::scanChunks(cur.data(), twin.data(), pageBytes,
-                                 shift, dirty, out);
-        } else {
-            hlrcdiff::scanFull(cur.data(), twin.data(), pageBytes,
-                               out);
-        }
-        found += out.size();
-    }
-    const double elapsed = secondsSince(start);
-    if (found != reps)
-        std::fprintf(stderr, "diff scan found %zu words, expected %llu\n",
-                     found, static_cast<unsigned long long>(reps));
     return elapsed;
 }
 
@@ -410,10 +370,6 @@ main(int argc, char **argv)
         measure(reps, [&] { return accessSeconds(false, access_iters); });
     const Reps scan =
         measure(reps, [&] { return diffScanSeconds(diff_reps); });
-    const Reps sparse_chunked = measure(
-        reps, [&] { return diffScanSparseSeconds(true, diff_reps); });
-    const Reps sparse_wordwise = measure(
-        reps, [&] { return diffScanSparseSeconds(false, diff_reps); });
     std::size_t apply_words = 0;
     const Reps apply = measure(reps, [&] {
         return diffApplySeconds(apply_reps, apply_words);
@@ -436,8 +392,6 @@ main(int argc, char **argv)
     const double scan_work =
         static_cast<double>(diff_reps) * wordsPerPage;
     const double sd = scan_work / scan.min();
-    const double dc = scan_work / sparse_chunked.min();
-    const double dw = scan_work / sparse_wordwise.min();
     const double apply_work =
         static_cast<double>(apply_reps) * apply_words;
     const double ap = apply_work / apply.min();
@@ -452,8 +406,6 @@ main(int argc, char **argv)
     std::printf("accesses/sec      fastpath %.3e  slowpath %.3e  (%.2fx)\n",
                 af, as, af / as);
     std::printf("diff scan w/sec   %.3e\n", sd);
-    std::printf("sparse scan w/sec chunked  %.3e  wordwise %.3e  (%.2fx)\n",
-                dc, dw, dc / dw);
     std::printf("diff apply w/sec  %.3e\n", ap);
     std::printf("events/sec        %.3e   (best of %d reps)\n", ev, reps);
     std::printf("fiber ns/switch   min %.1f  median %.1f\n",
@@ -470,7 +422,7 @@ main(int argc, char **argv)
 
     JsonWriter w(2);
     w.beginObject();
-    w.member("schema", 4);
+    w.member("schema", 5);
     w.member("bench", "hotpath");
     w.member("quick", quick);
     w.member("reps", reps);
@@ -483,12 +435,6 @@ main(int argc, char **argv)
     w.member("speedup", af / as);
     w.endObject();
     w.member("diff_scan_words_per_sec", sd);
-    w.key("diff_scan_sparse_words_per_sec");
-    w.beginObject();
-    w.member("chunked", dc);
-    w.member("wordwise", dw);
-    w.member("speedup", dc / dw);
-    w.endObject();
     w.member("diff_apply_words_per_sec", ap);
     w.member("events_per_sec", ev);
     writeNsPerOp(w, "fiber_ns_per_switch", fiber, switches);
@@ -499,8 +445,6 @@ main(int argc, char **argv)
     w.beginObject();
     writeSection(w, "access", {&acc_fast, &acc_slow});
     writeSection(w, "diff_scan", {&scan});
-    writeSection(w, "diff_scan_sparse",
-                 {&sparse_chunked, &sparse_wordwise});
     writeSection(w, "diff_apply", {&apply});
     writeSection(w, "events", {&events});
     writeSection(w, "fiber", {&fiber});

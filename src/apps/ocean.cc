@@ -83,8 +83,8 @@ OceanWorkload::setup(Cluster &cluster)
 
     // Contiguous-by-owner layout: every cell (boundary ring included,
     // via clamping) belongs to one partition; a partition's cells are
-    // row-major and homed at the owner.
-    layout.assign(cells, 0);
+    // row-major and homed at the owner. One pass finds each cell's
+    // owner, then a counting sort over partitions numbers the cells.
     std::vector<Part> parts(np);
     for (int p = 0; p < np; ++p)
         parts[p] = partOf(p, np);
@@ -98,17 +98,26 @@ OceanWorkload::setup(Cluster &cluster)
         }
         SWSM_PANIC("ocean cell with no owner");
     };
-    std::uint32_t next = 0;
+    std::vector<int> owner(cells);
+    std::vector<std::uint32_t> first(np + 1, 0);
+    for (std::uint64_t r = 0; r < n + 2; ++r) {
+        for (std::uint64_t c = 0; c < n + 2; ++c) {
+            const int p = owner_of(r, c);
+            owner[r * (n + 2) + c] = p;
+            ++first[p + 1];
+        }
+    }
+    for (int p = 0; p < np; ++p)
+        first[p + 1] += first[p];
+    std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+    layout.resize(cells);
+    for (std::uint64_t i = 0; i < cells; ++i)
+        layout[i] = next[owner[i]]++;
     for (int p = 0; p < np; ++p) {
-        const std::uint32_t first = next;
-        for (std::uint64_t r = 0; r < n + 2; ++r)
-            for (std::uint64_t c = 0; c < n + 2; ++c)
-                if (owner_of(r, c) == p)
-                    layout[r * (n + 2) + c] = next++;
-        if (next > first) {
-            cluster.space().setRangeHome(grid.addr(first),
-                                         (next - first) * sizeof(double),
-                                         p);
+        if (first[p + 1] > first[p]) {
+            cluster.space().setRangeHome(
+                grid.addr(first[p]),
+                (first[p + 1] - first[p]) * sizeof(double), p);
         }
     }
 

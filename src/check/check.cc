@@ -11,21 +11,8 @@ namespace check
 
 namespace
 {
-bool runtime_enabled = true;
 FaultPlan fault_plan;
 } // namespace
-
-bool
-runtimeEnabled()
-{
-    return runtime_enabled;
-}
-
-void
-setRuntimeEnabled(bool on)
-{
-    runtime_enabled = on;
-}
 
 void
 violation(const char *fmt, ...)

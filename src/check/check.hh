@@ -46,15 +46,11 @@ class InvariantViolation : public std::runtime_error
     {}
 };
 
-/** Runtime toggle for the compiled-in checkers (default on). */
-bool runtimeEnabled();
-void setRuntimeEnabled(bool on);
-
-/** True when invariants are compiled in and enabled. */
-inline bool
+/** True when invariants are compiled in (SWSM_CHECK). */
+inline constexpr bool
 enabled()
 {
-    return compiledIn && runtimeEnabled();
+    return compiledIn;
 }
 
 /** Format a message and throw InvariantViolation. */

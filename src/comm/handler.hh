@@ -98,9 +98,6 @@ class HandlerSink
      * at its next poll point.
      */
     virtual void postHandler(Cycles ready, HandlerFn fn) = 0;
-
-    /** Deliver a data message at @p delivered (no processor cost). */
-    virtual void postData(Cycles delivered, DataFn fn) = 0;
 };
 
 } // namespace swsm

@@ -44,23 +44,21 @@ MsgLayer::sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         };
     }
     net.send(src, dst, msgHeaderBytes + payload_bytes, ready,
-             [sink, handling, fn = std::move(dispatch)](Cycles delivered) {
-                 sink->postHandler(delivered + handling, fn);
+             [sink, handling,
+              fn = std::move(dispatch)](Cycles delivered) mutable {
+                 sink->postHandler(delivered + handling, std::move(fn));
              });
 }
 
 void
 MsgLayer::sendData(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                   Cycles ready, std::function<void(Cycles)> fn)
+                   Cycles ready, DataFn fn)
 {
-    if (!sinks.at(dst))
-        SWSM_PANIC("data sent to node %d with no handler sink", dst);
+    // The NI deposits straight into host memory: no sink, no
+    // processor cost.
     data.inc();
-    HandlerSink *sink = sinks[dst];
     net.send(src, dst, msgHeaderBytes + payload_bytes, ready,
-             [sink, fn = std::move(fn)](Cycles delivered) {
-                 sink->postData(delivered, fn);
-             });
+             std::move(fn));
 }
 
 } // namespace swsm

@@ -52,7 +52,7 @@ class MsgLayer
      * with no destination processor cost.
      */
     void sendData(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                  Cycles ready, std::function<void(Cycles)> fn);
+                  Cycles ready, DataFn fn);
 
     const CommParams &params() const { return net.params(); }
 

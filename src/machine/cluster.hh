@@ -104,9 +104,6 @@ class Cluster
     /** The cluster's network (endpoint contention statistics). */
     Network &network() { return *network_; }
 
-    /** The machine-wide metrics registry (snapshotted into stats()). */
-    MetricsRegistry &metricsRegistry() { return registry_; }
-
     /** The event tracer, or null when params().trace is off. */
     Tracer *tracer() { return tracer_.get(); }
 

@@ -50,10 +50,6 @@ class FastPath
         GlobalAddr base = 1;  ///< inclusive; base > limit = invalid
         GlobalAddr limit = 0; ///< exclusive
         std::uint8_t *data = nullptr; ///< host bytes backing the range
-        /** Per-page dirty-chunk bitmap to mark on writes (HLRC
-         *  non-home writable entries), or null. */
-        std::uint64_t *dirtyMask = nullptr;
-        std::uint32_t chunkShift = 0; ///< log2 of the dirty-chunk size
         bool writable = false;
     };
 
@@ -76,7 +72,6 @@ class FastPath
     }
 
     bool copyFirst() const { return copyFirst_; }
-    std::uint32_t indexShift() const { return indexShift_; }
 
     /**
      * Resolve an access of @p bytes at @p addr. Returns the covering
@@ -103,15 +98,12 @@ class FastPath
      */
     void
     install(GlobalAddr base, GlobalAddr limit, std::uint8_t *data,
-            bool writable, std::uint64_t *dirty_mask = nullptr,
-            std::uint32_t chunk_shift = 0)
+            bool writable)
     {
         Entry &e = slots_[slotOf(base)];
         e.base = base;
         e.limit = limit;
         e.data = data;
-        e.dirtyMask = dirty_mask;
-        e.chunkShift = chunk_shift;
         e.writable = writable;
         ++installs_;
     }
@@ -130,8 +122,6 @@ class FastPath
             e.base = base;
             e.limit = limit;
             e.data = data;
-            e.dirtyMask = nullptr;
-            e.chunkShift = 0;
             e.writable = writable;
         }
         ++installs_;
@@ -163,19 +153,6 @@ class FastPath
             reset(e);
     }
 
-    /**
-     * Bit mask of the dirty chunks an access of @p bytes at entry
-     * offset @p off touches (bytes <= chunk size, so at most two).
-     */
-    static std::uint64_t
-    dirtyBits(std::uint64_t off, std::uint64_t bytes,
-              std::uint32_t chunk_shift)
-    {
-        const std::uint64_t first = off >> chunk_shift;
-        const std::uint64_t last = (off + bytes - 1) >> chunk_shift;
-        return (~std::uint64_t{0} >> (63 - (last - first))) << first;
-    }
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t installs() const { return installs_; }
@@ -196,7 +173,6 @@ class FastPath
         e.base = 1;
         e.limit = 0;
         e.data = nullptr;
-        e.dirtyMask = nullptr;
         e.writable = false;
     }
 

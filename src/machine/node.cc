@@ -185,13 +185,6 @@ Node::postHandler(Cycles ready, HandlerFn fn)
     eq.schedule(ready, std::move(tick));
 }
 
-void
-Node::postData(Cycles delivered, DataFn fn)
-{
-    // The NI deposits directly into host memory; no processor cost.
-    fn(delivered);
-}
-
 Cycles
 Node::runHandler(HandlerFn &fn, Cycles start)
 {

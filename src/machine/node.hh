@@ -74,7 +74,6 @@ class Node : public ProcEnv, public HandlerSink
 
     // HandlerSink interface (message layer)
     void postHandler(Cycles ready, HandlerFn fn) override;
-    void postData(Cycles delivered, DataFn fn) override;
 
     /** Start the application thread body; schedules the first resume. */
     void start(std::function<void()> body);

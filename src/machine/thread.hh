@@ -93,10 +93,6 @@ class Thread
                 if (FastPath::Entry *e =
                         fp->lookup(addr, sizeof(T), true)) {
                     std::uint8_t *p = e->data + (addr - e->base);
-                    if (e->dirtyMask) {
-                        *e->dirtyMask |= FastPath::dirtyBits(
-                            addr - e->base, sizeof(T), e->chunkShift);
-                    }
                     if (fp->copyFirst()) {
                         std::memcpy(p, &v, sizeof(T));
                         node_.chargeSharedAccess(addr, true);
@@ -170,10 +166,6 @@ class Thread
                 const std::uint64_t chunk =
                     std::min<std::uint64_t>(bytes - done, e->limit - a);
                 std::uint8_t *p = e->data + (a - e->base);
-                if (e->dirtyMask) {
-                    *e->dirtyMask |= FastPath::dirtyBits(
-                        a - e->base, chunk, e->chunkShift);
-                }
                 if (fp->copyFirst()) {
                     std::memcpy(p, in + done, chunk);
                     node_.charge((chunk + wordBytes - 1) / wordBytes,

@@ -12,14 +12,14 @@
  *
  * Besides the running counters, each resource keeps power-of-two
  * histograms of queueing delay and of occupancy per acquisition, which
- * it contributes to the run's metrics registry (net.<prefix>.*).
+ * the network merges across NICs into the run's metrics registry
+ * (net.iobus.*, net.ni.*).
  */
 
 #ifndef SWSM_NET_FCFS_RESOURCE_HH
 #define SWSM_NET_FCFS_RESOURCE_HH
 
 #include <algorithm>
-#include <string>
 
 #include "obs/metrics.hh"
 #include "sim/stats.hh"
@@ -32,10 +32,6 @@ namespace swsm
 class FcfsResource
 {
   public:
-    explicit FcfsResource(std::string name = "resource")
-        : name_(std::move(name))
-    {}
-
     /**
      * Occupy the resource for @p duration starting no earlier than
      * @p request_time.
@@ -54,22 +50,6 @@ class FcfsResource
         return nextFree;
     }
 
-    /** Time at which the resource next becomes free. */
-    Cycles nextFreeTime() const { return nextFree; }
-
-    /** Reset queueing state and statistics. */
-    void
-    reset()
-    {
-        nextFree = 0;
-        queueing.reset();
-        busyCycles.reset();
-        uses.reset();
-        queueHist_.reset();
-        busyHist_.reset();
-    }
-
-    const std::string &name() const { return name_; }
     /** Cycles requests spent waiting for the resource. */
     const Accumulator &queueingDelay() const { return queueing; }
     /** Total occupied cycles (for utilization). */
@@ -93,31 +73,7 @@ class FcfsResource
         return out;
     }
 
-    /**
-     * Register this resource's metrics under "<prefix>.*": busy_cycles,
-     * uses, queue_cycles plus the queueing/occupancy histograms.
-     */
-    void
-    registerMetrics(MetricsRegistry &registry,
-                    const std::string &prefix) const
-    {
-        registry.addCounter(prefix + ".busy_cycles", [this] {
-            return busyCycles.value();
-        });
-        registry.addCounter(prefix + ".uses",
-                            [this] { return uses.value(); });
-        registry.addGauge(prefix + ".queue_cycles",
-                          [this] { return queueing.sum(); });
-        registry.addHistogram(prefix + ".queue_delay", [this] {
-            return histogramData(queueHist_);
-        });
-        registry.addHistogram(prefix + ".occupancy", [this] {
-            return histogramData(busyHist_);
-        });
-    }
-
   private:
-    std::string name_;
     Cycles nextFree = 0;
     Accumulator queueing;
     Counter busyCycles;

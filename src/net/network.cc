@@ -25,7 +25,7 @@ Network::Network(EventQueue &eq, int num_nodes, const CommParams &params)
         eq.setNumSlots(static_cast<std::uint32_t>(num_nodes));
     nics.reserve(num_nodes);
     for (NodeId n = 0; n < num_nodes; ++n)
-        nics.push_back(std::make_unique<Nic>(n));
+        nics.push_back(std::make_unique<Nic>());
     channels.resize(static_cast<std::size_t>(num_nodes) * num_nodes);
 }
 

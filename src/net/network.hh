@@ -42,25 +42,12 @@ namespace swsm
 using DeliverFn = std::function<void(Cycles delivery_time)>;
 
 /** Per-node network interface state. */
-class Nic
+struct Nic
 {
-  public:
-    explicit Nic(NodeId node)
-        : ioBus("node" + std::to_string(node) + ".iobus"),
-          niProc("node" + std::to_string(node) + ".ni")
-    {}
-
     /** Shared host-to-NI I/O bus (both directions contend). */
     FcfsResource ioBus;
     /** The NI's (slow) packet processor; one per NIC, as in Myrinet. */
     FcfsResource niProc;
-
-    void
-    reset()
-    {
-        ioBus.reset();
-        niProc.reset();
-    }
 };
 
 /**
@@ -92,8 +79,6 @@ class Network
 
     const ShardedCounter &messagesSent() const { return messages; }
     const ShardedCounter &bytesSent() const { return bytes_; }
-    /** Messages whose delivery callback has run (conservation check). */
-    const ShardedCounter &messagesDelivered() const { return delivered_; }
 
     /**
      * Minimum gap, in cycles, between the sender-side dispatch event
@@ -132,11 +117,6 @@ class Network
   private:
     /** Cycles to move @p bytes over a bandwidth in bytes/cycle. */
     static Cycles transferCycles(std::uint32_t bytes, double bytes_per_cycle);
-
-    /** Advance one packet of a message through the pipeline. */
-    void sendPacket(NodeId src, NodeId dst, std::uint32_t pkt_bytes,
-                    std::uint32_t remaining, Cycles ready_time,
-                    std::shared_ptr<DeliverFn> on_delivered);
 
     /**
      * Per-(src, dst) FIFO channel: messages are delivered in injection

@@ -36,8 +36,6 @@ HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
         if (FastPath *f = pe->fastPath())
             f->configure(std::countr_zero(pageBytes), false);
     }
-    hostFastDiff_ = this->procs[0]->fastPath() != nullptr;
-    diffChunkShift_ = hlrcdiff::chunkShift(pageBytes);
 }
 
 void
@@ -80,11 +78,8 @@ HlrcProtocol::installFast(NodeId n, PageId p, PageCopy &pc)
     if (!f)
         return;
     const GlobalAddr base = space.pageBase(p);
-    const bool writable = pc.state == PState::ReadWrite;
-    // Writable copies feed the dirty-chunk bitmap so fast-path stores
-    // keep the diff accelerator exact.
-    f->install(base, base + pageBytes, pc.data.data(), writable,
-               writable ? &pc.dirtyChunks : nullptr, diffChunkShift_);
+    f->install(base, base + pageBytes, pc.data.data(),
+               pc.state == PState::ReadWrite);
 }
 
 void
@@ -96,7 +91,7 @@ HlrcProtocol::installFastHome(NodeId n, PageId p, bool writable)
     const GlobalAddr base = space.pageBase(p);
     // Writable only while ReadWrite: the first store to a clean home
     // page must still take the slow path so enableWrite records the
-    // interval's write notice. No dirty mask — home pages never diff.
+    // interval's write notice.
     f->install(base, base + pageBytes, space.homeBytes(base), writable);
 }
 
@@ -233,7 +228,6 @@ HlrcProtocol::makeTwin(ProcEnv &env, PageId p, PageCopy &pc)
     pc.twin = pc.data;
     dataPathStats_.twinCopyCalls.inc();
     dataPathStats_.twinCopyBytes.inc(pc.data.size());
-    pc.dirtyChunks = 0;
     stats_.twinsCreated.inc();
     env.charge(static_cast<Cycles>(wordsPerPage) * params.twinPerWord,
                TimeBucket::ProtoTwin);
@@ -252,7 +246,6 @@ void
 HlrcProtocol::discardTwin(PageCopy &pc)
 {
     std::vector<std::uint8_t>().swap(pc.twin);
-    pc.dirtyChunks = 0;
 }
 
 void
@@ -312,10 +305,6 @@ HlrcProtocol::write(ProcEnv &env, GlobalAddr addr, const void *in,
     std::uint8_t *dst = is_home
         ? space.homeBytes(addr)
         : pc.data.data() + (addr - space.pageBase(p));
-    if (!is_home) {
-        pc.dirtyChunks |= FastPath::dirtyBits(
-            addr - space.pageBase(p), bytes, diffChunkShift_);
-    }
     std::memcpy(dst, in, bytes);
     if (is_home)
         installFastHome(n, p, true);
@@ -381,13 +370,10 @@ HlrcProtocol::writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
         std::uint8_t *dst = is_home
             ? space.homeBytes(a)
             : pc.data.data() + (a - space.pageBase(p));
-        if (!is_home) {
-            pc.dirtyChunks |= FastPath::dirtyBits(
-                a - space.pageBase(p), chunk, diffChunkShift_);
-            installFast(n, p, pc);
-        } else {
+        if (is_home)
             installFastHome(n, p, true);
-        }
+        else
+            installFast(n, p, pc);
         env.charge((chunk + wordBytes - 1) / wordBytes, TimeBucket::Busy);
         env.chargeCacheRange(a, chunk, true, TimeBucket::StallLocal);
         std::memcpy(dst, src + done, chunk);
@@ -417,33 +403,12 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
                    static_cast<unsigned long long>(p), n, pc.twin.size(),
                    pageBytes);
 
-    // Comparison against the twin, on real bytes. The simulated cost
-    // below is always the full word-by-word scan; on the host, the
-    // fast-path build skips chunks the write path never marked (they
-    // are guaranteed identical to the twin) and scans only the marked
-    // ones. Both scans yield the same word list.
+    // Comparison against the twin, on real bytes: one dense word-by-
+    // word pass over the whole page, as Table 3 charges it below.
     hlrcdiff::DiffWords words;
-    if (hostFastDiff_) {
-        if (check::enabled()) {
-            SWSM_INVARIANT(
-                hlrcdiff::cleanChunksMatch(pc.data.data(), pc.twin.data(),
-                                           pageBytes, diffChunkShift_,
-                                           pc.dirtyChunks),
-                "dirty-chunk bitmap of page %llu on node %d missed a "
-                "modified chunk",
-                static_cast<unsigned long long>(p), n);
-        }
-        hlrcdiff::scanChunks(pc.data.data(), pc.twin.data(), pageBytes,
-                             diffChunkShift_, pc.dirtyChunks, words);
-        dataPathStats_.diffScanBytes.inc(std::min<std::uint64_t>(
-            pageBytes,
-            static_cast<std::uint64_t>(std::popcount(pc.dirtyChunks))
-                << diffChunkShift_));
-    } else {
-        hlrcdiff::scanFull(pc.data.data(), pc.twin.data(), pageBytes,
-                           words);
-        dataPathStats_.diffScanBytes.inc(pageBytes);
-    }
+    hlrcdiff::diffWords(pc.data.data(), pc.twin.data(), pageBytes, 0,
+                        words);
+    dataPathStats_.diffScanBytes.inc(pageBytes);
     dataPathStats_.diffScanCalls.inc();
     stats_.diffsCreated.inc();
     stats_.diffWordsCompared.inc(wordsPerPage);
@@ -845,9 +810,9 @@ HlrcProtocol::registerMetrics(MetricsRegistry &registry) const
 {
     Protocol::registerMetrics(registry);
 
-    // Host data-path telemetry. Mode-dependent by design
-    // (SWSM_FASTPATH changes how many bytes the diff scan visits),
-    // hence the mem.simd_ prefix that tools/bench_diff.py ignores.
+    // Host data-path telemetry: the bytes and words each loop handles.
+    // The same in every host mode (every diff scans its whole page), so
+    // tools/bench_diff.py compares it like any other counter.
     const auto kernel = [&registry](const char *name,
                                     const ShardedCounter &c) {
         registry.addCounter(std::string("mem.simd_") + name,

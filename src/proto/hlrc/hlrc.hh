@@ -85,9 +85,7 @@ class HlrcProtocol : public Protocol
 
     /**
      * proto.* counters plus the HLRC data-path telemetry mem.simd_*
-     * (bytes and words handed to the twin, diff and apply loops; the
-     * fast path's chunked scan visits fewer bytes than the dense one,
-     * so tools/bench_diff.py ignores the prefix).
+     * (bytes and words handed to the twin, diff and apply loops).
      */
     void registerMetrics(MetricsRegistry &registry) const override;
 
@@ -108,14 +106,6 @@ class HlrcProtocol : public Protocol
         /** Non-empty while writable; allocated at the write fault and
          *  freed at the flush. */
         std::vector<std::uint8_t> twin;
-        /**
-         * Which chunks of the page were written since the twin was
-         * made (host-side diff accelerator; bit c covers bytes
-         * [c << chunkShift, (c+1) << chunkShift)). Chunks with a clear
-         * bit are guaranteed byte-identical to the twin, so the diff
-         * scan skips them. Reset whenever the twin is discarded.
-         */
-        std::uint64_t dirtyChunks = 0;
     };
 
     /** A closed interval: the pages its node dirtied (its notices). */
@@ -188,7 +178,7 @@ class HlrcProtocol : public Protocol
     /** Create the twin of page @p p on node env.node(). */
     void makeTwin(ProcEnv &env, PageId p, PageCopy &pc);
 
-    /** Free @p pc's twin and clear the dirty bitmap. */
+    /** Free @p pc's twin. */
     void discardTwin(PageCopy &pc);
 
     /** Node @p n's access fast path, or nullptr when disabled. */
@@ -284,10 +274,9 @@ class HlrcProtocol : public Protocol
      * Host-side data-path telemetry (mem.simd_*; the names stay
      * because the benchmark reads them). Counts calls and bytes handed
      * to the diff/twin/apply loops and page copies; sharded because
-     * diff application runs on the home node's partition. These
-     * legitimately differ between host modes (SWSM_FASTPATH changes
-     * how many bytes the diff scan visits), so bench_diff.py ignores
-     * the mem.simd_ prefix in equivalence checks.
+     * diff application runs on the home node's partition. Every diff
+     * scans its whole page, so they are the same with the fast path
+     * on or off and belong to the equivalence checks.
      */
     struct DataPathStats
     {
@@ -301,14 +290,6 @@ class HlrcProtocol : public Protocol
         ShardedCounter pageCopyBytes;
     };
     DataPathStats dataPathStats_;
-
-    /** log2 of the dirty-chunk size (64 chunks per page, min 8 B). */
-    std::uint32_t diffChunkShift_ = 0;
-    /**
-     * Use the chunk-skipping diff scan. Tied to the fast path being on
-     * so SWSM_FASTPATH=0 exercises the reference word loop end to end.
-     */
-    bool hostFastDiff_ = false;
 };
 
 } // namespace swsm

@@ -41,12 +41,6 @@ struct ProtoStats
     ShardedCounter handlersRun;      ///< protocol handlers executed
     ShardedCounter protoMsgs;        ///< protocol messages sent (all kinds)
     ShardedCounter protoBytes;       ///< payload bytes in protocol messages
-
-    void
-    reset()
-    {
-        *this = ProtoStats{};
-    }
 };
 
 } // namespace swsm

@@ -153,9 +153,6 @@ class Protocol
     /** Protocol event counters. */
     const ProtoStats &stats() const { return stats_; }
 
-    /** Reset event counters (harness: between warmup and timed phase). */
-    void resetStats() { stats_.reset(); }
-
     /**
      * Enable event tracing (faults, fetches, diffs, sync episodes).
      * Null (the default) disables it; emission sites branch on the

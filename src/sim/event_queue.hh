@@ -303,15 +303,6 @@ class EventQueue
         return now_;
     }
 
-    /** Slot of the event currently (or most recently) executing. */
-    std::uint32_t
-    currentSlot() const
-    {
-        if (pdes_ != nullptr) [[unlikely]]
-            return parallelSlot();
-        return curSlot_;
-    }
-
     /** Number of pending events (serial mode). */
     std::size_t pending() const { return heap_.size(); }
 
@@ -337,7 +328,8 @@ class EventQueue
 
     /**
      * Schedule @p fn at absolute time @p when in the current slot's
-     * context (the event will execute with currentSlot() unchanged).
+     * context (the event will execute in the same slot as the one
+     * scheduling it).
      * @pre when >= now()
      */
     void schedule(Cycles when, EventFn fn);
@@ -372,9 +364,6 @@ class EventQueue
      * Used by tests and as a runaway guard.
      */
     std::uint64_t run(std::uint64_t limit);
-
-    /** Events scheduled since construction. */
-    std::uint64_t eventsScheduled() const { return scheduled_; }
 
     /** Events executed since construction. */
     std::uint64_t eventsRun() const { return executed_; }
@@ -414,9 +403,8 @@ class EventQueue
 
     [[noreturn]] void pastPanic(Cycles when, Cycles now) const;
 
-    /** Parallel-mode accessors (defined in pdes.cc). */
+    /** Parallel-mode accessor (defined in pdes.cc). */
     Cycles parallelNow() const;
-    std::uint32_t parallelSlot() const;
 
     EventHeap heap_;
     Cycles now_ = 0;

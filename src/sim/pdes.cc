@@ -311,12 +311,4 @@ EventQueue::parallelNow() const
     return pdes_->parts_[tlsPartition].now;
 }
 
-std::uint32_t
-EventQueue::parallelSlot() const
-{
-    if (tlsPartition < 0)
-        return curSlot_;
-    return pdes_->parts_[tlsPartition].slot;
-}
-
 } // namespace swsm

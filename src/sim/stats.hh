@@ -13,6 +13,7 @@
 #define SWSM_SIM_STATS_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -59,13 +60,6 @@ class ShardedCounter
 
     void inc(std::uint64_t n = 1) { shards_[statShard()].v += n; }
 
-    void
-    reset()
-    {
-        for (Shard &s : shards_)
-            s.v = 0;
-    }
-
     std::uint64_t
     value() const
     {
@@ -97,15 +91,6 @@ class Accumulator
         max_ = std::max(max_, v);
     }
 
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
     double sum() const { return sum_; }
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
@@ -128,8 +113,14 @@ class Histogram
         : buckets(num_buckets, 0)
     {}
 
-    void sample(std::uint64_t v);
-    void reset();
+    /** Count @p v in bucket bit_width(v), clamped to the last. */
+    void
+    sample(std::uint64_t v)
+    {
+        ++buckets[std::min<unsigned>(std::bit_width(v),
+                                     buckets.size() - 1)];
+        ++total;
+    }
 
     std::uint64_t bucketCount(unsigned i) const { return buckets.at(i); }
     unsigned numBuckets() const { return buckets.size(); }

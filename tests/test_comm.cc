@@ -37,15 +37,7 @@ class MockSink : public HandlerSink
         handlers.push_back(Posted{ready, std::move(fn)});
     }
 
-    void
-    postData(Cycles delivered, DataFn fn) override
-    {
-        dataTimes.push_back(delivered);
-        fn(delivered);
-    }
-
     std::vector<Posted> handlers;
-    std::vector<Cycles> dataTimes;
 };
 
 /** Minimal NodeEnv for executing captured handlers in tests. */
@@ -117,11 +109,18 @@ TEST(MsgLayer, DataBypassesHandlers)
 {
     CommFixture f(CommParams::best());
     Cycles delivered = 0;
-    f.msg.sendData(0, 1, 64, 0, [&](Cycles t) { delivered = t; });
+    Cycles ran_at = 0;
+    f.msg.sendData(0, 1, 64, 0, [&](Cycles t) {
+        delivered = t;
+        ran_at = f.eq.now();
+    });
     f.eq.run();
+    // No handler is posted at either end; the callback runs in the
+    // delivery event itself, at the delivery time it is handed.
+    EXPECT_TRUE(f.sink0.handlers.empty());
     EXPECT_TRUE(f.sink1.handlers.empty());
-    ASSERT_EQ(f.sink1.dataTimes.size(), 1u);
-    EXPECT_EQ(f.sink1.dataTimes[0], delivered);
+    EXPECT_GT(delivered, 0u);
+    EXPECT_EQ(ran_at, delivered);
 }
 
 TEST(MsgLayer, InterruptModeChargesDispatchCost)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Fast-path correctness: the per-thread access TLB, the chunked diff
- * scan and the diff/apply loops it shares with the dense scan, plus
- * the property the whole overhaul hangs on — a simulation runs
- * bit-identically with the fast path on and off (same cycles, same
- * protocol and network counters), across protocols and geometries.
+ * Fast-path correctness: the per-thread access TLB and HLRC's diff
+ * and apply loops, plus the property the whole overhaul hangs on — a
+ * simulation runs bit-identically with the fast path on and off (same
+ * cycles, same protocol, network and data-path counters), across
+ * protocols and geometries.
  */
 
 #include <gtest/gtest.h>
@@ -102,86 +102,7 @@ TEST(FastPath, GlobalEntryCoversEverySlot)
     EXPECT_NE(fp.lookup(500 * 4096, 8, false), nullptr);
 }
 
-TEST(FastPath, DirtyBitsMarksExactChunkSpan)
-{
-    // 64-byte chunks (shift 6): a 4-byte write in chunk 2 marks only
-    // bit 2; a write straddling chunks 1..3 marks bits 1, 2 and 3.
-    EXPECT_EQ(FastPath::dirtyBits(130, 4, 6), std::uint64_t{1} << 2);
-    EXPECT_EQ(FastPath::dirtyBits(64, 129, 6), std::uint64_t{0b1110});
-    EXPECT_EQ(FastPath::dirtyBits(0, 1, 6), std::uint64_t{1});
-    // Whole-page write marks all 64 chunks.
-    EXPECT_EQ(FastPath::dirtyBits(0, 4096, 6), ~std::uint64_t{0});
-}
-
-TEST(FastPath, WritesThroughEntryFeedTheDirtyMask)
-{
-    FastPath fp;
-    fp.configure(12, false);
-    std::uint8_t page[4096] = {};
-    std::uint64_t mask = 0;
-    fp.install(0x1000, 0x2000, page, true, &mask, 6);
-    FastPath::Entry *e = fp.lookup(0x1000 + 200, 4, true);
-    ASSERT_NE(e, nullptr);
-    ASSERT_EQ(e->dirtyMask, &mask);
-    *e->dirtyMask |= FastPath::dirtyBits(200, 4, e->chunkShift);
-    EXPECT_EQ(mask, std::uint64_t{1} << 3);
-}
-
 // ------------------------------------------------------- Diff kernels
-
-TEST(DiffScan, ChunkedMatchesFullScanOnRandomPages)
-{
-    const std::uint32_t page_bytes = 4096;
-    const std::uint32_t shift = hlrcdiff::chunkShift(page_bytes);
-    ASSERT_EQ(shift, 6u);
-    std::vector<std::uint8_t> twin(page_bytes), cur(page_bytes);
-    std::uint64_t lcg = 88172645463325252ULL;
-    auto next = [&lcg] {
-        lcg ^= lcg << 13;
-        lcg ^= lcg >> 7;
-        lcg ^= lcg << 17;
-        return lcg;
-    };
-    for (int trial = 0; trial < 50; ++trial) {
-        for (auto &byte : twin)
-            byte = static_cast<std::uint8_t>(next());
-        cur = twin;
-        // Flip a few words; mark exactly the chunks they fall in.
-        std::uint64_t dirty = 0;
-        const int flips = static_cast<int>(next() % 20);
-        for (int f = 0; f < flips; ++f) {
-            const std::uint32_t off =
-                static_cast<std::uint32_t>(next() % (page_bytes / 4)) * 4;
-            cur[off] ^= 0xff;
-            dirty |= FastPath::dirtyBits(off, 4, shift);
-        }
-        hlrcdiff::DiffWords full, chunked;
-        hlrcdiff::scanFull(cur.data(), twin.data(), page_bytes, full);
-        hlrcdiff::scanChunks(cur.data(), twin.data(), page_bytes, shift,
-                             dirty, chunked);
-        EXPECT_EQ(full, chunked) << "trial " << trial;
-        EXPECT_TRUE(hlrcdiff::cleanChunksMatch(
-            cur.data(), twin.data(), page_bytes, shift, dirty));
-    }
-}
-
-TEST(DiffScan, SmallPageUsesMinimumChunk)
-{
-    // 256-byte page: shift clamps to 3 (8-byte chunks, 32 of them).
-    const std::uint32_t page_bytes = 256;
-    const std::uint32_t shift = hlrcdiff::chunkShift(page_bytes);
-    EXPECT_EQ(shift, 3u);
-    std::vector<std::uint8_t> twin(page_bytes, 0), cur(page_bytes, 0);
-    cur[page_bytes - 4] = 1;
-    hlrcdiff::DiffWords full, chunked;
-    hlrcdiff::scanFull(cur.data(), twin.data(), page_bytes, full);
-    hlrcdiff::scanChunks(cur.data(), twin.data(), page_bytes, shift,
-                         FastPath::dirtyBits(page_bytes - 4, 4, shift),
-                         chunked);
-    EXPECT_EQ(full, chunked);
-    ASSERT_EQ(full.size(), 1u);
-    EXPECT_EQ(full[0].first, (page_bytes - 4) / 4);
-}
 
 std::uint64_t
 xorshift(std::uint64_t &s)
@@ -211,8 +132,8 @@ naiveDiff(const std::uint8_t *cur, const std::uint8_t *twin,
 TEST(DiffKernels, DiffWordsMatchesNaive)
 {
     std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-    // Sizes: a single word, sub-chunk and chunk-sized spans, a ragged
-    // length and a whole page.
+    // Sizes: a single word, short spans, a ragged length and a whole
+    // page.
     for (std::uint32_t bytes : {4u, 28u, 32u, 64u, 100u, 4096u}) {
         std::vector<std::uint8_t> twin(bytes);
         for (std::uint32_t i = 0; i < bytes; ++i)
@@ -301,10 +222,9 @@ TEST(DiffKernels, HlrcRunReportsDataPathCounters)
 // ------------------------------------------------- On/off equivalence
 
 /**
- * One arm of the on/off comparison. The fast path's legitimate
- * differences are host telemetry: machine.fastpath_* and the
- * data-path loops' mem.simd_* (the chunk-skipping scan visits fewer
- * bytes than the full sweep).
+ * One arm of the on/off comparison. The fast path's only legitimate
+ * difference is its own telemetry, machine.fastpath_*; the data-path
+ * loops' mem.simd_* must match too (every diff scans its whole page).
  */
 RunResult
 runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
@@ -316,7 +236,7 @@ runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
     mp.pageBytes = page_bytes;
     mp.blockBytes = block_bytes;
     mp.fastPath = fast_path;
-    return runKernel(mp, kernel, {"machine.fastpath_", "mem.simd_"});
+    return runKernel(mp, kernel, {"machine.fastpath_"});
 }
 
 void
@@ -425,8 +345,9 @@ TEST(FastPathEquivalence, ScWithAccessCheckCostStaysEquivalent)
 TEST(FastPathDiff, SingleWordWritesProduceSingleWordDiffs)
 {
     // Across several lock epochs, each non-home write interval must
-    // diff exactly the words written — proving the dirty-chunk bitmap
-    // is cleared with the twin and never under- or over-reports.
+    // diff exactly the words written: the twin is made fresh at each
+    // write fault and dropped at each flush, so no epoch's write
+    // reappears in a later diff.
     MachineParams mp;
     mp.numProcs = 2;
     mp.protocol = ProtocolKind::Hlrc;

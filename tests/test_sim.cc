@@ -317,6 +317,13 @@ TEST(Stats, HistogramBucketsPowerOfTwo)
     EXPECT_EQ(h.bucketCount(0), 1u); // 0
     EXPECT_EQ(h.bucketCount(1), 1u); // 1
     EXPECT_EQ(h.bucketCount(2), 2u); // 2..3
+    // The top bucket holds [2^6, 2^7) and everything clamped above it.
+    EXPECT_EQ(h.bucketCount(7), 1u); // 100
+    h.sample(64);
+    h.sample(~std::uint64_t{0});
+    EXPECT_EQ(h.bucketCount(6), 0u);
+    EXPECT_EQ(h.bucketCount(7), 3u);
+    EXPECT_EQ(h.totalSamples(), 7u);
 }
 
 TEST(TimeBuckets, NamesAndProtoClassification)

@@ -3,16 +3,14 @@
 
 Everything must match except host-timing fields (hostSeconds), the
 process's peak RSS (peakRssMb), the worker counts (jobs, simThreads),
-the machine.fastpath_* effectiveness
-counters, the mem.simd_* data-path telemetry (with the fast path the
-chunked diff scan visits fewer bytes) and the parallel event kernel's
-sim.pdes_* bookkeeping (plus the pending-event high-water mark), which
-legitimately differ between runs of the same sweep (the fast path and
-the parallel kernel change how the simulation executes on the host,
-never what anything costs in the simulation). Used by CI to check that
-a parallel sweep (--jobs=N), a partitioned run (--sim-threads=N), a
-SWSM_FASTPATH=0 run or a --memo replay produces exactly the metrics of
-the serial/default one.
+the machine.fastpath_* effectiveness counters and the parallel event
+kernel's sim.pdes_* bookkeeping (plus the pending-event high-water
+mark), which legitimately differ between runs of the same sweep (the
+fast path and the parallel kernel change how the simulation executes
+on the host, never what anything costs in the simulation). Used by CI
+to check that a parallel sweep (--jobs=N), a partitioned run
+(--sim-threads=N), a SWSM_FASTPATH=0 run or a --memo replay produces
+exactly the metrics of the serial/default one.
 
 hostSeconds fields may be plain numbers, {"min": ..., "median": ...}
 objects from repeated measurements, or (schema 3) an object of named
@@ -44,7 +42,7 @@ IGNORED_KEYS = {
     "sim.max_pending_events",
 }
 
-IGNORED_PREFIXES = ("sim.pdes_", "mem.simd_")
+IGNORED_PREFIXES = ("sim.pdes_",)
 
 
 def ignored(key):
