@@ -1,6 +1,11 @@
 #include "fiber.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 
 #include "sim/log.hh"
 
@@ -111,6 +116,45 @@ namespace
 {
 thread_local Fiber *current_fiber = nullptr;
 
+std::size_t
+hostPageBytes()
+{
+    static const auto bytes =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return bytes;
+}
+
+std::size_t
+roundUpToPages(std::size_t bytes)
+{
+    const std::size_t page = hostPageBytes();
+    return (bytes + page - 1) & ~(page - 1);
+}
+
+/**
+ * Map @p bytes of stack (whole pages) above one PROT_NONE guard page
+ * and return the stack's lowest address. A mapping of its own, rather
+ * than heap memory, starts untouched: only the pages the fiber uses
+ * become resident, whatever earlier allocations left in the arena.
+ */
+char *
+mapStack(std::size_t bytes)
+{
+    const std::size_t guard = hostPageBytes();
+    void *map = mmap(nullptr, guard + bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED)
+        SWSM_FATAL("cannot map a %zu-byte fiber stack: %s", bytes,
+                   std::strerror(errno));
+    if (mprotect(map, guard, PROT_NONE) != 0) {
+        const int err = errno;
+        munmap(map, guard + bytes);
+        SWSM_FATAL("cannot protect a fiber stack's guard page: %s",
+                   std::strerror(err));
+    }
+    return static_cast<char *>(map) + guard;
+}
+
 inline void *
 tsanCreateFiber()
 {
@@ -187,8 +231,8 @@ asanFinishSwitch(void *fake_stack_save, const void **bottom_old,
 } // namespace
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : body(std::move(body)), stack(new char[stack_bytes]),
-      stackBytes(stack_bytes)
+    : body(std::move(body)), stackBytes(roundUpToPages(stack_bytes)),
+      stack(mapStack(stackBytes))
 {
 #if defined(__x86_64__)
     // The frame swsm_fiber_switch pops, lowest address first: MXCSR and
@@ -197,7 +241,7 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
     // swsm_fiber_entry enters Fiber::entry as the ABI requires. The
     // fiber starts with its creator's floating-point control state.
     const auto top =
-        reinterpret_cast<std::uintptr_t>(stack.get() + stack_bytes) &
+        reinterpret_cast<std::uintptr_t>(stack + stackBytes) &
         ~std::uintptr_t{15};
     auto *frame = reinterpret_cast<std::uint64_t *>(top) - 8;
     std::uint32_t mxcsr;
@@ -213,8 +257,8 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
 #else
     if (getcontext(&context) != 0)
         SWSM_PANIC("getcontext failed");
-    context.uc_stack.ss_sp = stack.get();
-    context.uc_stack.ss_size = stack_bytes;
+    context.uc_stack.ss_sp = stack;
+    context.uc_stack.ss_size = stackBytes;
     context.uc_link = nullptr;
 
     // makecontext only passes int-sized arguments portably; split the
@@ -233,6 +277,7 @@ Fiber::~Fiber()
     if (running_)
         SWSM_PANIC("destroying a running fiber");
     tsanDestroyFiber(tsanFiber);
+    munmap(stack - hostPageBytes(), hostPageBytes() + stackBytes);
 }
 
 void
@@ -288,7 +333,7 @@ Fiber::resume()
     running_ = true;
     tsanReturnFiber = tsanCurrentFiber();
     void *fake_stack = nullptr;
-    asanStartSwitch(&fake_stack, stack.get(), stackBytes);
+    asanStartSwitch(&fake_stack, stack, stackBytes);
     tsanSwitchTo(tsanFiber);
     switchContext(returnContext, context);
     asanFinishSwitch(fake_stack, nullptr, nullptr);

@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #if !defined(__x86_64__)
 #include <ucontext.h>
 #endif
@@ -46,7 +45,12 @@ class Fiber
 
     /**
      * @param body function executed on the fiber
-     * @param stack_bytes fiber stack size (default 256 KiB)
+     * @param stack_bytes fiber stack size (default 256 KiB), rounded up
+     *        to whole pages. The stack is its own mapping with a
+     *        PROT_NONE guard page below it, so an overflow faults
+     *        instead of corrupting the heap, and the pages it touched
+     *        return to the system when the fiber is destroyed. Failing
+     *        to map it is fatal.
      */
     explicit Fiber(Body body, std::size_t stack_bytes = 256 * 1024);
     ~Fiber();
@@ -92,8 +96,9 @@ class Fiber
     void run();
 
     Body body;
-    std::unique_ptr<char[]> stack;
     std::size_t stackBytes;
+    /** Usable stack, [stack, stack + stackBytes), above the guard page. */
+    char *stack;
     /** This fiber's saved context while it is suspended. */
     Context context{};
     /** The resumer's saved context while this fiber runs. */

@@ -87,17 +87,6 @@ Node::start(std::function<void()> body)
 }
 
 void
-Node::charge(Cycles cycles, TimeBucket bucket)
-{
-    clock += cycles;
-    buckets[static_cast<int>(bucket)] += cycles;
-    if (!inDrain && state == State::Running &&
-        clock - lastYield >= quantum) {
-        quantumYield();
-    }
-}
-
-void
 Node::sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn fn,
                   TimeBucket bucket)
 {
@@ -124,15 +113,6 @@ void
 Node::invalidateCacheRange(GlobalAddr addr, std::uint64_t bytes)
 {
     cacheModel.invalidateRange(addr, bytes);
-}
-
-void
-Node::chargeSharedAccess(GlobalAddr addr, bool write)
-{
-    const Cycles stall = cacheModel.access(addr, write);
-    charge(1, TimeBucket::Busy);
-    if (stall)
-        charge(stall, TimeBucket::StallLocal);
 }
 
 void

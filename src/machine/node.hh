@@ -38,8 +38,13 @@
 namespace swsm
 {
 
-/** A uniprocessor cluster node (processor + caches + handler queue). */
-class Node : public ProcEnv, public HandlerSink
+/**
+ * A uniprocessor cluster node (processor + caches + handler queue).
+ * Final, so that a call through a Node reference binds statically:
+ * Thread's fast-path hit makes no virtual call and can inline charge()
+ * and chargeSharedAccess().
+ */
+class Node final : public ProcEnv, public HandlerSink
 {
   public:
     /**
@@ -59,7 +64,18 @@ class Node : public ProcEnv, public HandlerSink
     // NodeEnv / ProcEnv interface (application fiber context)
     NodeId node() const override { return id; }
     Cycles now() const override { return clock; }
-    void charge(Cycles cycles, TimeBucket bucket) override;
+
+    void
+    charge(Cycles cycles, TimeBucket bucket) override
+    {
+        clock += cycles;
+        buckets[static_cast<int>(bucket)] += cycles;
+        if (!inDrain && state == State::Running &&
+            clock - lastYield >= quantum) {
+            quantumYield();
+        }
+    }
+
     void sendRequest(NodeId dst, std::uint32_t payload_bytes,
                      HandlerFn fn, TimeBucket bucket) override;
     void sendData(NodeId dst, std::uint32_t payload_bytes, DataFn fn,
@@ -68,7 +84,16 @@ class Node : public ProcEnv, public HandlerSink
                           TimeBucket bucket) override;
     void invalidateCacheRange(GlobalAddr addr,
                               std::uint64_t bytes) override;
-    void chargeSharedAccess(GlobalAddr addr, bool write) override;
+
+    void
+    chargeSharedAccess(GlobalAddr addr, bool write) override
+    {
+        const Cycles stall = cacheModel.access(addr, write);
+        charge(1, TimeBucket::Busy);
+        if (stall)
+            charge(stall, TimeBucket::StallLocal);
+    }
+
     void block(TimeBucket wait_kind) override;
     void unblock(Cycles t) override;
 

@@ -1,5 +1,8 @@
 #include "cache_model.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/log.hh"
 
 namespace swsm
@@ -18,94 +21,56 @@ isPow2(std::uint32_t v)
 
 void
 CacheModel::Level::init(std::uint32_t bytes, std::uint32_t assoc_,
-                        std::uint32_t line_bytes)
+                        unsigned line_shift)
 {
+    // The set count, lines / assoc rounded down, must be a power of
+    // two: look for it among the powers of two, which also rejects an
+    // associativity of 0 instead of dividing by it.
+    const std::uint64_t lines = std::uint64_t{bytes} >> line_shift;
     assoc = assoc_;
-    numSets = bytes / (line_bytes * assoc_);
-    if (numSets == 0 || !isPow2(numSets))
+    numSets = 0;
+    for (std::uint64_t sets = 1; sets <= lines; sets <<= 1) {
+        if (sets * assoc <= lines && lines < (sets + 1) * assoc)
+            numSets = static_cast<std::uint32_t>(sets);
+    }
+    if (numSets == 0)
         SWSM_FATAL("cache level needs a power-of-two number of sets");
     tags.assign(static_cast<std::size_t>(numSets) * assoc, 0);
-    stamps.assign(static_cast<std::size_t>(numSets) * assoc, 0);
-}
-
-bool
-CacheModel::Level::lookupInsert(std::uint64_t line, std::uint64_t stamp)
-{
-    const std::uint64_t tag = line + 1;
-    const std::size_t base =
-        static_cast<std::size_t>(line & (numSets - 1)) * assoc;
-    std::size_t victim = base;
-    for (std::size_t way = base; way < base + assoc; ++way) {
-        if (tags[way] == tag) {
-            stamps[way] = stamp;
-            return true;
-        }
-        if (stamps[way] < stamps[victim])
-            victim = way;
-    }
-    tags[victim] = tag;
-    stamps[victim] = stamp;
-    return false;
 }
 
 void
 CacheModel::Level::invalidate(std::uint64_t line)
 {
-    const std::uint64_t tag = line + 1;
-    const std::size_t base =
-        static_cast<std::size_t>(line & (numSets - 1)) * assoc;
-    for (std::size_t way = base; way < base + assoc; ++way) {
-        if (tags[way] == tag) {
-            tags[way] = 0;
-            stamps[way] = 0;
-        }
-    }
+    std::uint64_t *set =
+        &tags[static_cast<std::size_t>(line & (numSets - 1)) * assoc];
+    std::uint64_t *end = set + assoc;
+    std::uint64_t *way = std::find(set, end, line + 1);
+    if (way == end)
+        return;
+    std::copy(way + 1, end, way);
+    end[-1] = 0;
 }
 
-void
-CacheModel::Level::clear()
-{
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(stamps.begin(), stamps.end(), 0);
-}
-
-CacheModel::CacheModel(const MemoryParams &params) : params(params)
+CacheModel::CacheModel(const MemoryParams &params)
+    : l2HitCycles(params.l2HitCycles), memCycles(params.memCycles)
 {
     if (!isPow2(params.lineBytes))
         SWSM_FATAL("cache line size must be a power of two");
-    l1.init(params.l1Bytes, params.l1Assoc, params.lineBytes);
-    l2.init(params.l2Bytes, params.l2Assoc, params.lineBytes);
-}
-
-Cycles
-CacheModel::access(GlobalAddr addr, bool write)
-{
-    (void)write; // Allocate-on-write; no extra write penalty modeled.
-    const std::uint64_t line = addr / params.lineBytes;
-    ++stamp;
-    if (l1.lookupInsert(line, stamp)) {
-        l1Hits_.inc();
-        return 0;
-    }
-    l1Misses_.inc();
-    if (l2.lookupInsert(line, stamp)) {
-        l2Hits_.inc();
-        return params.l2HitCycles;
-    }
-    l2Misses_.inc();
-    return params.memCycles;
+    lineShift = static_cast<unsigned>(std::countr_zero(params.lineBytes));
+    l1.init(params.l1Bytes, params.l1Assoc, lineShift);
+    l2.init(params.l2Bytes, params.l2Assoc, lineShift);
 }
 
 Cycles
 CacheModel::accessRange(GlobalAddr addr, std::uint64_t bytes, bool write)
 {
+    (void)write;
     if (bytes == 0)
         return 0;
     Cycles total = 0;
-    const std::uint64_t first = addr / params.lineBytes;
-    const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
-    for (std::uint64_t line = first; line <= last; ++line)
-        total += access(line * params.lineBytes, write);
+    const std::uint64_t last = (addr + bytes - 1) >> lineShift;
+    for (std::uint64_t line = addr >> lineShift; line <= last; ++line)
+        total += accessLine(line);
     return total;
 }
 
@@ -114,19 +79,11 @@ CacheModel::invalidateRange(GlobalAddr addr, std::uint64_t bytes)
 {
     if (bytes == 0)
         return;
-    const std::uint64_t first = addr / params.lineBytes;
-    const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
-    for (std::uint64_t line = first; line <= last; ++line) {
+    const std::uint64_t last = (addr + bytes - 1) >> lineShift;
+    for (std::uint64_t line = addr >> lineShift; line <= last; ++line) {
         l1.invalidate(line);
         l2.invalidate(line);
     }
-}
-
-void
-CacheModel::reset()
-{
-    l1.clear();
-    l2.clear();
 }
 
 } // namespace swsm

@@ -36,7 +36,12 @@ class CacheModel
      * Simulate one reference to @p addr.
      * @return stall cycles beyond the issue cycle (0 on an L1 hit).
      */
-    Cycles access(GlobalAddr addr, bool write);
+    Cycles
+    access(GlobalAddr addr, bool write)
+    {
+        (void)write; // Allocate-on-write; no extra write penalty modeled.
+        return accessLine(addr >> lineShift);
+    }
 
     /**
      * Simulate a sequential walk over [addr, addr+bytes), one reference
@@ -51,37 +56,86 @@ class CacheModel
      */
     void invalidateRange(GlobalAddr addr, std::uint64_t bytes);
 
-    /** Drop all cached lines (used between timed phases by the harness). */
-    void reset();
-
     const Counter &l1Hits() const { return l1Hits_; }
     const Counter &l1Misses() const { return l1Misses_; }
     const Counter &l2Hits() const { return l2Hits_; }
     const Counter &l2Misses() const { return l2Misses_; }
 
   private:
-    /** One tag array level. */
+    /**
+     * One tag array level. A set lists its ways' tags most recent
+     * first, so the last way is the LRU one and empty ways (tag 0) sit
+     * at the back. This keeps the same lines and evicts the same
+     * victims as an LRU that records each way's time of last use
+     * (tests/test_mem.cc keeps one as a reference): that LRU evicts an
+     * empty way before any full one, and which empty way it picks
+     * decides only where a line sits, not which lines stay.
+     */
     struct Level
     {
         std::uint32_t numSets = 0;
         std::uint32_t assoc = 0;
         /** tags[set * assoc + way]; 0 means empty (tags are line+1). */
         std::vector<std::uint64_t> tags;
-        /** LRU stamps parallel to tags. */
-        std::vector<std::uint64_t> stamps;
 
         void init(std::uint32_t bytes, std::uint32_t assoc_,
-                  std::uint32_t line_bytes);
-        /** @return true on hit; inserts on miss. */
-        bool lookupInsert(std::uint64_t line, std::uint64_t stamp);
+                  unsigned line_shift);
+
+        /**
+         * Make @p line the set's most recent: put its tag in way 0 and
+         * shift the ways in front of it down one. On a miss the shift
+         * runs off the end and evicts the last (LRU) way; a repeated
+         * hit is one compare at way 0.
+         * @return true on hit.
+         */
+        bool
+        lookupInsert(std::uint64_t line)
+        {
+            const std::uint64_t tag = line + 1;
+            std::uint64_t *set =
+                &tags[static_cast<std::size_t>(line & (numSets - 1)) *
+                      assoc];
+            if (set[0] == tag)
+                return true;
+            std::uint64_t carry = set[0];
+            set[0] = tag;
+            for (std::uint32_t way = 1; way < assoc; ++way) {
+                const std::uint64_t held = set[way];
+                set[way] = carry;
+                if (held == tag)
+                    return true;
+                carry = held;
+            }
+            return false;
+        }
+
+        /** Drop @p line, closing the gap and emptying the last way. */
         void invalidate(std::uint64_t line);
-        void clear();
     };
 
-    MemoryParams params;
+    /** Reference line @p line (an address >> lineShift). */
+    Cycles
+    accessLine(std::uint64_t line)
+    {
+        if (l1.lookupInsert(line)) {
+            l1Hits_.inc();
+            return 0;
+        }
+        l1Misses_.inc();
+        if (l2.lookupInsert(line)) {
+            l2Hits_.inc();
+            return l2HitCycles;
+        }
+        l2Misses_.inc();
+        return memCycles;
+    }
+
     Level l1;
     Level l2;
-    std::uint64_t stamp = 0;
+    /** log2 of the line size. */
+    unsigned lineShift = 0;
+    Cycles l2HitCycles;
+    Cycles memCycles;
 
     Counter l1Hits_;
     Counter l1Misses_;

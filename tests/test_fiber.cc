@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fiber/fiber.hh"
+#include "sim/log.hh"
 
 namespace swsm
 {
@@ -102,6 +103,35 @@ TEST(Fiber, DeepStackUsage)
     Fiber f([&] { result = rec(200); });
     f.resume();
     EXPECT_EQ(result, 200);
+}
+
+/** Recurse @p depth frames deep, each holding 256 live bytes. */
+[[gnu::noinline]] int
+burnStack(int depth)
+{
+    volatile char pad[256];
+    pad[0] = static_cast<char>(depth);
+    return depth == 0 ? pad[0] : burnStack(depth - 1) + pad[0];
+}
+
+TEST(Fiber, StackOverflowFaultsOnGuardPage)
+{
+    // 4096 frames of over 256 bytes do not fit in 64 KiB: the fiber
+    // must run into the guard page below its stack and fault, rather
+    // than write over whatever memory lies beneath it.
+    EXPECT_DEATH(
+        {
+            Fiber f([] { burnStack(4096); }, 64 * 1024);
+            f.resume();
+        },
+        "");
+}
+
+TEST(Fiber, UnmappableStackIsFatal)
+{
+    // 4 EiB is beyond any x86-64 or AArch64 address space, so mmap
+    // fails at once without reserving anything.
+    EXPECT_THROW(Fiber([] {}, std::size_t{1} << 62), FatalError);
 }
 
 TEST(Fiber, ResumeFinishedPanics)
