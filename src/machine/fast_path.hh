@@ -2,17 +2,16 @@
  * @file
  * Per-node software TLB for the simulation data path.
  *
- * Every shared access an application makes normally goes through a
- * virtual Protocol::read/write with a page-table lookup before any
- * cycle is charged. Following the Wisconsin Wind Tunnel / Shasta
- * split, the FastPath caches the *resolved* outcome of that lookup —
- * "this address range is directly accessible at these host bytes" —
- * so the common hit case is handled inline by Thread without virtual
- * dispatch. Only host-side lookup work is elided: the latency recipe
- * (chargeSharedAccess, or the bulk Busy + cache-range charges) is
- * invoked exactly as the slow path would, in the same order, so
- * simulated time and all protocol counters are bit-identical with the
- * fast path on or off (tests/test_fastpath.cc enforces this).
+ * Every shared access an application makes otherwise goes through a
+ * virtual Protocol::load/store with a page-table lookup. Following the
+ * Wisconsin Wind Tunnel / Shasta split, the FastPath caches the
+ * *resolved* outcome of that lookup — "this address range is directly
+ * accessible at these host bytes" — so the common hit case is copied
+ * inline by Thread without virtual dispatch. Only host-side lookup
+ * work is elided: Thread charges every reference itself, after the
+ * copy, whichever way the bytes moved, so simulated time and all
+ * protocol counters are bit-identical with the fast path on or off
+ * (tests/test_fastpath.cc enforces this).
  *
  * The table is direct-mapped over the protocol's coherence-unit index
  * (page for HLRC/Ideal, block for SC). Protocols install entries on
@@ -59,19 +58,13 @@ class FastPath
     /**
      * Bind the table to a protocol's geometry.
      * @param index_shift log2 of the coherence unit (slot index bits)
-     * @param copy_first  true if the protocol's slow path copies bytes
-     *        before charging (SC, Ideal); false if it charges first
-     *        (HLRC). Thread replicates the order exactly.
      */
     void
-    configure(std::uint32_t index_shift, bool copy_first)
+    configure(std::uint32_t index_shift)
     {
         indexShift_ = index_shift;
-        copyFirst_ = copy_first;
         invalidateAll();
     }
-
-    bool copyFirst() const { return copyFirst_; }
 
     /**
      * Resolve an access of @p bytes at @p addr. Returns the covering
@@ -178,7 +171,6 @@ class FastPath
 
     std::array<Entry, numSlots> slots_{};
     std::uint32_t indexShift_ = 12;
-    bool copyFirst_ = false;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t installs_ = 0;

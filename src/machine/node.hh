@@ -41,8 +41,8 @@ namespace swsm
 /**
  * A uniprocessor cluster node (processor + caches + handler queue).
  * Final, so that a call through a Node reference binds statically:
- * Thread's fast-path hit makes no virtual call and can inline charge()
- * and chargeSharedAccess().
+ * Thread's fast-path hit makes no virtual call and can inline
+ * fastPath(), charge() and chargeSharedAccess().
  */
 class Node final : public ProcEnv, public HandlerSink
 {
@@ -85,8 +85,13 @@ class Node final : public ProcEnv, public HandlerSink
     void invalidateCacheRange(GlobalAddr addr,
                               std::uint64_t bytes) override;
 
+    /**
+     * Charge one shared memory reference at @p addr: the 1-IPC issue
+     * cycle (Busy) plus any local cache stall (StallLocal). Only Thread
+     * charges references; no protocol does.
+     */
     void
-    chargeSharedAccess(GlobalAddr addr, bool write) override
+    chargeSharedAccess(GlobalAddr addr, bool write)
     {
         const Cycles stall = cacheModel.access(addr, write);
         charge(1, TimeBucket::Busy);
@@ -122,10 +127,12 @@ class Node final : public ProcEnv, public HandlerSink
     CacheModel &cache() { return cacheModel; }
     Rng &rng() { return rng_; }
 
-    /** Access fast path, or null when disabled (ProcEnv interface). */
-    FastPath *fastPath() override { return fastPathPtr(); }
-    /** Non-virtual form for Thread's inline hit check. */
-    FastPath *fastPathPtr()
+    /**
+     * Access fast path, or null when disabled (ProcEnv interface; a
+     * call through a Node binds statically).
+     */
+    FastPath *
+    fastPath() override
     {
         return fastPathEnabled ? &fastPath_ : nullptr;
     }

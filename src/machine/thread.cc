@@ -19,6 +19,14 @@ Thread::compute(Cycles cycles)
 }
 
 void
+Thread::straddles(GlobalAddr addr, std::uint32_t bytes)
+{
+    SWSM_FATAL("the %u-byte reference at %#llx crosses a coherence-unit "
+               "boundary; use readBytes/writeBytes for such extents",
+               bytes, static_cast<unsigned long long>(addr));
+}
+
+void
 Thread::unallocated(const char *what, int id, int count)
 {
     SWSM_FATAL("%s %d was never allocated (the cluster has %d)", what, id,

@@ -43,11 +43,13 @@ class Thread
     Cycles now() const { return node_.now(); }
 
     /**
-     * Timed shared read of a trivially copyable value. Values up to a
-     * power-of-two size 8 use the single-reference fast path; larger
-     * or odd-sized types go through the bulk path. A fast-path TLB hit
-     * resolves the access inline — no virtual dispatch, no page-table
-     * lookup — while charging exactly what the protocol would.
+     * Timed shared read of a trivially copyable value. A value up to a
+     * power-of-two size 8 is one reference: copied through the fast
+     * path's entry if it maps the whole value (inline, no virtual
+     * dispatch), else through Protocol::load, then charged once. A
+     * reference must not straddle a coherence unit (page, or SC
+     * block): that is fatal; use readBytes. Larger or odd-sized types
+     * go through readBytes.
      */
     template <typename T>
     T
@@ -55,26 +57,12 @@ class Thread
     {
         static_assert(std::is_trivially_copyable_v<T>);
         T v;
-        if constexpr (sizeof(T) <= 8 &&
-                      (sizeof(T) & (sizeof(T) - 1)) == 0) {
-            if (FastPath *fp = node_.fastPathPtr()) {
-                if (FastPath::Entry *e =
-                        fp->lookup(addr, sizeof(T), false)) {
-                    // Capture the resolved pointer before charging: a
-                    // charge can quantum-yield into handlers, and the
-                    // backing buffers outlive any entry eviction.
-                    const std::uint8_t *p = e->data + (addr - e->base);
-                    if (fp->copyFirst()) {
-                        std::memcpy(&v, p, sizeof(T));
-                        node_.chargeSharedAccess(addr, false);
-                    } else {
-                        node_.chargeSharedAccess(addr, false);
-                        std::memcpy(&v, p, sizeof(T));
-                    }
-                    return v;
-                }
-            }
-            protocol_.read(node_, addr, &v, sizeof(T));
+        if constexpr (isReference<T>) {
+            if (FastPath::Entry *e = entry(addr, sizeof(T), false))
+                std::memcpy(&v, e->data + (addr - e->base), sizeof(T));
+            else
+                v = loadReference<T>(addr);
+            node_.chargeSharedAccess(addr, false);
         } else {
             readBytes(addr, &v, sizeof(T));
         }
@@ -87,68 +75,43 @@ class Thread
     put(GlobalAddr addr, const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        if constexpr (sizeof(T) <= 8 &&
-                      (sizeof(T) & (sizeof(T) - 1)) == 0) {
-            if (FastPath *fp = node_.fastPathPtr()) {
-                if (FastPath::Entry *e =
-                        fp->lookup(addr, sizeof(T), true)) {
-                    std::uint8_t *p = e->data + (addr - e->base);
-                    if (fp->copyFirst()) {
-                        std::memcpy(p, &v, sizeof(T));
-                        node_.chargeSharedAccess(addr, true);
-                    } else {
-                        node_.chargeSharedAccess(addr, true);
-                        std::memcpy(p, &v, sizeof(T));
-                    }
-                    return;
-                }
-            }
-            protocol_.write(node_, addr, &v, sizeof(T));
+        if constexpr (isReference<T>) {
+            if (FastPath::Entry *e = entry(addr, sizeof(T), true))
+                std::memcpy(e->data + (addr - e->base), &v, sizeof(T));
+            else
+                storeReference<T>(addr, v);
+            node_.chargeSharedAccess(addr, true);
         } else {
             writeBytes(addr, &v, sizeof(T));
         }
     }
 
     /**
-     * Timed bulk read of an arbitrary extent. Whole in-page (or
-     * in-block) runs resolve through one fast-path check each, with
-     * the same per-chunk charge sequence as the protocol's range loop;
-     * the first miss hands the remainder to the protocol, whose loop
-     * chunks at the same boundaries.
+     * Timed bulk read of an arbitrary extent, one coherence unit at a
+     * time: each unit is copied, then charged one Busy cycle per word
+     * plus its cache walk. Units resolve through the fast path until
+     * the first miss; that unit and every later one go to
+     * Protocol::load without a lookup.
      */
     void
     readBytes(GlobalAddr addr, void *dst, std::uint64_t bytes)
     {
         auto *out = static_cast<std::uint8_t *>(dst);
-        std::uint64_t done = 0;
-        if (FastPath *fp = node_.fastPathPtr()) {
-            while (done < bytes) {
-                const GlobalAddr a = addr + done;
-                FastPath::Entry *e = fp->lookup(a, 1, false);
-                if (!e)
-                    break;
-                const std::uint64_t chunk =
-                    std::min<std::uint64_t>(bytes - done, e->limit - a);
-                const std::uint8_t *p = e->data + (a - e->base);
-                if (fp->copyFirst()) {
-                    std::memcpy(out + done, p, chunk);
-                    node_.charge((chunk + wordBytes - 1) / wordBytes,
-                                 TimeBucket::Busy);
-                    node_.chargeCacheRange(a, chunk, false,
-                                           TimeBucket::StallLocal);
-                } else {
-                    node_.charge((chunk + wordBytes - 1) / wordBytes,
-                                 TimeBucket::Busy);
-                    node_.chargeCacheRange(a, chunk, false,
-                                           TimeBucket::StallLocal);
-                    std::memcpy(out + done, p, chunk);
-                }
-                done += chunk;
+        bool lookup = true;
+        for (std::uint64_t done = 0; done < bytes;) {
+            const GlobalAddr a = addr + done;
+            std::uint64_t chunk;
+            FastPath::Entry *e = lookup ? entry(a, 1, false) : nullptr;
+            if (e) {
+                chunk = std::min<std::uint64_t>(bytes - done, e->limit - a);
+                std::memcpy(out + done, e->data + (a - e->base), chunk);
+            } else {
+                lookup = false;
+                chunk = protocol_.load(node_, a, out + done, bytes - done);
             }
+            chargeRange(a, chunk, false);
+            done += chunk;
         }
-        if (done < bytes)
-            protocol_.readRange(node_, addr + done, out + done,
-                                bytes - done);
     }
 
     /** Timed bulk write of an arbitrary extent; see readBytes(). */
@@ -156,35 +119,21 @@ class Thread
     writeBytes(GlobalAddr addr, const void *src, std::uint64_t bytes)
     {
         const auto *in = static_cast<const std::uint8_t *>(src);
-        std::uint64_t done = 0;
-        if (FastPath *fp = node_.fastPathPtr()) {
-            while (done < bytes) {
-                const GlobalAddr a = addr + done;
-                FastPath::Entry *e = fp->lookup(a, 1, true);
-                if (!e)
-                    break;
-                const std::uint64_t chunk =
-                    std::min<std::uint64_t>(bytes - done, e->limit - a);
-                std::uint8_t *p = e->data + (a - e->base);
-                if (fp->copyFirst()) {
-                    std::memcpy(p, in + done, chunk);
-                    node_.charge((chunk + wordBytes - 1) / wordBytes,
-                                 TimeBucket::Busy);
-                    node_.chargeCacheRange(a, chunk, true,
-                                           TimeBucket::StallLocal);
-                } else {
-                    node_.charge((chunk + wordBytes - 1) / wordBytes,
-                                 TimeBucket::Busy);
-                    node_.chargeCacheRange(a, chunk, true,
-                                           TimeBucket::StallLocal);
-                    std::memcpy(p, in + done, chunk);
-                }
-                done += chunk;
+        bool lookup = true;
+        for (std::uint64_t done = 0; done < bytes;) {
+            const GlobalAddr a = addr + done;
+            std::uint64_t chunk;
+            FastPath::Entry *e = lookup ? entry(a, 1, true) : nullptr;
+            if (e) {
+                chunk = std::min<std::uint64_t>(bytes - done, e->limit - a);
+                std::memcpy(e->data + (a - e->base), in + done, chunk);
+            } else {
+                lookup = false;
+                chunk = protocol_.store(node_, a, in + done, bytes - done);
             }
+            chargeRange(a, chunk, true);
+            done += chunk;
         }
-        if (done < bytes)
-            protocol_.writeRange(node_, addr + done, in + done,
-                                 bytes - done);
     }
 
     /**
@@ -224,6 +173,56 @@ class Thread
     Rng &rng() { return node_.rng(); }
 
   private:
+    /** One reference: a power-of-two size up to 8 bytes. */
+    template <typename T>
+    static constexpr bool isReference =
+        sizeof(T) <= 8 && (sizeof(T) & (sizeof(T) - 1)) == 0;
+
+    /** The fast-path entry mapping [addr, addr + bytes), if any. */
+    FastPath::Entry *
+    entry(GlobalAddr addr, std::uint32_t bytes, bool write)
+    {
+        FastPath *fp = node_.fastPath();
+        return fp ? fp->lookup(addr, bytes, write) : nullptr;
+    }
+
+    /** Charge @p bytes moved at @p addr: a Busy cycle per word, plus
+     *  the cache walk. */
+    void
+    chargeRange(GlobalAddr addr, std::uint64_t bytes, bool write)
+    {
+        node_.charge((bytes + wordBytes - 1) / wordBytes, TimeBucket::Busy);
+        node_.chargeCacheRange(addr, bytes, write, TimeBucket::StallLocal);
+    }
+
+    /**
+     * Load one reference through the protocol; a short count means it
+     * straddles a unit. The value has a local of its own, so that only
+     * this slow path takes its address and a hit keeps it in a register.
+     */
+    template <typename T>
+    T
+    loadReference(GlobalAddr addr)
+    {
+        T v;
+        if (protocol_.load(node_, addr, &v, sizeof(T)) != sizeof(T))
+            straddles(addr, sizeof(T));
+        return v;
+    }
+
+    /** Store one reference through the protocol; see loadReference(). */
+    template <typename T>
+    void
+    storeReference(GlobalAddr addr, T v)
+    {
+        if (protocol_.store(node_, addr, &v, sizeof(T)) != sizeof(T))
+            straddles(addr, sizeof(T));
+    }
+
+    /** Throw FatalError for a reference that crosses a unit boundary. */
+    [[noreturn]] static void straddles(GlobalAddr addr,
+                                       std::uint32_t bytes);
+
     /** Throw FatalError unless @p id is in [0, @p count). */
     static void
     checkAllocated(const char *what, int id, int count)

@@ -29,12 +29,11 @@ HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
     for (auto &ns : nodes)
         ns.vc.assign(numNodes, 0);
 
-    // Page-indexed fast paths; HLRC pre-charges the access before
-    // touching data (charge-first), which is safe because page-state
-    // downgrades only ever happen on the app fiber itself.
+    // Page-indexed fast paths. Page-state downgrades (and so every
+    // invalidation) happen only on the app fiber itself.
     for (ProcEnv *pe : this->procs) {
         if (FastPath *f = pe->fastPath())
-            f->configure(std::countr_zero(pageBytes), false);
+            f->configure(std::countr_zero(pageBytes));
     }
 }
 
@@ -144,24 +143,6 @@ HlrcProtocol::chargeProtect(NodeEnv &env, std::uint64_t num_pages)
                TimeBucket::ProtoProtect);
 }
 
-void
-HlrcProtocol::sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                      HandlerFn fn, TimeBucket bucket)
-{
-    stats_.protoMsgs.inc();
-    stats_.protoBytes.inc(bytes);
-    env.sendRequest(dst, bytes, std::move(fn), bucket);
-}
-
-void
-HlrcProtocol::sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                      DataFn fn, TimeBucket bucket)
-{
-    stats_.protoMsgs.inc();
-    stats_.protoBytes.inc(bytes);
-    env.sendData(dst, bytes, std::move(fn), bucket);
-}
-
 // ---------------------------------------------------------------------
 // Data access
 // ---------------------------------------------------------------------
@@ -264,36 +245,42 @@ HlrcProtocol::enableWrite(ProcEnv &env, PageId p, PageCopy &pc)
     nodeState(n).dirtyPages.push_back(p);
 }
 
-void
-HlrcProtocol::read(ProcEnv &env, GlobalAddr addr, void *out,
-                   std::uint32_t bytes)
+std::uint64_t
+HlrcProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
+                   std::uint64_t bytes)
 {
     const PageId p = space.pageOf(addr);
     const NodeId n = env.node();
-    if (space.pageHome(p) == n) {
-        env.chargeSharedAccess(addr, false);
-        std::memcpy(out, space.homeBytes(addr), bytes);
-        installFastHome(n, p,
-                        pageCopy(n, p).state == PState::ReadWrite);
-        return;
-    }
+    const GlobalAddr base = space.pageBase(p);
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(bytes, base + pageBytes - addr);
     PageCopy &pc = pageCopy(n, p);
-    if (pc.state == PState::Invalid) {
-        stats_.readFaults.inc();
-        fetchPage(env, p);
+    const std::uint8_t *src;
+    if (space.pageHome(p) == n) {
+        src = space.homeBytes(addr);
+        installFastHome(n, p, pc.state == PState::ReadWrite);
+    } else {
+        if (pc.state == PState::Invalid) {
+            stats_.readFaults.inc();
+            fetchPage(env, p);
+        }
+        src = pc.data.data() + (addr - base);
+        installFast(n, p, pc);
     }
-    env.chargeSharedAccess(addr, false);
-    std::memcpy(out, pc.data.data() + (addr - space.pageBase(p)), bytes);
-    installFast(n, p, pc);
+    std::memcpy(out, src, chunk);
+    return chunk;
 }
 
-void
-HlrcProtocol::write(ProcEnv &env, GlobalAddr addr, const void *in,
-                    std::uint32_t bytes)
+std::uint64_t
+HlrcProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
+                    std::uint64_t bytes)
 {
     const PageId p = space.pageOf(addr);
     const NodeId n = env.node();
     const bool is_home = space.pageHome(p) == n;
+    const GlobalAddr base = space.pageBase(p);
+    const std::uint64_t chunk =
+        std::min<std::uint64_t>(bytes, base + pageBytes - addr);
     PageCopy &pc = pageCopy(n, p);
     if (!is_home && pc.state == PState::Invalid) {
         stats_.readFaults.inc();
@@ -301,84 +288,14 @@ HlrcProtocol::write(ProcEnv &env, GlobalAddr addr, const void *in,
     }
     if (pc.state != PState::ReadWrite)
         enableWrite(env, p, pc);
-    env.chargeSharedAccess(addr, true);
-    std::uint8_t *dst = is_home
-        ? space.homeBytes(addr)
-        : pc.data.data() + (addr - space.pageBase(p));
-    std::memcpy(dst, in, bytes);
-    if (is_home)
+    if (is_home) {
+        std::memcpy(space.homeBytes(addr), in, chunk);
         installFastHome(n, p, true);
-    else
+    } else {
+        std::memcpy(pc.data.data() + (addr - base), in, chunk);
         installFast(n, p, pc);
-}
-
-void
-HlrcProtocol::readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                        std::uint64_t bytes)
-{
-    auto *dst = static_cast<std::uint8_t *>(out);
-    std::uint64_t done = 0;
-    while (done < bytes) {
-        const GlobalAddr a = addr + done;
-        const PageId p = space.pageOf(a);
-        const NodeId n = env.node();
-        const GlobalAddr page_end = space.pageBase(p) + pageBytes;
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(bytes - done, page_end - a);
-        const std::uint8_t *src;
-        if (space.pageHome(p) == n) {
-            src = space.homeBytes(a);
-            installFastHome(n, p,
-                            pageCopy(n, p).state == PState::ReadWrite);
-        } else {
-            PageCopy &pc = pageCopy(n, p);
-            if (pc.state == PState::Invalid) {
-                stats_.readFaults.inc();
-                fetchPage(env, p);
-            }
-            src = pc.data.data() + (a - space.pageBase(p));
-            installFast(n, p, pc);
-        }
-        env.charge((chunk + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-        env.chargeCacheRange(a, chunk, false, TimeBucket::StallLocal);
-        std::memcpy(dst + done, src, chunk);
-        done += chunk;
     }
-}
-
-void
-HlrcProtocol::writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                         std::uint64_t bytes)
-{
-    const auto *src = static_cast<const std::uint8_t *>(in);
-    std::uint64_t done = 0;
-    while (done < bytes) {
-        const GlobalAddr a = addr + done;
-        const PageId p = space.pageOf(a);
-        const NodeId n = env.node();
-        const bool is_home = space.pageHome(p) == n;
-        const GlobalAddr page_end = space.pageBase(p) + pageBytes;
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(bytes - done, page_end - a);
-        PageCopy &pc = pageCopy(n, p);
-        if (!is_home && pc.state == PState::Invalid) {
-            stats_.readFaults.inc();
-            fetchPage(env, p);
-        }
-        if (pc.state != PState::ReadWrite)
-            enableWrite(env, p, pc);
-        std::uint8_t *dst = is_home
-            ? space.homeBytes(a)
-            : pc.data.data() + (a - space.pageBase(p));
-        if (is_home)
-            installFastHome(n, p, true);
-        else
-            installFast(n, p, pc);
-        env.charge((chunk + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-        env.chargeCacheRange(a, chunk, true, TimeBucket::StallLocal);
-        std::memcpy(dst, src + done, chunk);
-        done += chunk;
-    }
+    return chunk;
 }
 
 // ---------------------------------------------------------------------

@@ -52,14 +52,10 @@ class HlrcProtocol : public Protocol
 
     const char *name() const override { return "hlrc"; }
 
-    void read(ProcEnv &env, GlobalAddr addr, void *out,
-              std::uint32_t bytes) override;
-    void write(ProcEnv &env, GlobalAddr addr, const void *in,
-               std::uint32_t bytes) override;
-    void readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                   std::uint64_t bytes) override;
-    void writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                    std::uint64_t bytes) override;
+    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
+                       std::uint64_t bytes) override;
+    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
+                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;
@@ -227,13 +223,6 @@ class HlrcProtocol : public Protocol
 
     /** Grant the lock token to the head waiter if possible. */
     void tryGrant(NodeEnv &env, LockId lock);
-
-    /** Statistics/size helper: wrap sendRequest with byte accounting. */
-    void sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                 HandlerFn fn, TimeBucket bucket);
-    /** Statistics/size helper: wrap sendData with byte accounting. */
-    void sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                 DataFn fn, TimeBucket bucket);
 
     AddressSpace &space;
     ProtoParams params;

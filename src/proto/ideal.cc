@@ -18,12 +18,11 @@ IdealProtocol::IdealProtocol(AddressSpace &space,
 {
     if (static_cast<int>(this->procs.size()) != numNodes)
         SWSM_FATAL("Ideal protocol needs one ProcEnv per node");
-    // Copy-first to match the access sequence below (memcpy, then
-    // chargeSharedAccess). The backing store is still empty here;
-    // installFastGlobal publishes it on the first slow access.
+    // The backing store is still empty here; installFastGlobal
+    // publishes it on the first slow access.
     for (ProcEnv *pe : this->procs) {
         if (FastPath *f = pe->fastPath())
-            f->configure(std::countr_zero(space.pageBytes()), true);
+            f->configure(std::countr_zero(space.pageBytes()));
     }
 }
 
@@ -46,42 +45,22 @@ IdealProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
     barriers.resize(num_barriers);
 }
 
-void
-IdealProtocol::read(ProcEnv &env, GlobalAddr addr, void *out,
-                    std::uint32_t bytes)
+std::uint64_t
+IdealProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
+                    std::uint64_t bytes)
 {
     std::memcpy(out, space.homeBytes(addr), bytes);
     installFastGlobal(env.node());
-    env.chargeSharedAccess(addr, false);
+    return bytes;
 }
 
-void
-IdealProtocol::write(ProcEnv &env, GlobalAddr addr, const void *in,
-                     std::uint32_t bytes)
+std::uint64_t
+IdealProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
+                     std::uint64_t bytes)
 {
     std::memcpy(space.homeBytes(addr), in, bytes);
     installFastGlobal(env.node());
-    env.chargeSharedAccess(addr, true);
-}
-
-void
-IdealProtocol::readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                         std::uint64_t bytes)
-{
-    std::memcpy(out, space.homeBytes(addr), bytes);
-    installFastGlobal(env.node());
-    env.charge((bytes + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-    env.chargeCacheRange(addr, bytes, false, TimeBucket::StallLocal);
-}
-
-void
-IdealProtocol::writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                          std::uint64_t bytes)
-{
-    std::memcpy(space.homeBytes(addr), in, bytes);
-    installFastGlobal(env.node());
-    env.charge((bytes + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-    env.chargeCacheRange(addr, bytes, true, TimeBucket::StallLocal);
+    return bytes;
 }
 
 void

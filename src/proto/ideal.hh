@@ -35,14 +35,11 @@ class IdealProtocol : public Protocol
 
     const char *name() const override { return "ideal"; }
 
-    void read(ProcEnv &env, GlobalAddr addr, void *out,
-              std::uint32_t bytes) override;
-    void write(ProcEnv &env, GlobalAddr addr, const void *in,
-               std::uint32_t bytes) override;
-    void readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                   std::uint64_t bytes) override;
-    void writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                    std::uint64_t bytes) override;
+    /** Copies all @p bytes: the home store is one contiguous array. */
+    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
+                       std::uint64_t bytes) override;
+    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
+                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;

@@ -3,17 +3,24 @@
  * The coherence protocol interface between machine and protocol layers.
  *
  * A Protocol implements the shared-address-space programming model on a
- * cluster: timed reads/writes with access control, and lock/barrier
+ * cluster: access control for loads and stores, and lock/barrier
  * synchronization. Calls run on the application fiber of the invoking
  * processor, receive a ProcEnv for time charging / blocking / messaging,
  * and move real bytes (applications compute correct results only if the
  * protocol is correct).
+ *
+ * A load or store moves one coherence unit's bytes (Ideal: any
+ * extent) and charges only what the protocol costs (faults, fetches,
+ * twins, ownership transfers). The reference itself costs the same
+ * under every protocol (the node's memory hierarchy is fixed across
+ * experiments), so Thread charges it, once, after the copy.
  */
 
 #ifndef SWSM_PROTO_PROTOCOL_HH
 #define SWSM_PROTO_PROTOCOL_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "comm/handler.hh"
 #include "obs/metrics.hh"
@@ -29,18 +36,11 @@ class FastPath;
 
 /**
  * Application-fiber execution environment: NodeEnv plus the ability to
- * block the calling thread and model its shared-reference costs.
- * Implemented by the machine layer's Node.
+ * block the calling thread. Implemented by the machine layer's Node.
  */
 class ProcEnv : public NodeEnv
 {
   public:
-    /**
-     * Charge one shared memory reference at @p addr: the 1-IPC issue
-     * cycle (Busy) plus any local cache stall (StallLocal).
-     */
-    virtual void chargeSharedAccess(GlobalAddr addr, bool write) = 0;
-
     /**
      * Block the calling fiber; time until unblock() is attributed to
      * @p wait_kind (minus protocol handler time stolen meanwhile).
@@ -75,24 +75,21 @@ class Protocol
     virtual const char *name() const = 0;
 
     /**
-     * Timed read of @p bytes at @p addr into @p out. @p bytes must not
-     * cross a coherence-unit boundary for the single-access form; use
-     * readRange for arbitrary extents.
+     * Load from the coherence unit (HLRC page, SC block) holding
+     * @p addr into @p out. Takes the fault, fetch or ownership transfer
+     * the access needs, copies min(@p bytes, unit end - @p addr) bytes
+     * (Ideal: all @p bytes), installs the unit's fast-path entry if the
+     * protocol has one to give, and returns the number of bytes copied.
+     * Charges protocol costs only: the caller charges the reference
+     * after the copy, and that charge can yield into handlers whose
+     * invalidations must win over the entry installed here.
      */
-    virtual void read(ProcEnv &env, GlobalAddr addr, void *out,
-                      std::uint32_t bytes) = 0;
+    virtual std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
+                               std::uint64_t bytes) = 0;
 
-    /** Timed write; the mirror of read(). */
-    virtual void write(ProcEnv &env, GlobalAddr addr, const void *in,
-                       std::uint32_t bytes) = 0;
-
-    /** Timed bulk read of an arbitrary extent. */
-    virtual void readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                           std::uint64_t bytes) = 0;
-
-    /** Timed bulk write; see readRange(). */
-    virtual void writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                            std::uint64_t bytes) = 0;
+    /** Store into the coherence unit holding @p addr; see load(). */
+    virtual std::uint64_t store(ProcEnv &env, GlobalAddr addr,
+                                const void *in, std::uint64_t bytes) = 0;
 
     /** Acquire lock @p lock (blocking). */
     virtual void acquire(ProcEnv &env, LockId lock) = 0;
@@ -168,6 +165,26 @@ class Protocol
     virtual void registerMetrics(MetricsRegistry &registry) const;
 
   protected:
+    /** Send a request message, counting it in proto.msgs/proto.bytes. */
+    void
+    sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes, HandlerFn fn,
+            TimeBucket bucket)
+    {
+        stats_.protoMsgs.inc();
+        stats_.protoBytes.inc(bytes);
+        env.sendRequest(dst, bytes, std::move(fn), bucket);
+    }
+
+    /** Send a data message, counting it like sendReq(). */
+    void
+    sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes, DataFn fn,
+            TimeBucket bucket)
+    {
+        stats_.protoMsgs.inc();
+        stats_.protoBytes.inc(bytes);
+        env.sendData(dst, bytes, std::move(fn), bucket);
+    }
+
     ProtoStats stats_;
     Tracer *trace_ = nullptr;
 };

@@ -29,14 +29,13 @@ ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
     nodeBlocks.resize(numNodes);
     pendingApply.resize(numNodes);
 
-    // Block-indexed fast paths, copy-first to match the hit sequence
-    // (memcpy, then chargeSharedAccess). See useFastPath_ for why a
-    // nonzero access-check cost disables installs.
+    // Block-indexed fast paths. See useFastPath_ for why a nonzero
+    // access-check cost disables installs.
     useFastPath_ = accessCheckCycles == 0;
     if (useFastPath_) {
         for (ProcEnv *pe : this->procs) {
             if (FastPath *f = pe->fastPath())
-                f->configure(std::countr_zero(blockBytes), true);
+                f->configure(std::countr_zero(blockBytes));
         }
     }
 }
@@ -132,24 +131,6 @@ ScProtocol::chargeAccessCheck(ProcEnv &env)
 {
     if (accessCheckCycles)
         env.charge(accessCheckCycles, TimeBucket::ProtoOther);
-}
-
-void
-ScProtocol::sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                    HandlerFn fn, TimeBucket bucket)
-{
-    stats_.protoMsgs.inc();
-    stats_.protoBytes.inc(bytes);
-    env.sendRequest(dst, bytes, std::move(fn), bucket);
-}
-
-void
-ScProtocol::sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                    DataFn fn, TimeBucket bucket)
-{
-    stats_.protoMsgs.inc();
-    stats_.protoBytes.inc(bytes);
-    env.sendData(dst, bytes, std::move(fn), bucket);
 }
 
 // ---------------------------------------------------------------------
@@ -484,102 +465,46 @@ ScProtocol::miss(ProcEnv &env, BlockId b, bool write,
 // Data access
 // ---------------------------------------------------------------------
 
-void
-ScProtocol::read(ProcEnv &env, GlobalAddr addr, void *out,
-                 std::uint32_t bytes)
+std::uint64_t
+ScProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
+                 std::uint64_t bytes)
 {
     const BlockId b = space.blockOf(addr);
     const NodeId n = env.node();
+    const std::uint64_t chunk = std::min<std::uint64_t>(
+        bytes, space.blockBase(b) + blockBytes - addr);
     chargeAccessCheck(env);
     if (readHit(n, b)) {
-        std::memcpy(out, localBytes(n, addr), bytes);
-        // Install before the charge: the charge may yield into
-        // handlers whose invalidation hooks must win over this entry.
+        std::memcpy(out, localBytes(n, addr), chunk);
         installFast(n, b);
     } else {
-        miss(env, b, false, [this, n, addr, out, bytes] {
-            std::memcpy(out, localBytes(n, addr), bytes);
+        miss(env, b, false, [this, n, addr, out, chunk] {
+            std::memcpy(out, localBytes(n, addr), chunk);
         });
     }
-    env.chargeSharedAccess(addr, false);
+    return chunk;
 }
 
-void
-ScProtocol::write(ProcEnv &env, GlobalAddr addr, const void *in,
-                  std::uint32_t bytes)
+std::uint64_t
+ScProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
+                  std::uint64_t bytes)
 {
     const BlockId b = space.blockOf(addr);
     const NodeId n = env.node();
+    const std::uint64_t chunk = std::min<std::uint64_t>(
+        bytes, space.blockBase(b) + blockBytes - addr);
     chargeAccessCheck(env);
     if (writeHit(n, b)) {
-        std::memcpy(localBytes(n, addr), in, bytes);
+        std::memcpy(localBytes(n, addr), in, chunk);
         installFast(n, b);
     } else {
         // The store is bound to the grant: it is performed the moment
         // ownership is installed, before anyone can steal the block.
-        miss(env, b, true, [this, n, addr, in, bytes] {
-            std::memcpy(localBytes(n, addr), in, bytes);
+        miss(env, b, true, [this, n, addr, in, chunk] {
+            std::memcpy(localBytes(n, addr), in, chunk);
         });
     }
-    env.chargeSharedAccess(addr, true);
-}
-
-void
-ScProtocol::readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                      std::uint64_t bytes)
-{
-    auto *dst = static_cast<std::uint8_t *>(out);
-    std::uint64_t done = 0;
-    while (done < bytes) {
-        const GlobalAddr a = addr + done;
-        const BlockId b = space.blockOf(a);
-        const NodeId n = env.node();
-        const GlobalAddr block_end = space.blockBase(b) + blockBytes;
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(bytes - done, block_end - a);
-        chargeAccessCheck(env);
-        if (readHit(n, b)) {
-            std::memcpy(dst + done, localBytes(n, a), chunk);
-            installFast(n, b);
-        } else {
-            std::uint8_t *chunk_dst = dst + done;
-            miss(env, b, false, [this, n, a, chunk_dst, chunk] {
-                std::memcpy(chunk_dst, localBytes(n, a), chunk);
-            });
-        }
-        env.charge((chunk + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-        env.chargeCacheRange(a, chunk, false, TimeBucket::StallLocal);
-        done += chunk;
-    }
-}
-
-void
-ScProtocol::writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                       std::uint64_t bytes)
-{
-    const auto *src = static_cast<const std::uint8_t *>(in);
-    std::uint64_t done = 0;
-    while (done < bytes) {
-        const GlobalAddr a = addr + done;
-        const BlockId b = space.blockOf(a);
-        const NodeId n = env.node();
-        const GlobalAddr block_end = space.blockBase(b) + blockBytes;
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(bytes - done, block_end - a);
-        chargeAccessCheck(env);
-        if (writeHit(n, b)) {
-            std::memcpy(localBytes(n, a), src + done, chunk);
-            installFast(n, b);
-        } else {
-            const std::uint8_t *chunk_src = src + done;
-            miss(env, b, true, [this, n, a, chunk_src, chunk] {
-                std::memcpy(localBytes(n, a), chunk_src, chunk);
-            });
-        }
-        env.charge((chunk + wordBytes - 1) / wordBytes, TimeBucket::Busy);
-        env.chargeCacheRange(a, chunk, true, TimeBucket::StallLocal);
-        done += chunk;
-    }
+    return chunk;
 }
 
 // ---------------------------------------------------------------------

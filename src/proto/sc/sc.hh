@@ -50,14 +50,10 @@ class ScProtocol : public Protocol
 
     const char *name() const override { return "sc"; }
 
-    void read(ProcEnv &env, GlobalAddr addr, void *out,
-              std::uint32_t bytes) override;
-    void write(ProcEnv &env, GlobalAddr addr, const void *in,
-               std::uint32_t bytes) override;
-    void readRange(ProcEnv &env, GlobalAddr addr, void *out,
-                   std::uint64_t bytes) override;
-    void writeRange(ProcEnv &env, GlobalAddr addr, const void *in,
-                    std::uint64_t bytes) override;
+    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
+                       std::uint64_t bytes) override;
+    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
+                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;
@@ -171,11 +167,6 @@ class ScProtocol : public Protocol
     void installFast(NodeId n, BlockId b);
     /** Drop any fast-path entry covering @p b on node @p n. */
     void invalidateFast(NodeId n, BlockId b);
-
-    void sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                 HandlerFn fn, TimeBucket bucket);
-    void sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes,
-                 DataFn fn, TimeBucket bucket);
 
     AddressSpace &space;
     ProtoParams params;

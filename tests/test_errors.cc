@@ -111,6 +111,37 @@ TEST(Errors, UnallocatedBarrierIsFatal)
     }
 }
 
+TEST(Errors, StraddlingReferenceIsFatal)
+{
+    // An 8-byte reference 4 bytes before the end of a page (HLRC) or a
+    // block (SC) homed elsewhere: the node's copy of that unit ends
+    // halfway through it. A 4-byte access to the same word first maps
+    // the unit, so the straddling one also passes the fast path by.
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc}) {
+        for (bool store : {false, true}) {
+            const MachineParams mp = machine(kind, 2);
+            Cluster c(mp);
+            const std::uint32_t unit = kind == ProtocolKind::Hlrc
+                ? mp.pageBytes
+                : mp.blockBytes;
+            const GlobalAddr a = c.allocAt(2 * mp.pageBytes, 1) + unit - 4;
+            EXPECT_THROW(c.run([&](Thread &t) {
+                if (t.id() != 0)
+                    return;
+                if (store) {
+                    t.put<std::uint32_t>(a, 1);
+                    t.put<std::uint64_t>(a, 2);
+                } else {
+                    (void)t.get<std::uint32_t>(a);
+                    (void)t.get<std::uint64_t>(a);
+                }
+            }),
+                         FatalError)
+                << protocolKindName(kind) << (store ? " put" : " get");
+        }
+    }
+}
+
 TEST(Errors, AllocationAfterRunIsFatal)
 {
     Cluster c(machine(ProtocolKind::Ideal, 1));

@@ -31,7 +31,7 @@ namespace
 TEST(FastPath, MissesUntilInstalledThenHits)
 {
     FastPath fp;
-    fp.configure(12, false);
+    fp.configure(12);
     std::uint8_t page[4096] = {};
     EXPECT_EQ(fp.lookup(0x1000, 4, false), nullptr);
     fp.install(0x1000, 0x2000, page, false);
@@ -46,7 +46,7 @@ TEST(FastPath, MissesUntilInstalledThenHits)
 TEST(FastPath, WritableGatingAndLimits)
 {
     FastPath fp;
-    fp.configure(12, false);
+    fp.configure(12);
     std::uint8_t page[4096] = {};
     fp.install(0x1000, 0x2000, page, false);
     // Read anywhere in range, but never write through a read-only
@@ -62,7 +62,7 @@ TEST(FastPath, WritableGatingAndLimits)
 TEST(FastPath, SlotCollisionEvicts)
 {
     FastPath fp;
-    fp.configure(12, false);
+    fp.configure(12);
     std::uint8_t a[4096] = {}, b[4096] = {};
     // Pages 0 and numSlots map to the same direct-mapped slot.
     const GlobalAddr second = FastPath::numSlots * GlobalAddr{4096};
@@ -75,7 +75,7 @@ TEST(FastPath, SlotCollisionEvicts)
 TEST(FastPath, InvalidateRangeDropsOverlappingEntries)
 {
     FastPath fp;
-    fp.configure(12, false);
+    fp.configure(12);
     std::uint8_t a[4096] = {}, b[4096] = {};
     fp.install(0x1000, 0x2000, a, false);
     fp.install(0x3000, 0x4000, b, false);
@@ -90,7 +90,7 @@ TEST(FastPath, InvalidateRangeDropsOverlappingEntries)
 TEST(FastPath, GlobalEntryCoversEverySlot)
 {
     FastPath fp;
-    fp.configure(12, true);
+    fp.configure(12);
     std::vector<std::uint8_t> store(1 << 21);
     fp.installGlobal(0, store.size(), store.data(), true);
     // Addresses in pages that map to different slots all hit, and a
