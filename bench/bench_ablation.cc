@@ -15,7 +15,7 @@
  *    methodology: results should be stable across quanta).
  *
  * Every point is an independent simulation and runs on the sweep
- * runner (--jobs=N; --trace and --sim-threads apply to every point);
+ * runner (--jobs=N; --trace applies to every point);
  * BENCH_ablation.json records per-experiment wall-clock.
  */
 

@@ -8,9 +8,8 @@
  * is the paper's headline per-parameter conclusion.
  *
  * The per-parameter points are independent simulations planned as
- * custom experiments next to the AO points (--jobs=N; --trace and
- * --sim-threads apply to every point); BENCH_fig5.json records
- * per-experiment wall-clock.
+ * custom experiments next to the AO points (--jobs=N; --trace applies
+ * to every point); BENCH_fig5.json records per-experiment wall-clock.
  */
 
 #include <cstdio>

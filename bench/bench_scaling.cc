@@ -7,9 +7,8 @@
  * (superlinear cache regions).
  *
  * Every (app, protocol, procs) point is an independent simulation and
- * runs on the sweep runner (--jobs=N; --trace and --sim-threads apply
- * to every point); BENCH_scaling.json records per-experiment
- * wall-clock.
+ * runs on the sweep runner (--jobs=N; --trace applies to every point);
+ * BENCH_scaling.json records per-experiment wall-clock.
  */
 
 #include <cstdio>

@@ -44,7 +44,7 @@ configForSeed(ProtocolKind protocol, std::uint64_t seed)
 }
 
 MachineParams
-pdesMachineForSeed(ProtocolKind protocol, std::uint64_t seed)
+clusterMachineForSeed(ProtocolKind protocol, std::uint64_t seed)
 {
     const LitmusConfig cfg = configForSeed(protocol, seed);
     // Independent stream for the cluster size, so it does not shift

@@ -51,15 +51,14 @@ struct FuzzFailure
 LitmusConfig configForSeed(ProtocolKind protocol, std::uint64_t seed);
 
 /**
- * The parallel-schedule fuzzer's seed → machine map: the timing
- * perturbations of configForSeed() plus a randomized cluster size,
- * which moves the partition boundaries. Deterministic per (protocol,
- * seed); the caller sweeps simThreads over the returned params and
- * asserts bit-equivalence against a serial run
- * (tests/test_pdes_fuzz.cc).
+ * The cluster fuzz tier's seed → machine map: the timing perturbations
+ * of configForSeed() plus a randomized cluster size of 4, 6 or 8
+ * nodes. Deterministic per (protocol, seed); tests/test_fuzz.cc runs a
+ * lock and false-sharing kernel on it, with every invariant live in a
+ * SWSM_CHECK build.
  */
-MachineParams pdesMachineForSeed(ProtocolKind protocol,
-                                 std::uint64_t seed);
+MachineParams clusterMachineForSeed(ProtocolKind protocol,
+                                    std::uint64_t seed);
 
 /**
  * Run the litmus suite under numSeeds perturbed configurations,

@@ -56,8 +56,8 @@ class MsgLayer
 
     const CommParams &params() const { return net.params(); }
 
-    const ShardedCounter &requestsSent() const { return requests; }
-    const ShardedCounter &dataSent() const { return data; }
+    const Counter &requestsSent() const { return requests; }
+    const Counter &dataSent() const { return data; }
 
     /** Register message-class counters under "comm.*". */
     void registerMetrics(MetricsRegistry &registry) const;
@@ -66,10 +66,8 @@ class MsgLayer
     Network &net;
     std::vector<HandlerSink *> sinks;
 
-    // Sharded: sends execute on the sender's partition when the run
-    // is partitioned (sim/pdes.hh).
-    ShardedCounter requests;
-    ShardedCounter data;
+    Counter requests;
+    Counter data;
 };
 
 } // namespace swsm

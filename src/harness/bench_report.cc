@@ -69,7 +69,6 @@ BenchReport::BenchReport(std::string name, const SweepOptions *opts)
     if (opts) {
         haveOpts = true;
         jobs = opts->jobs;
-        simThreads = opts->simThreads;
         numProcs = opts->numProcs;
         sizeName = sizeClassName(opts->size);
         tracePath = opts->tracePath;
@@ -120,7 +119,6 @@ BenchReport::render(double wall_seconds, double peak_rss_mb) const
     w.member("bench", name);
     if (haveOpts) {
         w.member("jobs", jobs);
-        w.member("simThreads", simThreads);
         w.member("numProcs", numProcs);
         w.member("size", sizeName);
     }

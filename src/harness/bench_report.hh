@@ -89,7 +89,6 @@ class BenchReport
     std::string name;
     bool haveOpts = false;
     int jobs = 1;
-    int simThreads = 1;
     int numProcs = 0;
     std::string sizeName;
     std::string tracePath;

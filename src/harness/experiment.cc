@@ -18,6 +18,9 @@ ExperimentConfig::name() const
 MachineParams
 ExperimentConfig::machineParams() const
 {
+    if (simThreads != 1)
+        SWSM_FATAL("simThreads must be 1 (every run is serial), got %d",
+                   simThreads);
     MachineParams mp;
     mp.numProcs = numProcs;
     mp.protocol = protocol;
@@ -26,7 +29,6 @@ ExperimentConfig::machineParams() const
     mp.blockBytes = blockBytes;
     mp.accessCheckCycles = accessCheckCycles;
     mp.trace = trace;
-    mp.simThreads = simThreads;
     return mp;
 }
 

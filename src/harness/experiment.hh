@@ -41,10 +41,12 @@ struct ExperimentConfig
     /** Record an event trace (see MachineParams::trace). */
     bool trace = false;
     /**
-     * Worker threads for the parallel event kernel inside this run
-     * (see MachineParams::simThreads; bit-identical results).
+     * Must stay 1: every run is serial, and machineParams() throws
+     * FatalError for any other value. The field is left only because
+     * swsmbench/workloads.cc assigns it; ROADMAP item 8, the next
+     * change to the benchmark, deletes it.
      */
-    int simThreads = defaultSimThreads();
+    int simThreads = 1;
 
     /** Two-letter name ("AO", "BB", ...) or "Ideal". */
     std::string name() const;

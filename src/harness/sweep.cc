@@ -13,7 +13,6 @@
 #include "harness/memo.hh"
 #include "sim/env.hh"
 #include "sim/log.hh"
-#include "sim/pdes.hh"
 
 namespace swsm
 {
@@ -138,7 +137,7 @@ printUsage(const char *prog)
     std::fprintf(stderr,
                  "usage: %s [--quick|--medium|--size=CLASS] "
                  "[--full] [--procs=N] [--apps=a,b,...] "
-                 "[--jobs=N] [--sim-threads=N] [--trace=FILE] "
+                 "[--jobs=N] [--trace=FILE] "
                  "[--memo=DIR]\n"
                  "  --size=CLASS  problem size: tiny, small, "
                  "medium or paper (the paper's published "
@@ -147,10 +146,6 @@ printUsage(const char *prog)
                  "e.g. fft,lu (default: the whole suite)\n"
                  "  --jobs=N      worker threads for the sweep "
                  "(default: SWSM_JOBS or hardware concurrency)\n"
-                 "  --sim-threads=N  worker threads inside each "
-                 "simulation (parallel event kernel; results "
-                 "are bit-identical to serial; default: "
-                 "SWSM_SIM_THREADS or 1)\n"
                  "  --trace=FILE  write a Chrome trace_event "
                  "JSON of every experiment (chrome://tracing)\n"
                  "  --memo=DIR    replay the grid experiments and "
@@ -171,7 +166,6 @@ gridConfig(const GridItem &item, const SweepOptions &opts)
     cfg.protocol = item.ideal ? ProtocolKind::Ideal : item.kind;
     cfg.numProcs = opts.numProcs;
     cfg.trace = !opts.tracePath.empty();
-    cfg.simThreads = opts.simThreads;
     if (!item.ideal) {
         cfg.commSet = item.commSet;
         // SC handlers are fixed; no protocol variants
@@ -219,16 +213,6 @@ SweepOptions::parse(int argc, char **argv)
                              "--jobs needs an integer in [1, %d], got "
                              "\"%s\"\n",
                              maxJobs, arg.c_str() + 7);
-                return false;
-            }
-        } else if (arg.rfind("--sim-threads=", 0) == 0) {
-            if (!parseBoundedInt(arg.substr(14), 1,
-                                 PdesEngine::maxPartitions, simThreads)) {
-                std::fprintf(stderr,
-                             "--sim-threads needs an integer in [1, %d], "
-                             "got \"%s\"\n",
-                             PdesEngine::maxPartitions,
-                             arg.c_str() + 14);
                 return false;
             }
         } else if (arg.rfind("--trace=", 0) == 0) {
@@ -355,7 +339,6 @@ SweepRunner::add(const AppInfo &app, const std::string &key,
 {
     if (results.count(key) || !plannedKeys.insert(key).second)
         return;
-    mp.simThreads = opts.simThreads;
     mp.trace = !opts.tracePath.empty();
     planned.push_back(Planned{app, key, std::move(mp), config, grid});
 }

@@ -95,15 +95,11 @@ struct SweepOptions
     std::vector<std::string> apps;
     /** Include the halfway configurations (the "--full" grid). */
     bool full = false;
-    /** Worker threads for the parallel sweep engine (1 = serial). */
-    int jobs = defaultJobs();
     /**
-     * Worker threads *inside* each simulation (the parallel event
-     * kernel, sim/pdes.hh): --sim-threads=N, else SWSM_SIM_THREADS,
-     * else 1. Orthogonal to jobs, which runs whole experiments
-     * concurrently.
+     * Worker threads of the sweep (1 = serial). Each simulation runs on
+     * one thread, so a grid spends its cores on whole experiments.
      */
-    int simThreads = defaultSimThreads();
+    int jobs = defaultJobs();
     /** Chrome trace_event output path (empty = tracing off). */
     std::string tracePath;
     /**
@@ -115,7 +111,7 @@ struct SweepOptions
 
     /**
      * Parse --quick/--medium/--size=CLASS, --procs=N, --apps=a,b,c,
-     * --full, --jobs=N, --sim-threads=N, --trace=FILE, --memo=DIR.
+     * --full, --jobs=N, --trace=FILE, --memo=DIR.
      * --memo creates DIR if needed; it rejects an empty path, a path
      * that is not and cannot be made a directory, and --trace (a
      * replay has no trace).
@@ -169,8 +165,8 @@ class SweepRunner
     /**
      * Plan @p app on custom machine parameters (ablations, single
      * parameter and scaling sweeps) under @p key, labelled @p config.
-     * Like every other experiment it takes its simThreads and tracing
-     * from the options, overriding those fields of @p mp. A custom key
+     * Like every other experiment it takes its tracing from the
+     * options, overriding that field of @p mp. A custom key
      * does not fix @p mp, so a custom point is never memoized.
      */
     void plan(const AppInfo &app, const std::string &key,

@@ -41,23 +41,14 @@ defaultFastPath()
     return envFlag("SWSM_FASTPATH", true);
 }
 
-int
-defaultSimThreads()
-{
-    // Malformed values used to strtol() to 0 and silently fall back to
-    // serial; now they warn. The engine's partition limit clamps above.
-    return envBoundedInt("SWSM_SIM_THREADS", 1, PdesEngine::maxPartitions,
-                         1);
-}
-
 Cluster::Cluster(const MachineParams &params) : params_(params)
 {
     if (params.numProcs <= 0)
         SWSM_FATAL("cluster needs at least one processor");
 
     // One execution slot per node: every event carries the slot of the
-    // node whose state it touches, which is what the parallel engine
-    // partitions (and what stamps tie-break on).
+    // node whose state it touches, and simultaneous events tie-break on
+    // the slot that scheduled them (sim/event_queue.hh).
     eq.setNumSlots(static_cast<std::uint32_t>(params.numProcs));
 
     network_ = std::make_unique<Network>(eq, params.numProcs, params.comm);
@@ -154,17 +145,6 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
             sum += node->fastPathTable().invalidations();
         return sum;
     });
-    // Parallel-engine shape of the last run. Deterministic for a given
-    // (config, simThreads), but a serial run reports zeros, so — like
-    // machine.fastpath_* — equivalence comparisons ignore sim.pdes_*.
-    registry_.addCounter("sim.pdes_partitions",
-                         [this] { return pdesStats_.partitions; });
-    registry_.addCounter("sim.pdes_windows",
-                         [this] { return pdesStats_.windows; });
-    registry_.addCounter("sim.pdes_mailbox_events",
-                         [this] { return pdesStats_.mailboxEvents; });
-    registry_.addCounter("sim.pdes_max_partition_events",
-                         [this] { return pdesStats_.maxPartitionEvents; });
 }
 
 Cluster::~Cluster() = default;
@@ -220,21 +200,11 @@ Cluster::run(std::function<void(Thread &)> body)
         SWSM_FATAL("a Cluster can run() only once; build a new one");
     ran = true;
 
-    // Decide the engine. Tracing interleaves a global buffer, Ideal
-    // reaches across nodes directly, and a one-node cluster has nothing
-    // to partition — all fall back to the serial kernel.
-    int partitions = std::clamp(params_.simThreads, 1,
-                                std::min(params_.numProcs,
-                                         PdesEngine::maxPartitions));
-    if (params_.trace || !protocol_->partitionSafe() ||
-        params_.numProcs < 2) {
-        partitions = 1;
-    }
-    protocol_->prepareRun(partitions, nextLock, nextBarrier);
+    protocol_->prepareRun(nextLock, nextBarrier);
 
     // Exceptions cannot unwind across a fiber switch; capture them at
-    // the fiber boundary, one slot per node (so concurrent partitions
-    // never race on the store), and rethrow the first by node index.
+    // the fiber boundary, one slot per node, and rethrow the first by
+    // node index.
     std::vector<std::exception_ptr> errors(params_.numProcs);
     for (NodeId n = 0; n < params_.numProcs; ++n) {
         Node *node_ptr = nodes[n].get();
@@ -250,25 +220,7 @@ Cluster::run(std::function<void(Thread &)> body)
         });
     }
 
-    if (partitions > 1) {
-        std::vector<int> partition_of(params_.numProcs);
-        for (NodeId n = 0; n < params_.numProcs; ++n) {
-            partition_of[n] = static_cast<int>(
-                static_cast<std::int64_t>(n) * partitions /
-                params_.numProcs);
-        }
-        PdesEngine engine(eq, std::move(partition_of), partitions,
-                          network_->lookahead());
-        engine.run();
-        pdesStats_ = engine.stats();
-        if (check::enabled())
-            engine.checkDrained();
-        // Restore the serial view for post-run verification (e.g. SC's
-        // full directory-coverage sweep is confined to partitions == 1).
-        protocol_->prepareRun(1, nextLock, nextBarrier);
-    } else {
-        eq.run();
-    }
+    eq.run();
 
     for (const std::exception_ptr &err : errors) {
         if (err)

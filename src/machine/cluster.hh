@@ -36,7 +36,6 @@
 #include "proto/address_space.hh"
 #include "proto/protocol.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 
 namespace swsm
 {
@@ -84,11 +83,6 @@ class Cluster
      *
      * Taken by value so callers can move a closure in; run() outlives
      * every use of the body, which each node's fiber borrows.
-     *
-     * When params().simThreads > 1 and the run qualifies (see
-     * MachineParams::simThreads), the event queue is driven by the
-     * parallel engine (sim/pdes.hh) with nodes partitioned across
-     * worker threads; results are bit-identical to a serial run.
      */
     void run(std::function<void(Thread &)> body);
 
@@ -126,8 +120,6 @@ class Cluster
     MetricsRegistry registry_;
     std::unique_ptr<Tracer> tracer_;
     RunStats stats_;
-    /** Parallel-engine stats of the last run (zeros for serial runs). */
-    PdesRunStats pdesStats_;
     bool ran = false;
 };
 

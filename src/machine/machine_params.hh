@@ -34,13 +34,6 @@ const char *protocolKindName(ProtocolKind kind);
  */
 bool defaultFastPath();
 
-/**
- * Default for MachineParams::simThreads: SWSM_SIM_THREADS if set, else
- * 1. Values are clamped to the parallel engine's partition limit
- * (sim/pdes.hh).
- */
-int defaultSimThreads();
-
 /** Full configuration of one simulated cluster. */
 struct MachineParams
 {
@@ -83,17 +76,6 @@ struct MachineParams
      * bit-identical either way. Defaults from SWSM_FASTPATH.
      */
     bool fastPath = defaultFastPath();
-    /**
-     * Worker threads for the parallel event kernel (sim/pdes.hh): the
-     * cluster's nodes are partitioned across this many host threads
-     * within one run. Purely a host-side optimization — simulated
-     * cycles, protocol counters and emitted bytes are bit-identical to
-     * a serial run. Clamped to numProcs; runs that cannot be
-     * partitioned (tracing on, protocol not partition-safe, fewer than
-     * two nodes) fall back to the serial kernel. Defaults from
-     * SWSM_SIM_THREADS.
-     */
-    int simThreads = defaultSimThreads();
     /** Seed for all randomized decisions (bit-reproducible runs). */
     std::uint64_t seed = 12345;
     /** Application fiber stack size. */

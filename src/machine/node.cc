@@ -79,9 +79,8 @@ Node::start(std::function<void()> body)
         SWSM_PANIC("node %d started twice", id);
     fiber = std::make_unique<Fiber>(std::move(body), fiberStackBytes);
     state = State::Ready;
-    // Route the first resume to this node's execution slot so the
-    // parallel engine can place it on the right partition; every later
-    // event the node schedules inherits the slot.
+    // Route the first resume to this node's execution slot; every
+    // later event the node schedules inherits the slot.
     eq.scheduleTo(static_cast<std::uint32_t>(id), 0,
                   [this] { resumeFiber(0); });
 }

@@ -81,18 +81,6 @@ Network::transferCycles(std::uint32_t bytes, double bytes_per_cycle)
         std::ceil(static_cast<double>(bytes) / bytes_per_cycle));
 }
 
-Cycles
-Network::lookahead() const
-{
-    // Every remote packet is scheduled for arrival from an event
-    // executing at ni_done, and arrive >= ni_done + NI occupancy + link
-    // latency + at least one wire cycle (bandwidth is finite, so a
-    // 1-byte transfer costs >= 1 cycle). This bound holds for every
-    // CommParams set.
-    return params_.niOccupancyPerPacket + params_.linkLatency +
-           transferCycles(1, params_.linkBytesPerCycle);
-}
-
 void
 Network::registerMetrics(MetricsRegistry &registry) const
 {
@@ -215,8 +203,7 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
         // order via FCFS acquisition and lets packets pipeline through
         // the later stages. Stages 1-2 execute in the sender's context;
         // stage 2's dispatch is the one cross-node hop (scheduleTo), so
-        // stages 3-5 and the delivery execute in the receiver's context
-        // — the partition-ownership split the parallel engine needs.
+        // stages 3-5 and the delivery execute in the receiver's context.
         auto stage1 = [this, src, dst, pkt, &channel, seq, tracker] {
             Nic &snic = *nics[src];
             const Cycles io_done = snic.ioBus.acquire(
@@ -265,8 +252,7 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                               "packet stage closure outgrew EventFn's "
                               "inline storage");
                 // The wire hop: this is the only cross-node schedule in
-                // the simulator, and lookahead() lower-bounds
-                // (arrive - now) for the parallel engine's windows.
+                // the simulator.
                 eq.scheduleTo(static_cast<std::uint32_t>(dst), arrive,
                               std::move(stage3));
             };

@@ -77,18 +77,8 @@ class Network
     const CommParams &params() const { return params_; }
     Nic &nic(NodeId node) { return *nics.at(node); }
 
-    const ShardedCounter &messagesSent() const { return messages; }
-    const ShardedCounter &bytesSent() const { return bytes_; }
-
-    /**
-     * Minimum gap, in cycles, between the sender-side dispatch event
-     * (the moment a packet leaves the sender's NI pipeline stage) and
-     * the arrival it schedules at another node: NI occupancy + link
-     * latency + the smallest possible wire transfer. This is the
-     * parallel event engine's lookahead (sim/pdes.hh); it is >= 1
-     * because link bandwidth is finite.
-     */
-    Cycles lookahead() const;
+    const Counter &messagesSent() const { return messages; }
+    const Counter &bytesSent() const { return bytes_; }
 
     /**
      * Verify end-of-run conservation: every injected message was
@@ -122,11 +112,6 @@ class Network
      * Per-(src, dst) FIFO channel: messages are delivered in injection
      * order even when a small message would overtake a large one on the
      * contention-free wire (VMMC/wormhole channel semantics).
-     *
-     * Partition ownership under the parallel engine: nextAssign is
-     * written only by send() (the sender's context); nextDeliver,
-     * lastTime and done are written only by complete() (the receiver's
-     * context) — disjoint fields, so the struct needs no locking.
      */
     struct Channel
     {
@@ -145,11 +130,9 @@ class Network
     std::vector<std::unique_ptr<Nic>> nics;
     std::vector<Channel> channels;
 
-    // Sharded: sends execute on the sender's partition and deliveries
-    // on the receiver's when the run is partitioned (sim/pdes.hh).
-    ShardedCounter messages;
-    ShardedCounter bytes_;
-    ShardedCounter delivered_;
+    Counter messages;
+    Counter bytes_;
+    Counter delivered_;
     Tracer *trace_ = nullptr;
 };
 

@@ -38,22 +38,18 @@ HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
 }
 
 void
-HlrcProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
+HlrcProtocol::prepareRun(int num_locks, int num_barriers)
 {
-    (void)partitions;
-    // Size every shared table here, so no run — parallel or serial —
-    // ever grows one mid-flight. Sizing only appends: the call that
-    // restores the serial view after a partitioned run must keep the
-    // state checkQuiescent inspects. Each lock starts with its token
-    // at its manager, which is also the tail the first request chases.
+    // Size every shared table here, so no run ever grows one
+    // mid-flight. Each lock starts with its token at its manager, which
+    // is also the tail the first request chases.
     for (auto &ns : nodes)
         ns.pages.resize(space.numPages());
     lastDiffSeq.resize(
         space.numPages() * static_cast<std::size_t>(numNodes), 0);
-    const LockId sized_locks = static_cast<LockId>(lockTail.size());
     lockTail.resize(num_locks);
     lockNodes.resize(static_cast<std::size_t>(num_locks) * numNodes);
-    for (LockId l = sized_locks; l < num_locks; ++l) {
+    for (LockId l = 0; l < num_locks; ++l) {
         const NodeId mgr = lockManager(l);
         lockTail[l] = mgr;
         lockNode(l, mgr).holdsToken = true;
@@ -556,10 +552,12 @@ HlrcProtocol::tryGrant(NodeEnv &env, LockId lock)
     lns.next = invalidNode;
     lns.holdsToken = false;
 
+    // The requester is blocked on its one outstanding acquire, so its
+    // VC is still the one its request carried.
     auto &grantor = nodeState(env.node());
     Vc grant_vc = grantor.vc;
     const std::uint64_t notices =
-        countMissingNotices(nodeState(r).requestVc, grant_vc);
+        countMissingNotices(nodeState(r).vc, grant_vc);
     env.charge(notices * params.listPerElem, TimeBucket::ProtoOther);
     stats_.lockHandoffs.inc();
 
@@ -589,9 +587,6 @@ HlrcProtocol::acquire(ProcEnv &env, LockId lock)
     stats_.lockRequests.inc();
     const Cycles acquire_start = env.now();
     auto &ns = nodeState(n);
-    // The request carries our VC on the wire; the tail reads it from
-    // requestVc when it grants (see partitionSafe()).
-    ns.requestVc = ns.vc;
     const NodeId mgr = lockManager(lock);
     sendReq(env, mgr, smallPayload + vcBytes(),
             [this, lock, n](NodeEnv &henv) {
@@ -731,7 +726,7 @@ HlrcProtocol::registerMetrics(MetricsRegistry &registry) const
     // The same in every host mode (every diff scans its whole page), so
     // tools/bench_diff.py compares it like any other counter.
     const auto kernel = [&registry](const char *name,
-                                    const ShardedCounter &c) {
+                                    const Counter &c) {
         registry.addCounter(std::string("mem.simd_") + name,
                             [&c] { return c.value(); });
     };

@@ -32,7 +32,6 @@
 #include "proto/hlrc/diff.hh"
 #include "proto/proto_params.hh"
 #include "proto/protocol.hh"
-#include "sim/stable_vector.hh"
 #include "sim/stats.hh"
 
 namespace swsm
@@ -63,21 +62,7 @@ class HlrcProtocol : public Protocol
                    std::uint64_t bytes) override;
     void checkQuiescent() const override;
 
-    /**
-     * Every HLRC action mutates only the state of the node it runs on.
-     * The cross-node *reads* follow message chains, which the parallel
-     * engine's window barriers turn into real happens-before edges:
-     * interval records during notice counting follow message-carried
-     * vector clocks (StableVector keeps the records at stable
-     * addresses), and the tail's tryGrant reads the requester's
-     * requestVc only after the request -> manager -> tail chain. The
-     * requester wrote that slot on its own fiber just before sending
-     * the request and, blocked on its one outstanding acquire, cannot
-     * rewrite it before the grant arrives.
-     */
-    bool partitionSafe() const override { return true; }
-    void prepareRun(int partitions, int num_locks,
-                    int num_barriers) override;
+    void prepareRun(int num_locks, int num_barriers) override;
 
     /**
      * proto.* counters plus the HLRC data-path telemetry mem.simd_*
@@ -121,9 +106,6 @@ class HlrcProtocol : public Protocol
         bool waitingAcks = false;
         /** Grant/barrier-release payload stashed by data closures. */
         Vc stashedVc;
-        /** The VC of this node's outstanding lock request (see
-         *  partitionSafe()); read by the granting tail. */
-        Vc requestVc;
         /** Scratch page list reused across applyNotices calls. */
         std::vector<PageId> noticeScratch;
     };
@@ -232,13 +214,8 @@ class HlrcProtocol : public Protocol
     std::uint32_t wordsPerPage;
 
     std::vector<NodeState> nodes;
-    /**
-     * Global interval log: intervals[n][k] is node n's interval k+1.
-     * Appended only by node n; other nodes read records below counts
-     * they learned from n's vector clocks, so the inner container must
-     * keep elements at stable addresses while n appends (StableVector).
-     */
-    std::vector<StableVector<IntervalRec>> intervals;
+    /** Global interval log: intervals[n][k] is node n's interval k+1. */
+    std::vector<std::vector<IntervalRec>> intervals;
     /**
      * Invariant-checker state (SWSM_CHECK): per (page, writer), the
      * interval sequence number of the last diff applied at the home —
@@ -262,21 +239,20 @@ class HlrcProtocol : public Protocol
     /**
      * Host-side data-path telemetry (mem.simd_*; the names stay
      * because the benchmark reads them). Counts calls and bytes handed
-     * to the diff/twin/apply loops and page copies; sharded because
-     * diff application runs on the home node's partition. Every diff
-     * scans its whole page, so they are the same with the fast path
-     * on or off and belong to the equivalence checks.
+     * to the diff/twin/apply loops and page copies. Every diff scans
+     * its whole page, so they are the same with the fast path on or
+     * off and belong to the equivalence checks.
      */
     struct DataPathStats
     {
-        ShardedCounter diffScanCalls;
-        ShardedCounter diffScanBytes;
-        ShardedCounter twinCopyCalls;
-        ShardedCounter twinCopyBytes;
-        ShardedCounter applyCalls;
-        ShardedCounter applyWords;
-        ShardedCounter pageCopyCalls;
-        ShardedCounter pageCopyBytes;
+        Counter diffScanCalls;
+        Counter diffScanBytes;
+        Counter twinCopyCalls;
+        Counter twinCopyBytes;
+        Counter applyCalls;
+        Counter applyWords;
+        Counter pageCopyCalls;
+        Counter pageCopyBytes;
     };
     DataPathStats dataPathStats_;
 };

@@ -36,9 +36,8 @@ IdealProtocol::installFastGlobal(NodeId n)
 }
 
 void
-IdealProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
+IdealProtocol::prepareRun(int num_locks, int num_barriers)
 {
-    (void)partitions;
     // The only place the tables grow: every id below the bounds is
     // valid for the whole run, and Thread rejects the others.
     locks.resize(num_locks);

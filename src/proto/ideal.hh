@@ -46,8 +46,7 @@ class IdealProtocol : public Protocol
     void debugRead(GlobalAddr addr, void *out,
                    std::uint64_t bytes) override;
     void checkQuiescent() const override;
-    void prepareRun(int partitions, int num_locks,
-                    int num_barriers) override;
+    void prepareRun(int num_locks, int num_barriers) override;
 
   private:
     struct LockState

@@ -15,32 +15,25 @@
 namespace swsm
 {
 
-/**
- * Protocol event counters (one instance per protocol object).
- *
- * Sharded: protocol actions execute on whichever node's context fires
- * the event, so under the parallel engine (sim/pdes.hh) different
- * partitions increment concurrently; the per-thread shards make that
- * race-free and the summed totals are identical to a serial run.
- */
+/** Protocol event counters (one instance per protocol object). */
 struct ProtoStats
 {
-    ShardedCounter readFaults;       ///< read access faults / misses
-    ShardedCounter writeFaults;      ///< write access faults / misses
-    ShardedCounter pageFetches;      ///< whole page/block data fetches
-    ShardedCounter diffsCreated;     ///< diffs computed at releases
-    ShardedCounter diffWordsCompared;///< words compared during diff creation
-    ShardedCounter diffWordsWritten; ///< changed words placed into diffs
-    ShardedCounter diffsApplied;     ///< diffs merged at homes
-    ShardedCounter twinsCreated;     ///< twins copied
-    ShardedCounter invalidations;    ///< page/block invalidations performed
-    ShardedCounter writeNotices;     ///< write notices sent/applied
-    ShardedCounter lockRequests;     ///< remote lock acquire requests
-    ShardedCounter lockHandoffs;     ///< lock grants between nodes
-    ShardedCounter barrierEpisodes;  ///< completed barrier episodes
-    ShardedCounter handlersRun;      ///< protocol handlers executed
-    ShardedCounter protoMsgs;        ///< protocol messages sent (all kinds)
-    ShardedCounter protoBytes;       ///< payload bytes in protocol messages
+    Counter readFaults;        ///< read access faults / misses
+    Counter writeFaults;       ///< write access faults / misses
+    Counter pageFetches;       ///< whole page/block data fetches
+    Counter diffsCreated;      ///< diffs computed at releases
+    Counter diffWordsCompared; ///< words compared during diff creation
+    Counter diffWordsWritten;  ///< changed words placed into diffs
+    Counter diffsApplied;      ///< diffs merged at homes
+    Counter twinsCreated;      ///< twins copied
+    Counter invalidations;     ///< page/block invalidations performed
+    Counter writeNotices;      ///< write notices sent/applied
+    Counter lockRequests;      ///< remote lock acquire requests
+    Counter lockHandoffs;      ///< lock grants between nodes
+    Counter barrierEpisodes;   ///< completed barrier episodes
+    Counter handlersRun;       ///< protocol handlers executed
+    Counter protoMsgs;         ///< protocol messages sent (all kinds)
+    Counter protoBytes;        ///< payload bytes in protocol messages
 };
 
 } // namespace swsm

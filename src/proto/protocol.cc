@@ -7,7 +7,7 @@ void
 Protocol::registerMetrics(MetricsRegistry &registry) const
 {
     const auto add = [&registry](const char *name,
-                                 const ShardedCounter &c) {
+                                 const Counter &c) {
         registry.addCounter(std::string("proto.") + name,
                             [&c] { return c.value(); });
     };

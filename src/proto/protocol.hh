@@ -118,31 +118,14 @@ class Protocol
     virtual void checkQuiescent() const {}
 
     /**
-     * True when every protocol action touches only the state of the
-     * node it executes on (cross-node effects flow exclusively through
-     * simulated messages). Required for the parallel event engine
-     * (sim/pdes.hh); protocols that reach across nodes directly (Ideal)
-     * return false and always run serially.
-     */
-    virtual bool partitionSafe() const { return false; }
-
-    /**
      * Size the protocol's shared tables for a run: page and directory
      * tables for the allocated space, and per-lock and per-barrier
-     * state for ids in [0, num_locks) and [0, num_barriers). These are
-     * the only places the tables grow, so no accessor ever grows one
-     * mid-run (growth would race across partitions); Thread rejects
-     * any other id. Also remembers the partition count, so checks that
-     * legitimately scan other nodes' state can be confined to
-     * single-partition runs. Called by the machine layer before every
-     * run (with partitions == 1 for serial runs), and again after a
-     * parallel run completes so post-run verification sees the serial
-     * view; sizing must therefore be idempotent and keep existing state.
+     * state for ids in [0, num_locks) and [0, num_barriers). Called
+     * once, by the machine layer before the run; no accessor grows a
+     * table mid-run, and Thread rejects any other id.
      */
-    virtual void prepareRun(int partitions, int num_locks,
-                            int num_barriers)
+    virtual void prepareRun(int num_locks, int num_barriers)
     {
-        (void)partitions;
         (void)num_locks;
         (void)num_barriers;
     }

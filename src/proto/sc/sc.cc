@@ -65,15 +65,9 @@ ScProtocol::invalidateFast(NodeId n, BlockId b)
 }
 
 void
-ScProtocol::prepareRun(int partitions, int num_locks, int num_barriers)
+ScProtocol::prepareRun(int num_locks, int num_barriers)
 {
-    partitions_ = partitions;
-    // Size every shared table here, so no run ever grows one: under the
-    // parallel engine the home's grant decision inspects the
-    // requester's copy state, and that lookup must never regrow the
-    // requester's block vector from another partition. Sizing only
-    // appends, so the call after a partitioned run keeps the state
-    // checkQuiescent inspects.
+    // Size every shared table here, so no run ever grows one.
     for (auto &blocks : nodeBlocks)
         blocks.resize(space.numBlocks());
     dir.resize(space.numBlocks());
@@ -224,14 +218,6 @@ ScProtocol::checkDirInvariant(BlockId b) const
     // granted by the just-finished transaction installs at delivery
     // time, so a Shared copy under an Excl entry owned by the same
     // node (upgrade grant in flight) is legal.
-    //
-    // Scanning all nodes' copies from the home is only race-free when
-    // the run is single-partition (an unrelated in-flight grant may be
-    // installing a copy concurrently); partitioned runs defer this
-    // direction to the post-run checkQuiescent pass, which runs after
-    // prepareRun(1, ...) restores the serial view.
-    if (partitions_ > 1)
-        return;
     for (NodeId n = 0; n < numNodes; ++n) {
         if (n == home)
             continue;

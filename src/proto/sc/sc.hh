@@ -61,17 +61,7 @@ class ScProtocol : public Protocol
                    std::uint64_t bytes) override;
     void checkQuiescent() const override;
 
-    /**
-     * Every SC action executes at the node whose state it touches: the
-     * directory is touched only in home handlers, block copies only by
-     * the copy's node (handlers and grant deliveries run there), and
-     * the home's reads of a requester's copy *state* (grant-with-data
-     * decisions) are ordered behind the request/ack message chain the
-     * parallel engine turns into a happens-before edge.
-     */
-    bool partitionSafe() const override { return true; }
-    void prepareRun(int partitions, int num_locks,
-                    int num_barriers) override;
+    void prepareRun(int num_locks, int num_barriers) override;
 
   private:
     /** Block access state on one node. */
@@ -181,14 +171,6 @@ class ScProtocol : public Protocol
      * handlers, which the inline fast path does not model.
      */
     bool useFastPath_ = false;
-
-    /**
-     * Partition count of the current run (see prepareRun); mid-run
-     * directory checks that scan all nodes' copies are confined to
-     * single-partition runs — the full check still runs post-run via
-     * checkQuiescent once the machine resets to the serial view.
-     */
-    int partitions_ = 1;
 
     std::vector<std::vector<BlockCopy>> nodeBlocks;
     std::vector<DirEntry> dir;

@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hh"
 #include "sim/log.hh"
-#include "sim/pdes.hh"
 
 namespace swsm
 {
@@ -59,10 +58,6 @@ EventQueue::push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
 void
 EventQueue::schedule(Cycles when, EventFn fn)
 {
-    if (pdes_ != nullptr) [[unlikely]] {
-        pdes_->parallelSchedule(PdesEngine::sameSlot, when, std::move(fn));
-        return;
-    }
     if (when < now_)
         pastPanic(when, now_);
     push(when, makeStamp(curSlot_), curSlot_, std::move(fn));
@@ -71,10 +66,6 @@ EventQueue::schedule(Cycles when, EventFn fn)
 void
 EventQueue::scheduleTo(std::uint32_t slot, Cycles when, EventFn fn)
 {
-    if (pdes_ != nullptr) [[unlikely]] {
-        pdes_->parallelSchedule(slot, when, std::move(fn));
-        return;
-    }
     if (when < now_)
         pastPanic(when, now_);
     if (slot >= numSlots())

@@ -2,12 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single EventQueue drives one simulated cluster. Events are callbacks
- * scheduled at absolute cycle times; ties are broken deterministically by
- * a (slot, per-slot sequence) stamp so that simulations are
- * bit-reproducible — and, crucially, so that the tie order does not
- * depend on how the event set is partitioned across worker threads (see
- * sim/pdes.hh).
+ * A single EventQueue drives one simulated cluster, on one thread.
+ * Events are callbacks scheduled at absolute cycle times; ties are
+ * broken deterministically by a (slot, per-slot sequence) stamp so that
+ * simulations are bit-reproducible.
  *
  * The kernel schedules millions of events per run, so the callback type
  * is a small-buffer EventFn rather than std::function: every callback the
@@ -18,20 +16,21 @@
  * is relocated only on its way into the slab and once more on its way
  * out.
  *
- * Slots and execution contexts: every event belongs to a slot (in the
+ * Slots and the tie-break: every event belongs to a slot (in the
  * machine layer, the node whose state it touches). schedule() inherits
  * the slot of the event currently executing; scheduleTo() targets an
  * explicit slot and is the only way an event crosses slots. Each slot
  * carries its own monotonically increasing sequence counter, and an
- * event's tie-break stamp is (scheduling slot << 48) | per-slot seq.
- * Because slot s's events always execute in the same relative order, the
- * stamps — and therefore the global (when, stamp) execution order — are
- * identical whether the queue runs serially or partitioned.
+ * event's stamp is (scheduling slot << 48) | per-slot seq. The stamp
+ * is only the tie-break among events at one time: it orders them by
+ * the slot that scheduled each one, then by that slot's scheduling
+ * order. One global sequence counter would order them by scheduling
+ * order alone, which reorders simultaneous events and moves simulated
+ * results (EventQueue.CrossSlotTiesBreakBySchedulingSlot pins the
+ * rule).
  *
- * An EventQueue is confined to one thread in serial mode. In parallel
- * mode a PdesEngine temporarily takes over scheduling (see sim/pdes.hh);
- * the queue itself remains externally unsynchronized, and the parallel
- * sweep engine gives each concurrent simulation its own queue.
+ * An EventQueue is externally unsynchronized; the sweep runner gives
+ * each concurrent simulation its own queue.
  */
 
 #ifndef SWSM_SIM_EVENT_QUEUE_HH
@@ -51,7 +50,6 @@ namespace swsm
 {
 
 class MetricsRegistry;
-class PdesEngine;
 
 /**
  * Move-only callback with inline storage for the event hot path.
@@ -171,8 +169,7 @@ class EventFn
 };
 
 /**
- * Pending events in (when, stamp) order: the serial queue's event set
- * and each PdesEngine partition's.
+ * Pending events in (when, stamp) order: an EventQueue's event set.
  *
  * The binary heap holds 24-byte keys; each key names the slab slot that
  * holds its callback, so sifts never touch an EventFn. Vacated slots go
@@ -184,12 +181,10 @@ class EventFn
 class EventHeap
 {
   public:
-    /** A pending event outside the heap: popped, or in a PDES mailbox. */
+    /** An event popped off the heap, about to run. */
     struct Event
     {
         Cycles when;
-        /** (scheduling slot << 48) | per-slot sequence; unique. */
-        std::uint64_t stamp;
         /** Slot whose context the event executes in. */
         std::uint32_t execSlot;
         EventFn fn;
@@ -197,9 +192,6 @@ class EventHeap
 
     bool empty() const { return keys_.empty(); }
     std::size_t size() const { return keys_.size(); }
-
-    /** Time of the earliest event. @pre !empty() */
-    Cycles topWhen() const { return keys_.front().when; }
 
     /** Pre-size keys, slab and free list for @p events pending events. */
     void
@@ -227,12 +219,6 @@ class EventHeap
         std::push_heap(keys_.begin(), keys_.end(), Later{});
     }
 
-    void
-    push(Event &&e)
-    {
-        push(e.when, e.stamp, e.execSlot, std::move(e.fn));
-    }
-
     /**
      * Remove the earliest event. Its callback leaves the slab here,
      * before the caller runs it: the callback may schedule events, and
@@ -246,14 +232,14 @@ class EventHeap
         const Key k = keys_.back();
         keys_.pop_back();
         free_.push_back(k.index);
-        return Event{k.when, k.stamp, k.execSlot,
-                     std::move(slab_[k.index])};
+        return Event{k.when, k.execSlot, std::move(slab_[k.index])};
     }
 
   private:
     struct Key
     {
         Cycles when;
+        /** (scheduling slot << 48) | per-slot sequence; unique. */
         std::uint64_t stamp;
         /** Slab slot of the callback. */
         std::uint32_t index;
@@ -295,18 +281,12 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time (cycles). */
-    Cycles
-    now() const
-    {
-        if (pdes_ != nullptr) [[unlikely]]
-            return parallelNow();
-        return now_;
-    }
+    Cycles now() const { return now_; }
 
-    /** Number of pending events (serial mode). */
+    /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
 
-    /** True when no events remain (serial mode). */
+    /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
 
     /** Pre-size the backing storage for @p events pending events. */
@@ -375,43 +355,26 @@ class EventQueue
     void registerMetrics(MetricsRegistry &registry) const;
 
   private:
-    friend class PdesEngine;
-
-    /**
-     * Per-slot stamp counter, cache-line padded: in parallel mode each
-     * slot's counter is touched only by the worker owning that slot's
-     * partition, and padding keeps neighbouring slots from false
-     * sharing on the scheduling hot path.
-     */
-    struct alignas(64) SlotSeq
-    {
-        std::uint64_t next = 0;
-    };
-
     static constexpr unsigned stampSlotShift = 48;
 
     std::uint64_t
     makeStamp(std::uint32_t slot)
     {
         return (static_cast<std::uint64_t>(slot) << stampSlotShift) |
-               slotSeq_[slot].next++;
+               slotSeq_[slot]++;
     }
 
-    /** Common serial-mode insert. */
+    /** Common insert of schedule() and scheduleTo(). */
     void push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
               EventFn fn);
 
     [[noreturn]] void pastPanic(Cycles when, Cycles now) const;
 
-    /** Parallel-mode accessor (defined in pdes.cc). */
-    Cycles parallelNow() const;
-
     EventHeap heap_;
     Cycles now_ = 0;
     std::uint32_t curSlot_ = 0;
-    std::vector<SlotSeq> slotSeq_;
-    /** Non-null only while a PdesEngine::run is live on this queue. */
-    PdesEngine *pdes_ = nullptr;
+    /** Per slot, the sequence number of its next stamp. */
+    std::vector<std::uint64_t> slotSeq_;
     std::uint64_t scheduled_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t maxPending_ = 0;

@@ -33,51 +33,6 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/**
- * Calling thread's statistics shard, in [0, maxStatShards). 0 for
- * ordinary (serial) threads; the parallel event engine (sim/pdes.hh)
- * assigns each worker its partition index so that per-shard counters
- * need no synchronization.
- */
-int statShard();
-void setStatShard(int shard);
-
-/**
- * Counter sharded across the parallel event engine's worker threads.
- *
- * inc() adds to the calling thread's shard (cache-line padded, no
- * atomics); value() sums the shards and must only be called while no
- * concurrent inc() is possible (between runs). The final sum is
- * independent of how increments were distributed, so a partitioned run
- * reports exactly the serial totals. Drop-in for Counter in components
- * whose events execute on different partitions (protocol stats, the
- * network and message layer).
- */
-class ShardedCounter
-{
-  public:
-    static constexpr int maxStatShards = 16;
-
-    void inc(std::uint64_t n = 1) { shards_[statShard()].v += n; }
-
-    std::uint64_t
-    value() const
-    {
-        std::uint64_t sum = 0;
-        for (const Shard &s : shards_)
-            sum += s.v;
-        return sum;
-    }
-
-  private:
-    struct alignas(64) Shard
-    {
-        std::uint64_t v = 0;
-    };
-
-    Shard shards_[maxStatShards];
-};
-
 /** Running sum / count / min / max / mean of samples. */
 class Accumulator
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Harness-level tests: configuration expansion, parameter-set
- * invariants, option parsing (sim threads run only when asked), the
+ * invariants, option parsing, the
  * parallelFor executor, the sweep runner's plan/run/lookup contract,
  * and the coarse performance-monotonicity
  * properties the whole study rests on (better layer costs never make a
@@ -12,9 +12,7 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +61,19 @@ TEST(ExperimentConfig, UnknownSetLettersAreFatal)
     cfg.commSet = 'A';
     cfg.protoSet = 'Z';
     EXPECT_THROW(cfg.machineParams(), FatalError);
+}
+
+TEST(ExperimentConfig, SimThreadsOtherThanOneIsFatal)
+{
+    // Every run is serial; the field survives only until the benchmark
+    // stops assigning it, and no other value may reach a machine.
+    ExperimentConfig cfg;
+    EXPECT_EQ(cfg.simThreads, 1);
+    EXPECT_NO_THROW(cfg.machineParams());
+    for (const int threads : {0, 2, 4, -1}) {
+        cfg.simThreads = threads;
+        EXPECT_THROW(cfg.machineParams(), FatalError) << threads;
+    }
 }
 
 TEST(ProtoParamSets, OrderedBySeverity)
@@ -121,68 +132,6 @@ TEST(SweepOptions, ParseRejectsUnknown)
         char *argv[] = {prog, arg.data()};
         EXPECT_FALSE(opts.parse(2, argv)) << bad;
     }
-}
-
-/** Unsets SWSM_SIM_THREADS for a test; restores it on scope exit. */
-class SimThreadsEnv
-{
-  public:
-    SimThreadsEnv()
-    {
-        if (const char *v = std::getenv("SWSM_SIM_THREADS"))
-            saved_ = v;
-        ::unsetenv("SWSM_SIM_THREADS");
-    }
-
-    ~SimThreadsEnv()
-    {
-        if (saved_)
-            ::setenv("SWSM_SIM_THREADS", saved_->c_str(), 1);
-        else
-            ::unsetenv("SWSM_SIM_THREADS");
-    }
-
-  private:
-    std::optional<std::string> saved_;
-};
-
-/** Parse @p args (after a program name) into fresh SweepOptions. */
-SweepOptions
-parsed(std::vector<std::string> args)
-{
-    args.insert(args.begin(), "bench");
-    std::vector<char *> argv;
-    for (std::string &arg : args)
-        argv.push_back(arg.data());
-    SweepOptions opts;
-    EXPECT_TRUE(opts.parse(static_cast<int>(argv.size()), argv.data()));
-    return opts;
-}
-
-TEST(SweepOptions, SimThreadsRunOnlyWhenAsked)
-{
-    SimThreadsEnv env;
-    // Nothing asked: serial, however many cores a single job leaves.
-    SweepOptions opts;
-    opts.jobs = 1;
-    EXPECT_EQ(opts.simThreads, 1);
-
-    // SWSM_SIM_THREADS is taken as given, even with many jobs.
-    ::setenv("SWSM_SIM_THREADS", "3", 1);
-    SweepOptions from_env;
-    from_env.jobs = 64;
-    EXPECT_EQ(from_env.simThreads, 3);
-    ::unsetenv("SWSM_SIM_THREADS");
-
-    // So is an explicit flag.
-    EXPECT_EQ(parsed({"--jobs=1", "--sim-threads=5"}).simThreads, 5);
-}
-
-TEST(SweepOptions, ExplicitSimThreadsWin)
-{
-    SimThreadsEnv env;
-    ::setenv("SWSM_SIM_THREADS", "2", 1);
-    EXPECT_EQ(parsed({"--jobs=4", "--sim-threads=6"}).simThreads, 6);
 }
 
 // parallelFor runs a task list on a pool of up to `jobs` threads; the
@@ -349,32 +298,19 @@ TEST(SweepRunner, ScCollapsesProtoVariants)
     EXPECT_EQ(ao.config, "AO");
 }
 
-TEST(SweepRunner, CustomPointsTakeTraceAndSimThreadsFromTheOptions)
+TEST(SweepRunner, CustomPointsTakeTraceFromTheOptions)
 {
     const AppInfo &app = findApp("fft");
     ExperimentConfig cfg;
     cfg.numProcs = 4;
-    const auto runCustom = [&](SweepOptions opts) {
-        SweepRunner runner(opts);
-        runner.plan(app, "fft/custom", cfg.machineParams(), "custom");
-        runner.runPlanned();
-        return runner.result("fft/custom");
-    };
-
-    // Tracing forces the serial kernel, so each option gets its own run.
     SweepOptions traced = tinyOptions();
     traced.tracePath = "unused"; // turns tracing on in the runner
-    traced.simThreads = 1;
-    const ExperimentResult t = runCustom(traced);
+    SweepRunner runner(traced);
+    runner.plan(app, "fft/custom", cfg.machineParams(), "custom");
+    runner.runPlanned();
+    const ExperimentResult &t = runner.result("fft/custom");
     ASSERT_NE(t.trace, nullptr);
     EXPECT_FALSE(t.trace->events.empty());
-
-    SweepOptions partitioned = tinyOptions();
-    partitioned.simThreads = 2;
-    const ExperimentResult p = runCustom(partitioned);
-    EXPECT_EQ(p.stats.metrics.counter("sim.pdes_partitions"), 2u);
-    EXPECT_EQ(p.parallelCycles, t.parallelCycles);
-    EXPECT_EQ(p.sequentialCycles, t.sequentialCycles);
 }
 
 struct MonotonicityCase

@@ -63,7 +63,6 @@ class MemoTest : public ::testing::Test
         opts.numProcs = 4;
         opts.apps = {"fft"};
         opts.jobs = 2;
-        opts.simThreads = 1;
         opts.memoDir = dir_;
         return opts;
     }
@@ -294,7 +293,6 @@ TEST_F(MemoTest, RealHlrcAndScRunsRoundTrip)
         cfg.protocol = kind;
         cfg.numProcs = 4;
         cfg.blockBytes = app.scBlockBytes;
-        cfg.simThreads = 1;
         const ExperimentResult r =
             runExperiment(app.factory, SizeClass::Tiny, cfg, 0);
         ASSERT_TRUE(r.verified) << protocolKindName(kind);

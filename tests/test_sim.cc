@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -48,6 +49,33 @@ TEST(EventQueue, TiesBreakByInsertionOrder)
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+TEST(EventQueue, CrossSlotTiesBreakBySchedulingSlot)
+{
+    // Simultaneous events run in the stamp order of the slot that
+    // scheduled each one, not in global scheduling order: slot 1
+    // schedules B1 first, yet slot 0's A0 and X run before it. X runs
+    // in slot 1 (scheduleTo), so Y, which X schedules, carries a slot-1
+    // stamp and runs after W, which slot 0 schedules later.
+    EventQueue eq;
+    eq.setNumSlots(2);
+    std::vector<std::string> order;
+    const auto record = [&order](const char *name) {
+        return [&order, name] { order.push_back(name); };
+    };
+    eq.scheduleTo(1, 0, [&] { eq.schedule(10, record("B1")); });
+    eq.schedule(1, [&] {
+        eq.schedule(10, record("A0"));
+        eq.scheduleTo(1, 10, [&] {
+            order.push_back("X");
+            eq.schedule(20, record("Y"));
+        });
+        eq.schedule(15, [&] { eq.schedule(20, record("W")); });
+    });
+    eq.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"A0", "X", "B1", "W", "Y"}));
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents)

@@ -2,15 +2,15 @@
 """Compare two BENCH_*.json reports for semantic equality.
 
 Everything must match except host-timing fields (hostSeconds), the
-process's peak RSS (peakRssMb), the worker counts (jobs, simThreads),
-the machine.fastpath_* effectiveness counters and the parallel event
-kernel's sim.pdes_* bookkeeping (plus the pending-event high-water
-mark), which legitimately differ between runs of the same sweep (the
-fast path and the parallel kernel change how the simulation executes
-on the host, never what anything costs in the simulation). Used by CI
-to check that a parallel sweep (--jobs=N), a partitioned run
-(--sim-threads=N), a SWSM_FASTPATH=0 run or a --memo replay produces
-exactly the metrics of the serial/default one.
+process's peak RSS (peakRssMb), the sweep's worker count (jobs) and
+the machine.fastpath_* effectiveness counters, which legitimately
+differ between runs of the same sweep (the fast path changes how the
+simulation executes on the host, never what anything costs in the
+simulation). The event kernel's counters, sim.max_pending_events
+included, must match: every run is serial, so they are the same at
+any --jobs and with the fast path off. Used by CI to check that a
+parallel sweep (--jobs=N), a SWSM_FASTPATH=0 run or a --memo replay
+produces exactly the metrics of the serial/default one.
 
 hostSeconds fields may be plain numbers, {"min": ..., "median": ...}
 objects from repeated measurements, or (schema 3) an object of named
@@ -34,25 +34,18 @@ IGNORED_KEYS = {
     "hostSeconds",
     "peakRssMb",
     "jobs",
-    "simThreads",
     "machine.fastpath_hits",
     "machine.fastpath_misses",
     "machine.fastpath_installs",
     "machine.fastpath_invalidations",
-    "sim.max_pending_events",
 }
-
-IGNORED_PREFIXES = ("sim.pdes_",)
-
-
-def ignored(key):
-    return key in IGNORED_KEYS or key.startswith(IGNORED_PREFIXES)
 
 
 def strip(value):
     """Recursively drop ignored keys from dicts."""
     if isinstance(value, dict):
-        return {k: strip(v) for k, v in value.items() if not ignored(k)}
+        return {k: strip(v) for k, v in value.items()
+                if k not in IGNORED_KEYS}
     if isinstance(value, list):
         return [strip(v) for v in value]
     return value
@@ -186,11 +179,12 @@ def _selftest_sections():
 def _selftest_ignored():
     """strip() must drop exactly the host-execution telemetry and keep
     the deterministic fields it sits next to."""
-    entry = {"machine.fastpath_hits": 9, "sim.pdes_windows": 10,
+    entry = {"machine.fastpath_hits": 9, "sim.max_pending_events": 10,
              "sim.events_run": 12, "net.bytes": 77, "hostSeconds": 1.5,
              "peakRssMb": 25.5}
     stripped = strip(entry)
-    assert stripped == {"sim.events_run": 12, "net.bytes": 77}, stripped
+    assert stripped == {"sim.max_pending_events": 10, "sim.events_run": 12,
+                        "net.bytes": 77}, stripped
 
 
 def selftest():

@@ -65,21 +65,25 @@ class StripTest(unittest.TestCase):
             {"counters": {"proto.diffs_created": 2}},
         )
 
-    def test_drops_parallel_kernel_bookkeeping(self):
+    def test_keeps_every_event_kernel_counter(self):
+        # Every run is serial, so the kernel's counters, the pending-
+        # event high-water mark included, are simulated results.
         value = {
-            "simThreads": 4,
             "counters": {
-                "sim.pdes_partitions": 4,
-                "sim.pdes_windows": 1234,
-                "sim.pdes_mailbox_events": 99,
                 "sim.max_pending_events": 4096,
                 "sim.events_run": 1000,
+                "sim.events_scheduled": 1000,
             },
         }
+        self.assertEqual(bench_diff.strip(value), value)
+
+    def test_max_pending_events_difference_is_reported(self):
+        a = {"counters": {"sim.max_pending_events": 85}}
+        b = {"counters": {"sim.max_pending_events": 86}}
+        lines = list(bench_diff.describe(bench_diff.strip(a),
+                                         bench_diff.strip(b)))
         self.assertEqual(
-            bench_diff.strip(value),
-            {"counters": {"sim.events_run": 1000}},
-        )
+            lines, ["$.counters.sim.max_pending_events: 85 != 86"])
 
     def test_leaves_scalars_alone(self):
         self.assertEqual(bench_diff.strip(42), 42)
@@ -214,10 +218,10 @@ class MainTest(unittest.TestCase):
         with tempfile.TemporaryDirectory() as d:
             serial = dict(REPORT,
                           hostSeconds={"min": 9.0, "median": 9.5},
-                          simThreads=1)
+                          jobs=1)
             parallel = dict(REPORT,
                             hostSeconds={"min": 3.0, "median": 3.2},
-                            simThreads=4)
+                            jobs=4)
             a = write_json(d, "a.json", serial)
             b = write_json(d, "b.json", parallel)
             status, out, _ = self.run_main(a, b)
