@@ -2,11 +2,12 @@
  * @file
  * Simulator data-path microbenchmark (host throughput, not simulated
  * cycles). Measures the hot loops of the simulator, and times the one
- * host-side accelerator (the access fast path) on and off:
+ * host-side accelerator (Thread's inline access check) on and off:
  *
  *  - accesses/sec: single-word shared reads and writes through a
- *    Thread on a warmed HLRC page, fast-path TLB vs the full
- *    virtual-dispatch page-table walk (SWSM_FASTPATH=0 equivalent);
+ *    Thread on a warmed HLRC page, checked inline against the node's
+ *    access state table vs the virtual Protocol::load/store on every
+ *    reference (SWSM_FASTPATH=0 equivalent);
  *  - diff_scan words/sec: dense full-page twin comparison, the one
  *    scan every HLRC diff makes;
  *  - diff_apply words/sec: writing a diff's words into a home page;

@@ -9,8 +9,9 @@
  *       [--jobs=N] [--trace=FILE]
  *
  * Unknown applications, protocols, configurations and sizes, a
- * cluster above 32 nodes, a block size that is not a power of two and
- * an empty --trace print the usage text and exit 1.
+ * cluster above 32 nodes, a block size that is not a power of two of
+ * at least a word (4 bytes) and an empty --trace print the usage text
+ * and exit 1.
  *
  * Runs through the sweep runner: the experiment and its sequential
  * baseline are two independent tasks, so --jobs=2 runs them at once.
@@ -39,9 +40,10 @@ usage(const char *prog)
                  "  --config=XY  communication set X (A H B W X) and "
                  "protocol cost set Y (O H B)\n"
                  "  --procs=N    cluster size, 1 to %d\n"
-                 "  --block=BYTES  coherence block size, a power of two\n"
+                 "  --block=BYTES  coherence block size, a power of two "
+                 "of at least %u\n"
                  "applications:\n",
-                 prog, swsm::maxProcs);
+                 prog, swsm::maxProcs, swsm::wordBytes);
     for (const swsm::AppInfo &app : swsm::appRegistry())
         std::fprintf(stderr, "  %-16s (%s)\n", app.name.c_str(),
                      app.paperSize.c_str());
@@ -83,7 +85,7 @@ main(int argc, char **argv)
         else if (const char *v = value("--procs="))
             ok = parseProcs(v, procs);
         else if (const char *v = value("--block="))
-            ok = parseBoundedInt(v, 1, 1 << 20, block) &&
+            ok = parseBoundedInt(v, swsm::wordBytes, 1 << 20, block) &&
                 std::has_single_bit(static_cast<unsigned>(block));
         else if (const char *v = value("--jobs="))
             ok = parseBoundedInt(v, 1, maxJobs, jobs);

@@ -61,7 +61,7 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
     for (NodeId n = 0; n < params.numProcs; ++n) {
         nodes.push_back(std::make_unique<Node>(
             n, eq, *msg, params.mem, params.quantum, params.stackBytes,
-            params.seed * 0x9e3779b97f4a7c15ULL + n, params.fastPath));
+            params.seed * 0x9e3779b97f4a7c15ULL + n));
         msg->attachSink(n, nodes.back().get());
         envs.push_back(nodes.back().get());
     }
@@ -118,31 +118,20 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
             finish = std::max(finish, node->finishTime());
         return finish;
     });
-    // Host-side fast-path effectiveness. These are the only counters
-    // that legitimately differ between fast-path-on and -off runs of
-    // the same configuration (tools/bench_diff.py ignores them).
+    // Host-side effectiveness of Thread's inline access check. These
+    // are the only counters that legitimately differ between fast-path
+    // on and off runs of the same configuration (tools/bench_diff.py
+    // ignores them).
     registry_.addCounter("machine.fastpath_hits", [this] {
         std::uint64_t sum = 0;
-        for (const auto &node : nodes)
-            sum += node->fastPathTable().hits();
+        for (NodeId n = 0; n < params_.numProcs; ++n)
+            sum += protocol_->accessTable(n).hits();
         return sum;
     });
     registry_.addCounter("machine.fastpath_misses", [this] {
         std::uint64_t sum = 0;
-        for (const auto &node : nodes)
-            sum += node->fastPathTable().misses();
-        return sum;
-    });
-    registry_.addCounter("machine.fastpath_installs", [this] {
-        std::uint64_t sum = 0;
-        for (const auto &node : nodes)
-            sum += node->fastPathTable().installs();
-        return sum;
-    });
-    registry_.addCounter("machine.fastpath_invalidations", [this] {
-        std::uint64_t sum = 0;
-        for (const auto &node : nodes)
-            sum += node->fastPathTable().invalidations();
+        for (NodeId n = 0; n < params_.numProcs; ++n)
+            sum += protocol_->accessTable(n).misses();
         return sum;
     });
 }

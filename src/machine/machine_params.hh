@@ -70,10 +70,11 @@ struct MachineParams
      */
     bool trace = false;
     /**
-     * Per-node access fast path (software TLB caching resolved page /
-     * block lookups; see machine/fast_path.hh). Purely a host-side
-     * optimization: simulated cycles and protocol counters are
-     * bit-identical either way. Defaults from SWSM_FASTPATH.
+     * Thread checks each reference against the protocol's access
+     * table inline (proto/access_table.hh); off, every reference takes
+     * Protocol::load/store. Purely a host-side choice: simulated
+     * cycles and protocol counters are bit-identical either way.
+     * Defaults from SWSM_FASTPATH.
      */
     bool fastPath = defaultFastPath();
     /** Seed for all randomized decisions (bit-reproducible runs). */

@@ -63,9 +63,9 @@ class HandlerEnv : public NodeEnv
 
 Node::Node(NodeId id, EventQueue &eq, MsgLayer &msg,
            const MemoryParams &mem, Cycles quantum,
-           std::size_t stack_bytes, std::uint64_t seed, bool fast_path)
+           std::size_t stack_bytes, std::uint64_t seed)
     : id(id), eq(eq), msg(msg), cacheModel(mem), quantum(quantum),
-      rng_(seed), fastPathEnabled(fast_path)
+      rng_(seed)
 {
     if (quantum == 0)
         SWSM_FATAL("node quantum must be positive");

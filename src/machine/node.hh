@@ -28,7 +28,6 @@
 
 #include "comm/msg_layer.hh"
 #include "fiber/fiber.hh"
-#include "machine/fast_path.hh"
 #include "mem/cache_model.hh"
 #include "proto/protocol.hh"
 #include "sim/event_queue.hh"
@@ -41,8 +40,8 @@ namespace swsm
 /**
  * A uniprocessor cluster node (processor + caches + handler queue).
  * Final, so that a call through a Node reference binds statically:
- * Thread's fast-path hit makes no virtual call and can inline
- * fastPath(), charge() and chargeSharedAccess().
+ * Thread's inline hit makes no virtual call and can inline charge()
+ * and chargeSharedAccess().
  */
 class Node final : public ProcEnv, public HandlerSink
 {
@@ -55,11 +54,10 @@ class Node final : public ProcEnv, public HandlerSink
      * @param quantum fiber yield / polling quantum in cycles
      * @param stack_bytes fiber stack size
      * @param seed RNG seed for this node's application thread
-     * @param fast_path enable the access fast path (software TLB)
      */
     Node(NodeId id, EventQueue &eq, MsgLayer &msg,
          const MemoryParams &mem, Cycles quantum, std::size_t stack_bytes,
-         std::uint64_t seed, bool fast_path = true);
+         std::uint64_t seed);
 
     // NodeEnv / ProcEnv interface (application fiber context)
     NodeId node() const override { return id; }
@@ -128,18 +126,6 @@ class Node final : public ProcEnv, public HandlerSink
     Rng &rng() { return rng_; }
 
     /**
-     * Access fast path, or null when disabled (ProcEnv interface; a
-     * call through a Node binds statically).
-     */
-    FastPath *
-    fastPath() override
-    {
-        return fastPathEnabled ? &fastPath_ : nullptr;
-    }
-    /** The table itself (counters stay readable when disabled). */
-    const FastPath &fastPathTable() const { return fastPath_; }
-
-    /**
      * Enable wait-window tracing: every blocked window emits a span
      * named after its TimeBucket. Null (the default) disables it.
      */
@@ -184,8 +170,6 @@ class Node final : public ProcEnv, public HandlerSink
     CacheModel cacheModel;
     Cycles quantum;
     Rng rng_;
-    FastPath fastPath_;
-    bool fastPathEnabled;
 
     std::unique_ptr<Fiber> fiber;
     State state = State::Created;

@@ -27,6 +27,16 @@ Thread::straddles(GlobalAddr addr, std::uint32_t bytes)
 }
 
 void
+Thread::outside(GlobalAddr addr, std::uint64_t bytes, std::uint64_t extent)
+{
+    SWSM_FATAL("the %llu-byte reference at %#llx lies outside the shared "
+               "space, whose extent is %#llx bytes",
+               static_cast<unsigned long long>(bytes),
+               static_cast<unsigned long long>(addr),
+               static_cast<unsigned long long>(extent));
+}
+
+void
 Thread::unallocated(const char *what, int id, int count)
 {
     SWSM_FATAL("%s %d was never allocated (the cluster has %d)", what, id,

@@ -16,8 +16,8 @@
 #include <type_traits>
 
 #include "machine/cluster.hh"
-#include "machine/fast_path.hh"
 #include "machine/node.hh"
+#include "proto/access_table.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -28,9 +28,13 @@ namespace swsm
 class Thread
 {
   public:
+    /** @pre the protocol's tables are sized (Cluster::run). */
     Thread(Cluster &cluster, Node &node)
         : cluster_(cluster), node_(node),
-          protocol_(cluster.protocol())
+          protocol_(cluster.protocol()),
+          table_(cluster.params().fastPath
+                     ? protocol_.inlineTable(node.node())
+                     : nullptr)
     {}
 
     /** This thread's processor id, in [0, nprocs()). */
@@ -44,12 +48,13 @@ class Thread
 
     /**
      * Timed shared read of a trivially copyable value. A value up to a
-     * power-of-two size 8 is one reference: copied through the fast
-     * path's entry if it maps the whole value (inline, no virtual
-     * dispatch), else through Protocol::load, then charged once. A
-     * reference must not straddle a coherence unit (page, or SC
-     * block): that is fatal; use readBytes. Larger or odd-sized types
-     * go through readBytes.
+     * power-of-two size 8 is one reference: copied inline if the
+     * node's access table grants it (no virtual dispatch), else
+     * through Protocol::load, then charged once. A reference must not
+     * straddle a coherence unit (page, or SC block): that is fatal;
+     * use readBytes. Nor may it reach past the shared space's extent:
+     * that is fatal too. Larger or odd-sized types go through
+     * readBytes.
      */
     template <typename T>
     T
@@ -58,8 +63,8 @@ class Thread
         static_assert(std::is_trivially_copyable_v<T>);
         T v;
         if constexpr (isReference<T>) {
-            if (FastPath::Entry *e = entry(addr, sizeof(T), false))
-                std::memcpy(&v, e->data + (addr - e->base), sizeof(T));
+            if (const std::uint8_t *p = hit(addr, sizeof(T), false))
+                std::memcpy(&v, p, sizeof(T));
             else
                 v = loadReference<T>(addr);
             node_.chargeSharedAccess(addr, false);
@@ -76,8 +81,8 @@ class Thread
     {
         static_assert(std::is_trivially_copyable_v<T>);
         if constexpr (isReference<T>) {
-            if (FastPath::Entry *e = entry(addr, sizeof(T), true))
-                std::memcpy(e->data + (addr - e->base), &v, sizeof(T));
+            if (std::uint8_t *p = hit(addr, sizeof(T), true))
+                std::memcpy(p, &v, sizeof(T));
             else
                 storeReference<T>(addr, v);
             node_.chargeSharedAccess(addr, true);
@@ -89,25 +94,27 @@ class Thread
     /**
      * Timed bulk read of an arbitrary extent, one coherence unit at a
      * time: each unit is copied, then charged one Busy cycle per word
-     * plus its cache walk. Units resolve through the fast path until
-     * the first miss; that unit and every later one go to
-     * Protocol::load without a lookup.
+     * plus its cache walk. Units resolve inline until the first miss;
+     * that unit and every later one go to Protocol::load without a
+     * lookup.
      */
     void
     readBytes(GlobalAddr addr, void *dst, std::uint64_t bytes)
     {
         auto *out = static_cast<std::uint8_t *>(dst);
-        bool lookup = true;
+        bool check_inline = true;
         for (std::uint64_t done = 0; done < bytes;) {
             const GlobalAddr a = addr + done;
             std::uint64_t chunk;
-            FastPath::Entry *e = lookup ? entry(a, 1, false) : nullptr;
-            if (e) {
-                chunk = std::min<std::uint64_t>(bytes - done, e->limit - a);
-                std::memcpy(out + done, e->data + (a - e->base), chunk);
+            const std::uint8_t *p =
+                check_inline ? hit(a, 1, false) : nullptr;
+            if (p) {
+                chunk = std::min<std::uint64_t>(bytes - done,
+                                                table_->unitEnd(a) - a);
+                std::memcpy(out + done, p, chunk);
             } else {
-                lookup = false;
-                chunk = protocol_.load(node_, a, out + done, bytes - done);
+                check_inline = false;
+                chunk = load(a, out + done, bytes - done);
             }
             chargeRange(a, chunk, false);
             done += chunk;
@@ -119,17 +126,18 @@ class Thread
     writeBytes(GlobalAddr addr, const void *src, std::uint64_t bytes)
     {
         const auto *in = static_cast<const std::uint8_t *>(src);
-        bool lookup = true;
+        bool check_inline = true;
         for (std::uint64_t done = 0; done < bytes;) {
             const GlobalAddr a = addr + done;
             std::uint64_t chunk;
-            FastPath::Entry *e = lookup ? entry(a, 1, true) : nullptr;
-            if (e) {
-                chunk = std::min<std::uint64_t>(bytes - done, e->limit - a);
-                std::memcpy(e->data + (a - e->base), in + done, chunk);
+            std::uint8_t *p = check_inline ? hit(a, 1, true) : nullptr;
+            if (p) {
+                chunk = std::min<std::uint64_t>(bytes - done,
+                                                table_->unitEnd(a) - a);
+                std::memcpy(p, in + done, chunk);
             } else {
-                lookup = false;
-                chunk = protocol_.store(node_, a, in + done, bytes - done);
+                check_inline = false;
+                chunk = store(a, in + done, bytes - done);
             }
             chargeRange(a, chunk, true);
             done += chunk;
@@ -178,13 +186,49 @@ class Thread
     static constexpr bool isReference =
         sizeof(T) <= 8 && (sizeof(T) & (sizeof(T) - 1)) == 0;
 
-    /** The fast-path entry mapping [addr, addr + bytes), if any. */
-    FastPath::Entry *
-    entry(GlobalAddr addr, std::uint32_t bytes, bool write)
+    /**
+     * The node's bytes of [addr, addr + bytes) if its access table
+     * grants the access inline, else null. The table never reaches
+     * past the shared space, so a reference outside it misses here and
+     * fails in load()/store().
+     */
+    std::uint8_t *
+    hit(GlobalAddr addr, std::uint32_t bytes, bool write)
     {
-        FastPath *fp = node_.fastPath();
-        return fp ? fp->lookup(addr, bytes, write) : nullptr;
+        return table_ ? table_->lookup(addr, bytes, write) : nullptr;
     }
+
+    /**
+     * Protocol::load, once [addr, addr + bytes) is known to lie inside
+     * the shared space: the one check made before any protocol table
+     * is indexed.
+     */
+    std::uint64_t
+    load(GlobalAddr addr, void *out, std::uint64_t bytes)
+    {
+        checkInside(addr, bytes);
+        return protocol_.load(node_, addr, out, bytes);
+    }
+
+    /** Protocol::store; see load(). */
+    std::uint64_t
+    store(GlobalAddr addr, const void *in, std::uint64_t bytes)
+    {
+        checkInside(addr, bytes);
+        return protocol_.store(node_, addr, in, bytes);
+    }
+
+    /** Throw FatalError unless [addr, addr + bytes) lies inside the
+     *  shared space's extent. */
+    void
+    checkInside(GlobalAddr addr, std::uint64_t bytes)
+    {
+        const std::uint64_t extent = cluster_.space().extent();
+        if (bytes > extent || addr > extent - bytes)
+            outside(addr, bytes, extent);
+    }
+    [[noreturn]] static void outside(GlobalAddr addr, std::uint64_t bytes,
+                                     std::uint64_t extent);
 
     /** Charge @p bytes moved at @p addr: a Busy cycle per word, plus
      *  the cache walk. */
@@ -205,7 +249,7 @@ class Thread
     loadReference(GlobalAddr addr)
     {
         T v;
-        if (protocol_.load(node_, addr, &v, sizeof(T)) != sizeof(T))
+        if (load(addr, &v, sizeof(T)) != sizeof(T))
             straddles(addr, sizeof(T));
         return v;
     }
@@ -215,7 +259,7 @@ class Thread
     void
     storeReference(GlobalAddr addr, T v)
     {
-        if (protocol_.store(node_, addr, &v, sizeof(T)) != sizeof(T))
+        if (store(addr, &v, sizeof(T)) != sizeof(T))
             straddles(addr, sizeof(T));
     }
 
@@ -236,6 +280,9 @@ class Thread
     Cluster &cluster_;
     Node &node_;
     Protocol &protocol_;
+    /** The node's access table, or null: fast path off, or SC with an
+     *  access-check charge. */
+    AccessTable *const table_;
 };
 
 } // namespace swsm

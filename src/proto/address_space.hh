@@ -57,15 +57,20 @@ class AddressSpace
     std::uint32_t blockBytes() const { return blockBytes_; }
     int numNodes() const { return numNodes_; }
 
-    /** Total allocated bytes (the extent of the space). */
+    /** Total allocated bytes. */
     std::uint64_t size() const { return brk; }
     /** Number of pages covering the allocated space. */
     std::uint64_t numPages() const { return pageHomes.size(); }
-    /** Number of blocks covering the allocated space. */
+    /**
+     * The bytes the home store backs, numPages() x pageBytes(): every
+     * reference must lie below it.
+     */
+    std::uint64_t extent() const { return store.size(); }
+    /** Number of blocks covering the extent. */
     std::uint64_t
     numBlocks() const
     {
-        return (size() + blockBytes_ - 1) / blockBytes_;
+        return (extent() + blockBytes_ - 1) / blockBytes_;
     }
 
     PageId pageOf(GlobalAddr a) const { return a / pageBytes_; }

@@ -1,7 +1,6 @@
 #include "hlrc.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "check/check.hh"
@@ -18,7 +17,8 @@ constexpr std::uint32_t smallPayload = 8;
 
 HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
                            std::vector<ProcEnv *> procs)
-    : space(space), params(params), procs(std::move(procs)),
+    : Protocol(space.numNodes()), space(space), params(params),
+      procs(std::move(procs)),
       numNodes(space.numNodes()), pageBytes(space.pageBytes()),
       wordsPerPage(space.pageBytes() / wordBytes)
 {
@@ -28,13 +28,6 @@ HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
     intervals.resize(numNodes);
     for (auto &ns : nodes)
         ns.vc.assign(numNodes, 0);
-
-    // Page-indexed fast paths. Page-state downgrades (and so every
-    // invalidation) happen only on the app fiber itself.
-    for (ProcEnv *pe : this->procs) {
-        if (FastPath *f = pe->fastPath())
-            f->configure(std::countr_zero(pageBytes));
-    }
 }
 
 void
@@ -42,9 +35,16 @@ HlrcProtocol::prepareRun(int num_locks, int num_barriers)
 {
     // Size every shared table here, so no run ever grows one
     // mid-flight. Each lock starts with its token at its manager, which
-    // is also the tail the first request chases.
-    for (auto &ns : nodes)
-        ns.pages.resize(space.numPages());
+    // is also the tail the first request chases. A home reads its
+    // pages in the home store from the start.
+    for (NodeId n = 0; n < numNodes; ++n) {
+        nodes[n].pages.resize(space.numPages());
+        access_[n].resize(pageBytes, space.extent());
+    }
+    for (PageId p = 0; p < space.numPages(); ++p) {
+        access_[space.pageHome(p)].set(
+            p, space.homeBytes(space.pageBase(p)), Rights::Read);
+    }
     lastDiffSeq.resize(
         space.numPages() * static_cast<std::size_t>(numNodes), 0);
     lockTail.resize(num_locks);
@@ -66,39 +66,6 @@ HlrcProtocol::lastDiffSeqAt(PageId p, NodeId n)
     return lastDiffSeq[p * numNodes + n];
 }
 
-void
-HlrcProtocol::installFast(NodeId n, PageId p, PageCopy &pc)
-{
-    FastPath *f = fastPath(n);
-    if (!f)
-        return;
-    const GlobalAddr base = space.pageBase(p);
-    f->install(base, base + pageBytes, pc.data.data(),
-               pc.state == PState::ReadWrite);
-}
-
-void
-HlrcProtocol::installFastHome(NodeId n, PageId p, bool writable)
-{
-    FastPath *f = fastPath(n);
-    if (!f)
-        return;
-    const GlobalAddr base = space.pageBase(p);
-    // Writable only while ReadWrite: the first store to a clean home
-    // page must still take the slow path so enableWrite records the
-    // interval's write notice.
-    f->install(base, base + pageBytes, space.homeBytes(base), writable);
-}
-
-void
-HlrcProtocol::invalidateFastPage(NodeId n, PageId p)
-{
-    if (FastPath *f = fastPath(n)) {
-        const GlobalAddr base = space.pageBase(p);
-        f->invalidateRange(base, base + pageBytes);
-    }
-}
-
 HlrcProtocol::PageCopy &
 HlrcProtocol::pageCopy(NodeId n, PageId p)
 {
@@ -109,6 +76,29 @@ HlrcProtocol::NodeState &
 HlrcProtocol::nodeState(NodeId n)
 {
     return nodes.at(n);
+}
+
+void
+HlrcProtocol::checkPageRights(NodeId n, PageId p) const
+{
+    if (!check::enabled())
+        return;
+    const PageCopy &pc = nodes[n].pages[p];
+    const Rights r = access_[n].rights(p);
+    const auto pid = static_cast<unsigned long long>(p);
+    SWSM_INVARIANT((r == Rights::ReadWrite) == pc.dirty,
+                   "page %llu on node %d is %s but %s", pid, n,
+                   r == Rights::ReadWrite ? "read-write" : "not read-write",
+                   pc.dirty ? "dirty" : "clean");
+    if (space.pageHome(p) == n) {
+        SWSM_INVARIANT(r != Rights::None,
+                       "home %d has no rights to its page %llu", n, pid);
+    } else if (r == Rights::ReadWrite) {
+        SWSM_INVARIANT(pc.twin.size() == pageBytes,
+                       "read-write page %llu on node %d has a %zu-byte "
+                       "twin (expected %u)",
+                       pid, n, pc.twin.size(), pageBytes);
+    }
 }
 
 NodeId
@@ -181,8 +171,7 @@ HlrcProtocol::fetchPage(ProcEnv &env, PageId p)
 
     env.block(TimeBucket::DataWait);
 
-    PageCopy &pc = pageCopy(n, p);
-    pc.state = PState::ReadOnly;
+    access_[n].set(p, pageCopy(n, p).data.data(), Rights::Read);
     chargeProtect(env, 1);
 
     if (trace_) {
@@ -229,14 +218,14 @@ void
 HlrcProtocol::enableWrite(ProcEnv &env, PageId p, PageCopy &pc)
 {
     const NodeId n = env.node();
-    SWSM_INVARIANT(pc.state != PState::ReadWrite,
+    SWSM_INVARIANT(access_[n].rights(p) != Rights::ReadWrite,
                    "write-enable of already writable page %llu on node %d",
                    static_cast<unsigned long long>(p), n);
     stats_.writeFaults.inc();
     if (space.pageHome(p) != n)
         makeTwin(env, p, pc);
     chargeProtect(env, 1);
-    pc.state = PState::ReadWrite;
+    access_[n].setRights(p, Rights::ReadWrite);
     pc.dirty = true;
     nodeState(n).dirtyPages.push_back(p);
 }
@@ -250,20 +239,13 @@ HlrcProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
     const GlobalAddr base = space.pageBase(p);
     const std::uint64_t chunk =
         std::min<std::uint64_t>(bytes, base + pageBytes - addr);
-    PageCopy &pc = pageCopy(n, p);
-    const std::uint8_t *src;
-    if (space.pageHome(p) == n) {
-        src = space.homeBytes(addr);
-        installFastHome(n, p, pc.state == PState::ReadWrite);
-    } else {
-        if (pc.state == PState::Invalid) {
-            stats_.readFaults.inc();
-            fetchPage(env, p);
-        }
-        src = pc.data.data() + (addr - base);
-        installFast(n, p, pc);
+    checkPageRights(n, p);
+    AccessTable &t = access_[n];
+    if (t.rights(p) == Rights::None) {
+        stats_.readFaults.inc();
+        fetchPage(env, p);
     }
-    std::memcpy(out, src, chunk);
+    std::memcpy(out, t.bytes(p) + (addr - base), chunk);
     return chunk;
 }
 
@@ -273,24 +255,18 @@ HlrcProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
 {
     const PageId p = space.pageOf(addr);
     const NodeId n = env.node();
-    const bool is_home = space.pageHome(p) == n;
     const GlobalAddr base = space.pageBase(p);
     const std::uint64_t chunk =
         std::min<std::uint64_t>(bytes, base + pageBytes - addr);
-    PageCopy &pc = pageCopy(n, p);
-    if (!is_home && pc.state == PState::Invalid) {
+    checkPageRights(n, p);
+    AccessTable &t = access_[n];
+    if (t.rights(p) == Rights::None) {
         stats_.readFaults.inc();
         fetchPage(env, p);
     }
-    if (pc.state != PState::ReadWrite)
-        enableWrite(env, p, pc);
-    if (is_home) {
-        std::memcpy(space.homeBytes(addr), in, chunk);
-        installFastHome(n, p, true);
-    } else {
-        std::memcpy(pc.data.data() + (addr - base), in, chunk);
-        installFast(n, p, pc);
-    }
+    if (t.rights(p) != Rights::ReadWrite)
+        enableWrite(env, p, pageCopy(n, p));
+    std::memcpy(t.bytes(p) + (addr - base), in, chunk);
     return chunk;
 }
 
@@ -448,10 +424,8 @@ HlrcProtocol::flushInterval(ProcEnv &env, TimeBucket wait_bucket)
             discardTwin(pc);
         }
         pc.dirty = false;
-        pc.state = PState::ReadOnly;
-        // The RW→RO downgrade must kill any writable fast-path entry;
-        // the next access reinstalls a read-only one.
-        invalidateFastPage(n, p);
+        access_[n].setRights(p, Rights::Read);
+        checkPageRights(n, p);
         ++reprotect;
     }
     ns.dirtyPages.clear();
@@ -512,9 +486,10 @@ HlrcProtocol::applyNotices(ProcEnv &env, const Vc &new_vc,
 
     std::uint64_t protect_pages = 0;
     for (PageId p : to_invalidate) {
-        PageCopy &pc = pageCopy(n, p);
-        if (pc.state == PState::Invalid)
+        checkPageRights(n, p);
+        if (access_[n].rights(p) == Rights::None)
             continue;
+        PageCopy &pc = pageCopy(n, p);
         if (pc.dirty) {
             // False sharing: our own concurrent words must reach the
             // home before we drop the copy.
@@ -525,8 +500,7 @@ HlrcProtocol::applyNotices(ProcEnv &env, const Vc &new_vc,
             dp.erase(std::remove(dp.begin(), dp.end(), p), dp.end());
             ns.earlyFlushed.push_back(p);
         }
-        pc.state = PState::Invalid;
-        invalidateFastPage(n, p);
+        access_[n].setRights(p, Rights::None);
         stats_.invalidations.inc();
         ++protect_pages;
     }
@@ -768,6 +742,7 @@ HlrcProtocol::checkQuiescent() const
                            "node %d ended with a live twin of clean "
                            "page %llu",
                            n, static_cast<unsigned long long>(p));
+            checkPageRights(n, p);
         }
     }
     for (std::size_t l = 0; l < lockTail.size(); ++l) {

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "machine/fast_path.hh"
 #include "proto/address_space.hh"
 #include "proto/hlrc/diff.hh"
 #include "proto/proto_params.hh"
@@ -74,13 +73,12 @@ class HlrcProtocol : public Protocol
     /** Vector timestamp: per node, the number of its intervals seen. */
     using Vc = std::vector<std::uint32_t>;
 
-    /** Page access state on one node. */
-    enum class PState : std::uint8_t { Invalid, ReadOnly, ReadWrite };
-
-    /** One node's copy of one page. Home nodes use the home store. */
+    /**
+     * One node's copy of one page; its rights live in the node's access
+     * table, whose bytes are data's (the home store on the home).
+     */
     struct PageCopy
     {
-        PState state = PState::Invalid;
         bool dirty = false;
         /** Empty on the page's home. */
         std::vector<std::uint8_t> data;
@@ -159,17 +157,14 @@ class HlrcProtocol : public Protocol
     /** Free @p pc's twin. */
     void discardTwin(PageCopy &pc);
 
-    /** Node @p n's access fast path, or nullptr when disabled. */
-    FastPath *fastPath(NodeId n) { return procs[n]->fastPath(); }
+    /**
+     * Check @p n's rights to @p p against the page's state (SWSM_CHECK):
+     * read-write exactly while dirty, a page-sized twin behind a
+     * non-home read-write copy, and at least read on the home.
+     */
+    void checkPageRights(NodeId n, PageId p) const;
 
-    /** Publish @p n's resolved copy of @p p to its fast path. */
-    void installFast(NodeId n, PageId p, PageCopy &pc);
-    /** Publish a home-store mapping of @p p on its home node @p n. */
-    void installFastHome(NodeId n, PageId p, bool writable);
-    /** Drop any fast-path entry covering @p p on node @p n. */
-    void invalidateFastPage(NodeId n, PageId p);
-
-    /** Transition @p p to ReadWrite on env.node(), twinning if needed. */
+    /** Make @p p read-write on env.node(), twinning if needed. */
     void enableWrite(ProcEnv &env, PageId p, PageCopy &pc);
 
     /**

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "check/check.hh"
-#include "machine/fast_path.hh"
 #include "sim/log.hh"
 
 namespace swsm
@@ -13,52 +12,43 @@ namespace swsm
 
 IdealProtocol::IdealProtocol(AddressSpace &space,
                              std::vector<ProcEnv *> procs)
-    : space(space), procs(std::move(procs)),
+    : Protocol(space.numNodes()), space(space), procs(std::move(procs)),
       numNodes(space.numNodes())
 {
     if (static_cast<int>(this->procs.size()) != numNodes)
         SWSM_FATAL("Ideal protocol needs one ProcEnv per node");
-    // The backing store is still empty here; installFastGlobal
-    // publishes it on the first slow access.
-    for (ProcEnv *pe : this->procs) {
-        if (FastPath *f = pe->fastPath())
-            f->configure(std::countr_zero(space.pageBytes()));
-    }
-}
-
-void
-IdealProtocol::installFastGlobal(NodeId n)
-{
-    FastPath *f = procs[n]->fastPath();
-    if (!f || space.size() == 0)
-        return;
-    f->installGlobal(0, space.size(), space.homeBytes(0), true);
 }
 
 void
 IdealProtocol::prepareRun(int num_locks, int num_barriers)
 {
     // The only place the tables grow: every id below the bounds is
-    // valid for the whole run, and Thread rejects the others.
+    // valid for the whole run, and Thread rejects the others. Each
+    // node's access table is one read-write unit spanning the space.
+    const std::uint64_t extent = space.extent();
+    for (AccessTable &t : access_) {
+        t.resize(std::max<std::uint64_t>(std::bit_ceil(extent), wordBytes),
+                 extent);
+        if (extent > 0)
+            t.set(0, space.homeBytes(0), Rights::ReadWrite);
+    }
     locks.resize(num_locks);
     barriers.resize(num_barriers);
 }
 
 std::uint64_t
-IdealProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
+IdealProtocol::load(ProcEnv &, GlobalAddr addr, void *out,
                     std::uint64_t bytes)
 {
     std::memcpy(out, space.homeBytes(addr), bytes);
-    installFastGlobal(env.node());
     return bytes;
 }
 
 std::uint64_t
-IdealProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
+IdealProtocol::store(ProcEnv &, GlobalAddr addr, const void *in,
                      std::uint64_t bytes)
 {
     std::memcpy(space.homeBytes(addr), in, bytes);
-    installFastGlobal(env.node());
     return bytes;
 }
 

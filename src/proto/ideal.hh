@@ -35,7 +35,11 @@ class IdealProtocol : public Protocol
 
     const char *name() const override { return "ideal"; }
 
-    /** Copies all @p bytes: the home store is one contiguous array. */
+    /**
+     * Copies all @p bytes: the home store is one contiguous array.
+     * Every node's access table holds it as one read-write unit, so
+     * Thread resolves any range inside the space as one chunk too.
+     */
     std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
                        std::uint64_t bytes) override;
     std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
@@ -61,14 +65,6 @@ class IdealProtocol : public Protocol
         int arrived = 0;
         std::vector<NodeId> waiting;
     };
-
-    /**
-     * Publish the whole backing store to node @p n's fast path. One
-     * global entry fills every TLB slot, so after the first slow
-     * access all later accesses — including arbitrarily long ranges —
-     * resolve inline in a single chunk.
-     */
-    void installFastGlobal(NodeId n);
 
     AddressSpace &space;
     std::vector<ProcEnv *> procs;

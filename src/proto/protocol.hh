@@ -14,6 +14,11 @@
  * twins, ownership transfers). The reference itself costs the same
  * under every protocol (the node's memory hierarchy is fixed across
  * experiments), so Thread charges it, once, after the copy.
+ *
+ * Each node's access rights live in one AccessTable per node, owned
+ * here and kept by the protocol where its unit states change. Thread
+ * checks a reference against it inline and calls load()/store() only
+ * when the node lacks the rights (proto/access_table.hh).
  */
 
 #ifndef SWSM_PROTO_PROTOCOL_HH
@@ -21,18 +26,18 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "comm/handler.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "proto/access_table.hh"
 #include "proto/proto_stats.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace swsm
 {
-
-class FastPath;
 
 /**
  * Application-fiber execution environment: NodeEnv plus the ability to
@@ -54,15 +59,6 @@ class ProcEnv : public NodeEnv
      * data-delivery context.
      */
     virtual void unblock(Cycles t) = 0;
-
-    /**
-     * The node's access fast path (machine/fast_path.hh), or null when
-     * disabled. Protocols that support it configure the table at
-     * construction, install entries on slow-path hits and invalidate
-     * them on every state transition; protocols that return entries
-     * here must keep them coherent or not install at all.
-     */
-    virtual FastPath *fastPath() { return nullptr; }
 };
 
 /** Abstract software shared-memory protocol. */
@@ -78,11 +74,10 @@ class Protocol
      * Load from the coherence unit (HLRC page, SC block) holding
      * @p addr into @p out. Takes the fault, fetch or ownership transfer
      * the access needs, copies min(@p bytes, unit end - @p addr) bytes
-     * (Ideal: all @p bytes), installs the unit's fast-path entry if the
-     * protocol has one to give, and returns the number of bytes copied.
+     * (Ideal: all @p bytes) and returns the number of bytes copied.
      * Charges protocol costs only: the caller charges the reference
-     * after the copy, and that charge can yield into handlers whose
-     * invalidations must win over the entry installed here.
+     * after the copy.
+     * @pre [addr, addr + bytes) lies inside the space's extent
      */
     virtual std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
                                std::uint64_t bytes) = 0;
@@ -130,6 +125,21 @@ class Protocol
         (void)num_barriers;
     }
 
+    /**
+     * Node @p n's access table, for Thread to check references against
+     * inline; null when every reference must take load()/store() (SC
+     * with a per-reference access-check charge, which comes before the
+     * hit test). Valid from prepareRun() to the protocol's end.
+     */
+    AccessTable *
+    inlineTable(NodeId n)
+    {
+        return offersInline_ ? &access_[n] : nullptr;
+    }
+
+    /** Node @p n's access table (its hit and miss counts). */
+    const AccessTable &accessTable(NodeId n) const { return access_[n]; }
+
     /** Protocol event counters. */
     const ProtoStats &stats() const { return stats_; }
 
@@ -148,6 +158,9 @@ class Protocol
     virtual void registerMetrics(MetricsRegistry &registry) const;
 
   protected:
+    /** @param num_nodes the cluster size: one access table per node */
+    explicit Protocol(int num_nodes) : access_(num_nodes) {}
+
     /** Send a request message, counting it in proto.msgs/proto.bytes. */
     void
     sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes, HandlerFn fn,
@@ -170,6 +183,11 @@ class Protocol
 
     ProtoStats stats_;
     Tracer *trace_ = nullptr;
+    /** Per node, its rights to every unit: the protocol's only record
+     *  of them (sized by prepareRun). */
+    std::vector<AccessTable> access_;
+    /** See inlineTable(). */
+    bool offersInline_ = true;
 };
 
 } // namespace swsm

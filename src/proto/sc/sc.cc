@@ -18,67 +18,43 @@ constexpr std::uint32_t smallPayload = 8;
 ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
                        std::vector<ProcEnv *> procs,
                        Cycles access_check_cycles)
-    : space(space), params(params), procs(std::move(procs)),
-      numNodes(space.numNodes()), blockBytes(space.blockBytes()),
+    : Protocol(space.numNodes()), space(space), params(params),
+      procs(std::move(procs)), numNodes(space.numNodes()),
+      blockBytes(space.blockBytes()),
       accessCheckCycles(access_check_cycles)
 {
     if (static_cast<int>(this->procs.size()) != numNodes)
         SWSM_FATAL("SC needs one ProcEnv per node");
     if (numNodes > 32)
         SWSM_FATAL("SC directory sharer bitmask supports up to 32 nodes");
-    nodeBlocks.resize(numNodes);
+    // The access table keeps the rights in the low bits of each copy's
+    // address.
+    if (blockBytes < wordBytes)
+        SWSM_FATAL("SC blocks of %u bytes are smaller than a word (%u)",
+                   blockBytes, wordBytes);
     pendingApply.resize(numNodes);
-
-    // Block-indexed fast paths. See useFastPath_ for why a nonzero
-    // access-check cost disables installs.
-    useFastPath_ = accessCheckCycles == 0;
-    if (useFastPath_) {
-        for (ProcEnv *pe : this->procs) {
-            if (FastPath *f = pe->fastPath())
-                f->configure(std::countr_zero(blockBytes));
-        }
-    }
-}
-
-void
-ScProtocol::installFast(NodeId n, BlockId b)
-{
-    if (!useFastPath_)
-        return;
-    FastPath *f = procs[n]->fastPath();
-    if (!f)
-        return;
-    const GlobalAddr base = space.blockBase(b);
-    f->install(base, base + blockBytes, localBytes(n, base),
-               writeHit(n, b));
-}
-
-void
-ScProtocol::invalidateFast(NodeId n, BlockId b)
-{
-    if (!useFastPath_)
-        return;
-    if (FastPath *f = procs[n]->fastPath()) {
-        const GlobalAddr base = space.blockBase(b);
-        f->invalidateRange(base, base + blockBytes);
-    }
+    // A nonzero per-reference check charge must precede the hit test,
+    // and that charge can yield into handlers, which an inline check
+    // does not model: every reference then takes load()/store().
+    offersInline_ = accessCheckCycles == 0;
 }
 
 void
 ScProtocol::prepareRun(int num_locks, int num_barriers)
 {
-    // Size every shared table here, so no run ever grows one.
-    for (auto &blocks : nodeBlocks)
-        blocks.resize(space.numBlocks());
+    // Size every shared table here, so no run ever grows one. A home
+    // reads and writes its blocks in the home store while their
+    // directory entries are idle.
     dir.resize(space.numBlocks());
+    for (NodeId n = 0; n < numNodes; ++n)
+        access_[n].resize(blockBytes, space.extent());
+    for (BlockId b = 0; b < dir.size(); ++b) {
+        const NodeId home = space.blockHome(b);
+        access_[home].set(b, space.homeBytes(space.blockBase(b)),
+                          homeRights(dir[b], home));
+    }
     locks.resize(num_locks);
     barriers.resize(num_barriers);
-}
-
-ScProtocol::BlockCopy &
-ScProtocol::blockCopy(NodeId n, BlockId b)
-{
-    return nodeBlocks.at(n)[b];
 }
 
 ScProtocol::DirEntry &
@@ -91,33 +67,34 @@ std::uint8_t *
 ScProtocol::localBytes(NodeId n, GlobalAddr addr)
 {
     const BlockId b = space.blockOf(addr);
-    if (space.blockHome(b) == n)
-        return space.homeBytes(addr);
-    BlockCopy &bc = blockCopy(n, b);
-    return bc.data.data() + (addr - space.blockBase(b));
+    return access_[n].bytes(b) + (addr - space.blockBase(b));
 }
 
-bool
-ScProtocol::readHit(NodeId n, BlockId b)
+Rights
+ScProtocol::homeRights(const DirEntry &d, NodeId home)
 {
-    if (space.blockHome(b) == n) {
-        const DirEntry &d = dirEntry(b);
-        return !d.busy &&
-               !(d.state == DirEntry::DState::Excl && d.owner != n);
-    }
-    return blockCopy(n, b).state != BState::Invalid;
+    if (d.busy || (d.state == DirEntry::DState::Excl && d.owner != home))
+        return Rights::None;
+    if (d.state == DirEntry::DState::Shared)
+        return Rights::Read;
+    return Rights::ReadWrite; // idle, or exclusive at the home
 }
 
-bool
-ScProtocol::writeHit(NodeId n, BlockId b)
+std::uint8_t *
+ScProtocol::newCopy()
 {
-    if (space.blockHome(b) == n) {
-        const DirEntry &d = dirEntry(b);
-        return !d.busy &&
-               (d.state == DirEntry::DState::Idle ||
-                (d.state == DirEntry::DState::Excl && d.owner == n));
+    if (copyFree < blockBytes) {
+        const std::size_t chunk =
+            std::max<std::size_t>(std::size_t{64} << 10, blockBytes);
+        copyChunks.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(chunk));
+        copyNext = copyChunks.back().get();
+        copyFree = chunk;
     }
-    return blockCopy(n, b).state == BState::Excl;
+    std::uint8_t *copy = copyNext;
+    copyNext += blockBytes;
+    copyFree -= blockBytes;
+    return copy;
 }
 
 void
@@ -155,9 +132,13 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
         sendDat(henv, n, blockBytes,
                 [this, n, b, base, write,
                  snap = std::move(snap)](Cycles t) {
-                    BlockCopy &bc = blockCopy(n, b);
-                    bc.data.assign(snap.begin(), snap.end());
-                    bc.state = write ? BState::Excl : BState::Shared;
+                    AccessTable &at = access_[n];
+                    std::uint8_t *copy = at.bytes(b);
+                    if (!copy)
+                        copy = newCopy();
+                    std::memcpy(copy, snap.data(), blockBytes);
+                    at.set(b, copy,
+                           write ? Rights::ReadWrite : Rights::Read);
                     procs[n]->invalidateCacheRange(base, blockBytes);
                     runPendingApply(n);
                     procs[n]->unblock(t);
@@ -168,8 +149,13 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
         sendDat(henv, n, smallPayload,
                 [this, n, b, write, home](Cycles t) {
                     if (n != home) {
-                        BlockCopy &bc = blockCopy(n, b);
-                        bc.state = write ? BState::Excl : BState::Shared;
+                        SWSM_INVARIANT(access_[n].bytes(b) != nullptr,
+                                       "permission grant of block %llu "
+                                       "to node %d, which has no copy",
+                                       static_cast<unsigned long long>(b),
+                                       n);
+                        access_[n].setRights(b, write ? Rights::ReadWrite
+                                                      : Rights::Read);
                     }
                     runPendingApply(n);
                     procs[n]->unblock(t);
@@ -214,6 +200,11 @@ ScProtocol::checkDirInvariant(BlockId b) const
         break;
     }
 
+    SWSM_INVARIANT(access_[home].rights(b) == homeRights(d, home),
+                   "home %d holds rights to block %llu that its %s "
+                   "directory entry does not leave it",
+                   home, bid, d.busy ? "busy" : "idle");
+
     // Every valid remote copy must be covered by the directory. A copy
     // granted by the just-finished transaction installs at delivery
     // time, so a Shared copy under an Excl entry owned by the same
@@ -221,14 +212,14 @@ ScProtocol::checkDirInvariant(BlockId b) const
     for (NodeId n = 0; n < numNodes; ++n) {
         if (n == home)
             continue;
-        const BlockCopy &bc = nodeBlocks[n][b];
-        if (bc.state == BState::Excl) {
+        const Rights r = access_[n].rights(b);
+        if (r == Rights::ReadWrite) {
             SWSM_INVARIANT(d.state == DirEntry::DState::Excl &&
                                d.owner == n,
                            "node %d holds an exclusive copy of block "
                            "%llu the directory does not record",
                            n, bid);
-        } else if (bc.state == BState::Shared) {
+        } else if (r == Rights::Read) {
             SWSM_INVARIANT((d.state == DirEntry::DState::Shared &&
                             (d.sharers & (1u << n))) ||
                                (d.state == DirEntry::DState::Excl &&
@@ -247,6 +238,8 @@ ScProtocol::finish(NodeEnv &henv, BlockId b)
     DirEntry &d = dirEntry(b);
     d.busy = false;
     d.requester = invalidNode;
+    const NodeId home = space.blockHome(b);
+    access_[home].setRights(b, homeRights(d, home));
     if (!d.waiters.empty()) {
         const auto [n, write] = d.waiters.front();
         d.waiters.erase(d.waiters.begin());
@@ -263,15 +256,17 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
         d.waiters.emplace_back(requester, write);
         return;
     }
+    const NodeId home = space.blockHome(b);
+    const GlobalAddr base = space.blockBase(b);
+    SWSM_INVARIANT(access_[home].rights(b) == homeRights(d, home),
+                   "home %d's rights to idle block %llu changed outside "
+                   "a transaction",
+                   home, static_cast<unsigned long long>(b));
     d.busy = true;
     d.requester = requester;
     d.reqWrite = write;
-    const NodeId home = space.blockHome(b);
-    const GlobalAddr base = space.blockBase(b);
-    // A busy directory entry makes home accesses miss, so the home's
-    // inline fast path must stop hitting for the transaction's
-    // duration (and until a later hit reinstalls).
-    invalidateFast(home, b);
+    // A busy entry leaves the home no rights until finish().
+    access_[home].setRights(b, Rights::None);
 
     if (d.state == DirEntry::DState::Excl && d.owner != requester) {
         // Home-centric recall: the owner writes back through the home,
@@ -292,12 +287,8 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                     oenv.chargeCacheRange(base, blockBytes, false,
                                           TimeBucket::ProtoHandler);
                     if (o2 != home) {
-                        BlockCopy &obc = blockCopy(o2, b);
-                        obc.state = write ? BState::Invalid
-                                          : BState::Shared;
-                        // Recalls downgrade the owner; a writable
-                        // fast-path entry must not survive either way.
-                        invalidateFast(o2, b);
+                        access_[o2].setRights(b, write ? Rights::None
+                                                       : Rights::Read);
                         if (write)
                             oenv.invalidateCacheRange(base, blockBytes);
                     }
@@ -355,7 +346,7 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
     const std::uint32_t targets = d.sharers & ~(1u << requester);
     if (targets == 0) {
         const bool with_data = requester != home &&
-            blockCopy(requester, b).state == BState::Invalid;
+            access_[requester].rights(b) == Rights::None;
         d.state = DirEntry::DState::Excl;
         d.owner = requester;
         d.sharers = 0;
@@ -380,11 +371,8 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                     // Fault injection (harness only): keep the stale
                     // copy readable but still ack, breaking SC.
                     if (!check::faultPlan().skipScInvalidate) {
-                        if (s2 != home) {
-                            BlockCopy &bc = blockCopy(s2, b);
-                            bc.state = BState::Invalid;
-                            invalidateFast(s2, b);
-                        }
+                        if (s2 != home)
+                            access_[s2].setRights(b, Rights::None);
                         senv.invalidateCacheRange(base, blockBytes);
                     }
                     // Ack back to the home.
@@ -405,8 +393,7 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                                 const NodeId h2 =
                                     space.blockHome(b);
                                 const bool with_data = r != h2 &&
-                                    blockCopy(r, b).state ==
-                                        BState::Invalid;
+                                    access_[r].rights(b) == Rights::None;
                                 d2.state = DirEntry::DState::Excl;
                                 d2.owner = r;
                                 d2.sharers = 0;
@@ -460,9 +447,8 @@ ScProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
     const std::uint64_t chunk = std::min<std::uint64_t>(
         bytes, space.blockBase(b) + blockBytes - addr);
     chargeAccessCheck(env);
-    if (readHit(n, b)) {
+    if (access_[n].rights(b) != Rights::None) {
         std::memcpy(out, localBytes(n, addr), chunk);
-        installFast(n, b);
     } else {
         miss(env, b, false, [this, n, addr, out, chunk] {
             std::memcpy(out, localBytes(n, addr), chunk);
@@ -480,9 +466,8 @@ ScProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
     const std::uint64_t chunk = std::min<std::uint64_t>(
         bytes, space.blockBase(b) + blockBytes - addr);
     chargeAccessCheck(env);
-    if (writeHit(n, b)) {
+    if (access_[n].rights(b) == Rights::ReadWrite) {
         std::memcpy(localBytes(n, addr), in, chunk);
-        installFast(n, b);
     } else {
         // The store is bound to the grant: it is performed the moment
         // ownership is installed, before anyone can steal the block.
@@ -614,10 +599,7 @@ ScProtocol::debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
             dir[b].state == DirEntry::DState::Excl &&
             dir[b].owner != space.blockHome(b);
         if (excl_remote) {
-            const DirEntry &d = dir[b];
-            const BlockCopy &bc = blockCopy(d.owner, b);
-            std::memcpy(dst + done,
-                        bc.data.data() + (a - space.blockBase(b)), chunk);
+            std::memcpy(dst + done, localBytes(dir[b].owner, a), chunk);
         } else {
             std::memcpy(dst + done, space.homeBytes(a), chunk);
         }

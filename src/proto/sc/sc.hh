@@ -15,6 +15,12 @@
  * collection for writes, and a busy/waiter queue serializing racing
  * requests per block. Caches of remote data live in node memory and are
  * unbounded (Stache uses local DRAM as the cache).
+ *
+ * Each node's block states are its access table (proto/access_table.hh).
+ * A non-home node's rights change where its copy is granted, recalled
+ * or invalidated. A home's rights are its directory entry's: none
+ * while a transaction is in flight, and after it the rights the entry
+ * leaves the home (homeRights()).
  */
 
 #ifndef SWSM_PROTO_SC_SC_HH
@@ -22,10 +28,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "machine/fast_path.hh"
 #include "proto/address_space.hh"
 #include "proto/proto_params.hh"
 #include "proto/protocol.hh"
@@ -64,16 +70,6 @@ class ScProtocol : public Protocol
     void prepareRun(int num_locks, int num_barriers) override;
 
   private:
-    /** Block access state on one node. */
-    enum class BState : std::uint8_t { Invalid, Shared, Excl };
-
-    /** One node's cached copy of one block (homes use the home store). */
-    struct BlockCopy
-    {
-        BState state = BState::Invalid;
-        std::vector<std::uint8_t> data;
-    };
-
     /** Directory entry at a block's home. */
     struct DirEntry
     {
@@ -106,16 +102,20 @@ class ScProtocol : public Protocol
         int arrived = 0;
     };
 
-    BlockCopy &blockCopy(NodeId n, BlockId b);
     DirEntry &dirEntry(BlockId b);
 
     /** Pointer to the current bytes of @p b as seen by node @p n. */
     std::uint8_t *localBytes(NodeId n, GlobalAddr addr);
 
-    /** True if node @p n may read @p b without a transaction. */
-    bool readHit(NodeId n, BlockId b);
-    /** True if node @p n may write @p b without a transaction. */
-    bool writeHit(NodeId n, BlockId b);
+    /** The rights directory entry @p d leaves its block's @p home. */
+    static Rights homeRights(const DirEntry &d, NodeId home);
+
+    /**
+     * A fresh block-sized copy for a non-home node. Copies are carved
+     * from chunks and live as long as the protocol: an invalidated
+     * copy keeps its place in the access table, so a refetch reuses it.
+     */
+    std::uint8_t *newCopy();
 
     /**
      * Run a miss transaction for (env.node(), b); blocks the fiber.
@@ -140,10 +140,11 @@ class ScProtocol : public Protocol
 
     /**
      * Directory consistency invariants for @p b, checked when a
-     * transaction finishes (SWSM_CHECK). Only the grant for the
-     * finishing transaction may still be in flight, so the safe
-     * direction is "a valid remote copy must be covered by the
-     * directory", never the converse.
+     * transaction finishes and at the end of the run (SWSM_CHECK).
+     * Only the grant for the finishing transaction may still be in
+     * flight, so the safe direction is "a valid remote copy must be
+     * covered by the directory", never the converse. The home holds
+     * no rights while the entry is busy, and homeRights() after.
      */
     void checkDirInvariant(BlockId b) const;
 
@@ -153,27 +154,18 @@ class ScProtocol : public Protocol
     /** Per-reference access-control charge (0 under the paper's model). */
     void chargeAccessCheck(ProcEnv &env);
 
-    /** Publish node @p n's resolved copy of @p b to its fast path. */
-    void installFast(NodeId n, BlockId b);
-    /** Drop any fast-path entry covering @p b on node @p n. */
-    void invalidateFast(NodeId n, BlockId b);
-
     AddressSpace &space;
     ProtoParams params;
     std::vector<ProcEnv *> procs;
     int numNodes;
     std::uint32_t blockBytes;
     Cycles accessCheckCycles;
-    /**
-     * Fast-path installs are enabled only under the paper's zero-cost
-     * access-control assumption: a nonzero per-reference check charge
-     * must precede the hit test, and a pre-hit charge can yield into
-     * handlers, which the inline fast path does not model.
-     */
-    bool useFastPath_ = false;
 
-    std::vector<std::vector<BlockCopy>> nodeBlocks;
     std::vector<DirEntry> dir;
+    /** Chunks that newCopy() carves copies from. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> copyChunks;
+    std::uint8_t *copyNext = nullptr; ///< next free copy in the last chunk
+    std::size_t copyFree = 0;         ///< bytes left in the last chunk
     /** One outstanding install-time access per (blocking) processor. */
     std::vector<std::function<void()>> pendingApply;
     std::vector<LockState> locks;

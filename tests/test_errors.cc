@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
@@ -116,7 +118,7 @@ TEST(Errors, StraddlingReferenceIsFatal)
     // An 8-byte reference 4 bytes before the end of a page (HLRC) or a
     // block (SC) homed elsewhere: the node's copy of that unit ends
     // halfway through it. A 4-byte access to the same word first maps
-    // the unit, so the straddling one also passes the fast path by.
+    // the unit, so the straddling one also misses the inline check.
     for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc}) {
         for (bool store : {false, true}) {
             const MachineParams mp = machine(kind, 2);
@@ -140,6 +142,53 @@ TEST(Errors, StraddlingReferenceIsFatal)
                 << protocolKindName(kind) << (store ? " put" : " get");
         }
     }
+}
+
+TEST(Errors, ReferenceOutsideTheSharedSpaceIsFatal)
+{
+    // One page past the home store's extent: every protocol throws the
+    // same FatalError before it indexes a per-unit table, whether or
+    // not Thread checks the reference inline first.
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc,
+                      ProtocolKind::Ideal}) {
+        for (bool fast_path : {true, false}) {
+            for (bool bulk : {false, true}) {
+                MachineParams mp = machine(kind, 2);
+                mp.fastPath = fast_path;
+                Cluster c(mp);
+                c.alloc(2 * mp.pageBytes);
+                const GlobalAddr past =
+                    c.space().extent() + mp.pageBytes;
+                std::string what;
+                try {
+                    c.run([&](Thread &t) {
+                        if (t.id() != 1)
+                            return;
+                        if (bulk) {
+                            std::uint8_t buf[16];
+                            t.readBytes(past, buf, sizeof(buf));
+                        } else {
+                            (void)t.get<std::uint64_t>(past);
+                        }
+                    });
+                } catch (const FatalError &e) {
+                    what = e.what();
+                }
+                EXPECT_NE(what.find("outside the shared space"),
+                          std::string::npos)
+                    << protocolKindName(kind)
+                    << (fast_path ? " fast path" : " slow path")
+                    << (bulk ? " readBytes" : " get") << ": " << what;
+            }
+        }
+    }
+}
+
+TEST(Errors, ScBlockBelowAWordIsFatal)
+{
+    MachineParams mp = machine(ProtocolKind::Sc, 2);
+    mp.blockBytes = 2;
+    EXPECT_THROW(Cluster c(mp), FatalError);
 }
 
 TEST(Errors, AllocationAfterRunIsFatal)

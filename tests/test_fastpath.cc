@@ -1,14 +1,15 @@
 /**
  * @file
- * Fast-path correctness: the per-thread access TLB and HLRC's diff
- * and apply loops, plus the property the whole overhaul hangs on — a
- * simulation runs bit-identically with the fast path on and off (same
- * cycles, same protocol, network and data-path counters), across
- * protocols and geometries.
+ * Fast-path correctness: the per-node access table Thread checks
+ * inline and HLRC's diff and apply loops, plus the property the whole
+ * design hangs on — a simulation runs bit-identically with the fast
+ * path on and off (same cycles, same protocol, network and data-path
+ * counters), across protocols and geometries.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -18,9 +19,9 @@
 #include <vector>
 
 #include "machine/cluster.hh"
-#include "machine/fast_path.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
+#include "proto/access_table.hh"
 #include "proto/hlrc/diff.hh"
 #include "sim/log.hh"
 
@@ -29,80 +30,97 @@ namespace swsm
 namespace
 {
 
-// ------------------------------------------------------------ FastPath
+// --------------------------------------------------------- AccessTable
 
-TEST(FastPath, MissesUntilInstalledThenHits)
+TEST(AccessTable, RightsGateLoadsAndStores)
 {
-    FastPath fp;
-    fp.configure(12);
-    std::uint8_t page[4096] = {};
-    EXPECT_EQ(fp.lookup(0x1000, 4, false), nullptr);
-    fp.install(0x1000, 0x2000, page, false);
-    FastPath::Entry *e = fp.lookup(0x1000, 4, false);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->data, page);
-    EXPECT_EQ(fp.hits(), 1u);
-    EXPECT_EQ(fp.misses(), 1u);
-    EXPECT_EQ(fp.installs(), 1u);
+    AccessTable t;
+    t.resize(4096, 4 * 4096);
+    alignas(8) std::uint8_t page[4096] = {};
+    EXPECT_EQ(t.lookup(0x1000, 4, false), nullptr);
+    t.set(1, page, Rights::None);
+    EXPECT_EQ(t.lookup(0x1000, 4, false), nullptr);
+    EXPECT_EQ(t.lookup(0x1000, 4, true), nullptr);
+    t.setRights(1, Rights::Read);
+    EXPECT_EQ(t.lookup(0x1010, 4, false), page + 0x10);
+    EXPECT_EQ(t.lookup(0x1010, 4, true), nullptr);
+    t.setRights(1, Rights::ReadWrite);
+    EXPECT_EQ(t.lookup(0x1010, 4, false), page + 0x10);
+    EXPECT_EQ(t.lookup(0x1ff8, 8, true), page + 0xff8);
+    // The neighbours were never set.
+    EXPECT_EQ(t.lookup(0x0ffc, 4, false), nullptr);
+    EXPECT_EQ(t.lookup(0x2000, 4, false), nullptr);
 }
 
-TEST(FastPath, WritableGatingAndLimits)
+TEST(AccessTable, ReferencesCrossingAUnitOrTheLimitMiss)
 {
-    FastPath fp;
-    fp.configure(12);
-    std::uint8_t page[4096] = {};
-    fp.install(0x1000, 0x2000, page, false);
-    // Read anywhere in range, but never write through a read-only
-    // entry, and never let an access cross the entry's limit.
-    EXPECT_NE(fp.lookup(0x1ffc, 4, false), nullptr);
-    EXPECT_EQ(fp.lookup(0x1000, 4, true), nullptr);
-    EXPECT_EQ(fp.lookup(0x1ffe, 4, false), nullptr);
-    EXPECT_EQ(fp.lookup(0x0fff, 4, false), nullptr);
-    fp.install(0x1000, 0x2000, page, true);
-    EXPECT_NE(fp.lookup(0x1000, 4, true), nullptr);
+    AccessTable t;
+    // Three 64-byte units; the last one is cut short at 160.
+    t.resize(64, 160);
+    alignas(64) std::uint8_t copy[3][64] = {};
+    for (std::size_t u = 0; u < 3; ++u)
+        t.set(u, copy[u], Rights::ReadWrite);
+    EXPECT_NE(t.lookup(56, 8, false), nullptr);
+    EXPECT_EQ(t.lookup(60, 8, false), nullptr); // crosses 64
+    EXPECT_NE(t.lookup(152, 8, true), nullptr);
+    EXPECT_EQ(t.lookup(156, 8, true), nullptr); // crosses the limit
+    EXPECT_EQ(t.lookup(160, 1, false), nullptr);
+    EXPECT_EQ(t.lookup(1u << 20, 4, false), nullptr);
+    // A last byte that wraps around the address space.
+    EXPECT_EQ(t.lookup(~GlobalAddr{0} - 3, 8, false), nullptr);
+    EXPECT_EQ(t.unitEnd(70), 128u);
+    EXPECT_EQ(t.unitEnd(130), 160u);
 }
 
-TEST(FastPath, SlotCollisionEvicts)
+TEST(AccessTable, DroppingRightsKeepsTheBytes)
 {
-    FastPath fp;
-    fp.configure(12);
-    std::uint8_t a[4096] = {}, b[4096] = {};
-    // Pages 0 and numSlots map to the same direct-mapped slot.
-    const GlobalAddr second = FastPath::numSlots * GlobalAddr{4096};
-    fp.install(0, 4096, a, false);
-    fp.install(second, second + 4096, b, false);
-    EXPECT_EQ(fp.lookup(0, 4, false), nullptr);
-    EXPECT_NE(fp.lookup(second, 4, false), nullptr);
+    AccessTable t;
+    t.resize(64, 64 * 8);
+    alignas(64) std::uint8_t copy[64] = {};
+    t.set(5, copy, Rights::ReadWrite);
+    t.setRights(5, Rights::None);
+    EXPECT_EQ(t.rights(5), Rights::None);
+    EXPECT_EQ(t.bytes(5), copy);
+    EXPECT_EQ(t.lookup(5 * 64, 4, false), nullptr);
+    t.setRights(5, Rights::Read);
+    EXPECT_EQ(t.rights(5), Rights::Read);
+    EXPECT_EQ(t.lookup(5 * 64 + 4, 4, false), copy + 4);
+    EXPECT_EQ(t.bytes(4), nullptr);
 }
 
-TEST(FastPath, InvalidateRangeDropsOverlappingEntries)
+TEST(AccessTable, WholeSpaceUnitResolvesRangesAsOneChunk)
 {
-    FastPath fp;
-    fp.configure(12);
-    std::uint8_t a[4096] = {}, b[4096] = {};
-    fp.install(0x1000, 0x2000, a, false);
-    fp.install(0x3000, 0x4000, b, false);
-    fp.invalidateRange(0x1000, 0x2000);
-    EXPECT_EQ(fp.lookup(0x1000, 4, false), nullptr);
-    EXPECT_NE(fp.lookup(0x3000, 4, false), nullptr);
-    EXPECT_EQ(fp.invalidations(), 1u);
-    fp.invalidateAll();
-    EXPECT_EQ(fp.lookup(0x3000, 4, false), nullptr);
+    // Ideal's shape: one unit of the next power of two, cut at the
+    // space's extent.
+    std::vector<std::uint8_t> store(5 * 4096);
+    AccessTable t;
+    t.resize(std::bit_ceil(store.size()), store.size());
+    t.set(0, store.data(), Rights::ReadWrite);
+    EXPECT_EQ(t.lookup(123 * 4 + 4096, 1, true), store.data() + 4588);
+    EXPECT_EQ(t.unitEnd(17), store.size());
+    EXPECT_EQ(t.unitEnd(4 * 4096 + 1), store.size());
+    EXPECT_EQ(t.lookup(store.size() - 4, 8, false), nullptr);
 }
 
-TEST(FastPath, GlobalEntryCoversEverySlot)
+TEST(AccessTable, CountsHitsAndMisses)
 {
-    FastPath fp;
-    fp.configure(12);
-    std::vector<std::uint8_t> store(1 << 21);
-    fp.installGlobal(0, store.size(), store.data(), true);
-    // Addresses in pages that map to different slots all hit, and a
-    // range lookup sees the full extent as one chunk.
-    FastPath::Entry *e = fp.lookup(123 * 4096 + 5, 1, true);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->base, 0u);
-    EXPECT_EQ(e->limit, store.size());
-    EXPECT_NE(fp.lookup(500 * 4096, 8, false), nullptr);
+    AccessTable t;
+    t.resize(4096, 4096);
+    alignas(8) std::uint8_t page[4096] = {};
+    t.set(0, page, Rights::Read);
+    (void)t.lookup(0, 4, false);
+    (void)t.lookup(8, 4, false);
+    (void)t.lookup(0, 4, true);
+    (void)t.lookup(4096, 4, false);
+    EXPECT_EQ(t.hits(), 2u);
+    EXPECT_EQ(t.misses(), 2u);
+}
+
+TEST(AccessTable, RejectsBadUnitSizes)
+{
+    AccessTable t;
+    EXPECT_THROW(t.resize(2, 64), FatalError);
+    EXPECT_THROW(t.resize(96, 192), FatalError);
 }
 
 // ------------------------------------------------------- Diff kernels
@@ -418,8 +436,8 @@ TEST(FastPathEquivalence, IdealBitIdenticalOnOff)
 
 TEST(FastPathEquivalence, ScWithAccessCheckCostStaysEquivalent)
 {
-    // A nonzero access-check charge disables SC installs entirely;
-    // the fast path must still be a no-op, not a divergence.
+    // A nonzero access-check charge withdraws SC's inline table; the
+    // fast path must still be a no-op, not a divergence.
     auto run = [](bool fast_path) {
         MachineParams mp;
         mp.numProcs = 4;

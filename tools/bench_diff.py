@@ -3,10 +3,10 @@
 
 Everything must match except host-timing fields (hostSeconds), the
 process's peak RSS (peakRssMb), the sweep's worker count (jobs) and
-the machine.fastpath_* effectiveness counters, which legitimately
-differ between runs of the same sweep (the fast path changes how the
-simulation executes on the host, never what anything costs in the
-simulation). The event kernel's counters, sim.max_pending_events
+the two fast-path effectiveness counters, machine.fastpath_hits and
+machine.fastpath_misses, which legitimately differ between runs of the
+same sweep (the fast path changes how the simulation executes on the
+host, never what anything costs in the simulation). The event kernel's counters, sim.max_pending_events
 included, must match: every run is serial, so they are the same at
 any --jobs and with the fast path off. Used by CI to check that a
 parallel sweep (--jobs=N), a SWSM_FASTPATH=0 run or a --memo replay
@@ -36,8 +36,6 @@ IGNORED_KEYS = {
     "jobs",
     "machine.fastpath_hits",
     "machine.fastpath_misses",
-    "machine.fastpath_installs",
-    "machine.fastpath_invalidations",
 }
 
 

@@ -55,8 +55,6 @@ class StripTest(unittest.TestCase):
             "counters": {
                 "machine.fastpath_hits": 100,
                 "machine.fastpath_misses": 5,
-                "machine.fastpath_installs": 7,
-                "machine.fastpath_invalidations": 3,
                 "proto.diffs_created": 2,
             }
         }
