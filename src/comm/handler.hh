@@ -19,8 +19,9 @@
 #define SWSM_COMM_HANDLER_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "net/network.hh"
+#include "sim/inline_fn.hh"
 #include "sim/types.hh"
 
 namespace swsm
@@ -28,11 +29,23 @@ namespace swsm
 
 class NodeEnv;
 
-/** A protocol request handler. Handlers never block. */
-using HandlerFn = std::function<void(NodeEnv &)>;
+/**
+ * A protocol request handler. Handlers never block. Its 56 inline
+ * bytes hold every request closure a protocol builds (the largest, SC's
+ * writeback, captures the protocol, a block, its base, a node, the
+ * access kind and a snapshot vector); Protocol::sendReq static_asserts
+ * that each one fits.
+ */
+using HandlerFn = InlineFn<void(NodeEnv &), 56>;
+static_assert(sizeof(HandlerFn) == 64);
 
-/** Callback for a delivered data message (runs at delivery time). */
-using DataFn = std::function<void(Cycles delivered)>;
+/**
+ * Callback for a delivered data message (runs at delivery time). It is
+ * the network's own delivery callback, so the message layer hands it
+ * over as it is; Protocol::sendDat static_asserts that each protocol
+ * closure fits inline.
+ */
+using DataFn = DeliverFn;
 
 /**
  * Services available to protocol code executing on a node.
@@ -60,13 +73,13 @@ class NodeEnv
      * host send overhead to this processor in @p bucket.
      */
     virtual void sendRequest(NodeId dst, std::uint32_t payload_bytes,
-                             HandlerFn fn,
+                             HandlerFn &&fn,
                              TimeBucket bucket = TimeBucket::ProtoOther)
         = 0;
 
     /** Send a data message; @p fn runs at delivery (no handler cost). */
     virtual void sendData(NodeId dst, std::uint32_t payload_bytes,
-                          DataFn fn,
+                          DataFn &&fn,
                           TimeBucket bucket = TimeBucket::ProtoOther)
         = 0;
 
@@ -97,7 +110,7 @@ class HandlerSink
      * the message handling cost). It runs on the node's main processor
      * at its next poll point.
      */
-    virtual void postHandler(Cycles ready, HandlerFn fn) = 0;
+    virtual void postHandler(Cycles ready, HandlerFn &&fn) = 0;
 };
 
 } // namespace swsm

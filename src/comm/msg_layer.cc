@@ -26,7 +26,7 @@ MsgLayer::registerMetrics(MetricsRegistry &registry) const
 
 void
 MsgLayer::sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                      Cycles ready, HandlerFn fn)
+                      Cycles ready, HandlerFn &&fn)
 {
     if (!sinks.at(dst))
         SWSM_PANIC("request sent to node %d with no handler sink", dst);
@@ -34,25 +34,30 @@ MsgLayer::sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
     const Cycles handling = net.params().handlingCost;
     const Cycles interrupt = net.params().interruptCost;
     HandlerSink *sink = sinks[dst];
-    HandlerFn dispatch = std::move(fn);
     if (interrupt > 0) {
         // Interrupt-driven handling: the dispatch itself burns
-        // processor time before the handler body runs.
-        dispatch = [interrupt, fn = std::move(dispatch)](NodeEnv &env) {
+        // processor time before the handler body runs. A handler
+        // wrapping a handler cannot fit inline, so this closure takes
+        // one heap allocation; no paper configuration interrupts.
+        fn = [interrupt, inner = std::move(fn)](NodeEnv &env) mutable {
             env.charge(interrupt, TimeBucket::ProtoHandler);
-            fn(env);
+            inner(env);
         };
     }
+    auto deliver = [sink, handling,
+                    fn = std::move(fn)](Cycles delivered) mutable {
+        sink->postHandler(delivered + handling, std::move(fn));
+    };
+    static_assert(DeliverFn::storesInline<decltype(deliver)>(),
+                  "request delivery closure outgrew DeliverFn's inline "
+                  "storage");
     net.send(src, dst, msgHeaderBytes + payload_bytes, ready,
-             [sink, handling,
-              fn = std::move(dispatch)](Cycles delivered) mutable {
-                 sink->postHandler(delivered + handling, std::move(fn));
-             });
+             std::move(deliver));
 }
 
 void
 MsgLayer::sendData(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                   Cycles ready, DataFn fn)
+                   Cycles ready, DataFn &&fn)
 {
     // The NI deposits straight into host memory: no sink, no
     // processor cost.

@@ -45,14 +45,14 @@ class MsgLayer
      * @p dst. @p ready must include the sender's host overhead.
      */
     void sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                     Cycles ready, HandlerFn fn);
+                     Cycles ready, HandlerFn &&fn);
 
     /**
      * Send a data message of @p payload_bytes; @p fn runs at delivery
      * with no destination processor cost.
      */
     void sendData(NodeId src, NodeId dst, std::uint32_t payload_bytes,
-                  Cycles ready, DataFn fn);
+                  Cycles ready, DataFn &&fn);
 
     const CommParams &params() const { return net.params(); }
 

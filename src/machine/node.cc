@@ -28,7 +28,7 @@ class HandlerEnv : public NodeEnv
     }
 
     void
-    sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn fn,
+    sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn &&fn,
                 TimeBucket bucket) override
     {
         charge(n.msg.params().hostOverhead, bucket);
@@ -36,7 +36,7 @@ class HandlerEnv : public NodeEnv
     }
 
     void
-    sendData(NodeId dst, std::uint32_t payload_bytes, DataFn fn,
+    sendData(NodeId dst, std::uint32_t payload_bytes, DataFn &&fn,
              TimeBucket bucket) override
     {
         charge(n.msg.params().hostOverhead, bucket);
@@ -86,7 +86,7 @@ Node::start(std::function<void()> body)
 }
 
 void
-Node::sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn fn,
+Node::sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn &&fn,
                   TimeBucket bucket)
 {
     charge(msg.params().hostOverhead, bucket);
@@ -94,7 +94,7 @@ Node::sendRequest(NodeId dst, std::uint32_t payload_bytes, HandlerFn fn,
 }
 
 void
-Node::sendData(NodeId dst, std::uint32_t payload_bytes, DataFn fn,
+Node::sendData(NodeId dst, std::uint32_t payload_bytes, DataFn &&fn,
                TimeBucket bucket)
 {
     charge(msg.params().hostOverhead, bucket);
@@ -147,18 +147,18 @@ Node::unblock(Cycles t)
     auto resume = [this, resume_at] { resumeFiber(resume_at); };
     // Every block/unblock cycle schedules one of these; if it outgrows
     // the inline store, every synchronization op heap-allocates.
-    static_assert(sizeof(resume) <= EventFn::inlineBytes,
+    static_assert(EventFn::storesInline<decltype(resume)>(),
                   "unblock closure no longer fits EventFn's inline "
                   "storage");
     eq.schedule(resume_at, std::move(resume));
 }
 
 void
-Node::postHandler(Cycles ready, HandlerFn fn)
+Node::postHandler(Cycles ready, HandlerFn &&fn)
 {
-    handlers.push_back(PendingHandler{ready, std::move(fn)});
+    handlers.emplace_back(ready, std::move(fn));
     auto tick = [this] { handlerTick(); };
-    static_assert(sizeof(tick) <= EventFn::inlineBytes,
+    static_assert(EventFn::storesInline<decltype(tick)>(),
                   "handler-tick closure no longer fits EventFn's "
                   "inline storage");
     eq.schedule(ready, std::move(tick));
@@ -230,7 +230,7 @@ Node::quantumYield()
     lastYield = clock;
     state = State::Ready;
     auto resume = [this, t = clock] { resumeFiber(t); };
-    static_assert(sizeof(resume) <= EventFn::inlineBytes,
+    static_assert(EventFn::storesInline<decltype(resume)>(),
                   "quantum-yield closure no longer fits EventFn's "
                   "inline storage");
     eq.schedule(clock, std::move(resume));

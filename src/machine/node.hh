@@ -23,8 +23,8 @@
 #define SWSM_MACHINE_NODE_HH
 
 #include <array>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "comm/msg_layer.hh"
 #include "fiber/fiber.hh"
@@ -75,8 +75,8 @@ class Node final : public ProcEnv, public HandlerSink
     }
 
     void sendRequest(NodeId dst, std::uint32_t payload_bytes,
-                     HandlerFn fn, TimeBucket bucket) override;
-    void sendData(NodeId dst, std::uint32_t payload_bytes, DataFn fn,
+                     HandlerFn &&fn, TimeBucket bucket) override;
+    void sendData(NodeId dst, std::uint32_t payload_bytes, DataFn &&fn,
                   TimeBucket bucket) override;
     void chargeCacheRange(GlobalAddr addr, std::uint64_t bytes, bool write,
                           TimeBucket bucket) override;
@@ -101,7 +101,7 @@ class Node final : public ProcEnv, public HandlerSink
     void unblock(Cycles t) override;
 
     // HandlerSink interface (message layer)
-    void postHandler(Cycles ready, HandlerFn fn) override;
+    void postHandler(Cycles ready, HandlerFn &&fn) override;
 
     /** Start the application thread body; schedules the first resume. */
     void start(std::function<void()> body);
@@ -185,7 +185,10 @@ class Node final : public ProcEnv, public HandlerSink
 
     Tracer *trace_ = nullptr;
 
-    std::deque<PendingHandler> handlers;
+    /** Posted handlers in posting order. A vector, not a deque: it
+     *  keeps its capacity, so posting allocates nothing in steady
+     *  state. */
+    std::vector<PendingHandler> handlers;
     std::array<Cycles, numTimeBuckets> buckets{};
     Cycles finishTime_ = 0;
     std::size_t fiberStackBytes = 1024 * 1024;

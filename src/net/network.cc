@@ -29,24 +29,74 @@ Network::Network(EventQueue &eq, int num_nodes, const CommParams &params)
     channels.resize(static_cast<std::size_t>(num_nodes) * num_nodes);
 }
 
-void
-Network::complete(Channel &ch, std::uint64_t seq, Cycles t, DeliverFn cb)
+std::uint32_t
+Network::newMessage()
 {
-    ch.done.emplace(seq, std::make_pair(t, std::move(cb)));
-    while (true) {
-        auto it = ch.done.find(ch.nextDeliver);
-        if (it == ch.done.end())
-            break;
-        const Cycles when = std::max(it->second.first, ch.lastTime);
-        ch.lastTime = when;
-        DeliverFn fn = std::move(it->second.second);
-        ch.done.erase(it);
-        ++ch.nextDeliver;
-        eq.schedule(when, [this, when, fn = std::move(fn)] {
-            delivered_.inc();
-            fn(when);
-        });
+    if (freeMsgs_.empty()) {
+        const auto m = static_cast<std::uint32_t>(msgs_.size());
+        msgs_.emplace_back();
+        freeMsgs_.reserve(msgs_.capacity());
+        return m;
     }
+    const std::uint32_t m = freeMsgs_.back();
+    freeMsgs_.pop_back();
+    return m;
+}
+
+void
+Network::complete(std::uint32_t m, Cycles t)
+{
+    Message &msg = msgs_[m];
+    msg.latest = t;
+    Channel &ch = channel(msg.src, msg.dst);
+    if (msg.seq != ch.nextDeliver) {
+        ch.done.push_back(m); // a predecessor is still in flight
+        return;
+    }
+    deliverNext(ch, m);
+    // Deliver the overtakers this completion puts next in line.
+    while (!ch.done.empty()) {
+        const auto it = std::find_if(
+            ch.done.begin(), ch.done.end(),
+            [&](std::uint32_t o) { return msgs_[o].seq == ch.nextDeliver; });
+        if (it == ch.done.end())
+            return;
+        const std::uint32_t o = *it;
+        *it = ch.done.back();
+        ch.done.pop_back();
+        deliverNext(ch, o);
+    }
+}
+
+void
+Network::deliverNext(Channel &ch, std::uint32_t m)
+{
+    const Cycles when = std::max(msgs_[m].latest, ch.lastTime);
+    ch.lastTime = when;
+    ++ch.nextDeliver;
+    auto delivery = [this, m, when] { deliver(m, when); };
+    static_assert(EventFn::storesInline<decltype(delivery)>(),
+                  "delivery closure outgrew EventFn's inline storage");
+    eq.schedule(when, delivery);
+}
+
+void
+Network::deliver(std::uint32_t m, Cycles when)
+{
+    delivered_.inc();
+    Message &msg = msgs_[m];
+    if (trace_) {
+        // The message is a span from injection to last-byte delivery
+        // on the sender's track.
+        trace_->complete("msg", "net", msg.src, msg.ready, when,
+                         TraceArg{"dst", static_cast<std::uint64_t>(msg.dst)},
+                         TraceArg{"bytes", msg.bytes});
+    }
+    // The callback leaves the table before it runs: it may send
+    // messages, and a send that grows the table moves every entry.
+    DeliverFn cb = std::move(msg.cb);
+    freeMsgs_.push_back(m);
+    cb(when);
 }
 
 void
@@ -56,6 +106,10 @@ Network::checkDrained() const
                    "network lost messages: %llu sent, %llu delivered",
                    static_cast<unsigned long long>(messages.value()),
                    static_cast<unsigned long long>(delivered_.value()));
+    SWSM_INVARIANT(freeMsgs_.size() == msgs_.size(),
+                   "network ended with %zu of %zu message table entries "
+                   "in use",
+                   msgs_.size() - freeMsgs_.size(), msgs_.size());
     for (std::size_t c = 0; c < channels.size(); ++c) {
         const Channel &ch = channels[c];
         SWSM_INVARIANT(
@@ -139,133 +193,108 @@ Network::registerMetrics(MetricsRegistry &registry) const
 
 void
 Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
-              Cycles ready_time, DeliverFn on_delivered)
+              Cycles ready_time, DeliverFn &&on_delivered)
 {
     if (src < 0 || src >= numNodes() || dst < 0 || dst >= numNodes())
         SWSM_PANIC("send between invalid nodes %d -> %d", src, dst);
     messages.inc();
     bytes_.inc(bytes);
 
-    if (trace_) {
-        // Wrap the delivery callback so the message shows up as a span
-        // from injection to last-byte delivery on the sender's track.
-        on_delivered = [this, src, dst, bytes, ready_time,
-                        cb = std::move(on_delivered)](Cycles t) {
-            trace_->complete("msg", "net", src, ready_time, t,
-                             TraceArg{"dst",
-                                      static_cast<std::uint64_t>(dst)},
-                             TraceArg{"bytes", bytes});
-            cb(t);
-        };
-    }
-
-    Channel &channel =
-        channels[static_cast<std::size_t>(src) * numNodes() + dst];
-    const std::uint64_t seq = channel.nextAssign++;
+    const std::uint32_t m = newMessage();
+    Message &msg = msgs_[m];
+    msg.cb = std::move(on_delivered);
+    msg.ready = ready_time;
+    msg.latest = 0;
+    msg.seq = channel(src, dst).nextAssign++;
+    msg.bytes = bytes;
+    msg.src = src;
+    msg.dst = dst;
 
     if (src == dst) {
         // Local dispatch: no NIC involvement, but keep FIFO order.
-        auto local = [this, &channel, seq, ready_time,
-                      cb = std::move(on_delivered)]() mutable {
-            complete(channel, seq, ready_time, std::move(cb));
-        };
-        // This is the closure EventFn::inlineBytes is sized for; if it
-        // grows past the inline store, every local message starts heap
-        // allocating — resize one or shrink the other.
-        static_assert(sizeof(local) <= EventFn::inlineBytes,
-                      "local-dispatch closure no longer fits EventFn's "
-                      "inline storage");
-        eq.schedule(ready_time, std::move(local));
+        auto local = [this, m] { complete(m, msgs_[m].ready); };
+        static_assert(EventFn::storesInline<decltype(local)>(),
+                      "local-dispatch closure outgrew EventFn's inline "
+                      "storage");
+        eq.schedule(ready_time, local);
         return;
     }
 
-    // Per-message completion tracker shared by the packet pipelines.
-    struct Tracker
-    {
-        std::uint32_t remaining;
-        Cycles latest = 0;
-        DeliverFn cb;
-    };
     const std::uint32_t num_packets =
         (bytes + params_.maxPacketBytes - 1) / params_.maxPacketBytes;
-    auto tracker = std::make_shared<Tracker>();
-    tracker->remaining = std::max(num_packets, 1u);
-    tracker->cb = std::move(on_delivered);
-
+    msg.remaining = std::max(num_packets, 1u);
     std::uint32_t remaining = bytes;
-    for (std::uint32_t p = 0; p < tracker->remaining; ++p) {
+    for (std::uint32_t p = 0, n = msg.remaining; p < n; ++p) {
         const std::uint32_t pkt =
             std::min(remaining, params_.maxPacketBytes);
         remaining -= pkt;
+        injectPacket(m, pkt);
+    }
+}
 
-        // Stage 1 at ready_time: cross the sender's I/O bus. Scheduling
-        // every packet's first stage at the same time preserves packet
-        // order via FCFS acquisition and lets packets pipeline through
-        // the later stages. Stages 1-2 execute in the sender's context;
-        // stage 2's dispatch is the one cross-node hop (scheduleTo), so
-        // stages 3-5 and the delivery execute in the receiver's context.
-        auto stage1 = [this, src, dst, pkt, &channel, seq, tracker] {
-            Nic &snic = *nics[src];
-            const Cycles io_done = snic.ioBus.acquire(
-                eq.now(), transferCycles(pkt, params_.ioBusBytesPerCycle));
+void
+Network::injectPacket(std::uint32_t m, std::uint32_t pkt)
+{
+    const NodeId src = msgs_[m].src;
+    const NodeId dst = msgs_[m].dst;
+    // Stage 1 at ready_time: cross the sender's I/O bus. Scheduling
+    // every packet's first stage at the same time preserves packet
+    // order via FCFS acquisition and lets packets pipeline through the
+    // later stages. Stages 1-2 execute in the sender's context; stage
+    // 2's dispatch is the one cross-node hop (scheduleTo), so stages
+    // 3-5 and the delivery execute in the receiver's context. Every
+    // stage captures the message's table index, the packet size and
+    // one node.
+    auto stage1 = [this, m, pkt, src, dst] {
+        const Cycles io_done = nics[src]->ioBus.acquire(
+            eq.now(), transferCycles(pkt, params_.ioBusBytesPerCycle));
 
-            auto stage2 = [this, src, dst, pkt, &channel, seq, tracker] {
-                Nic &snic = *nics[src];
-                const Cycles ni_done = snic.niProc.acquire(
+        auto stage2 = [this, m, pkt, src, dst] {
+            const Cycles ni_done = nics[src]->niProc.acquire(
+                eq.now(), params_.niOccupancyPerPacket);
+            const Cycles arrive = ni_done + params_.linkLatency +
+                transferCycles(pkt, params_.linkBytesPerCycle);
+
+            auto stage3 = [this, m, pkt, dst] {
+                const Cycles rni_done = nics[dst]->niProc.acquire(
                     eq.now(), params_.niOccupancyPerPacket);
-                const Cycles arrive = ni_done + params_.linkLatency +
-                    transferCycles(pkt, params_.linkBytesPerCycle);
 
-                auto stage3 = [this, dst, pkt, &channel, seq, tracker] {
-                    Nic &dnic = *nics[dst];
-                    const Cycles rni_done = dnic.niProc.acquire(
-                        eq.now(), params_.niOccupancyPerPacket);
+                auto stage4 = [this, m, pkt, dst] {
+                    const Cycles rio_done = nics[dst]->ioBus.acquire(
+                        eq.now(),
+                        transferCycles(pkt, params_.ioBusBytesPerCycle));
 
-                    auto stage4 = [this, dst, pkt, &channel, seq,
-                                   tracker] {
-                        Nic &dnic = *nics[dst];
-                        const Cycles rio_done = dnic.ioBus.acquire(
-                            eq.now(),
-                            transferCycles(pkt,
-                                           params_.ioBusBytesPerCycle));
-
-                        auto stage5 = [this, &channel, seq, tracker] {
-                            tracker->latest =
-                                std::max(tracker->latest, eq.now());
-                            if (--tracker->remaining == 0) {
-                                complete(channel, seq, tracker->latest,
-                                         std::move(tracker->cb));
-                            }
-                        };
-                        static_assert(sizeof(stage5) <=
-                                          EventFn::inlineBytes,
-                                      "packet stage closure outgrew "
-                                      "EventFn's inline storage");
-                        eq.schedule(rio_done, std::move(stage5));
+                    auto stage5 = [this, m] {
+                        Message &msg = msgs_[m];
+                        msg.latest = std::max(msg.latest, eq.now());
+                        if (--msg.remaining == 0)
+                            complete(m, msg.latest);
                     };
-                    static_assert(sizeof(stage4) <= EventFn::inlineBytes,
+                    static_assert(EventFn::storesInline<decltype(stage5)>(),
                                   "packet stage closure outgrew "
                                   "EventFn's inline storage");
-                    eq.schedule(rni_done, std::move(stage4));
+                    eq.schedule(rio_done, stage5);
                 };
-                static_assert(sizeof(stage3) <= EventFn::inlineBytes,
+                static_assert(EventFn::storesInline<decltype(stage4)>(),
                               "packet stage closure outgrew EventFn's "
                               "inline storage");
-                // The wire hop: this is the only cross-node schedule in
-                // the simulator.
-                eq.scheduleTo(static_cast<std::uint32_t>(dst), arrive,
-                              std::move(stage3));
+                eq.schedule(rni_done, stage4);
             };
-            static_assert(sizeof(stage2) <= EventFn::inlineBytes,
-                          "packet stage closure outgrew EventFn's "
-                          "inline storage");
-            eq.schedule(io_done, std::move(stage2));
+            static_assert(EventFn::storesInline<decltype(stage3)>(),
+                          "packet stage closure outgrew EventFn's inline "
+                          "storage");
+            // The wire hop: this is the only cross-node schedule in the
+            // simulator.
+            eq.scheduleTo(static_cast<std::uint32_t>(dst), arrive, stage3);
         };
-        static_assert(sizeof(stage1) <= EventFn::inlineBytes,
+        static_assert(EventFn::storesInline<decltype(stage2)>(),
                       "packet stage closure outgrew EventFn's inline "
                       "storage");
-        eq.schedule(ready_time, std::move(stage1));
-    }
+        eq.schedule(io_done, stage2);
+    };
+    static_assert(EventFn::storesInline<decltype(stage1)>(),
+                  "packet stage closure outgrew EventFn's inline storage");
+    eq.schedule(msgs_[m].ready, stage1);
 }
 
 } // namespace swsm

@@ -15,16 +15,19 @@
  * paid. Packets of one message are pipelined; messages between the same
  * (src, dst) pair are delivered in FIFO order (VMMC channel semantics),
  * which the coherence protocols rely on.
+ *
+ * Host side: a message in flight is one entry of a recycled message
+ * table (its delivery callback, packets left, latest arrival); the
+ * pipeline stages capture the entry's index, so sending a message
+ * allocates nothing once the table and the event slab have grown to
+ * the run's deepest moment.
  */
 
 #ifndef SWSM_NET_NETWORK_HH
 #define SWSM_NET_NETWORK_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/comm_params.hh"
@@ -38,8 +41,13 @@
 namespace swsm
 {
 
-/** Invoked when the last byte of a message lands in host memory. */
-using DeliverFn = std::function<void(Cycles delivery_time)>;
+/**
+ * Invoked when the last byte of a message lands in host memory. Its 80
+ * inline bytes hold the message layer's request closure (a sink, the
+ * handling cost and a 64-byte HandlerFn) and every data closure a
+ * protocol builds; comm/msg_layer.cc static_asserts the first.
+ */
+using DeliverFn = InlineFn<void(Cycles delivery_time), 80>;
 
 /** Per-node network interface state. */
 struct Nic
@@ -69,7 +77,7 @@ class Network
      * @param on_delivered runs when the full message is in dst's memory.
      */
     void send(NodeId src, NodeId dst, std::uint32_t bytes,
-              Cycles ready_time, DeliverFn on_delivered);
+              Cycles ready_time, DeliverFn &&on_delivered);
 
     /** Loopback-free check; self-sends bypass the wire (local dispatch). */
     int numNodes() const { return static_cast<int>(nics.size()); }
@@ -108,6 +116,24 @@ class Network
     /** Cycles to move @p bytes over a bandwidth in bytes/cycle. */
     static Cycles transferCycles(std::uint32_t bytes, double bytes_per_cycle);
 
+    /** A message in flight: one entry of the message table. */
+    struct Message
+    {
+        DeliverFn cb;
+        /** Injection time (the trace span's start). */
+        Cycles ready = 0;
+        /** Latest packet arrival so far; the completion time once
+         *  every packet has arrived. */
+        Cycles latest = 0;
+        /** Position in its channel's injection order. */
+        std::uint64_t seq = 0;
+        std::uint32_t bytes = 0;
+        /** Packets still in the pipeline. */
+        std::uint32_t remaining = 0;
+        NodeId src = 0;
+        NodeId dst = 0;
+    };
+
     /**
      * Per-(src, dst) FIFO channel: messages are delivered in injection
      * order even when a small message would overtake a large one on the
@@ -118,17 +144,41 @@ class Network
         std::uint64_t nextAssign = 0;
         std::uint64_t nextDeliver = 0;
         Cycles lastTime = 0;
-        /** Completed-but-unordered messages keyed by sequence. */
-        std::map<std::uint64_t, std::pair<Cycles, DeliverFn>> done;
+        /** Table indices of completed messages that overtook a
+         *  predecessor still in flight, in no particular order. */
+        std::vector<std::uint32_t> done;
     };
 
-    /** Message pipeline finished; deliver respecting channel order. */
-    void complete(Channel &ch, std::uint64_t seq, Cycles t, DeliverFn cb);
+    Channel &
+    channel(NodeId src, NodeId dst)
+    {
+        return channels[static_cast<std::size_t>(src) * nics.size() + dst];
+    }
+
+    /** A free message table entry. */
+    std::uint32_t newMessage();
+
+    /** Start a @p pkt byte packet of message @p m down the pipeline. */
+    void injectPacket(std::uint32_t m, std::uint32_t pkt);
+
+    /** Message @p m fully arrived at @p t; deliver respecting channel
+     *  order. */
+    void complete(std::uint32_t m, Cycles t);
+
+    /** Schedule the delivery of @p m, the channel's next message. */
+    void deliverNext(Channel &ch, std::uint32_t m);
+
+    /** Delivery event: free @p m's entry and run its callback. */
+    void deliver(std::uint32_t m, Cycles when);
 
     EventQueue &eq;
     CommParams params_;
     std::vector<std::unique_ptr<Nic>> nics;
     std::vector<Channel> channels;
+    /** Messages in flight, indexed by the stage closures. */
+    std::vector<Message> msgs_;
+    /** Vacant message table entries, most recently vacated last. */
+    std::vector<std::uint32_t> freeMsgs_;
 
     Counter messages;
     Counter bytes_;

@@ -161,24 +161,34 @@ class Protocol
     /** @param num_nodes the cluster size: one access table per node */
     explicit Protocol(int num_nodes) : access_(num_nodes) {}
 
-    /** Send a request message, counting it in proto.msgs/proto.bytes. */
+    /**
+     * Send a request message, counting it in proto.msgs/proto.bytes.
+     * @p fn is the handler's closure; it must fit HandlerFn inline, so
+     * no protocol message heap-allocates its callback.
+     */
+    template <typename F>
     void
-    sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes, HandlerFn fn,
+    sendReq(NodeEnv &env, NodeId dst, std::uint32_t bytes, F &&fn,
             TimeBucket bucket)
     {
+        static_assert(HandlerFn::storesInline<std::decay_t<F>>(),
+                      "request closure outgrew HandlerFn's inline storage");
         stats_.protoMsgs.inc();
         stats_.protoBytes.inc(bytes);
-        env.sendRequest(dst, bytes, std::move(fn), bucket);
+        env.sendRequest(dst, bytes, HandlerFn(std::forward<F>(fn)), bucket);
     }
 
     /** Send a data message, counting it like sendReq(). */
+    template <typename F>
     void
-    sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes, DataFn fn,
+    sendDat(NodeEnv &env, NodeId dst, std::uint32_t bytes, F &&fn,
             TimeBucket bucket)
     {
+        static_assert(DataFn::storesInline<std::decay_t<F>>(),
+                      "data closure outgrew DataFn's inline storage");
         stats_.protoMsgs.inc();
         stats_.protoBytes.inc(bytes);
-        env.sendData(dst, bytes, std::move(fn), bucket);
+        env.sendData(dst, bytes, DataFn(std::forward<F>(fn)), bucket);
     }
 
     ProtoStats stats_;

@@ -32,6 +32,12 @@ ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
     if (blockBytes < wordBytes)
         SWSM_FATAL("SC blocks of %u bytes are smaller than a word (%u)",
                    blockBytes, wordBytes);
+    // Grants and recalls copy a whole block in and out of its home's
+    // store, which is one home per page: a larger block would span
+    // pages whose homes can differ, and run past the store's end.
+    if (blockBytes > space.pageBytes())
+        SWSM_FATAL("SC blocks of %u bytes are larger than a page (%u)",
+                   blockBytes, space.pageBytes());
     pendingApply.resize(numNodes);
     // A nonzero per-reference check charge must precede the hit test,
     // and that charge can yield into handlers, which an inline check
@@ -296,8 +302,8 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                     // Writeback to the home, which updates the
                     // directory and issues the grant.
                     sendReq(oenv, home, smallPayload + blockBytes,
-                            [this, b, base, o2,
-                             write, snap](NodeEnv &henv2) {
+                            [this, b, base, o2, write,
+                             snap = std::move(snap)](NodeEnv &henv2) {
                                 stats_.handlersRun.inc();
                                 henv2.charge(params.scHandlerBase,
                                              TimeBucket::ProtoHandler);
@@ -407,8 +413,7 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
 }
 
 void
-ScProtocol::miss(ProcEnv &env, BlockId b, bool write,
-                 std::function<void()> apply)
+ScProtocol::startMiss(ProcEnv &env, BlockId b, bool write)
 {
     const NodeId n = env.node();
     const NodeId home = space.blockHome(b);
@@ -417,7 +422,6 @@ ScProtocol::miss(ProcEnv &env, BlockId b, bool write,
     else
         stats_.readFaults.inc();
     stats_.pageFetches.inc();
-    pendingApply.at(n) = std::move(apply);
 
     const Cycles fetch_start = env.now();
     sendReq(env, home, smallPayload,

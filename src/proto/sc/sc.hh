@@ -27,7 +27,6 @@
 #define SWSM_PROTO_SC_SC_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "proto/address_space.hh"
 #include "proto/proto_params.hh"
 #include "proto/protocol.hh"
+#include "sim/inline_fn.hh"
 
 namespace swsm
 {
@@ -70,6 +70,13 @@ class ScProtocol : public Protocol
     void prepareRun(int num_locks, int num_barriers) override;
 
   private:
+    /**
+     * A faulting access performed at install time: load()'s and
+     * store()'s closures (this, a node, an address, a buffer pointer
+     * and a length) fit its 40 inline bytes.
+     */
+    using ApplyFn = InlineFn<void(), 40>;
+
     /** Directory entry at a block's home. */
     struct DirEntry
     {
@@ -125,8 +132,19 @@ class ScProtocol : public Protocol
      * blocking-SC processor cannot be starved by invalidations racing
      * its resumption.
      */
-    void miss(ProcEnv &env, BlockId b, bool write,
-              std::function<void()> apply);
+    template <typename F>
+    void
+    miss(ProcEnv &env, BlockId b, bool write, F &&apply)
+    {
+        static_assert(ApplyFn::storesInline<std::decay_t<F>>(),
+                      "install-time access outgrew ApplyFn's inline "
+                      "storage");
+        pendingApply[env.node()].emplace(std::forward<F>(apply));
+        startMiss(env, b, write);
+    }
+
+    /** Send @p env's miss request for @p b and block until granted. */
+    void startMiss(ProcEnv &env, BlockId b, bool write);
 
     /** Run and clear node @p n's pending install-time access. */
     void runPendingApply(NodeId n);
@@ -167,7 +185,7 @@ class ScProtocol : public Protocol
     std::uint8_t *copyNext = nullptr; ///< next free copy in the last chunk
     std::size_t copyFree = 0;         ///< bytes left in the last chunk
     /** One outstanding install-time access per (blocking) processor. */
-    std::vector<std::function<void()>> pendingApply;
+    std::vector<ApplyFn> pendingApply;
     std::vector<LockState> locks;
     std::vector<BarrierState> barriers;
 };

@@ -6,22 +6,77 @@
 namespace swsm
 {
 
-namespace
+void
+EventHeap::reserve(std::size_t events)
 {
-/**
- * Initial heap capacity. Even tiny runs schedule thousands of events;
- * pre-sizing skips the first dozen geometric regrowths on the hot path.
- * (The steady-state pending count is bounded by in-flight packets and
- * blocked processors, far below the total events fired.) Keys, slab and
- * free list cost 124 bytes an event, against 128 for the heap of whole
- * events this replaced.
- */
-constexpr std::size_t initialCapacity = 4096;
-} // namespace
+    keys_.reserve(events);
+    while (chunks_.size() * chunkSlots < events)
+        grow();
+}
+
+void
+EventHeap::grow()
+{
+    // Chunks are added by need and never move or shrink: a run's slab
+    // is as large as its deepest moment (plus the running callback).
+    const auto first =
+        static_cast<std::uint32_t>(chunks_.size() * chunkSlots);
+    chunks_.push_back(std::make_unique<EventFn[]>(chunkSlots));
+    free_.reserve(first + chunkSlots);
+    // Lowest index last, so the slots are handed out in order.
+    for (std::uint32_t i = chunkSlots; i-- > 0;)
+        free_.push_back(first + i);
+}
+
+void
+EventHeap::siftUp(const Key &k)
+{
+    std::size_t hole = keys_.size();
+    keys_.push_back(k);
+    const Order key = order(k);
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (order(keys_[parent]) <= key)
+            break;
+        keys_[hole] = keys_[parent];
+        hole = parent;
+    }
+    keys_[hole] = k;
+}
+
+EventHeap::Key
+EventHeap::pop()
+{
+    const Key top = keys_.front();
+    const Key last = keys_.back();
+    keys_.pop_back();
+    const std::size_t n = keys_.size();
+    if (n == 0)
+        return top;
+    // Sift the root's hole down along the earlier child until `last`
+    // fits in it.
+    const Order key = order(last);
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+        Order c = order(keys_[child]);
+        if (child + 1 < n) {
+            const Order right = order(keys_[child + 1]);
+            if (right < c) {
+                c = right;
+                ++child;
+            }
+        }
+        if (key <= c)
+            break;
+        keys_[hole] = keys_[child];
+        hole = child;
+    }
+    keys_[hole] = last;
+    return top;
+}
 
 EventQueue::EventQueue()
 {
-    heap_.reserve(initialCapacity);
     slotSeq_.resize(1);
 }
 
@@ -46,32 +101,10 @@ EventQueue::pastPanic(Cycles when, Cycles now) const
 }
 
 void
-EventQueue::push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
-                 EventFn fn)
+EventQueue::slotPanic(std::uint32_t slot) const
 {
-    heap_.push(when, stamp, exec_slot, std::move(fn));
-    ++scheduled_;
-    if (heap_.size() > maxPending_)
-        maxPending_ = heap_.size();
-}
-
-void
-EventQueue::schedule(Cycles when, EventFn fn)
-{
-    if (when < now_)
-        pastPanic(when, now_);
-    push(when, makeStamp(curSlot_), curSlot_, std::move(fn));
-}
-
-void
-EventQueue::scheduleTo(std::uint32_t slot, Cycles when, EventFn fn)
-{
-    if (when < now_)
-        pastPanic(when, now_);
-    if (slot >= numSlots())
-        SWSM_PANIC("scheduleTo slot %u, only %u declared (setNumSlots)",
-                   slot, numSlots());
-    push(when, makeStamp(curSlot_), slot, std::move(fn));
+    SWSM_PANIC("scheduleTo slot %u, only %u declared (setNumSlots)", slot,
+               numSlots());
 }
 
 bool
@@ -79,11 +112,11 @@ EventQueue::step()
 {
     if (heap_.empty())
         return false;
-    EventHeap::Event ev = heap_.pop();
-    now_ = ev.when;
-    curSlot_ = ev.execSlot;
+    const EventHeap::Key k = heap_.pop();
+    now_ = k.when;
+    curSlot_ = k.execSlot;
     ++executed_;
-    ev.fn();
+    heap_.run(k.index);
     return true;
 }
 

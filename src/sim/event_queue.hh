@@ -8,13 +8,14 @@
  * simulations are bit-reproducible.
  *
  * The kernel schedules millions of events per run, so the callback type
- * is a small-buffer EventFn rather than std::function: every callback the
- * simulator itself creates fits in the inline storage and scheduling one
- * costs no heap allocation. The pending set is an EventHeap: a binary
- * heap of 24-byte (when, stamp, slab index, exec slot) keys over a slab
- * that holds the callbacks, so a sift moves plain keys and each callback
- * is relocated only on its way into the slab and once more on its way
- * out.
+ * is an EventFn (sim/inline_fn.hh) rather than std::function: every
+ * callback the simulator itself creates fits in its 72 inline bytes
+ * and scheduling one costs no heap allocation. The pending set is an
+ * EventHeap: a binary heap of 24-byte (when, stamp, slab index, exec
+ * slot) keys over a slab of callbacks in chunks that never move. A
+ * callback is constructed once, in its slab slot, by schedule(); runs
+ * there; and is destroyed when it returns. Keys, slab and free list
+ * cost 108 bytes an event.
  *
  * Slots and the tie-break: every event belongs to a slot (in the
  * machine layer, the node whose state it touches). schedule() inherits
@@ -36,14 +37,13 @@
 #ifndef SWSM_SIM_EVENT_QUEUE_HH
 #define SWSM_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <type_traits>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "sim/inline_fn.hh"
 #include "sim/types.hh"
 
 namespace swsm
@@ -52,190 +52,33 @@ namespace swsm
 class MetricsRegistry;
 
 /**
- * Move-only callback with inline storage for the event hot path.
- *
- * Callables up to inlineBytes are stored in place; larger ones fall
- * back to a single heap allocation. inlineBytes is sized to hold the
- * kernel's largest hot-path lambda, the network's local-dispatch
- * closure, at 72 bytes — net/network.cc static_asserts that it still
- * fits. Unlike std::function it supports move-only callables, so
- * completion callbacks can be moved — not copied — into the queue.
+ * The event kernel's callback: a move-only InlineFn with 72 inline
+ * bytes (80 in all). Every closure the simulator schedules fits: the
+ * network's packet stages and delivery capture a message index and a
+ * few ids, the nodes' resumes a node and a time (net/network.cc and
+ * machine/node.cc static_assert it).
  */
-class EventFn
-{
-  public:
-    static constexpr std::size_t inlineBytes = 72;
-
-    EventFn() noexcept : ops(nullptr) {}
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventFn(F &&f) // NOLINT: implicit by design, mirrors std::function
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(store)) Fn(std::forward<F>(f));
-            ops = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(store) = new Fn(std::forward<F>(f));
-            ops = &heapOps<Fn>;
-        }
-    }
-
-    EventFn(EventFn &&other) noexcept : ops(other.ops)
-    {
-        if (ops)
-            ops->relocate(other.store, store);
-        other.ops = nullptr;
-    }
-
-    EventFn &
-    operator=(EventFn &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            ops = other.ops;
-            if (ops)
-                ops->relocate(other.store, store);
-            other.ops = nullptr;
-        }
-        return *this;
-    }
-
-    EventFn(const EventFn &) = delete;
-    EventFn &operator=(const EventFn &) = delete;
-
-    ~EventFn() { reset(); }
-
-    explicit operator bool() const noexcept { return ops != nullptr; }
-
-    void
-    operator()()
-    {
-        ops->invoke(store);
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *);
-        /** Move-construct dst from src and destroy src. */
-        void (*relocate)(void *src, void *dst);
-        void (*destroy)(void *);
-    };
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= inlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-    template <typename Fn>
-    static constexpr Ops inlineOps = {
-        [](void *p) { (*static_cast<Fn *>(p))(); },
-        [](void *src, void *dst) {
-            auto *f = static_cast<Fn *>(src);
-            ::new (dst) Fn(std::move(*f));
-            f->~Fn();
-        },
-        [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](void *p) { (**static_cast<Fn **>(p))(); },
-        [](void *src, void *dst) {
-            *static_cast<Fn **>(dst) = *static_cast<Fn **>(src);
-        },
-        [](void *p) { delete *static_cast<Fn **>(p); },
-    };
-
-    void
-    reset() noexcept
-    {
-        if (ops) {
-            ops->destroy(store);
-            ops = nullptr;
-        }
-    }
-
-    const Ops *ops;
-    alignas(std::max_align_t) unsigned char store[inlineBytes];
-};
+using EventFn = InlineFn<void(), 72>;
+static_assert(sizeof(EventFn) == 80);
 
 /**
  * Pending events in (when, stamp) order: an EventQueue's event set.
  *
- * The binary heap holds 24-byte keys; each key names the slab slot that
- * holds its callback, so sifts never touch an EventFn. Vacated slots go
- * on a LIFO free list, and the next push refills the most recently
- * vacated, cache-warm slot. Stamps are unique, so (when, stamp) is a
- * strict total order and the heap's internal layout never shows in the
- * execution order.
+ * Each callback is constructed once, in a slab of fixed-size chunks
+ * that never move, runs there and is destroyed after it returns; a
+ * callback that schedules events while it runs can grow the slab
+ * without moving itself. The binary heap holds 24-byte keys, each
+ * naming the slab slot of its callback, so a sift moves plain keys
+ * into a hole and compares (when, stamp) as one 128-bit number.
+ * Vacated slots go on a LIFO free list, and the next push refills the
+ * most recently vacated, cache-warm slot. Stamps are unique, so
+ * (when, stamp) is a strict total order and the heap's internal layout
+ * never shows in the execution order.
  */
 class EventHeap
 {
   public:
-    /** An event popped off the heap, about to run. */
-    struct Event
-    {
-        Cycles when;
-        /** Slot whose context the event executes in. */
-        std::uint32_t execSlot;
-        EventFn fn;
-    };
-
-    bool empty() const { return keys_.empty(); }
-    std::size_t size() const { return keys_.size(); }
-
-    /** Pre-size keys, slab and free list for @p events pending events. */
-    void
-    reserve(std::size_t events)
-    {
-        keys_.reserve(events);
-        slab_.reserve(events);
-        free_.reserve(events);
-    }
-
-    void
-    push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
-         EventFn &&fn)
-    {
-        std::uint32_t index;
-        if (free_.empty()) {
-            index = static_cast<std::uint32_t>(slab_.size());
-            slab_.push_back(std::move(fn));
-        } else {
-            index = free_.back();
-            free_.pop_back();
-            slab_[index] = std::move(fn);
-        }
-        keys_.push_back(Key{when, stamp, index, exec_slot});
-        std::push_heap(keys_.begin(), keys_.end(), Later{});
-    }
-
-    /**
-     * Remove the earliest event. Its callback leaves the slab here,
-     * before the caller runs it: the callback may schedule events, and
-     * a push that grows the slab would relocate a callable mid-call.
-     * @pre !empty()
-     */
-    Event
-    pop()
-    {
-        std::pop_heap(keys_.begin(), keys_.end(), Later{});
-        const Key k = keys_.back();
-        keys_.pop_back();
-        free_.push_back(k.index);
-        return Event{k.when, k.execSlot, std::move(slab_[k.index])};
-    }
-
-  private:
+    /** The earliest event's key, removed from the heap by pop(). */
     struct Key
     {
         Cycles when;
@@ -243,24 +86,83 @@ class EventHeap
         std::uint64_t stamp;
         /** Slab slot of the callback. */
         std::uint32_t index;
-        /** Fills the padding after index; read only at pop. */
+        /** Slot whose context the event executes in. */
         std::uint32_t execSlot;
     };
     static_assert(sizeof(Key) == 24);
 
-    struct Later
+    bool empty() const { return keys_.empty(); }
+    std::size_t size() const { return keys_.size(); }
+
+    /** Pre-size keys, slab and free list for @p events pending events. */
+    void reserve(std::size_t events);
+
+    /** Construct @p fn in a free slab slot and queue it. */
+    template <typename F>
+    void
+    push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot, F &&fn)
     {
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.stamp > b.stamp;
-        }
-    };
+        const std::uint32_t index = takeSlot();
+        slot(index).emplace(std::forward<F>(fn));
+        siftUp(Key{when, stamp, index, exec_slot});
+    }
+
+    /**
+     * Remove the earliest key; its callback stays in the slab until
+     * run() has run it.
+     * @pre !empty()
+     */
+    Key pop();
+
+    /**
+     * Run the callback in slab slot @p index where it was built, then
+     * destroy it and free the slot. (A callback that throws keeps its
+     * slot until the heap is destroyed.)
+     */
+    void
+    run(std::uint32_t index)
+    {
+        EventFn &fn = slot(index);
+        fn();
+        fn = nullptr;
+        free_.push_back(index);
+    }
+
+  private:
+    /** Callbacks per slab chunk (80 bytes each). */
+    static constexpr unsigned chunkShift = 7;
+    static constexpr std::uint32_t chunkSlots = 1u << chunkShift;
+
+    __extension__ using Order = unsigned __int128;
+
+    static Order
+    order(const Key &k)
+    {
+        return (static_cast<Order>(k.when) << 64) | k.stamp;
+    }
+
+    EventFn &
+    slot(std::uint32_t index)
+    {
+        return chunks_[index >> chunkShift][index & (chunkSlots - 1)];
+    }
+
+    /** A vacant slot, growing the slab by a chunk when none is left. */
+    std::uint32_t
+    takeSlot()
+    {
+        if (free_.empty())
+            grow();
+        const std::uint32_t index = free_.back();
+        free_.pop_back();
+        return index;
+    }
+
+    void grow();
+    void siftUp(const Key &k);
 
     std::vector<Key> keys_;
-    std::vector<EventFn> slab_;
+    std::vector<std::unique_ptr<EventFn[]>> chunks_;
     /** Vacant slab slots, most recently vacated last. */
     std::vector<std::uint32_t> free_;
 };
@@ -309,10 +211,18 @@ class EventQueue
     /**
      * Schedule @p fn at absolute time @p when in the current slot's
      * context (the event will execute in the same slot as the one
-     * scheduling it).
+     * scheduling it). @p fn is any callable EventFn accepts; it is
+     * constructed straight into the slab.
      * @pre when >= now()
      */
-    void schedule(Cycles when, EventFn fn);
+    template <typename F>
+    void
+    schedule(Cycles when, F &&fn)
+    {
+        if (when < now_)
+            pastPanic(when, now_);
+        push(when, makeStamp(curSlot_), curSlot_, std::forward<F>(fn));
+    }
 
     /**
      * Schedule @p fn at absolute time @p when to execute in @p slot's
@@ -321,12 +231,23 @@ class EventQueue
      * node. The tie-break stamp still comes from the *scheduling* slot.
      * @pre when >= now(), slot < numSlots()
      */
-    void scheduleTo(std::uint32_t slot, Cycles when, EventFn fn);
+    template <typename F>
+    void
+    scheduleTo(std::uint32_t slot, Cycles when, F &&fn)
+    {
+        if (when < now_)
+            pastPanic(when, now_);
+        if (slot >= numSlots())
+            slotPanic(slot);
+        push(when, makeStamp(curSlot_), slot, std::forward<F>(fn));
+    }
 
     /** Schedule @p fn @p delta cycles from now. */
-    void scheduleAfter(Cycles delta, EventFn fn)
+    template <typename F>
+    void
+    scheduleAfter(Cycles delta, F &&fn)
     {
-        schedule(now() + delta, std::move(fn));
+        schedule(now() + delta, std::forward<F>(fn));
     }
 
     /**
@@ -365,10 +286,18 @@ class EventQueue
     }
 
     /** Common insert of schedule() and scheduleTo(). */
-    void push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
-              EventFn fn);
+    template <typename F>
+    void
+    push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot, F &&fn)
+    {
+        heap_.push(when, stamp, exec_slot, std::forward<F>(fn));
+        ++scheduled_;
+        if (heap_.size() > maxPending_)
+            maxPending_ = heap_.size();
+    }
 
     [[noreturn]] void pastPanic(Cycles when, Cycles now) const;
+    [[noreturn]] void slotPanic(std::uint32_t slot) const;
 
     EventHeap heap_;
     Cycles now_ = 0;

@@ -32,7 +32,7 @@ class MockSink : public HandlerSink
     };
 
     void
-    postHandler(Cycles ready, HandlerFn fn) override
+    postHandler(Cycles ready, HandlerFn &&fn) override
     {
         handlers.push_back(Posted{ready, std::move(fn)});
     }
@@ -57,10 +57,10 @@ class MockEnv : public NodeEnv
     }
 
     void
-    sendRequest(NodeId, std::uint32_t, HandlerFn, TimeBucket) override
+    sendRequest(NodeId, std::uint32_t, HandlerFn &&, TimeBucket) override
     {
     }
-    void sendData(NodeId, std::uint32_t, DataFn, TimeBucket) override {}
+    void sendData(NodeId, std::uint32_t, DataFn &&, TimeBucket) override {}
     void chargeCacheRange(GlobalAddr, std::uint64_t, bool,
                           TimeBucket) override
     {

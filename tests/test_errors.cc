@@ -191,6 +191,31 @@ TEST(Errors, ScBlockBelowAWordIsFatal)
     EXPECT_THROW(Cluster c(mp), FatalError);
 }
 
+TEST(Errors, ScBlockLargerThanAPageIsFatal)
+{
+    // A grant copies a whole block out of its home's store, which holds
+    // one home per page: a block past a page would span pages homed on
+    // different nodes and read past the store's end.
+    for (const std::uint32_t block : {8192u, 16384u, 65536u}) {
+        MachineParams mp = machine(ProtocolKind::Sc, 2);
+        mp.pageBytes = 4096;
+        mp.blockBytes = block;
+        try {
+            Cluster c(mp);
+            ADD_FAILURE() << block << "-byte SC blocks were accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(block)), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("4096"), std::string::npos) << what;
+        }
+    }
+    MachineParams mp = machine(ProtocolKind::Sc, 2);
+    mp.pageBytes = 4096;
+    mp.blockBytes = 4096;
+    EXPECT_NO_THROW(Cluster c(mp));
+}
+
 TEST(Errors, AllocationAfterRunIsFatal)
 {
     Cluster c(machine(ProtocolKind::Ideal, 1));

@@ -171,14 +171,53 @@ TEST_F(NetworkTest, LargeMessageSplitsIntoPackets)
 
 TEST_F(NetworkTest, SameChannelIsFifo)
 {
+    // Multi-packet messages interleaved with one-packet ones on one
+    // channel, in two bursts. Each small message's packet overtakes the
+    // large one's last packet on the wire (1000 cycles of NI occupancy
+    // against 4096 of link time), so the channel holds it back: it is
+    // delivered at its predecessor's delivery time, never before.
     EventQueue eq;
-    CommParams p = CommParams::achievable();
+    const CommParams p = CommParams::achievable();
     Network net(eq, 2, p);
+    struct Send
+    {
+        std::uint32_t bytes;
+        Cycles ready;
+    };
+    const std::vector<Send> sends = {
+        {8192, 0}, {16, 0},      {4112, 0}, {64, 0},
+        {4096, 0}, {16, 0},      {16, 60000}, {9000, 60000},
+        {32, 60000}, {4096, 60000}, {16, 60000},
+    };
     std::vector<int> order;
-    net.send(0, 1, 4096, 0, [&](Cycles) { order.push_back(1); });
-    net.send(0, 1, 16, 0, [&](Cycles) { order.push_back(2); });
+    std::vector<Cycles> times(sends.size(), 0);
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+        net.send(0, 1, sends[i].bytes, sends[i].ready, [&, i](Cycles t) {
+            order.push_back(static_cast<int>(i));
+            times[i] = t;
+            EXPECT_EQ(t, eq.now()); // delivered when the event runs
+        });
+    }
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    std::vector<int> fifo(sends.size());
+    for (std::size_t i = 0; i < sends.size(); ++i)
+        fifo[i] = static_cast<int>(i);
+    EXPECT_EQ(order, fifo);
+
+    // The first message's two packets cross the sender's I/O bus back
+    // to back (8192 cycles each) and pipeline through the rest, except
+    // that message 1's packet, having overtaken the second one, takes
+    // the receiver's I/O bus (32 cycles) just before it.
+    const Cycles io = 4096 / 0.5;
+    EXPECT_EQ(times[0], 2 * io + p.niOccupancyPerPacket + p.linkLatency +
+                            4096 + p.niOccupancyPerPacket + 16 / 0.5 + io);
+    // The rest as the model times them; each overtaker (1, 3, 5, 8 and
+    // 10) lands with its predecessor.
+    EXPECT_EQ(times, (std::vector<Cycles>{30724, 30724, 39076, 39076,
+                                          47300, 47300, 62100, 92404,
+                                          92404, 100628, 100628}));
+    for (std::size_t i = 1; i < sends.size(); ++i)
+        EXPECT_GE(times[i], times[i - 1]) << "message " << i;
 }
 
 TEST_F(NetworkTest, SelfSendSkipsNic)

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -191,6 +193,27 @@ TEST(EventFn, InlineCapturesDoNotLeak)
     EXPECT_EQ(counter.use_count(), 1);
 }
 
+TEST(InlineFn, PassesArgumentsAndReturnsResults)
+{
+    // The storage comes first and the ops pointer last, so an N of
+    // 16k + 8 bytes leaves no padding.
+    static_assert(sizeof(EventFn) == EventFn::inlineBytes + 8);
+    static_assert(sizeof(InlineFn<int(int, int &), 24>) == 32);
+
+    InlineFn<int(int, int &), 24> add([base = 10](int a, int &out) {
+        out = a + base;
+        return 2 * out;
+    });
+    int out = 0;
+    EXPECT_EQ(add(5, out), 30);
+    EXPECT_EQ(out, 15);
+    InlineFn<int(int, int &), 24> moved(std::move(add));
+    EXPECT_FALSE(static_cast<bool>(add));
+    EXPECT_EQ(moved(1, out), 22);
+    moved = nullptr;
+    EXPECT_FALSE(static_cast<bool>(moved));
+}
+
 TEST(EventQueue, AcceptsMoveOnlyCallbacks)
 {
     EventQueue eq;
@@ -221,11 +244,10 @@ TEST(EventQueue, ReserveDoesNotDisturbOrdering)
 
 TEST(EventQueue, CallbackSurvivesTheSlabGrowthItCauses)
 {
-    // One callback schedules more events than the queue reserves up
-    // front, so the callback slab reallocates while it runs. It must
-    // have left the slab before running: its by-value captures stay
-    // intact, and the events it scheduled still run in (when, seq)
-    // order.
+    // One callback schedules far more events than a slab chunk holds,
+    // so the slab grows while the callback runs in it. It stays put
+    // because chunks never move: its by-value captures stay intact,
+    // and the events it scheduled still run in (when, seq) order.
     constexpr int n = 10000;
     auto when = [](int i) {
         return static_cast<Cycles>(2 + (i * 7919) % 97);
@@ -249,6 +271,138 @@ TEST(EventQueue, CallbackSurvivesTheSlabGrowthItCauses)
     std::stable_sort(expect.begin(), expect.end(),
                      [&](int a, int b) { return when(a) < when(b); });
     EXPECT_EQ(order, expect);
+}
+
+/**
+ * The reference event set: whole events in a std::push_heap/pop_heap
+ * binary heap ordered by (when, stamp), with the kernel's stamp rule,
+ * (scheduling slot << 48) | per-slot sequence. EventQueue must run any
+ * schedule in exactly its order.
+ */
+class ReferenceQueue
+{
+  public:
+    explicit ReferenceQueue(std::uint32_t slots) : seq_(slots, 0) {}
+
+    Cycles now() const { return now_; }
+
+    void
+    schedule(Cycles when, std::function<void()> fn)
+    {
+        push(when, curSlot_, std::move(fn));
+    }
+
+    void
+    scheduleTo(std::uint32_t slot, Cycles when, std::function<void()> fn)
+    {
+        push(when, slot, std::move(fn));
+    }
+
+    void
+    run()
+    {
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            Event ev = std::move(heap_.back());
+            heap_.pop_back();
+            now_ = ev.when;
+            curSlot_ = ev.execSlot;
+            ev.fn();
+        }
+    }
+
+  private:
+    struct Event
+    {
+        Cycles when;
+        std::uint64_t stamp;
+        std::uint32_t execSlot;
+        std::function<void()> fn;
+    };
+
+    struct Later
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.stamp > b.stamp;
+        }
+    };
+
+    void
+    push(Cycles when, std::uint32_t exec_slot, std::function<void()> fn)
+    {
+        const std::uint64_t stamp =
+            (std::uint64_t{curSlot_} << 48) | seq_[curSlot_]++;
+        heap_.push_back(Event{when, stamp, exec_slot, std::move(fn)});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    std::vector<Event> heap_;
+    std::vector<std::uint64_t> seq_;
+    Cycles now_ = 0;
+    std::uint32_t curSlot_ = 0;
+};
+
+/** One executed event of a scripted run: its id and time. */
+using Fired = std::pair<int, Cycles>;
+
+/**
+ * Run a seeded script on @p q across 8 slots. What event @p id does
+ * depends only on (seed, id): it records itself, then schedules up to
+ * three children 0-2 cycles ahead (so most events tie on time), each
+ * in its own slot or, by scheduleTo, in a drawn one.
+ */
+template <typename Queue>
+std::vector<Fired>
+runScript(Queue &q, std::uint64_t seed)
+{
+    constexpr int maxEvents = 6000;
+    std::vector<Fired> fired;
+    int next_id = 0;
+    std::function<void(int)> body;
+    const auto spawn = [&](Rng &rng, Cycles base) {
+        const int id = next_id++;
+        const Cycles when = base + rng.nextBounded(3);
+        if (rng.nextBounded(2))
+            q.scheduleTo(static_cast<std::uint32_t>(rng.nextBounded(8)),
+                         when, [&body, id] { body(id); });
+        else
+            q.schedule(when, [&body, id] { body(id); });
+    };
+    body = [&](int id) {
+        fired.emplace_back(id, q.now());
+        Rng rng(seed * 1000003 + static_cast<std::uint64_t>(id));
+        for (auto k = rng.nextBounded(4); k > 0 && next_id < maxEvents; --k)
+            spawn(rng, q.now());
+    };
+    Rng rng(seed);
+    for (int i = 0; i < 64; ++i)
+        spawn(rng, 0);
+    q.run();
+    return fired;
+}
+
+TEST(EventQueue, MatchesReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        EventQueue eq;
+        eq.setNumSlots(8);
+        ReferenceQueue ref(8);
+        const std::vector<Fired> got = runScript(eq, seed);
+        const std::vector<Fired> want = runScript(ref, seed);
+        ASSERT_GT(want.size(), 1000u) << "seed " << seed;
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "seed " << seed << ": event " << i << " ran event "
+                << got[i].first << " at " << got[i].second
+                << ", the reference event " << want[i].first << " at "
+                << want[i].second;
+        }
+    }
 }
 
 TEST(Rng, DeterministicForSeed)
