@@ -25,7 +25,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -92,11 +91,8 @@ main(int argc, char **argv)
         else if (const char *v = value("--procs="))
             ok = parseProcs(v, procs);
         else if (const char *v = value("--block="))
-            // parseBoundedInt clamps to its maximum; a block past a
-            // page must be refused, not shrunk.
             ok = parseBoundedInt(v, swsm::wordBytes,
-                                 std::numeric_limits<int>::max(), block) &&
-                static_cast<unsigned>(block) <= MachineParams{}.pageBytes &&
+                                 MachineParams{}.pageBytes, block) &&
                 std::has_single_bit(static_cast<unsigned>(block));
         else if (const char *v = value("--jobs="))
             ok = parseBoundedInt(v, 1, maxJobs, jobs);

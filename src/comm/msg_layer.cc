@@ -32,18 +32,7 @@ MsgLayer::sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         SWSM_PANIC("request sent to node %d with no handler sink", dst);
     requests.inc();
     const Cycles handling = net.params().handlingCost;
-    const Cycles interrupt = net.params().interruptCost;
     HandlerSink *sink = sinks[dst];
-    if (interrupt > 0) {
-        // Interrupt-driven handling: the dispatch itself burns
-        // processor time before the handler body runs. A handler
-        // wrapping a handler cannot fit inline, so this closure takes
-        // one heap allocation; no paper configuration interrupts.
-        fn = [interrupt, inner = std::move(fn)](NodeEnv &env) mutable {
-            env.charge(interrupt, TimeBucket::ProtoHandler);
-            inner(env);
-        };
-    }
     auto deliver = [sink, handling,
                     fn = std::move(fn)](Cycles delivered) mutable {
         sink->postHandler(delivered + handling, std::move(fn));

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <limits>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -53,12 +52,7 @@ parseSizeClass(std::string_view name, SizeClass &out)
 bool
 parseProcs(std::string_view text, int &out)
 {
-    int procs = 0;
-    if (!parseBoundedInt(text, 1, std::numeric_limits<int>::max(), procs) ||
-        procs > maxProcs)
-        return false;
-    out = procs;
-    return true;
+    return parseBoundedInt(text, 1, maxProcs, out);
 }
 
 bool

@@ -49,7 +49,8 @@ int defaultJobs();
  * never clamped.
  */
 constexpr int maxProcs = 32;
-/** Largest worker count the option parser accepts (clamped above). */
+/** Largest worker count the option parsers accept; larger values are
+ *  rejected, never clamped. */
 constexpr int maxJobs = 1024;
 
 /** Lower-case size-class name ("tiny", ..., "paper"). */

@@ -45,6 +45,12 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
 {
     if (params.numProcs <= 0)
         SWSM_FATAL("cluster needs at least one processor");
+    // The access-check charge models SC's software access control;
+    // HLRC's page protection and Ideal have no per-reference check.
+    if (params.accessCheckCycles > 0 && params.protocol != ProtocolKind::Sc)
+        SWSM_FATAL("a %llu-cycle access check applies to SC only, not %s",
+                   static_cast<unsigned long long>(params.accessCheckCycles),
+                   protocolKindName(params.protocol));
 
     // One execution slot per node: every event carries the slot of the
     // node whose state it touches, and simultaneous events tie-break on
@@ -72,8 +78,8 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
                                                    envs);
         break;
       case ProtocolKind::Sc:
-        protocol_ = std::make_unique<ScProtocol>(
-            *space_, params.proto, envs, params.accessCheckCycles);
+        protocol_ = std::make_unique<ScProtocol>(*space_, params.proto,
+                                                 envs);
         break;
       case ProtocolKind::Ideal:
         protocol_ = std::make_unique<IdealProtocol>(*space_, envs);

@@ -59,8 +59,10 @@ struct MachineParams
     Cycles quantum = 1000;
     /**
      * Optional per-reference software access-control (instrumentation)
-     * cost for SC; 0 reproduces the paper's hardware-access-control
-     * assumption.
+     * cost, SC only: Thread charges it to ProtoOther before the inline
+     * check of each reference or unit chunk. 0 reproduces the paper's
+     * hardware-access-control assumption; Cluster rejects a nonzero
+     * cost under HLRC or Ideal, which have no per-reference check.
      */
     Cycles accessCheckCycles = 0;
     /**

@@ -168,6 +168,11 @@ Cycles
 Node::runHandler(HandlerFn &fn, Cycles start)
 {
     HandlerEnv env(*this, start);
+    // Interrupt-driven handling: the dispatch itself burns processor
+    // time before the handler body runs. No paper configuration
+    // interrupts.
+    if (const Cycles interrupt = msg.params().interruptCost)
+        env.charge(interrupt, TimeBucket::ProtoHandler);
     fn(env);
     return env.now();
 }

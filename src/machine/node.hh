@@ -161,7 +161,11 @@ class Node final : public ProcEnv, public HandlerSink
     void drainHandlers();
     /** Event: run ripe handlers while blocked/done. */
     void handlerTick();
-    /** Execute one handler starting at @p start; returns its end time. */
+    /**
+     * Execute one handler starting at @p start, after its interrupt
+     * dispatch cost (CommParams::interruptCost, 0 when polling);
+     * returns its end time.
+     */
     Cycles runHandler(HandlerFn &fn, Cycles start);
 
     NodeId id;

@@ -33,8 +33,9 @@ class Thread
         : cluster_(cluster), node_(node),
           protocol_(cluster.protocol()),
           table_(cluster.params().fastPath
-                     ? protocol_.inlineTable(node.node())
-                     : nullptr)
+                     ? &protocol_.accessTable(node.node())
+                     : nullptr),
+          accessCheck_(cluster.params().accessCheckCycles)
     {}
 
     /** This thread's processor id, in [0, nprocs()). */
@@ -48,9 +49,10 @@ class Thread
 
     /**
      * Timed shared read of a trivially copyable value. A value up to a
-     * power-of-two size 8 is one reference: copied inline if the
-     * node's access table grants it (no virtual dispatch), else
-     * through Protocol::load, then charged once. A reference must not
+     * power-of-two size 8 is one reference: its access check charged
+     * (SC's optional software check), then copied inline if the node's
+     * access table grants it (no virtual dispatch), else through
+     * Protocol::load, then charged once. A reference must not
      * straddle a coherence unit (page, or SC block): that is fatal;
      * use readBytes. Nor may it reach past the shared space's extent:
      * that is fatal too. Larger or odd-sized types go through
@@ -63,6 +65,7 @@ class Thread
         static_assert(std::is_trivially_copyable_v<T>);
         T v;
         if constexpr (isReference<T>) {
+            chargeCheck();
             if (const std::uint8_t *p = hit(addr, sizeof(T), false))
                 std::memcpy(&v, p, sizeof(T));
             else
@@ -81,6 +84,7 @@ class Thread
     {
         static_assert(std::is_trivially_copyable_v<T>);
         if constexpr (isReference<T>) {
+            chargeCheck();
             if (std::uint8_t *p = hit(addr, sizeof(T), true))
                 std::memcpy(p, &v, sizeof(T));
             else
@@ -93,10 +97,10 @@ class Thread
 
     /**
      * Timed bulk read of an arbitrary extent, one coherence unit at a
-     * time: each unit is copied, then charged one Busy cycle per word
-     * plus its cache walk. Units resolve inline until the first miss;
-     * that unit and every later one go to Protocol::load without a
-     * lookup.
+     * time: each unit's access check is charged, then the unit is
+     * copied, then charged one Busy cycle per word plus its cache walk.
+     * Units resolve inline until the first miss; that unit and every
+     * later one go to Protocol::load without a lookup.
      */
     void
     readBytes(GlobalAddr addr, void *dst, std::uint64_t bytes)
@@ -106,6 +110,7 @@ class Thread
         for (std::uint64_t done = 0; done < bytes;) {
             const GlobalAddr a = addr + done;
             std::uint64_t chunk;
+            chargeCheck();
             const std::uint8_t *p =
                 check_inline ? hit(a, 1, false) : nullptr;
             if (p) {
@@ -130,6 +135,7 @@ class Thread
         for (std::uint64_t done = 0; done < bytes;) {
             const GlobalAddr a = addr + done;
             std::uint64_t chunk;
+            chargeCheck();
             std::uint8_t *p = check_inline ? hit(a, 1, true) : nullptr;
             if (p) {
                 chunk = std::min<std::uint64_t>(bytes - done,
@@ -185,6 +191,18 @@ class Thread
     template <typename T>
     static constexpr bool isReference =
         sizeof(T) <= 8 && (sizeof(T) & (sizeof(T) - 1)) == 0;
+
+    /**
+     * Charge SC's software access check (accessCheckCycles) before the
+     * check itself, where instrumentation code would run it. The charge
+     * can yield into handlers, so the check sees what they change.
+     */
+    void
+    chargeCheck()
+    {
+        if (accessCheck_)
+            node_.charge(accessCheck_, TimeBucket::ProtoOther);
+    }
 
     /**
      * The node's bytes of [addr, addr + bytes) if its access table
@@ -280,9 +298,10 @@ class Thread
     Cluster &cluster_;
     Node &node_;
     Protocol &protocol_;
-    /** The node's access table, or null: fast path off, or SC with an
-     *  access-check charge. */
+    /** The node's access table, or null with the fast path off. */
     AccessTable *const table_;
+    /** Cycles of each reference's access check (SC only; 0 default). */
+    const Cycles accessCheck_;
 };
 
 } // namespace swsm

@@ -49,7 +49,8 @@ struct CommParams
      * polling model (handlers wait for the handling cost and run at
      * the node's next poll point). A non-zero value models
      * interrupt-driven message handling: each request charges this
-     * additional processor cost before its handler — the alternative
+     * additional processor cost before its handler (Node::runHandler,
+     * to the ProtoHandler bucket) — the alternative
      * the paper rejected because "when interrupts are used their cost
      * is the most significant cost in the communication architecture".
      */

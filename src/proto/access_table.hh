@@ -121,6 +121,12 @@ class AccessTable
         return nullptr;
     }
 
+    /** The unit holding @p addr. */
+    std::size_t unitOf(GlobalAddr addr) const { return addr >> shift_; }
+
+    /** Bytes per unit. */
+    std::uint64_t unitBytes() const { return std::uint64_t{1} << shift_; }
+
     /** End of the unit holding @p addr, clipped to the table's limit. */
     GlobalAddr
     unitEnd(GlobalAddr addr) const

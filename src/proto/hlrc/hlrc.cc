@@ -1,7 +1,6 @@
 #include "hlrc.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "check/check.hh"
 #include "sim/log.hh"
@@ -9,21 +8,12 @@
 namespace swsm
 {
 
-namespace
-{
-/** Non-VC bytes of small protocol payloads (ids, counts). */
-constexpr std::uint32_t smallPayload = 8;
-} // namespace
-
 HlrcProtocol::HlrcProtocol(AddressSpace &space, const ProtoParams &params,
                            std::vector<ProcEnv *> procs)
-    : Protocol(space.numNodes()), space(space), params(params),
-      procs(std::move(procs)),
-      numNodes(space.numNodes()), pageBytes(space.pageBytes()),
+    : Protocol(space, std::move(procs)), params(params),
+      pageBytes(space.pageBytes()),
       wordsPerPage(space.pageBytes() / wordBytes)
 {
-    if (static_cast<int>(this->procs.size()) != numNodes)
-        SWSM_FATAL("HLRC needs one ProcEnv per node");
     nodes.resize(numNodes);
     intervals.resize(numNodes);
     for (auto &ns : nodes)
@@ -79,7 +69,7 @@ HlrcProtocol::nodeState(NodeId n)
 }
 
 void
-HlrcProtocol::checkPageRights(NodeId n, PageId p) const
+HlrcProtocol::checkRights(NodeId n, std::size_t p) const
 {
     if (!check::enabled())
         return;
@@ -154,15 +144,10 @@ HlrcProtocol::fetchPage(ProcEnv &env, PageId p)
                 dataPathStats_.pageCopyCalls.inc();
                 dataPathStats_.pageCopyBytes.inc(pageBytes);
                 sendDat(henv, n, pageBytes,
-                        [this, p, n, base,
-                         snap = std::move(snap)](Cycles t) {
-                            PageCopy &pc = pageCopy(n, p);
-                            pc.data.assign(snap.begin(), snap.end());
+                        [this, p, n, snap = std::move(snap)](Cycles t) {
+                            install(n, p, snap.data(), Rights::Read);
                             dataPathStats_.pageCopyCalls.inc();
                             dataPathStats_.pageCopyBytes.inc(pageBytes);
-                            // Coherent DMA: stale cached lines of the
-                            // page are invalidated by the deposit.
-                            procs[n]->invalidateCacheRange(base, pageBytes);
                             procs[n]->unblock(t);
                         },
                         TimeBucket::ProtoHandler);
@@ -170,8 +155,6 @@ HlrcProtocol::fetchPage(ProcEnv &env, PageId p)
             TimeBucket::ProtoOther);
 
     env.block(TimeBucket::DataWait);
-
-    access_[n].set(p, pageCopy(n, p).data.data(), Rights::Read);
     chargeProtect(env, 1);
 
     if (trace_) {
@@ -191,9 +174,10 @@ HlrcProtocol::makeTwin(ProcEnv &env, PageId p, PageCopy &pc)
     SWSM_INVARIANT(space.pageHome(p) != env.node(),
                    "twin created for home page %llu on node %d",
                    static_cast<unsigned long long>(p), env.node());
-    pc.twin = pc.data;
+    const std::uint8_t *bytes = access_[env.node()].bytes(p);
+    pc.twin.assign(bytes, bytes + pageBytes);
     dataPathStats_.twinCopyCalls.inc();
-    dataPathStats_.twinCopyBytes.inc(pc.data.size());
+    dataPathStats_.twinCopyBytes.inc(pageBytes);
     stats_.twinsCreated.inc();
     env.charge(static_cast<Cycles>(wordsPerPage) * params.twinPerWord,
                TimeBucket::ProtoTwin);
@@ -230,44 +214,18 @@ HlrcProtocol::enableWrite(ProcEnv &env, PageId p, PageCopy &pc)
     nodeState(n).dirtyPages.push_back(p);
 }
 
-std::uint64_t
-HlrcProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
-                   std::uint64_t bytes)
+void
+HlrcProtocol::fault(ProcEnv &env, const Access &access)
 {
-    const PageId p = space.pageOf(addr);
+    const PageId p = access.unit;
     const NodeId n = env.node();
-    const GlobalAddr base = space.pageBase(p);
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(bytes, base + pageBytes - addr);
-    checkPageRights(n, p);
-    AccessTable &t = access_[n];
-    if (t.rights(p) == Rights::None) {
+    if (access_[n].rights(p) == Rights::None) {
         stats_.readFaults.inc();
         fetchPage(env, p);
     }
-    std::memcpy(out, t.bytes(p) + (addr - base), chunk);
-    return chunk;
-}
-
-std::uint64_t
-HlrcProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
-                    std::uint64_t bytes)
-{
-    const PageId p = space.pageOf(addr);
-    const NodeId n = env.node();
-    const GlobalAddr base = space.pageBase(p);
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(bytes, base + pageBytes - addr);
-    checkPageRights(n, p);
-    AccessTable &t = access_[n];
-    if (t.rights(p) == Rights::None) {
-        stats_.readFaults.inc();
-        fetchPage(env, p);
-    }
-    if (t.rights(p) != Rights::ReadWrite)
+    if (access.write)
         enableWrite(env, p, pageCopy(n, p));
-    std::memcpy(t.bytes(p) + (addr - base), in, chunk);
-    return chunk;
+    perform(n, access);
 }
 
 // ---------------------------------------------------------------------
@@ -295,7 +253,7 @@ HlrcProtocol::sendDiff(NodeEnv &env, NodeId n, PageId p, PageCopy &pc)
     // Comparison against the twin, on real bytes: one dense word-by-
     // word pass over the whole page, as Table 3 charges it below.
     hlrcdiff::DiffWords words;
-    hlrcdiff::diffWords(pc.data.data(), pc.twin.data(), pageBytes, 0,
+    hlrcdiff::diffWords(access_[n].bytes(p), pc.twin.data(), pageBytes, 0,
                         words);
     dataPathStats_.diffScanBytes.inc(pageBytes);
     dataPathStats_.diffScanCalls.inc();
@@ -425,7 +383,7 @@ HlrcProtocol::flushInterval(ProcEnv &env, TimeBucket wait_bucket)
         }
         pc.dirty = false;
         access_[n].setRights(p, Rights::Read);
-        checkPageRights(n, p);
+        checkRights(n, p);
         ++reprotect;
     }
     ns.dirtyPages.clear();
@@ -486,7 +444,7 @@ HlrcProtocol::applyNotices(ProcEnv &env, const Vc &new_vc,
 
     std::uint64_t protect_pages = 0;
     for (PageId p : to_invalidate) {
-        checkPageRights(n, p);
+        checkRights(n, p);
         if (access_[n].rights(p) == Rights::None)
             continue;
         PageCopy &pc = pageCopy(n, p);
@@ -715,16 +673,8 @@ HlrcProtocol::registerMetrics(MetricsRegistry &registry) const
 }
 
 // ---------------------------------------------------------------------
-// Verification access
+// Verification
 // ---------------------------------------------------------------------
-
-void
-HlrcProtocol::debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
-{
-    // After a barrier every diff has been applied at the homes, so the
-    // home store is the consistent view.
-    space.initRead(addr, out, bytes);
-}
 
 void
 HlrcProtocol::checkQuiescent() const
@@ -742,7 +692,7 @@ HlrcProtocol::checkQuiescent() const
                            "node %d ended with a live twin of clean "
                            "page %llu",
                            n, static_cast<unsigned long long>(p));
-            checkPageRights(n, p);
+            checkRights(n, p);
         }
     }
     for (std::size_t l = 0; l < lockTail.size(); ++l) {

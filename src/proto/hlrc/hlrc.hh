@@ -19,6 +19,11 @@
  *
  * Diffs, twins and page copies operate on real bytes, so applications
  * produce correct results only if the protocol is correct.
+ *
+ * Each node's page states are its access table (proto/access_table.hh):
+ * the Protocol base loads, stores and installs fetched pages through
+ * it, and HLRC supplies the fault (fetch, then write-enable with a
+ * twin) and changes rights at flushes and write notices.
  */
 
 #ifndef SWSM_PROTO_HLRC_HLRC_HH
@@ -50,15 +55,9 @@ class HlrcProtocol : public Protocol
 
     const char *name() const override { return "hlrc"; }
 
-    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
-                       std::uint64_t bytes) override;
-    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
-                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;
-    void debugRead(GlobalAddr addr, void *out,
-                   std::uint64_t bytes) override;
     void checkQuiescent() const override;
 
     void prepareRun(int num_locks, int num_barriers) override;
@@ -74,14 +73,13 @@ class HlrcProtocol : public Protocol
     using Vc = std::vector<std::uint32_t>;
 
     /**
-     * One node's copy of one page; its rights live in the node's access
-     * table, whose bytes are data's (the home store on the home).
+     * One node's state of one page beyond its access table entry, which
+     * holds the page's rights and bytes (the home store on the home, a
+     * copy carved by the base elsewhere).
      */
     struct PageCopy
     {
         bool dirty = false;
-        /** Empty on the page's home. */
-        std::vector<std::uint8_t> data;
         /** Non-empty while writable; allocated at the write fault and
          *  freed at the flush. */
         std::vector<std::uint8_t> twin;
@@ -148,6 +146,12 @@ class HlrcProtocol : public Protocol
     /** Charge a batched mprotect covering @p num_pages pages. */
     void chargeProtect(NodeEnv &env, std::uint64_t num_pages);
 
+    /**
+     * Fetch the page if the node has no rights to it (a read fault),
+     * enable writes for a store, then perform the access.
+     */
+    void fault(ProcEnv &env, const Access &access) override;
+
     /** Fetch page @p p from its home into @p n's copy; blocks. */
     void fetchPage(ProcEnv &env, PageId p);
 
@@ -158,11 +162,13 @@ class HlrcProtocol : public Protocol
     void discardTwin(PageCopy &pc);
 
     /**
-     * Check @p n's rights to @p p against the page's state (SWSM_CHECK):
-     * read-write exactly while dirty, a page-sized twin behind a
-     * non-home read-write copy, and at least read on the home.
+     * Check @p n's rights to page @p p against the page's state
+     * (SWSM_CHECK): read-write exactly while dirty, a page-sized twin
+     * behind a non-home read-write copy, and at least read on the home.
+     * Runs on each reference load() and store() take, and at each
+     * transition.
      */
-    void checkPageRights(NodeId n, PageId p) const;
+    void checkRights(NodeId n, std::size_t p) const override;
 
     /** Make @p p read-write on env.node(), twinning if needed. */
     void enableWrite(ProcEnv &env, PageId p, PageCopy &pc);
@@ -201,10 +207,7 @@ class HlrcProtocol : public Protocol
     /** Grant the lock token to the head waiter if possible. */
     void tryGrant(NodeEnv &env, LockId lock);
 
-    AddressSpace &space;
     ProtoParams params;
-    std::vector<ProcEnv *> procs;
-    int numNodes;
     std::uint32_t pageBytes;
     std::uint32_t wordsPerPage;
 

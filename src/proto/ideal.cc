@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "check/check.hh"
 #include "sim/log.hh"
@@ -12,12 +11,8 @@ namespace swsm
 
 IdealProtocol::IdealProtocol(AddressSpace &space,
                              std::vector<ProcEnv *> procs)
-    : Protocol(space.numNodes()), space(space), procs(std::move(procs)),
-      numNodes(space.numNodes())
-{
-    if (static_cast<int>(this->procs.size()) != numNodes)
-        SWSM_FATAL("Ideal protocol needs one ProcEnv per node");
-}
+    : Protocol(space, std::move(procs))
+{}
 
 void
 IdealProtocol::prepareRun(int num_locks, int num_barriers)
@@ -36,20 +31,11 @@ IdealProtocol::prepareRun(int num_locks, int num_barriers)
     barriers.resize(num_barriers);
 }
 
-std::uint64_t
-IdealProtocol::load(ProcEnv &, GlobalAddr addr, void *out,
-                    std::uint64_t bytes)
+void
+IdealProtocol::fault(ProcEnv &env, const Access &access)
 {
-    std::memcpy(out, space.homeBytes(addr), bytes);
-    return bytes;
-}
-
-std::uint64_t
-IdealProtocol::store(ProcEnv &, GlobalAddr addr, const void *in,
-                     std::uint64_t bytes)
-{
-    std::memcpy(space.homeBytes(addr), in, bytes);
-    return bytes;
+    SWSM_PANIC("ideal protocol fault on node %d, unit %zu", env.node(),
+               access.unit);
 }
 
 void
@@ -98,12 +84,6 @@ IdealProtocol::barrier(ProcEnv &env, BarrierId barrier)
     for (NodeId w : bs.waiting)
         procs[w]->unblock(env.now());
     bs.waiting.clear();
-}
-
-void
-IdealProtocol::debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
-{
-    space.initRead(addr, out, bytes);
 }
 
 void

@@ -35,24 +35,22 @@ class IdealProtocol : public Protocol
 
     const char *name() const override { return "ideal"; }
 
-    /**
-     * Copies all @p bytes: the home store is one contiguous array.
-     * Every node's access table holds it as one read-write unit, so
-     * Thread resolves any range inside the space as one chunk too.
-     */
-    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
-                       std::uint64_t bytes) override;
-    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
-                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;
-    void debugRead(GlobalAddr addr, void *out,
-                   std::uint64_t bytes) override;
     void checkQuiescent() const override;
+
+    /**
+     * Every node's access table holds the home store, one contiguous
+     * array, as one read-write unit, so load() and store() copy any
+     * range inside the space at once and never fault.
+     */
     void prepareRun(int num_locks, int num_barriers) override;
 
   private:
+    /** Never called: every node can read and write the whole space. */
+    void fault(ProcEnv &env, const Access &access) override;
+
     struct LockState
     {
         bool held = false;
@@ -65,10 +63,6 @@ class IdealProtocol : public Protocol
         int arrived = 0;
         std::vector<NodeId> waiting;
     };
-
-    AddressSpace &space;
-    std::vector<ProcEnv *> procs;
-    int numNodes;
 
     std::vector<LockState> locks;
     std::vector<BarrierState> barriers;

@@ -9,22 +9,29 @@
  * and move real bytes (applications compute correct results only if the
  * protocol is correct).
  *
- * A load or store moves one coherence unit's bytes (Ideal: any
- * extent) and charges only what the protocol costs (faults, fetches,
- * twins, ownership transfers). The reference itself costs the same
- * under every protocol (the node's memory hierarchy is fixed across
- * experiments), so Thread charges it, once, after the copy.
+ * The data path is the same for every protocol and lives here. Each
+ * node's access rights live in one AccessTable per node, kept by the
+ * protocol where its unit states change. Thread checks a reference
+ * against it inline and calls load()/store() only when that misses;
+ * they copy one coherence unit's bytes (an HLRC page, an SC block;
+ * Ideal's one unit spans the space) if the node holds the rights, and
+ * otherwise hand the access to the protocol's fault(). A fault is all
+ * that sets the protocols apart on this path: HLRC fetches and twins
+ * a page, SC runs a directory transaction and performs the access when
+ * its grant arrives, and Ideal never faults. Copies of remote units are
+ * carved here and filled by install().
  *
- * Each node's access rights live in one AccessTable per node, owned
- * here and kept by the protocol where its unit states change. Thread
- * checks a reference against it inline and calls load()/store() only
- * when the node lacks the rights (proto/access_table.hh).
+ * load() and store() charge protocol costs only. The reference itself
+ * costs the same under every protocol (the node's memory hierarchy is
+ * fixed across experiments), so Thread charges it, once, after the
+ * copy, and charges SC's optional software access check before it.
  */
 
 #ifndef SWSM_PROTO_PROTOCOL_HH
 #define SWSM_PROTO_PROTOCOL_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,6 +39,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "proto/access_table.hh"
+#include "proto/address_space.hh"
 #include "proto/proto_stats.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -71,20 +79,19 @@ class Protocol
     virtual const char *name() const = 0;
 
     /**
-     * Load from the coherence unit (HLRC page, SC block) holding
-     * @p addr into @p out. Takes the fault, fetch or ownership transfer
-     * the access needs, copies min(@p bytes, unit end - @p addr) bytes
-     * (Ideal: all @p bytes) and returns the number of bytes copied.
+     * Load from the coherence unit holding @p addr into @p out: copy
+     * min(@p bytes, unit end - @p addr) bytes, through fault() when the
+     * node lacks read rights, and return the number of bytes copied.
      * Charges protocol costs only: the caller charges the reference
      * after the copy.
      * @pre [addr, addr + bytes) lies inside the space's extent
      */
-    virtual std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
-                               std::uint64_t bytes) = 0;
+    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
+                       std::uint64_t bytes);
 
     /** Store into the coherence unit holding @p addr; see load(). */
-    virtual std::uint64_t store(ProcEnv &env, GlobalAddr addr,
-                                const void *in, std::uint64_t bytes) = 0;
+    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
+                        std::uint64_t bytes);
 
     /** Acquire lock @p lock (blocking). */
     virtual void acquire(ProcEnv &env, LockId lock) = 0;
@@ -97,11 +104,15 @@ class Protocol
 
     /**
      * Untimed, globally consistent read for verification; gathers the
-     * current value wherever it lives (home or owner copy).
+     * current value wherever it lives. The default reads the home
+     * store, which after a barrier is current under HLRC and Ideal.
      * @pre the machine is quiescent (e.g. after a barrier)
      */
-    virtual void debugRead(GlobalAddr addr, void *out,
-                           std::uint64_t bytes) = 0;
+    virtual void
+    debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
+    {
+        space.initRead(addr, out, bytes);
+    }
 
     /**
      * Verify end-of-run quiescence invariants (no transaction in
@@ -127,18 +138,10 @@ class Protocol
 
     /**
      * Node @p n's access table, for Thread to check references against
-     * inline; null when every reference must take load()/store() (SC
-     * with a per-reference access-check charge, which comes before the
-     * hit test). Valid from prepareRun() to the protocol's end.
+     * inline, and its hit and miss counts. Valid from prepareRun() to
+     * the protocol's end.
      */
-    AccessTable *
-    inlineTable(NodeId n)
-    {
-        return offersInline_ ? &access_[n] : nullptr;
-    }
-
-    /** Node @p n's access table (its hit and miss counts). */
-    const AccessTable &accessTable(NodeId n) const { return access_[n]; }
+    AccessTable &accessTable(NodeId n) { return access_[n]; }
 
     /** Protocol event counters. */
     const ProtoStats &stats() const { return stats_; }
@@ -158,8 +161,56 @@ class Protocol
     virtual void registerMetrics(MetricsRegistry &registry) const;
 
   protected:
-    /** @param num_nodes the cluster size: one access table per node */
-    explicit Protocol(int num_nodes) : access_(num_nodes) {}
+    /**
+     * @param space shared address space (homes + home store)
+     * @param procs per-node fiber environments, indexed by NodeId: one
+     *        per node of @p space, and one access table each
+     */
+    Protocol(AddressSpace &space, std::vector<ProcEnv *> procs);
+
+    /** Non-VC bytes of small protocol payloads (ids, counts). */
+    static constexpr std::uint32_t smallPayload = 8;
+
+    /**
+     * A reference the node lacked the rights for: @p bytes at
+     * @p offset into unit @p unit, read into or written from @p buf (a
+     * store's buffer is only read).
+     */
+    struct Access
+    {
+        std::size_t unit;
+        std::uint64_t offset;
+        std::uint8_t *buf;
+        std::uint64_t bytes;
+        bool write;
+    };
+
+    /**
+     * Obtain the rights @p access needs on env.node() and perform it
+     * (perform()); return once it is done. Called by load() and store()
+     * only: a load without read rights, a store without write rights.
+     */
+    virtual void fault(ProcEnv &env, const Access &access) = 0;
+
+    /**
+     * Check a node's rights to a unit against the protocol's own state
+     * (SWSM_CHECK). load() and store() call it on every reference they
+     * take; without SWSM_CHECK the call compiles to nothing.
+     */
+    virtual void checkRights(NodeId, std::size_t) const {}
+
+    /** Copy @p access between @p n's copy of its unit and its buffer. */
+    void perform(NodeId n, const Access &access);
+
+    /**
+     * Install a delivered unit on node @p n: copy the unit's bytes from
+     * @p bytes into n's copy of unit @p u (carved on first delivery; an
+     * invalidated copy keeps its place and is reused), give it rights
+     * @p r, and drop n's cached lines of the unit, as a coherent DMA
+     * deposit does.
+     */
+    void install(NodeId n, std::size_t u, const std::uint8_t *bytes,
+                 Rights r);
 
     /**
      * Send a request message, counting it in proto.msgs/proto.bytes.
@@ -191,13 +242,36 @@ class Protocol
         env.sendData(dst, bytes, DataFn(std::forward<F>(fn)), bucket);
     }
 
+    AddressSpace &space;
+    std::vector<ProcEnv *> procs;
+    int numNodes;
+
     ProtoStats stats_;
     Tracer *trace_ = nullptr;
     /** Per node, its rights to every unit: the protocol's only record
      *  of them (sized by prepareRun). */
     std::vector<AccessTable> access_;
-    /** See inlineTable(). */
-    bool offersInline_ = true;
+
+  private:
+    /**
+     * load() and store(): perform the part of the reference inside the
+     * unit holding @p addr, or fault() it, and return its length.
+     */
+    std::uint64_t reference(ProcEnv &env, GlobalAddr addr,
+                            std::uint8_t *buf, std::uint64_t bytes,
+                            bool write);
+
+    /**
+     * A fresh unit-sized copy for a non-home node. Copies are carved
+     * from chunks and live as long as the protocol, so AddressSanitizer
+     * bounds a chunk, not one copy.
+     */
+    std::uint8_t *carveCopy(std::uint64_t unit_bytes);
+
+    /** Chunks that carveCopy() carves copies from. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> copyChunks;
+    std::uint8_t *copyNext = nullptr; ///< next free copy in the last chunk
+    std::size_t copyFree = 0;         ///< bytes left in the last chunk
 };
 
 } // namespace swsm

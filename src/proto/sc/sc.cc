@@ -10,21 +10,11 @@
 namespace swsm
 {
 
-namespace
-{
-constexpr std::uint32_t smallPayload = 8;
-} // namespace
-
 ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
-                       std::vector<ProcEnv *> procs,
-                       Cycles access_check_cycles)
-    : Protocol(space.numNodes()), space(space), params(params),
-      procs(std::move(procs)), numNodes(space.numNodes()),
-      blockBytes(space.blockBytes()),
-      accessCheckCycles(access_check_cycles)
+                       std::vector<ProcEnv *> procs)
+    : Protocol(space, std::move(procs)), params(params),
+      blockBytes(space.blockBytes())
 {
-    if (static_cast<int>(this->procs.size()) != numNodes)
-        SWSM_FATAL("SC needs one ProcEnv per node");
     if (numNodes > 32)
         SWSM_FATAL("SC directory sharer bitmask supports up to 32 nodes");
     // The access table keeps the rights in the low bits of each copy's
@@ -38,11 +28,7 @@ ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
     if (blockBytes > space.pageBytes())
         SWSM_FATAL("SC blocks of %u bytes are larger than a page (%u)",
                    blockBytes, space.pageBytes());
-    pendingApply.resize(numNodes);
-    // A nonzero per-reference check charge must precede the hit test,
-    // and that charge can yield into handlers, which an inline check
-    // does not model: every reference then takes load()/store().
-    offersInline_ = accessCheckCycles == 0;
+    parked.resize(numNodes);
 }
 
 void
@@ -69,13 +55,6 @@ ScProtocol::dirEntry(BlockId b)
     return dir[b];
 }
 
-std::uint8_t *
-ScProtocol::localBytes(NodeId n, GlobalAddr addr)
-{
-    const BlockId b = space.blockOf(addr);
-    return access_[n].bytes(b) + (addr - space.blockBase(b));
-}
-
 Rights
 ScProtocol::homeRights(const DirEntry &d, NodeId home)
 {
@@ -86,40 +65,25 @@ ScProtocol::homeRights(const DirEntry &d, NodeId home)
     return Rights::ReadWrite; // idle, or exclusive at the home
 }
 
-std::uint8_t *
-ScProtocol::newCopy()
-{
-    if (copyFree < blockBytes) {
-        const std::size_t chunk =
-            std::max<std::size_t>(std::size_t{64} << 10, blockBytes);
-        copyChunks.push_back(
-            std::make_unique_for_overwrite<std::uint8_t[]>(chunk));
-        copyNext = copyChunks.back().get();
-        copyFree = chunk;
-    }
-    std::uint8_t *copy = copyNext;
-    copyNext += blockBytes;
-    copyFree -= blockBytes;
-    return copy;
-}
-
-void
-ScProtocol::chargeAccessCheck(ProcEnv &env)
-{
-    if (accessCheckCycles)
-        env.charge(accessCheckCycles, TimeBucket::ProtoOther);
-}
-
 // ---------------------------------------------------------------------
 // Miss transactions
 // ---------------------------------------------------------------------
 
 void
-ScProtocol::runPendingApply(NodeId n)
+ScProtocol::fault(ProcEnv &env, const Access &access)
 {
-    if (pendingApply[n]) {
-        pendingApply[n]();
-        pendingApply[n] = nullptr;
+    // The access is bound to the grant: a store is performed the moment
+    // ownership is installed, before anyone can steal the block.
+    parked[env.node()] = access;
+    startMiss(env, access.unit, access.write);
+}
+
+void
+ScProtocol::performParked(NodeId n)
+{
+    if (parked[n]) {
+        perform(n, *parked[n]);
+        parked[n].reset();
     }
 }
 
@@ -136,17 +100,10 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
         std::vector<std::uint8_t> snap(space.homeBytes(base),
                                        space.homeBytes(base) + blockBytes);
         sendDat(henv, n, blockBytes,
-                [this, n, b, base, write,
-                 snap = std::move(snap)](Cycles t) {
-                    AccessTable &at = access_[n];
-                    std::uint8_t *copy = at.bytes(b);
-                    if (!copy)
-                        copy = newCopy();
-                    std::memcpy(copy, snap.data(), blockBytes);
-                    at.set(b, copy,
-                           write ? Rights::ReadWrite : Rights::Read);
-                    procs[n]->invalidateCacheRange(base, blockBytes);
-                    runPendingApply(n);
+                [this, n, b, write, snap = std::move(snap)](Cycles t) {
+                    install(n, b, snap.data(),
+                            write ? Rights::ReadWrite : Rights::Read);
+                    performParked(n);
                     procs[n]->unblock(t);
                 },
                 TimeBucket::ProtoHandler);
@@ -163,7 +120,7 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
                         access_[n].setRights(b, write ? Rights::ReadWrite
                                                       : Rights::Read);
                     }
-                    runPendingApply(n);
+                    performParked(n);
                     procs[n]->unblock(t);
                 },
                 TimeBucket::ProtoHandler);
@@ -288,7 +245,7 @@ ScProtocol::handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
                     oenv.charge(params.scHandlerBase,
                                 TimeBucket::ProtoHandler);
                     const NodeId o2 = oenv.node();
-                    std::uint8_t *src = localBytes(o2, base);
+                    const std::uint8_t *src = access_[o2].bytes(b);
                     std::vector<std::uint8_t> snap(src, src + blockBytes);
                     oenv.chargeCacheRange(base, blockBytes, false,
                                           TimeBucket::ProtoHandler);
@@ -439,50 +396,6 @@ ScProtocol::startMiss(ProcEnv &env, BlockId b, bool write)
 }
 
 // ---------------------------------------------------------------------
-// Data access
-// ---------------------------------------------------------------------
-
-std::uint64_t
-ScProtocol::load(ProcEnv &env, GlobalAddr addr, void *out,
-                 std::uint64_t bytes)
-{
-    const BlockId b = space.blockOf(addr);
-    const NodeId n = env.node();
-    const std::uint64_t chunk = std::min<std::uint64_t>(
-        bytes, space.blockBase(b) + blockBytes - addr);
-    chargeAccessCheck(env);
-    if (access_[n].rights(b) != Rights::None) {
-        std::memcpy(out, localBytes(n, addr), chunk);
-    } else {
-        miss(env, b, false, [this, n, addr, out, chunk] {
-            std::memcpy(out, localBytes(n, addr), chunk);
-        });
-    }
-    return chunk;
-}
-
-std::uint64_t
-ScProtocol::store(ProcEnv &env, GlobalAddr addr, const void *in,
-                  std::uint64_t bytes)
-{
-    const BlockId b = space.blockOf(addr);
-    const NodeId n = env.node();
-    const std::uint64_t chunk = std::min<std::uint64_t>(
-        bytes, space.blockBase(b) + blockBytes - addr);
-    chargeAccessCheck(env);
-    if (access_[n].rights(b) == Rights::ReadWrite) {
-        std::memcpy(localBytes(n, addr), in, chunk);
-    } else {
-        // The store is bound to the grant: it is performed the moment
-        // ownership is installed, before anyone can steal the block.
-        miss(env, b, true, [this, n, addr, in, chunk] {
-            std::memcpy(localBytes(n, addr), in, chunk);
-        });
-    }
-    return chunk;
-}
-
-// ---------------------------------------------------------------------
 // Synchronization
 // ---------------------------------------------------------------------
 
@@ -603,7 +516,10 @@ ScProtocol::debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
             dir[b].state == DirEntry::DState::Excl &&
             dir[b].owner != space.blockHome(b);
         if (excl_remote) {
-            std::memcpy(dst + done, localBytes(dir[b].owner, a), chunk);
+            std::memcpy(dst + done,
+                        access_[dir[b].owner].bytes(b) +
+                            (a - space.blockBase(b)),
+                        chunk);
         } else {
             std::memcpy(dst + done, space.homeBytes(a), chunk);
         }
@@ -629,7 +545,7 @@ ScProtocol::checkQuiescent() const
         checkDirInvariant(b);
     }
     for (NodeId n = 0; n < numNodes; ++n) {
-        SWSM_INVARIANT(!pendingApply[n],
+        SWSM_INVARIANT(!parked[n],
                        "node %d ended with an uninstalled access", n);
     }
     for (std::size_t l = 0; l < locks.size(); ++l) {

@@ -7,8 +7,9 @@
  * per-application power-of-two block granularity, software handlers on
  * the main processor, and — following the paper's explicit assumption —
  * *zero-cost* hardware access control (the state check itself is free;
- * an optional per-access instrumentation cost is provided as an
- * extension for Shasta-style software access control studies).
+ * MachineParams::accessCheckCycles, which Thread charges before each
+ * reference's check, extends it to Shasta-style software access
+ * control).
  *
  * Directory (at each block's home): Idle / Shared(sharers) /
  * Excl(owner), with forwarding for 3-hop misses, invalidation-ack
@@ -16,9 +17,11 @@
  * requests per block. Caches of remote data live in node memory and are
  * unbounded (Stache uses local DRAM as the cache).
  *
- * Each node's block states are its access table (proto/access_table.hh).
- * A non-home node's rights change where its copy is granted, recalled
- * or invalidated. A home's rights are its directory entry's: none
+ * Each node's block states are its access table (proto/access_table.hh),
+ * through which the Protocol base loads, stores and installs granted
+ * blocks; SC supplies the fault (a miss transaction whose grant
+ * performs the access). A non-home node's rights change where its copy
+ * is granted, recalled or invalidated. A home's rights are its directory entry's: none
  * while a transaction is in flight, and after it the rights the entry
  * leaves the home (homeRights()).
  */
@@ -27,14 +30,13 @@
 #define SWSM_PROTO_SC_SC_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "proto/address_space.hh"
 #include "proto/proto_params.hh"
 #include "proto/protocol.hh"
-#include "sim/inline_fn.hh"
 
 namespace swsm
 {
@@ -47,19 +49,12 @@ class ScProtocol : public Protocol
      * @param space shared address space (block homes + home store)
      * @param params protocol costs (handler cost; the rest unused by SC)
      * @param procs per-node fiber environments
-     * @param access_check_cycles optional per-reference instrumentation
-     *        cost (0 = the paper's hardware access control assumption)
      */
     ScProtocol(AddressSpace &space, const ProtoParams &params,
-               std::vector<ProcEnv *> procs,
-               Cycles access_check_cycles = 0);
+               std::vector<ProcEnv *> procs);
 
     const char *name() const override { return "sc"; }
 
-    std::uint64_t load(ProcEnv &env, GlobalAddr addr, void *out,
-                       std::uint64_t bytes) override;
-    std::uint64_t store(ProcEnv &env, GlobalAddr addr, const void *in,
-                        std::uint64_t bytes) override;
     void acquire(ProcEnv &env, LockId lock) override;
     void release(ProcEnv &env, LockId lock) override;
     void barrier(ProcEnv &env, BarrierId barrier) override;
@@ -70,13 +65,6 @@ class ScProtocol : public Protocol
     void prepareRun(int num_locks, int num_barriers) override;
 
   private:
-    /**
-     * A faulting access performed at install time: load()'s and
-     * store()'s closures (this, a node, an address, a buffer pointer
-     * and a length) fit its 40 inline bytes.
-     */
-    using ApplyFn = InlineFn<void(), 40>;
-
     /** Directory entry at a block's home. */
     struct DirEntry
     {
@@ -111,43 +99,24 @@ class ScProtocol : public Protocol
 
     DirEntry &dirEntry(BlockId b);
 
-    /** Pointer to the current bytes of @p b as seen by node @p n. */
-    std::uint8_t *localBytes(NodeId n, GlobalAddr addr);
-
     /** The rights directory entry @p d leaves its block's @p home. */
     static Rights homeRights(const DirEntry &d, NodeId home);
 
     /**
-     * A fresh block-sized copy for a non-home node. Copies are carved
-     * from chunks and live as long as the protocol: an invalidated
-     * copy keeps its place in the access table, so a refetch reuses it.
+     * Park @p access and run a miss transaction for its block; blocks
+     * the fiber. The grant performs the parked access when it installs
+     * (performParked()), which guarantees every miss completes its
+     * access even under heavy block ping-pong — a blocking-SC
+     * processor cannot be starved by invalidations racing its
+     * resumption.
      */
-    std::uint8_t *newCopy();
-
-    /**
-     * Run a miss transaction for (env.node(), b); blocks the fiber.
-     * @p apply performs the faulting access and runs at install time
-     * (when the grant reaches the node), which guarantees every miss
-     * completes its access even under heavy block ping-pong — a
-     * blocking-SC processor cannot be starved by invalidations racing
-     * its resumption.
-     */
-    template <typename F>
-    void
-    miss(ProcEnv &env, BlockId b, bool write, F &&apply)
-    {
-        static_assert(ApplyFn::storesInline<std::decay_t<F>>(),
-                      "install-time access outgrew ApplyFn's inline "
-                      "storage");
-        pendingApply[env.node()].emplace(std::forward<F>(apply));
-        startMiss(env, b, write);
-    }
+    void fault(ProcEnv &env, const Access &access) override;
 
     /** Send @p env's miss request for @p b and block until granted. */
     void startMiss(ProcEnv &env, BlockId b, bool write);
 
-    /** Run and clear node @p n's pending install-time access. */
-    void runPendingApply(NodeId n);
+    /** Perform and clear node @p n's parked access. */
+    void performParked(NodeId n);
 
     /** Home-side request processing (may start or queue a transaction). */
     void handleRequest(NodeEnv &henv, BlockId b, NodeId requester,
@@ -169,23 +138,13 @@ class ScProtocol : public Protocol
     /** Send the grant (data or permission) to the current requester. */
     void grant(NodeEnv &henv, BlockId b, bool with_data);
 
-    /** Per-reference access-control charge (0 under the paper's model). */
-    void chargeAccessCheck(ProcEnv &env);
-
-    AddressSpace &space;
     ProtoParams params;
-    std::vector<ProcEnv *> procs;
-    int numNodes;
     std::uint32_t blockBytes;
-    Cycles accessCheckCycles;
 
     std::vector<DirEntry> dir;
-    /** Chunks that newCopy() carves copies from. */
-    std::vector<std::unique_ptr<std::uint8_t[]>> copyChunks;
-    std::uint8_t *copyNext = nullptr; ///< next free copy in the last chunk
-    std::size_t copyFree = 0;         ///< bytes left in the last chunk
-    /** One outstanding install-time access per (blocking) processor. */
-    std::vector<ApplyFn> pendingApply;
+    /** Per node, the access its miss will perform at install time (one
+     *  per blocking processor). */
+    std::vector<std::optional<Access>> parked;
     std::vector<LockState> locks;
     std::vector<BarrierState> barriers;
 };

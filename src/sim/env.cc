@@ -1,6 +1,5 @@
 #include "env.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -18,9 +17,10 @@ parseBoundedInt(std::string_view text, int min_value, int max_value,
     const char *first = text.data();
     const char *last = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(first, last, parsed);
-    if (ec != std::errc{} || ptr != last || parsed < min_value)
+    if (ec != std::errc{} || ptr != last || parsed < min_value ||
+        parsed > max_value)
         return false;
-    out = std::min(parsed, max_value);
+    out = parsed;
     return true;
 }
 

@@ -23,19 +23,19 @@ namespace swsm
 
 /**
  * Parse @p text as a bounded decimal integer. The whole string must be
- * a valid number (std::from_chars; no trailing junk) and at least
- * @p min_value, otherwise @p out is untouched and the result is false.
- * Values above @p max_value are clamped to it.
+ * a valid number (std::from_chars; no trailing junk) in
+ * [@p min_value, @p max_value], otherwise @p out is untouched and the
+ * result is false: a value out of range is refused, never clamped.
  */
 bool parseBoundedInt(std::string_view text, int min_value, int max_value,
                      int &out);
 
 /**
  * Read environment variable @p name as a bounded integer. Unset (or
- * empty) returns @p def unchanged; a malformed or below-minimum value
- * warns and returns @p def; values above @p max_value are clamped.
- * @p def itself is returned verbatim, so a sentinel outside
- * [min_value, max_value] can signal "unset" to the caller.
+ * empty) returns @p def unchanged; a malformed or out-of-range value
+ * warns and returns @p def. @p def itself is returned verbatim, so a
+ * sentinel outside [min_value, max_value] can signal "unset" to the
+ * caller.
  */
 int envBoundedInt(const char *name, int min_value, int max_value,
                   int def);

@@ -19,8 +19,8 @@
  *    gives a 16k + 16 byte object with no padding.
  *
  * The sizes are constants of each alias (EventFn in sim/event_queue.hh,
- * DeliverFn in net/network.hh, HandlerFn and DataFn in comm/handler.hh,
- * ScProtocol::ApplyFn), not options.
+ * DeliverFn in net/network.hh, HandlerFn and DataFn in comm/handler.hh),
+ * not options.
  */
 
 #ifndef SWSM_SIM_INLINE_FN_HH

@@ -127,7 +127,8 @@ constexpr std::uint32_t blockBytes = 4096;
 /** A four-node message layer with one Endpoint per node. */
 struct Fabric
 {
-    Fabric() : net(eq, numNodes, CommParams::achievable()), msg(net)
+    explicit Fabric(const CommParams &params = CommParams::achievable())
+        : net(eq, numNodes, params), msg(net)
     {
         for (NodeId n = 0; n < numNodes; ++n) {
             ends.push_back(std::make_unique<Endpoint>(n, msg));
@@ -250,6 +251,24 @@ TEST(MessagePathAllocations, SteadyStateMessagesAllocateNothing)
     EXPECT_EQ(handled, 6u * numNodes * 4);
     EXPECT_EQ(f.net.messagesSent().value(), 6u * numNodes * 7);
     EXPECT_TRUE(f.eq.empty());
+}
+
+TEST(MessagePathAllocations, InterruptDispatchAllocatesNothing)
+{
+    // Interrupt-driven handling charges the dispatch where the handler
+    // runs; the message layer passes the handler through unwrapped.
+    CommParams params = CommParams::achievable();
+    params.interruptCost = 400;
+    Fabric f(params);
+    auto buffers = pool(6);
+    for (int warm = 0; warm < 2; ++warm)
+        round(f, buffers);
+    const std::uint64_t made = allocationsOf([&] {
+        for (int r = 0; r < 4; ++r)
+            round(f, buffers);
+    });
+    EXPECT_EQ(made, 0u);
+    EXPECT_EQ(f.net.messagesSent().value(), 6u * numNodes * 7);
 }
 
 TEST(MessagePathAllocations, SteadyStateEventsAllocateNothing)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Message-layer tests with a mock handler sink: request vs. data
- * semantics, handling cost, interrupt dispatch, and an analytic
+ * semantics, handling cost, and an analytic
  * validation of the end-to-end message latency model across the
  * paper's communication parameter sets (the simulator-validation step
  * of the paper's methodology, §3.1, done against closed-form LogGP-
@@ -121,22 +121,6 @@ TEST(MsgLayer, DataBypassesHandlers)
     EXPECT_TRUE(f.sink1.handlers.empty());
     EXPECT_GT(delivered, 0u);
     EXPECT_EQ(ran_at, delivered);
-}
-
-TEST(MsgLayer, InterruptModeChargesDispatchCost)
-{
-    CommParams p = CommParams::best();
-    p.interruptCost = 777;
-    CommFixture f(p);
-    f.msg.sendRequest(0, 1, 8, 0, [](NodeEnv &env) {
-        env.charge(10, TimeBucket::ProtoHandler);
-    });
-    f.eq.run();
-    ASSERT_EQ(f.sink1.handlers.size(), 1u);
-    MockEnv env(0);
-    f.sink1.handlers[0].fn(env);
-    EXPECT_EQ(env.charged[static_cast<int>(TimeBucket::ProtoHandler)],
-              787u);
 }
 
 TEST(MsgLayer, CountsByKind)

@@ -216,6 +216,21 @@ TEST(Errors, ScBlockLargerThanAPageIsFatal)
     EXPECT_NO_THROW(Cluster c(mp));
 }
 
+TEST(Errors, AccessCheckCostOutsideScIsFatal)
+{
+    // The per-reference access check models SC's software access
+    // control; HLRC and Ideal have none, so a cost for them is an error,
+    // not a silently ignored setting.
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Ideal}) {
+        MachineParams mp = machine(kind, 2);
+        mp.accessCheckCycles = 5;
+        EXPECT_THROW(Cluster c(mp), FatalError) << protocolKindName(kind);
+    }
+    MachineParams mp = machine(ProtocolKind::Sc, 2);
+    mp.accessCheckCycles = 5;
+    EXPECT_NO_THROW(Cluster c(mp));
+}
+
 TEST(Errors, AllocationAfterRunIsFatal)
 {
     Cluster c(machine(ProtocolKind::Ideal, 1));

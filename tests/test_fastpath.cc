@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -315,6 +316,8 @@ struct RunResult
     Cycles total = 0;
     std::vector<Cycles> finish;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
+    /** References the inline check resolved (machine.fastpath_hits). */
+    std::uint64_t inlineHits = 0;
 };
 
 /**
@@ -324,7 +327,8 @@ struct RunResult
  */
 RunResult
 runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
-       std::uint32_t block_bytes, const Kernel &kernel)
+       std::uint32_t block_bytes, const Kernel &kernel,
+       Cycles access_check)
 {
     MachineParams mp;
     mp.numProcs = 4;
@@ -332,12 +336,14 @@ runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
     mp.pageBytes = page_bytes;
     mp.blockBytes = block_bytes;
     mp.fastPath = fast_path;
+    mp.accessCheckCycles = access_check;
     Cluster c(mp);
     c.run(kernel(c));
 
     RunResult r;
     r.total = c.stats().totalCycles;
     r.finish = c.stats().finishTimes;
+    r.inlineHits = c.stats().metrics.counter("machine.fastpath_hits");
     for (const auto &[name, value] : c.stats().metrics.counters) {
         if (!name.starts_with("machine.fastpath_"))
             r.counters.emplace_back(name, value);
@@ -345,21 +351,39 @@ runArm(ProtocolKind kind, bool fast_path, std::uint32_t page_bytes,
     return r;
 }
 
-void
+/** Run @p kernel with the fast path on and off, expect the same
+ *  results, and return the fast-path-on run's. */
+RunResult
 expectEquivalent(ProtocolKind kind, std::uint32_t page_bytes,
-                 std::uint32_t block_bytes, const Kernel &kernel)
+                 std::uint32_t block_bytes, const Kernel &kernel,
+                 Cycles access_check = 0)
 {
-    const RunResult on =
-        runArm(kind, true, page_bytes, block_bytes, kernel);
-    const RunResult off =
-        runArm(kind, false, page_bytes, block_bytes, kernel);
+    const RunResult on = runArm(kind, true, page_bytes, block_bytes,
+                                kernel, access_check);
+    const RunResult off = runArm(kind, false, page_bytes, block_bytes,
+                                 kernel, access_check);
     EXPECT_EQ(off.total, on.total);
     EXPECT_EQ(off.finish, on.finish);
-    ASSERT_EQ(off.counters.size(), on.counters.size());
-    for (std::size_t i = 0; i < on.counters.size(); ++i) {
+    EXPECT_EQ(off.inlineHits, 0u);
+    EXPECT_EQ(off.counters.size(), on.counters.size());
+    for (std::size_t i = 0;
+         i < std::min(on.counters.size(), off.counters.size()); ++i) {
         EXPECT_EQ(off.counters[i], on.counters[i])
             << "counter " << on.counters[i].first << " fast path off";
     }
+    return on;
+}
+
+/** The value of counter @p name in @p r. */
+std::uint64_t
+counterOf(const RunResult &r, const std::string &name)
+{
+    for (const auto &[n, value] : r.counters) {
+        if (n == name)
+            return value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
 }
 
 /** Unaligned bulk copies crossing page and block boundaries:
@@ -436,20 +460,31 @@ TEST(FastPathEquivalence, IdealBitIdenticalOnOff)
 
 TEST(FastPathEquivalence, ScWithAccessCheckCostStaysEquivalent)
 {
-    // A nonzero access-check charge withdraws SC's inline table; the
-    // fast path must still be a no-op, not a divergence.
-    auto run = [](bool fast_path) {
-        MachineParams mp;
-        mp.numProcs = 4;
-        mp.protocol = ProtocolKind::Sc;
-        mp.accessCheckCycles = 3;
-        mp.fastPath = fast_path;
-        Cluster c(mp);
-        auto body = lockCounterKernel()(c);
-        c.run(body);
-        return c.stats().totalCycles;
+    // Thread charges the access check before its inline check of each
+    // reference or unit chunk, so the inline table stays in use and
+    // the run is the same with the fast path on and off. The cycles
+    // are pinned to those of the tree in which SC charged the check
+    // inside its own load/store and every reference took that path.
+    struct Pinned
+    {
+        const char *kernel;
+        Kernel make;
+        Cycles total;
+        std::uint64_t protoOther;
     };
-    EXPECT_EQ(run(true), run(false));
+    const Pinned pinned[] = {
+        {"lockCounter", lockCounterKernel(), 429740, 50160},
+        {"falseSharing", falseSharingKernel(), 202099, 44040},
+        {"bulkRange", bulkRangeKernel(), 353145, 87672},
+    };
+    for (const Pinned &p : pinned) {
+        const RunResult on =
+            expectEquivalent(ProtocolKind::Sc, 4096, 64, p.make, 3);
+        EXPECT_GT(on.inlineHits, 0u) << p.kernel;
+        EXPECT_EQ(on.total, p.total) << p.kernel;
+        EXPECT_EQ(counterOf(on, "time.proto_other"), p.protoOther)
+            << p.kernel;
+    }
 }
 
 // ----------------------------------------- Diff exactness across epochs

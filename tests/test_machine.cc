@@ -229,6 +229,33 @@ TEST(Cluster, InterruptHandlingCostsMoreThanPolling)
     EXPECT_GT(interrupt, polled + polled / 10);
 }
 
+TEST(Node, InterruptDispatchChargesEveryRequestOnce)
+{
+    // The node charges the dispatch before each request's handler, so
+    // with barriers only (no data, no cache traffic in handlers) the
+    // handler time grows by exactly the dispatch cost per request.
+    auto run_with = [](Cycles interrupt_cost) {
+        MachineParams mp = smallMachine(ProtocolKind::Sc, 4);
+        mp.comm.interruptCost = interrupt_cost;
+        Cluster c(mp);
+        const BarrierId bar = c.allocBarrier();
+        c.run([&](Thread &t) {
+            for (int round = 0; round < 3; ++round) {
+                t.compute(100 * (t.id() + 1));
+                t.barrier(bar);
+            }
+        });
+        return c.stats().metrics;
+    };
+    const MetricsSnapshot polled = run_with(0);
+    const MetricsSnapshot interrupted = run_with(777);
+    const std::uint64_t requests = interrupted.counter("comm.requests");
+    EXPECT_EQ(requests, 3u * 4u);
+    EXPECT_EQ(polled.counter("comm.requests"), requests);
+    EXPECT_EQ(interrupted.counter("time.proto_handler"),
+              polled.counter("time.proto_handler") + 777 * requests);
+}
+
 TEST(Experiment, IdealBeatsRealProtocols)
 {
     const WorkloadFactory factory = [](SizeClass s) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -620,7 +621,7 @@ TEST(Trace, SerialAndParallelSweepsProduceIdenticalBytes)
 // Option parsing
 // -----------------------------------------------------------------
 
-TEST(ParseBoundedInt, RejectsGarbageAndClamps)
+TEST(ParseBoundedInt, RejectsGarbageAndOutOfRange)
 {
     int out = -1;
     EXPECT_FALSE(parseBoundedInt("", 1, 100, out));
@@ -632,8 +633,29 @@ TEST(ParseBoundedInt, RejectsGarbageAndClamps)
     EXPECT_EQ(out, -1) << "failed parses must not touch the output";
     EXPECT_TRUE(parseBoundedInt("4", 1, 100, out));
     EXPECT_EQ(out, 4);
-    EXPECT_TRUE(parseBoundedInt("100000", 1, 100, out));
-    EXPECT_EQ(out, 100) << "values above max clamp";
+    EXPECT_TRUE(parseBoundedInt("100", 1, 100, out));
+    EXPECT_EQ(out, 100);
+    EXPECT_FALSE(parseBoundedInt("101", 1, 100, out));
+    EXPECT_FALSE(parseBoundedInt("100000", 1, 100, out));
+    EXPECT_EQ(out, 100) << "values above max are refused, not clamped";
+}
+
+TEST(DefaultJobs, IgnoresAnOutOfRangeEnvironmentValue)
+{
+    // SWSM_JOBS above maxJobs warns and falls back to the hardware
+    // concurrency, as a malformed value does; it is not clamped.
+    const char *saved = std::getenv("SWSM_JOBS");
+    const std::string old = saved ? saved : "";
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int fallback = hw ? static_cast<int>(hw) : 1;
+    setenv("SWSM_JOBS", std::to_string(maxJobs + 1).c_str(), 1);
+    EXPECT_EQ(defaultJobs(), fallback);
+    setenv("SWSM_JOBS", std::to_string(maxJobs).c_str(), 1);
+    EXPECT_EQ(defaultJobs(), maxJobs);
+    if (saved)
+        setenv("SWSM_JOBS", old.c_str(), 1);
+    else
+        unsetenv("SWSM_JOBS");
 }
 
 TEST(SweepOptionsParse, RejectsInvalidNumbers)
@@ -656,6 +678,8 @@ TEST(SweepOptionsParse, RejectsInvalidNumbers)
     EXPECT_FALSE(tryParse({"--jobs=abc"}));
     EXPECT_FALSE(tryParse({"--jobs=0"}));
     EXPECT_FALSE(tryParse({"--jobs=-2"}));
+    // Above maxJobs: rejected, not clamped.
+    EXPECT_FALSE(tryParse({"--jobs=1025"}));
     EXPECT_FALSE(tryParse({"--procs=-3"}));
     EXPECT_FALSE(tryParse({"--procs=16banana"}));
     // Above SC's 32-bit sharer mask: rejected, not clamped.

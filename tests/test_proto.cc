@@ -718,6 +718,23 @@ TEST(ProtoMemory, LockStateIsAtMost200BytesPerLock)
     }
 }
 
+TEST(ProtoMemory, HlrcPageIsAtMost5000BytesAt16Nodes)
+{
+    if (heapBytes() < 0)
+        GTEST_SKIP() << "needs glibc mallinfo2()";
+    // Per 4 KB page before any fetch: its home store and home id, and
+    // per node a PageCopy (dirty flag and twin), an access table entry
+    // and a diff sequence slot: 4,804 bytes. The bound is below the
+    // 5,188 that a byte vector in every PageCopy adds up to, so fetched
+    // copies must come from the protocol base's chunks.
+    constexpr std::uint64_t bytes = 4u << 20;
+    constexpr std::int64_t pages = bytes / 4096;
+    const std::int64_t grown =
+        clusterHeapGrowth(ProtocolKind::Hlrc, 0, bytes) -
+        clusterHeapGrowth(ProtocolKind::Hlrc, 0, 0);
+    EXPECT_LE(grown / pages, 5000);
+}
+
 TEST(ProtoMemory, ScDirectoryIsAtMost800BytesPerBlock)
 {
     if (heapBytes() < 0)
