@@ -1,6 +1,8 @@
 #include "app_util.hh"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "sim/log.hh"
 
@@ -37,12 +39,21 @@ fftInPlace(Complex *a, std::uint64_t n, int sign)
     }
 }
 
-std::vector<Complex>
-fftReference(const std::vector<Complex> &in)
+void
+radixSort(std::vector<std::uint32_t> &keys)
 {
-    std::vector<Complex> out = in;
-    fftInPlace(out.data(), out.size(), -1);
-    return out;
+    std::vector<std::uint32_t> scratch(keys.size());
+    for (unsigned shift = 0; shift < 32; shift += 8) {
+        std::array<std::size_t, 256> start{};
+        for (const std::uint32_t k : keys)
+            ++start[(k >> shift) & 0xff];
+        std::size_t sum = 0;
+        for (std::size_t &s : start)
+            sum += std::exchange(s, sum);
+        for (const std::uint32_t k : keys)
+            scratch[start[(k >> shift) & 0xff]++] = k;
+        keys.swap(scratch);
+    }
 }
 
 double

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the application suite: complex arithmetic, FFT
- * reference kernels, partitioning math and cost models.
+ * Shared helpers for the application suite: complex arithmetic, FFT and
+ * sort reference kernels, partitioning math, cost models, and the
+ * untimed bulk transfers that build and check shared arrays.
  *
  * Compute-cost constants approximate 1-IPC instruction counts of the
  * corresponding inner loops; they scale all applications uniformly and
@@ -12,10 +13,12 @@
 #ifndef SWSM_APPS_APP_UTIL_HH
 #define SWSM_APPS_APP_UTIL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "machine/shared_array.hh"
 #include "sim/types.hh"
 
 namespace swsm
@@ -60,8 +63,11 @@ log2Exact(std::uint64_t v)
  */
 void fftInPlace(Complex *a, std::uint64_t n, int sign);
 
-/** Forward DFT reference of @p in (radix-2, ordered output). */
-std::vector<Complex> fftReference(const std::vector<Complex> &in);
+/**
+ * Sort @p keys ascending: an LSD radix sort, four passes of 8-bit
+ * digits through one scratch vector, O(n). Radix's reference.
+ */
+void radixSort(std::vector<std::uint32_t> &keys);
 
 /** Approximate 1-IPC cycles of an n-point radix-2 FFT. */
 inline Cycles
@@ -84,6 +90,45 @@ struct Range
 
 /** Block partition of n items over parts workers. */
 Range blockRange(std::uint64_t n, int parts, int p);
+
+/** Elements of @p T per untimed transfer of a whole-array walk. */
+template <typename T>
+constexpr std::uint64_t chunkElements =
+    std::max<std::uint64_t>(1, (64 << 10) / sizeof(T));
+
+/** Untimed initialization of every element of @p arr to @p v. */
+template <typename T>
+void
+initFill(Cluster &cluster, const SharedArray<T> &arr, const T &v)
+{
+    const std::uint64_t n = arr.size();
+    const std::vector<T> buf(std::min(n, chunkElements<T>), v);
+    for (std::uint64_t first = 0; first < n; first += buf.size())
+        arr.initRange(cluster, first, std::min(n - first, buf.size()),
+                      buf.data());
+}
+
+/**
+ * Read elements [0, n) of @p arr in 64 KiB chunks through one reused
+ * buffer and hand each to @p ok(i, value) in index order.
+ * @return false at the first element @p ok rejects, else true
+ */
+template <typename T, typename Ok>
+bool
+checkElements(Cluster &cluster, const SharedArray<T> &arr, std::uint64_t n,
+              Ok &&ok)
+{
+    std::vector<T> buf(std::min(n, chunkElements<T>));
+    for (std::uint64_t first = 0; first < n; first += buf.size()) {
+        const std::uint64_t len = std::min(n - first, buf.size());
+        arr.peekRange(cluster, first, len, buf.data());
+        for (std::uint64_t k = 0; k < len; ++k) {
+            if (!ok(first + k, buf[k]))
+                return false;
+        }
+    }
+    return true;
+}
 
 } // namespace swsm
 

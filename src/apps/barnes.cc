@@ -169,19 +169,17 @@ BarnesWorkload::setup(Cluster &cluster)
         ivx[i] = (rng.nextDouble() - 0.5) * 0.02;
         ivy[i] = (rng.nextDouble() - 0.5) * 0.02;
         ivz[i] = (rng.nextDouble() - 0.5) * 0.02;
-        px.init(cluster, i, ipx[i]);
-        py.init(cluster, i, ipy[i]);
-        pz.init(cluster, i, ipz[i]);
-        vx.init(cluster, i, ivx[i]);
-        vy.init(cluster, i, ivy[i]);
-        vz.init(cluster, i, ivz[i]);
     }
+    px.initRange(cluster, 0, n, ipx.data());
+    py.initRange(cluster, 0, n, ipy.data());
+    pz.initRange(cluster, 0, n, ipz.data());
+    vx.initRange(cluster, 0, n, ivx.data());
+    vy.initRange(cluster, 0, n, ivy.data());
+    vz.initRange(cluster, 0, n, ivz.data());
 
     // Empty tree; the first reset/build round fills it in.
-    for (std::uint64_t s = 0; s < 8ull * maxCells; ++s)
-        child.init(cluster, s, emptySlot);
-    for (std::uint32_t c = 0; c < maxCells; ++c)
-        cellDepth.init(cluster, c, 0);
+    initFill(cluster, child, emptySlot);
+    initFill(cluster, cellDepth, 0);
     nextCell.init(cluster, 0, 2); // cell 1 is the root
 }
 
@@ -796,16 +794,25 @@ BarnesWorkload::verify(Cluster &cluster)
         }
     }
 
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const double gx = px.peek(cluster, i);
-        const double gy = py.peek(cluster, i);
-        const double gz = pz.peek(cluster, i);
-        if (std::abs(gx - qx[i]) > 1e-9 || std::abs(gy - qy[i]) > 1e-9 ||
-            std::abs(gz - qz[i]) > 1e-9) {
-            SWSM_WARN("barnes mismatch at %llu: (%g,%g,%g) vs (%g,%g,%g)",
-                      static_cast<unsigned long long>(i), gx, gy, gz,
-                      qx[i], qy[i], qz[i]);
-            return false;
+    // The three position arrays, read in lockstep chunks.
+    const std::uint64_t chunk = std::min(n, chunkElements<double>);
+    std::vector<double> gx(chunk), gy(chunk), gz(chunk);
+    for (std::uint64_t first = 0; first < n; first += chunk) {
+        const std::uint64_t len = std::min(n - first, chunk);
+        px.peekRange(cluster, first, len, gx.data());
+        py.peekRange(cluster, first, len, gy.data());
+        pz.peekRange(cluster, first, len, gz.data());
+        for (std::uint64_t k = 0; k < len; ++k) {
+            const std::uint64_t i = first + k;
+            if (std::abs(gx[k] - qx[i]) > 1e-9 ||
+                std::abs(gy[k] - qy[i]) > 1e-9 ||
+                std::abs(gz[k] - qz[i]) > 1e-9) {
+                SWSM_WARN("barnes mismatch at %llu: (%g,%g,%g) vs "
+                          "(%g,%g,%g)",
+                          static_cast<unsigned long long>(i), gx[k], gy[k],
+                          gz[k], qx[i], qy[i], qz[i]);
+                return false;
+            }
         }
     }
     return true;

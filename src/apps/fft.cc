@@ -43,13 +43,20 @@ FftWorkload::setup(Cluster &cluster)
         cluster.space().setRangeHome(trans.addr(rows.begin * m), bytes, p);
     }
 
+    const std::vector<Complex> in = inputPoints();
+    x.initRange(cluster, 0, n, in.data());
+}
+
+std::vector<Complex>
+FftWorkload::inputPoints() const
+{
     Rng rng(42);
-    input.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        input[i] = Complex{rng.nextDouble() * 2.0 - 1.0,
-                           rng.nextDouble() * 2.0 - 1.0};
-        x.init(cluster, i, input[i]);
+    std::vector<Complex> in(points());
+    for (Complex &c : in) {
+        c.re = rng.nextDouble() * 2.0 - 1.0;
+        c.im = rng.nextDouble() * 2.0 - 1.0;
     }
+    return in;
 }
 
 void
@@ -120,21 +127,21 @@ FftWorkload::body(Thread &t)
 bool
 FftWorkload::verify(Cluster &cluster)
 {
-    const std::vector<Complex> ref = fftReference(input);
-    const std::uint64_t n = points();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Complex got = trans.peek(cluster, i);
-        if (std::abs(got.re - ref[i].re) >
-                1e-6 * (1.0 + std::abs(ref[i].re)) ||
-            std::abs(got.im - ref[i].im) >
-                1e-6 * (1.0 + std::abs(ref[i].im))) {
-            SWSM_WARN("fft mismatch at %llu: (%g,%g) vs (%g,%g)",
-                      static_cast<unsigned long long>(i), got.re, got.im,
-                      ref[i].re, ref[i].im);
-            return false;
-        }
-    }
-    return true;
+    std::vector<Complex> ref = inputPoints();
+    fftInPlace(ref.data(), ref.size(), -1);
+    return checkElements(
+        cluster, trans, points(), [&](std::uint64_t i, const Complex &got) {
+            if (std::abs(got.re - ref[i].re) >
+                    1e-6 * (1.0 + std::abs(ref[i].re)) ||
+                std::abs(got.im - ref[i].im) >
+                    1e-6 * (1.0 + std::abs(ref[i].im))) {
+                SWSM_WARN("fft mismatch at %llu: (%g,%g) vs (%g,%g)",
+                          static_cast<unsigned long long>(i), got.re,
+                          got.im, ref[i].re, ref[i].im);
+                return false;
+            }
+            return true;
+        });
 }
 
 } // namespace swsm

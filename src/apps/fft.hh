@@ -50,7 +50,13 @@ class FftWorkload : public Workload
     SharedArray<Complex> x;     ///< input / final output
     SharedArray<Complex> trans; ///< transpose scratch
     BarrierId bar = 0;
-    std::vector<Complex> input; ///< saved initial values (verification)
+
+    /**
+     * The input points, drawn from a fixed seed. setup() writes them
+     * and verify() transforms a fresh draw in place, so no copy lives
+     * through the run.
+     */
+    std::vector<Complex> inputPoints() const;
 };
 
 } // namespace swsm

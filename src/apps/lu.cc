@@ -156,16 +156,14 @@ LuWorkload::setup(Cluster &cluster)
             original[i * n + j] = v;
         }
     }
+    // A block's rows are contiguous in both layouts.
     for (std::uint64_t bi = 0; bi < nb; ++bi) {
         for (std::uint64_t bj = 0; bj < nb; ++bj) {
             for (std::uint64_t r = 0; r < bs; ++r) {
-                for (std::uint64_t c = 0; c < bs; ++c) {
-                    const double v =
-                        original[(bi * bs + r) * n + bj * bs + c];
-                    cluster.initWrite(
-                        blockAddr(bi, bj) + (r * bs + c) * sizeof(double),
-                        &v, sizeof(double));
-                }
+                cluster.initWrite(
+                    blockAddr(bi, bj) + r * bs * sizeof(double),
+                    &original[(bi * bs + r) * n + bj * bs],
+                    bs * sizeof(double));
             }
         }
     }
@@ -242,9 +240,9 @@ LuWorkload::verify(Cluster &cluster)
 {
     // Gather the factored matrix back into dense layout.
     std::vector<double> lu(n * n);
+    std::vector<double> buf(bs * bs);
     for (std::uint64_t bi = 0; bi < nb; ++bi) {
         for (std::uint64_t bj = 0; bj < nb; ++bj) {
-            std::vector<double> buf(bs * bs);
             cluster.debugRead(blockAddr(bi, bj), buf.data(),
                               bs * bs * sizeof(double));
             for (std::uint64_t r = 0; r < bs; ++r)

@@ -124,6 +124,7 @@ OceanWorkload::setup(Cluster &cluster)
     // Smooth-ish random initial interior, fixed boundary.
     Rng rng(99);
     initial.assign(cells, 0.0);
+    std::vector<double> stored(cells); // initial, in layout order
     for (std::uint64_t r = 0; r < n + 2; ++r) {
         for (std::uint64_t c = 0; c < n + 2; ++c) {
             double v;
@@ -133,9 +134,10 @@ OceanWorkload::setup(Cluster &cluster)
                 v = rng.nextDouble();
             }
             initial[r * (n + 2) + c] = v;
-            grid.init(cluster, layout[r * (n + 2) + c], v);
+            stored[layout[r * (n + 2) + c]] = v;
         }
     }
+    grid.initRange(cluster, 0, cells, stored.data());
 }
 
 void

@@ -54,12 +54,18 @@ RadixWorkload::setup(Cluster &cluster)
             buckets * sizeof(std::uint32_t), p);
     }
 
+    const std::vector<std::uint32_t> keys = inputKeys();
+    a.initRange(cluster, 0, nkeys, keys.data());
+}
+
+std::vector<std::uint32_t>
+RadixWorkload::inputKeys() const
+{
     Rng rng(2024);
-    input.resize(nkeys);
-    for (std::uint64_t i = 0; i < nkeys; ++i) {
-        input[i] = static_cast<std::uint32_t>(rng.next64());
-        a.init(cluster, i, input[i]);
-    }
+    std::vector<std::uint32_t> keys(nkeys);
+    for (std::uint32_t &k : keys)
+        k = static_cast<std::uint32_t>(rng.next64());
+    return keys;
 }
 
 void
@@ -187,19 +193,20 @@ RadixWorkload::body(Thread &t)
 bool
 RadixWorkload::verify(Cluster &cluster)
 {
-    std::vector<std::uint32_t> expect = input;
-    std::sort(expect.begin(), expect.end());
+    std::vector<std::uint32_t> expect = inputKeys();
+    radixSort(expect);
     // passes is even, so the final result is back in `a`.
     static_assert(passes % 2 == 0);
-    for (std::uint64_t i = 0; i < nkeys; ++i) {
-        const std::uint32_t got = a.peek(cluster, i);
-        if (got != expect[i]) {
-            SWSM_WARN("radix mismatch at %llu: %u vs %u",
-                      static_cast<unsigned long long>(i), got, expect[i]);
-            return false;
-        }
-    }
-    return true;
+    return checkElements(
+        cluster, a, nkeys, [&](std::uint64_t i, std::uint32_t got) {
+            if (got != expect[i]) {
+                SWSM_WARN("radix mismatch at %llu: %u vs %u",
+                          static_cast<unsigned long long>(i), got,
+                          expect[i]);
+                return false;
+            }
+            return true;
+        });
 }
 
 } // namespace swsm

@@ -19,7 +19,8 @@
  *    remote access becomes coarse-grained ("writing to a local buffer
  *    first", the paper's restructuring (i)).
  *
- * Verified against std::sort (exact).
+ * Verified key by key against an LSD radix sort of the input keys
+ * (radixSort in apps/app_util.hh; exact).
  */
 
 #ifndef SWSM_APPS_RADIX_HH
@@ -62,7 +63,12 @@ class RadixWorkload : public Workload
     SharedArray<std::uint32_t> hist; ///< per-proc histograms (P x 256)
     SharedArray<std::uint32_t> stage;///< staging space (radix-local)
     BarrierId bar = 0;
-    std::vector<std::uint32_t> input; ///< original keys (verification)
+
+    /**
+     * The unsorted keys, drawn from a fixed seed. setup() writes them
+     * and verify() draws them again, so no copy lives through the run.
+     */
+    std::vector<std::uint32_t> inputKeys() const;
 };
 
 } // namespace swsm

@@ -354,19 +354,17 @@ RaytraceWorkload::setup(Cluster &cluster)
         cluster, static_cast<std::uint64_t>(cells) * maxPerCell, page);
     image = SharedArray<std::uint32_t>(
         cluster, static_cast<std::uint64_t>(width) * height, page);
-    for (std::uint32_t s = 0; s < numSpheres; ++s) {
-        sx.init(cluster, s, scene.sx[s]);
-        sy.init(cluster, s, scene.sy[s]);
-        sz.init(cluster, s, scene.sz[s]);
-        sr.init(cluster, s, scene.sr[s]);
-        scolor.init(cluster, s, scene.color[s]);
-        smirror.init(cluster, s, scene.mirror[s]);
-    }
-    for (std::uint32_t c = 0; c < cells; ++c)
-        gridCount.init(cluster, c, scene.gridCount[c]);
-    for (std::uint64_t k = 0;
-         k < static_cast<std::uint64_t>(cells) * maxPerCell; ++k)
-        gridList.init(cluster, k, scene.gridList[k]);
+    sx.initRange(cluster, 0, numSpheres, scene.sx.data());
+    sy.initRange(cluster, 0, numSpheres, scene.sy.data());
+    sz.initRange(cluster, 0, numSpheres, scene.sz.data());
+    sr.initRange(cluster, 0, numSpheres, scene.sr.data());
+    scolor.initRange(cluster, 0, numSpheres, scene.color.data());
+    const std::vector<std::uint32_t> mirror(scene.mirror.begin(),
+                                            scene.mirror.end());
+    smirror.initRange(cluster, 0, numSpheres, mirror.data());
+    gridCount.initRange(cluster, 0, cells, scene.gridCount.data());
+    gridList.initRange(cluster, 0, scene.gridList.size(),
+                       scene.gridList.data());
 
     // Task queues: tiles dealt round-robin.
     const std::uint32_t tiles_x = width / tile;
@@ -386,10 +384,8 @@ RaytraceWorkload::setup(Cluster &cluster)
                     i);
         ++counts[p];
     }
-    for (int p = 0; p < np; ++p) {
-        qHead.init(cluster, p, 0);
-        qTail.init(cluster, p, counts[p]);
-    }
+    initFill(cluster, qHead, 0u);
+    qTail.initRange(cluster, 0, np, counts.data());
     qLocks.resize(np);
     for (auto &l : qLocks)
         l = cluster.allocLock();
@@ -508,19 +504,19 @@ RaytraceWorkload::verify(Cluster &cluster)
                  scene.sz,       scene.sr,    scene.color,
                  scene.mirror,   scene.gridCount, scene.gridList};
     RayTracer<RefReader> tracer(rd, gridDim, maxPerCell);
-    for (std::uint32_t y = 0; y < height; ++y) {
-        for (std::uint32_t x = 0; x < width; ++x) {
+    return checkElements(
+        cluster, image, static_cast<std::uint64_t>(width) * height,
+        [&](std::uint64_t i, std::uint32_t got) {
+            const auto x = static_cast<std::uint32_t>(i % width);
+            const auto y = static_cast<std::uint32_t>(i / width);
             const std::uint32_t want = tracer.pixel(x, y, width, height);
-            const std::uint32_t got = image.peek(
-                cluster, static_cast<std::uint64_t>(y) * width + x);
             if (got != want) {
                 SWSM_WARN("raytrace mismatch at (%u,%u): %08x vs %08x", x,
                           y, got, want);
                 return false;
             }
-        }
-    }
-    return true;
+            return true;
+        });
 }
 
 } // namespace swsm

@@ -83,7 +83,7 @@ VolrendWorkload::VolrendWorkload(SizeClass size, bool restructured)
         width = 192;
         break;
       case SizeClass::Paper:
-        volDim = 128; // the paper's 128^3 head volume
+        volDim = 128; // half the edge of the paper's 256^3 head
         width = 256;
         break;
     }
@@ -166,10 +166,8 @@ VolrendWorkload::setup(Cluster &cluster)
     macro = SharedArray<float>(cluster, macroMax.size(), page);
     image = SharedArray<std::uint32_t>(
         cluster, static_cast<std::uint64_t>(width) * width, page);
-    for (std::uint64_t i = 0; i < voxels; ++i)
-        vol.init(cluster, i, volume[i]);
-    for (std::size_t i = 0; i < macroMax.size(); ++i)
-        macro.init(cluster, i, macroMax[i]);
+    vol.initRange(cluster, 0, voxels, volume.data());
+    macro.initRange(cluster, 0, macroMax.size(), macroMax.data());
 
     // Task queues.
     const std::uint32_t tiles_x = width / tile;
@@ -194,10 +192,8 @@ VolrendWorkload::setup(Cluster &cluster)
                     i);
         ++counts[p];
     }
-    for (int p = 0; p < np; ++p) {
-        qHead.init(cluster, p, 0);
-        qTail.init(cluster, p, counts[p]);
-    }
+    initFill(cluster, qHead, 0u);
+    qTail.initRange(cluster, 0, np, counts.data());
     qLocks.resize(np);
     for (auto &l : qLocks)
         l = cluster.allocLock();
@@ -292,13 +288,20 @@ bool
 VolrendWorkload::verify(Cluster &cluster)
 {
     RefVolReader rd{volume, macroMax};
+    // A band of `tile` image rows is contiguous in both layouts: read
+    // one band at a time, then check its pixels in row order.
+    const std::uint64_t band = static_cast<std::uint64_t>(tile) * width;
+    std::vector<std::uint32_t> pixels(band);
     for (std::uint32_t y = 0; y < width; ++y) {
+        const std::uint64_t band_start = y / tile * band;
+        if (y % tile == 0)
+            image.peekRange(cluster, band_start, band, pixels.data());
         for (std::uint32_t x = 0; x < width; ++x) {
             const std::uint32_t want =
                 castRay(rd, x * volDim / width, y * volDim / width,
                         volDim, macroDim);
             const std::uint32_t got =
-                image.peek(cluster, pixelIndex(x, y));
+                pixels[pixelIndex(x, y) - band_start];
             if (got != want) {
                 SWSM_WARN("volrend mismatch at (%u,%u): %08x vs %08x", x,
                           y, got, want);

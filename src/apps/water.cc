@@ -1,5 +1,6 @@
 #include "water.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/log.hh"
@@ -133,13 +134,12 @@ WaterWorkload::setup(Cluster &cluster)
             (rng.nextDouble() - 0.5) * 0.2;
         for (int d = 0; d < 3; ++d)
             initVel[3 * i + d] = (rng.nextDouble() - 0.5) * 0.01;
-        for (int d = 0; d < 3; ++d) {
-            mol.init(cluster, i * molStride + posOff + d,
-                     initPos[3 * i + d]);
-            mol.init(cluster, i * molStride + velOff + d,
-                     initVel[3 * i + d]);
-            mol.init(cluster, i * molStride + forceOff + d, 0.0);
-        }
+        // Position, velocity and a zero force are one run of fields.
+        static_assert(velOff == posOff + 3 && forceOff == velOff + 3);
+        double fields[9] = {};
+        std::copy_n(&initPos[3 * i], 3, fields);
+        std::copy_n(&initVel[3 * i], 3, fields + 3);
+        mol.initRange(cluster, i * molStride + posOff, 9, fields);
     }
 
     if (spatial) {
@@ -158,14 +158,15 @@ WaterWorkload::setup(Cluster &cluster)
                          initPos[3 * i + 2]};
             members[cellOf(p)].push_back(static_cast<std::uint32_t>(i));
         }
+        std::vector<std::uint32_t> counts(cells);
         for (std::uint64_t c = 0; c < cells; ++c) {
             if (members[c].size() > maxPerCell)
                 SWSM_FATAL("water cell overflow at setup");
-            cellCount.init(cluster, c,
-                           static_cast<std::uint32_t>(members[c].size()));
-            for (std::size_t k = 0; k < members[c].size(); ++k)
-                cellList.init(cluster, c * maxPerCell + k, members[c][k]);
+            counts[c] = static_cast<std::uint32_t>(members[c].size());
+            cellList.initRange(cluster, c * maxPerCell, members[c].size(),
+                               members[c].data());
         }
+        cellCount.initRange(cluster, 0, cells, counts.data());
 
         // 3-D block partition of the cell grid (the SPLASH spatial
         // decomposition): locks are only needed for cells whose
@@ -557,13 +558,17 @@ WaterWorkload::verify(Cluster &cluster)
         }
     }
 
-    for (std::uint64_t i = 0; i < 3 * n; ++i) {
-        const double got = mol.peek(
-            cluster, (i / 3) * molStride + posOff + i % 3);
-        if (std::abs(got - p[i]) > 1e-7 * (1.0 + std::abs(p[i]))) {
-            SWSM_WARN("water mismatch at %llu: %g vs %g",
-                      static_cast<unsigned long long>(i), got, p[i]);
-            return false;
+    for (std::uint64_t m = 0; m < n; ++m) {
+        double pos[3];
+        mol.peekRange(cluster, m * molStride + posOff, 3, pos);
+        for (std::uint64_t d = 0; d < 3; ++d) {
+            const std::uint64_t i = 3 * m + d;
+            const double got = pos[d];
+            if (std::abs(got - p[i]) > 1e-7 * (1.0 + std::abs(p[i]))) {
+                SWSM_WARN("water mismatch at %llu: %g vs %g",
+                          static_cast<unsigned long long>(i), got, p[i]);
+                return false;
+            }
         }
     }
     return true;

@@ -177,15 +177,32 @@ Cluster::allocBarrier()
 }
 
 void
+Cluster::checkUntimed(const char *what, GlobalAddr addr,
+                      std::uint64_t bytes) const
+{
+    const std::uint64_t extent = space_->extent();
+    if (bytes > extent || addr > extent - bytes)
+        SWSM_FATAL("the %llu-byte %s at %#llx lies outside the shared "
+                   "space, whose extent is %#llx bytes",
+                   static_cast<unsigned long long>(bytes), what,
+                   static_cast<unsigned long long>(addr),
+                   static_cast<unsigned long long>(extent));
+}
+
+void
 Cluster::initWrite(GlobalAddr addr, const void *src, std::uint64_t bytes)
 {
-    space_->initWrite(addr, src, bytes);
+    checkUntimed("initWrite", addr, bytes);
+    if (bytes > 0)
+        space_->initWrite(addr, src, bytes);
 }
 
 void
 Cluster::debugRead(GlobalAddr addr, void *dst, std::uint64_t bytes)
 {
-    protocol_->debugRead(addr, dst, bytes);
+    checkUntimed("debugRead", addr, bytes);
+    if (bytes > 0)
+        protocol_->debugRead(addr, dst, bytes);
 }
 
 void

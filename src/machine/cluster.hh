@@ -72,6 +72,9 @@ class Cluster
     /** Number of allocated barriers: ids [0, numBarriers()). */
     int numBarriers() const { return nextBarrier; }
 
+    // The untimed transfers throw FatalError, under every protocol,
+    // for a range that does not lie inside the space's extent.
+
     /** Untimed initialization write (before run()). */
     void initWrite(GlobalAddr addr, const void *src, std::uint64_t bytes);
     /** Untimed, globally consistent read (after run()). */
@@ -108,6 +111,11 @@ class Cluster
     std::shared_ptr<const TraceBuffer> takeTrace();
 
   private:
+    /** Throw FatalError unless [addr, addr + bytes) lies inside the
+     *  space's extent; @p what names the transfer. */
+    void checkUntimed(const char *what, GlobalAddr addr,
+                      std::uint64_t bytes) const;
+
     MachineParams params_;
     EventQueue eq;
     std::unique_ptr<Network> network_;

@@ -4,9 +4,12 @@
  *
  * SharedArray<T> owns a contiguous shared allocation of @c count
  * elements. Elements are padded to a power-of-two slot so that a single
- * element never straddles a coherence-unit boundary. Initialization and
- * verification use the untimed init/debug paths; timed accesses go
- * through a Thread.
+ * element never straddles a coherence-unit boundary. Timed accesses go
+ * through a Thread. Initialization and verification use the untimed
+ * Cluster::initWrite/debugRead paths: init/peek move one element, and
+ * initRange/peekRange move [first, first+n) as one call when elements
+ * fill their slots (element by element otherwise, so padding bytes are
+ * never written), the way the timed read/write move ranges.
  */
 
 #ifndef SWSM_MACHINE_SHARED_ARRAY_HH
@@ -134,7 +137,49 @@ class SharedArray
         return v;
     }
 
+    /** Untimed initialization of elements [first, first+n) (before run()). */
+    void
+    initRange(Cluster &cluster, std::uint64_t first, std::uint64_t n,
+              const T *src) const
+    {
+        const GlobalAddr at = rangeAddr(first, n);
+        if (slot == sizeof(T)) {
+            cluster.initWrite(at, src, n * sizeof(T));
+        } else {
+            for (std::uint64_t i = 0; i < n; ++i)
+                cluster.initWrite(at + i * slot, &src[i], sizeof(T));
+        }
+    }
+
+    /** Untimed, consistent read of elements [first, first+n) (after run()). */
+    void
+    peekRange(Cluster &cluster, std::uint64_t first, std::uint64_t n,
+              T *out) const
+    {
+        const GlobalAddr at = rangeAddr(first, n);
+        if (slot == sizeof(T)) {
+            cluster.debugRead(at, out, n * sizeof(T));
+        } else {
+            for (std::uint64_t i = 0; i < n; ++i)
+                cluster.debugRead(at + i * slot, &out[i], sizeof(T));
+        }
+    }
+
   private:
+    /** Address of element @p first; FatalError unless [first, first+n)
+     *  lies inside the array. */
+    GlobalAddr
+    rangeAddr(std::uint64_t first, std::uint64_t n) const
+    {
+        if (first > count_ || n > count_ - first)
+            SWSM_FATAL("elements [%llu, +%llu) lie outside a %llu-element "
+                       "shared array",
+                       static_cast<unsigned long long>(first),
+                       static_cast<unsigned long long>(n),
+                       static_cast<unsigned long long>(count_));
+        return base_ + first * slot;
+    }
+
     GlobalAddr base_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t slot = 0;

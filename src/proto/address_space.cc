@@ -77,7 +77,7 @@ AddressSpace::setRangeHome(GlobalAddr addr, std::uint64_t bytes,
 void
 AddressSpace::initWrite(GlobalAddr a, const void *src, std::uint64_t bytes)
 {
-    if (a + bytes > store.size())
+    if (bytes > store.size() || a > store.size() - bytes)
         SWSM_PANIC("initWrite beyond allocated space");
     std::memcpy(&store[a], src, bytes);
 }
@@ -85,7 +85,7 @@ AddressSpace::initWrite(GlobalAddr a, const void *src, std::uint64_t bytes)
 void
 AddressSpace::initRead(GlobalAddr a, void *dst, std::uint64_t bytes) const
 {
-    if (a + bytes > store.size())
+    if (bytes > store.size() || a > store.size() - bytes)
         SWSM_PANIC("initRead beyond allocated space");
     std::memcpy(dst, &store[a], bytes);
 }

@@ -45,7 +45,7 @@ EventHeap::siftUp(const Key &k)
 }
 
 EventHeap::Key
-EventHeap::pop()
+EventHeap::popHeap()
 {
     const Key top = keys_.front();
     const Key last = keys_.back();

@@ -8,9 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "apps/app_registry.hh"
+#include "apps/app_util.hh"
+#include "apps/radix.hh"
 #include "harness/experiment.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 
 namespace swsm
 {
@@ -120,6 +128,65 @@ TEST(AppDeterminism, SameSeedSameResult)
     EXPECT_EQ(r1.parallelCycles, r2.parallelCycles);
     EXPECT_EQ(r1.stats.metrics.counter("proto.msgs"),
               r2.stats.metrics.counter("proto.msgs"));
+}
+
+TEST(RadixSort, MatchesStdSort)
+{
+    Rng rng(5);
+    std::vector<std::vector<std::uint32_t>> inputs(5);
+    for (int i = 0; i < 5000; ++i) {
+        inputs[0].push_back(static_cast<std::uint32_t>(rng.next64()));
+        inputs[1].push_back(static_cast<std::uint32_t>(rng.nextBounded(7)) *
+                            0x01010101u);
+    }
+    inputs[0].insert(inputs[0].end(), {0u, UINT32_MAX, 0u, UINT32_MAX});
+    inputs[1].insert(inputs[1].end(), {UINT32_MAX, 0u});
+    inputs[2].assign(3000, 0x80402010u);
+    inputs[3] = {UINT32_MAX, 0u, 1u, UINT32_MAX - 1, 0x00ffff00u};
+    // inputs[4] stays empty.
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+        std::vector<std::uint32_t> want = inputs[k];
+        std::sort(want.begin(), want.end());
+        std::vector<std::uint32_t> got = inputs[k];
+        radixSort(got);
+        EXPECT_EQ(got, want) << "input " << k;
+    }
+}
+
+TEST(RadixVerify, RejectsAWrongResult)
+{
+    // Radix allocates its output array first, so its sorted keys start
+    // at address 0. Copying a key over its unequal neighbour leaves the
+    // output sorted but no longer a permutation of the input; swapping
+    // the two leaves a permutation that is not sorted. verify must
+    // reject both.
+    for (const bool swap_keys : {false, true}) {
+        RadixWorkload radix(SizeClass::Tiny, false);
+        MachineParams mp;
+        mp.numProcs = 4;
+        mp.protocol = ProtocolKind::Ideal;
+        Cluster c(mp);
+        radix.setup(c);
+        c.run([&](Thread &t) { radix.body(t); });
+        ASSERT_TRUE(radix.verify(c));
+
+        std::uint32_t keys[64];
+        c.debugRead(0, keys, sizeof(keys));
+        std::size_t i = 0;
+        while (i + 1 < 64 && keys[i] == keys[i + 1])
+            ++i;
+        ASSERT_LT(i + 1, 64u);
+        if (swap_keys) {
+            // (b) Two unequal keys out of order.
+            std::swap(keys[i], keys[i + 1]);
+        } else {
+            // (a) Still sorted, but no longer a permutation.
+            keys[i + 1] = keys[i];
+        }
+        c.initWrite(0, keys, sizeof(keys));
+        EXPECT_FALSE(radix.verify(c))
+            << (swap_keys ? "swapped keys" : "duplicated key");
+    }
 }
 
 } // namespace

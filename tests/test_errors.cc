@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
@@ -181,6 +183,49 @@ TEST(Errors, ReferenceOutsideTheSharedSpaceIsFatal)
                     << (bulk ? " readBytes" : " get") << ": " << what;
             }
         }
+    }
+}
+
+TEST(Errors, UntimedRangeOutsideTheSpaceIsFatal)
+{
+    // A range that ends one byte past the extent, and one whose end
+    // wraps past 2^64: initWrite and debugRead throw the same
+    // FatalError on every protocol, before they copy a byte.
+    for (auto kind : {ProtocolKind::Hlrc, ProtocolKind::Sc,
+                      ProtocolKind::Ideal}) {
+        Cluster c(machine(kind, 2));
+        c.alloc(2 * c.params().pageBytes);
+        const std::uint64_t extent = c.space().extent();
+        struct Bad
+        {
+            GlobalAddr addr;
+            std::uint64_t bytes;
+        };
+        const Bad bad[] = {{extent - 8, 9}, {16, UINT64_MAX - 7}};
+        std::vector<std::uint8_t> buf(16, 0);
+        const auto expectFatal = [&](const char *what, const Bad &b,
+                                     auto &&transfer) {
+            std::string msg;
+            try {
+                transfer();
+            } catch (const FatalError &e) {
+                msg = e.what();
+            }
+            EXPECT_NE(msg.find("outside the shared space"),
+                      std::string::npos)
+                << protocolKindName(kind) << " " << what << " of "
+                << b.bytes << " bytes at " << b.addr << ": " << msg;
+        };
+        for (const Bad &b : bad)
+            expectFatal("initWrite", b, [&] {
+                c.initWrite(b.addr, buf.data(), b.bytes);
+            });
+        c.run([](Thread &) {});
+        for (const Bad &b : bad)
+            expectFatal("debugRead", b, [&] {
+                c.debugRead(b.addr, buf.data(), b.bytes);
+            });
+        EXPECT_EQ(buf, std::vector<std::uint8_t>(16, 0));
     }
 }
 

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <vector>
+
+#include "apps/app_util.hh"
 #include "apps/fft.hh"
 #include "harness/experiment.hh"
 #include "machine/cluster.hh"
@@ -254,6 +259,124 @@ TEST(Node, InterruptDispatchChargesEveryRequestOnce)
     EXPECT_EQ(polled.counter("comm.requests"), requests);
     EXPECT_EQ(interrupted.counter("time.proto_handler"),
               polled.counter("time.proto_handler") + 777 * requests);
+}
+
+/** A 12-byte element: its slot is 16 bytes, 4 of them padding. */
+struct Padded
+{
+    std::uint32_t a, b, c;
+};
+static_assert(sizeof(Padded) == 12);
+
+/** Element @p i of version @p salt, built byte by byte. */
+template <typename T>
+T
+element(std::uint64_t i, unsigned salt)
+{
+    std::array<unsigned char, sizeof(T)> bytes;
+    for (std::size_t k = 0; k < sizeof(T); ++k)
+        bytes[k] = static_cast<unsigned char>(i * 31 + k * 7 + salt);
+    T v;
+    std::memcpy(&v, bytes.data(), sizeof(T));
+    return v;
+}
+
+template <typename T>
+bool
+sameBytes(const T &a, const T &b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+void
+checkRangeTransfers(const char *type)
+{
+    constexpr std::uint64_t n = 1500; // several pages at every slot size
+    constexpr std::uint64_t mid = n / 3;
+    std::vector<T> src(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        src[i] = element<T>(i, 1);
+
+    // Home-store bytes: over a patterned store, a range init leaves
+    // exactly what per-element init leaves (padding included).
+    {
+        const MachineParams mp = smallMachine(ProtocolKind::Ideal);
+        Cluster per(mp), range(mp);
+        const SharedArray<T> a_per(per, n), a_range(range, n);
+        const std::vector<std::uint8_t> pattern(per.space().extent(), 0xa5);
+        per.initWrite(0, pattern.data(), pattern.size());
+        range.initWrite(0, pattern.data(), pattern.size());
+        for (std::uint64_t i = 0; i < n; ++i)
+            a_per.init(per, i, src[i]);
+        a_range.initRange(range, mid, n - mid, src.data() + mid);
+        a_range.initRange(range, mid, 0, src.data());
+        a_range.initRange(range, 0, mid, src.data());
+        ASSERT_EQ(per.space().extent(), range.space().extent());
+        EXPECT_EQ(std::memcmp(per.space().homeBytes(0),
+                              range.space().homeBytes(0),
+                              per.space().extent()),
+                  0)
+            << type;
+    }
+
+    // peekRange returns what per-element peek returns on every
+    // protocol. Node 1 writes element 0 last; under SC its block (64
+    // bytes, homed at node 0) stays exclusive at node 1, so both reads
+    // gather it from node 1's copy.
+    for (auto kind :
+         {ProtocolKind::Hlrc, ProtocolKind::Sc, ProtocolKind::Ideal}) {
+        MachineParams mp = smallMachine(kind);
+        mp.blockBytes = 64;
+        Cluster c(mp);
+        const SharedArray<T> arr(c, n);
+        const BarrierId bar = c.allocBarrier();
+        arr.initRange(c, 0, n, src.data());
+        c.run([&](Thread &t) {
+            const Range mine = blockRange(n, t.nprocs(), t.id());
+            for (std::uint64_t i = mine.begin; i < mine.end; ++i)
+                arr.put(t, i, element<T>(i, 2));
+            t.barrier(bar);
+            if (t.id() == 1)
+                arr.put(t, 0, element<T>(0, 3));
+            t.barrier(bar);
+        });
+        const char *proto = protocolKindName(kind);
+        std::vector<T> want(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            want[i] = arr.peek(c, i);
+            ASSERT_TRUE(sameBytes(want[i], element<T>(i, i == 0 ? 3 : 2)))
+                << type << " " << proto << " element " << i;
+        }
+        if (kind == ProtocolKind::Sc) {
+            // The home's copy is stale: the value came from the owner.
+            T home;
+            std::memcpy(&home, c.space().homeBytes(arr.addr(0)), sizeof(T));
+            EXPECT_FALSE(sameBytes(home, want[0])) << type;
+        }
+        const std::array<std::array<std::uint64_t, 2>, 4> ranges = {
+            {{0, n}, {mid, n - mid}, {1, 5}, {mid, 0}}};
+        for (const auto &[first, len] : ranges) {
+            const T guard = element<T>(n, 9);
+            std::vector<T> got(len + 1, guard);
+            arr.peekRange(c, first, len, got.data());
+            for (std::uint64_t k = 0; k < len; ++k) {
+                ASSERT_TRUE(sameBytes(got[k], want[first + k]))
+                    << type << " " << proto << " range [" << first << ", +"
+                    << len << ") element " << first + k;
+            }
+            EXPECT_TRUE(sameBytes(got[len], guard))
+                << type << " " << proto << ": wrote past the range";
+        }
+    }
+}
+
+TEST(SharedArray, RangeTransfersMatchPerElement)
+{
+    checkRangeTransfers<std::uint32_t>("uint32_t");
+    checkRangeTransfers<double>("double");
+    checkRangeTransfers<Complex>("Complex");
+    checkRangeTransfers<Padded>("Padded");
 }
 
 TEST(Experiment, IdealBeatsRealProtocols)

@@ -405,6 +405,87 @@ TEST(EventQueue, MatchesReferenceOrder)
     }
 }
 
+/**
+ * A seeded schedule on 6 slots, reduced to an FNV-1a hash of the
+ * (id, time) of every event in execution order. Each event schedules
+ * up to three children: most in the same cycle, some a few cycles
+ * ahead, some far in the future, each in its own slot or, by
+ * scheduleTo, in a drawn one. The prologue pushes a key below the
+ * pending minimum, the case in which a one-key register in front of
+ * the heap gives its key back to the heap.
+ */
+struct ScheduleDigest
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t events = 0;
+    std::uint64_t maxPending = 0;
+};
+
+ScheduleDigest
+digestSchedule(std::uint64_t seed)
+{
+    constexpr int maxEvents = 20000;
+    EventQueue eq;
+    eq.setNumSlots(6);
+    ScheduleDigest d;
+    const auto mix = [&d](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            d.hash ^= (v >> (8 * b)) & 0xff;
+            d.hash *= 0x100000001b3ULL;
+        }
+    };
+    int next_id = 0;
+    std::function<void(int)> body;
+    const auto spawn = [&](Rng &rng, Cycles when) {
+        const int id = next_id++;
+        if (rng.nextBounded(2))
+            eq.scheduleTo(static_cast<std::uint32_t>(rng.nextBounded(6)),
+                          when, [&body, id] { body(id); });
+        else
+            eq.schedule(when, [&body, id] { body(id); });
+    };
+    body = [&](int id) {
+        mix(static_cast<std::uint64_t>(id));
+        mix(eq.now());
+        Rng rng(seed * 1000003 + static_cast<std::uint64_t>(id));
+        for (auto k = rng.nextBounded(4); k > 0 && next_id < maxEvents;
+             --k) {
+            const std::uint64_t pick = rng.nextBounded(10);
+            const Cycles delay = pick < 6 ? 0
+                : pick < 9               ? 1 + rng.nextBounded(3)
+                                         : 10 + rng.nextBounded(90);
+            spawn(rng, eq.now() + delay);
+        }
+    };
+    Rng rng(seed);
+    spawn(rng, 10);
+    spawn(rng, 5); // below the pending minimum
+    spawn(rng, 5);
+    for (int i = 0; i < 40; ++i)
+        spawn(rng, rng.nextBounded(8));
+    d.events = eq.run();
+    d.maxPending = eq.maxPending();
+    return d;
+}
+
+TEST(EventQueue, SeededScheduleKeepsItsRecordedOrder)
+{
+    // Recorded from the binary heap alone, before the earliest key had
+    // a register of its own: execution order, event count and pending
+    // high-water mark must not move.
+    const std::uint64_t want_hash[3] = {8881474338944688454ULL,
+                                        6794234028396347984ULL,
+                                        12301536629161786751ULL};
+    const std::uint64_t want_events[3] = {20000, 20000, 20000};
+    const std::uint64_t want_pending[3] = {6747, 6620, 6530};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const ScheduleDigest d = digestSchedule(seed);
+        EXPECT_EQ(d.hash, want_hash[seed - 1]) << "seed " << seed;
+        EXPECT_EQ(d.events, want_events[seed - 1]) << "seed " << seed;
+        EXPECT_EQ(d.maxPending, want_pending[seed - 1]) << "seed " << seed;
+    }
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     Rng a(7), b(7);
